@@ -492,6 +492,28 @@ std::optional<std::string> frameCacheFlagError(const Args& args) {
   return std::nullopt;
 }
 
+/// Validates `history`'s numeric flags (both sources) before any file is
+/// touched: --window must be a positive integer, --sigmas and
+/// --threshold numbers.  A bare flag (e.g. `--window -5`, whose value
+/// looks like an option) is an error too.
+std::optional<std::string> historyFlagError(const Args& args) {
+  for (const std::string_view name : {"window", "sigmas", "threshold"}) {
+    if (args.hasFlag(name)) {
+      return "--" + std::string(name) + " expects a value";
+    }
+  }
+  try {
+    if (args.intOptionOr("window", 1) <= 0) {
+      return "--window must be >= 1 (got " + *args.option("window") + ")";
+    }
+    args.doubleOptionOr("sigmas", 0.0);
+    args.doubleOptionOr("threshold", 0.0);
+  } catch (const ParseError& e) {
+    return std::string(e.what());
+  }
+  return std::nullopt;
+}
+
 /// Prints the adaptive controller's per-(test, target, fom) decisions.
 void printInferenceDecisions(const infer::ControllerReport& inference) {
   for (const infer::FomDecision& d : inference.decisions) {
@@ -1147,6 +1169,12 @@ int compare(const Args& args) {
 /// Store-backed `rebench history`: trend view and regression gate over
 /// the hash-chained history the campaigns under --store appended.
 int storeHistory(const Args& args, const std::string& storeDir) {
+  // A read-only command: a mistyped DIR must not turn into a new store.
+  if (!std::filesystem::exists(std::filesystem::path(storeDir) /
+                               "index.jsonl")) {
+    std::cerr << "history: no store at " << storeDir << "\n";
+    return 2;
+  }
   store::ObjectStore store(storeDir);
   history::HistoryIndex index(store);
   const std::string test =
@@ -1164,8 +1192,7 @@ int storeHistory(const Args& args, const std::string& storeDir) {
       return 2;
     }
     history::GateOptions gate;
-    gate.window = static_cast<std::size_t>(
-        std::max(1, args.intOptionOr("window", 5)));
+    gate.window = static_cast<std::size_t>(args.intOptionOr("window", 5));
     gate.threshold = args.doubleOptionOr("threshold", 0.05);
     const std::vector<history::GateResult> verdicts =
         history::checkRegression(records, gate);
@@ -1226,14 +1253,17 @@ int storeHistory(const Args& args, const std::string& storeDir) {
 
   history::RenderOptions options;
   options.json = args.hasFlag("json");
-  options.window = static_cast<std::size_t>(
-      std::max(1, args.intOptionOr("window", 5)));
+  options.window = static_cast<std::size_t>(args.intOptionOr("window", 5));
   options.changepoint.relThreshold = args.doubleOptionOr("threshold", 0.05);
   std::cout << history::renderHistory(records, options);
   return 0;
 }
 
 int history(const Args& args) {
+  if (const auto error = historyFlagError(args)) {
+    std::cerr << "history: " << *error << "\n";
+    return 2;
+  }
   if (auto storeDir = args.option("store")) {
     return storeHistory(args, *storeDir);
   }
@@ -1264,7 +1294,7 @@ int history(const Args& args) {
 
   DetectorOptions options;
   options.window = args.intOptionOr("window", 8);
-  options.sigmas = std::stod(args.optionOr("sigmas", "3.0"));
+  options.sigmas = args.doubleOptionOr("sigmas", 3.0);
   const auto events =
       args.hasFlag("detect") ? perfHistory.detect(options)
                              : std::vector<RegressionEvent>{};

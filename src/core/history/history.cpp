@@ -138,6 +138,18 @@ std::vector<HistoryRecord> parseSegment(std::string_view bytes,
   return records;
 }
 
+namespace {
+
+/// The append point after a head segment.  Both appendSegment paths
+/// take their tip from here, so they write identical segment bytes.
+ChainTip tipAfter(const std::string& head, std::uint64_t headSeq,
+                  const std::vector<HistoryRecord>& headRecords) {
+  return {head, headSeq + 1,
+          headRecords.empty() ? 0 : headRecords.back().seq + 1};
+}
+
+}  // namespace
+
 HistoryIndex::HistoryIndex(store::ObjectStore& store) : store_(store) {}
 
 void HistoryIndex::setObservability(obs::Tracer* tracer,
@@ -149,26 +161,24 @@ void HistoryIndex::setObservability(obs::Tracer* tracer,
 std::string HistoryIndex::appendSegment(
     std::span<const HistoryRecord> records) {
   if (records.empty()) return "";
-  std::string prev;
-  std::uint64_t seq = 0;
-  std::uint64_t base = 0;
+  ChainTip tip;
   if (const auto head = store_.ref(kHeadRef)) {
-    auto bytes = store_.get(*head);
-    if (!bytes) {
-      throw Error("history head segment '" + *head +
-                  "' is missing from the store");
-    }
     std::uint64_t headSeq = 0;
-    const auto headRecords = parseSegment(*bytes, nullptr, &headSeq);
-    prev = *head;
-    seq = headSeq + 1;
-    base = headRecords.empty() ? 0 : headRecords.back().seq + 1;
+    const auto headRecords = readSegment(*head, nullptr, &headSeq);
+    tip = tipAfter(*head, headSeq, headRecords);
   }
+  return appendSegment(tip, records);
+}
+
+std::string HistoryIndex::appendSegment(
+    const ChainTip& tip, std::span<const HistoryRecord> records) {
+  if (records.empty()) return "";
   std::vector<HistoryRecord> stamped(records.begin(), records.end());
   for (std::size_t i = 0; i < stamped.size(); ++i) {
-    stamped[i].seq = base + i;
+    stamped[i].seq = tip.base + i;
   }
-  const std::string blob = serializeSegment(stamped, prev, seq, base);
+  const std::string blob =
+      serializeSegment(stamped, tip.head, tip.seq, tip.base);
   const std::string hash = store_.put(blob);
   // Pin before publishing the head ref: from the moment the chain can
   // reach this segment, LRU pressure must not be able to evict it.
@@ -191,25 +201,36 @@ std::string HistoryIndex::appendSegment(
   return hash;
 }
 
-std::vector<HistoryRecord> HistoryIndex::readAll() const {
+std::vector<HistoryRecord> HistoryIndex::readSegment(
+    const std::string& hash, std::string* prevHash,
+    std::uint64_t* seq) const {
+  const auto bytes = store_.get(hash);
+  if (!bytes) {
+    throw Error("history chain is broken: segment '" + hash +
+                "' is missing from the store");
+  }
+  return parseSegment(*bytes, prevHash, seq);
+}
+
+Chain HistoryIndex::readChain() const {
+  Chain chain;
   std::vector<std::vector<HistoryRecord>> segments;  // newest first
-  auto cursor = store_.ref(kHeadRef);
-  std::string hash = cursor.value_or("");
+  std::string hash = store_.ref(kHeadRef).value_or("");
   while (!hash.empty()) {
-    auto bytes = store_.get(hash);
-    if (!bytes) {
-      throw Error("history chain is broken: segment '" + hash +
-                  "' is missing from the store");
-    }
     std::string prev;
-    segments.push_back(parseSegment(*bytes, &prev));
+    std::uint64_t seq = 0;
+    segments.push_back(readSegment(hash, &prev, &seq));
+    if (segments.size() == 1) chain.tip = tipAfter(hash, seq, segments[0]);
     hash = prev;
   }
-  std::vector<HistoryRecord> records;
   for (auto it = segments.rbegin(); it != segments.rend(); ++it) {
-    records.insert(records.end(), it->begin(), it->end());
+    chain.records.insert(chain.records.end(), it->begin(), it->end());
   }
-  return records;
+  return chain;
+}
+
+std::vector<HistoryRecord> HistoryIndex::readAll() const {
+  return readChain().records;
 }
 
 std::vector<HistoryRecord> HistoryIndex::query(std::string_view test,
@@ -237,16 +258,10 @@ std::vector<HistoryRecord> HistoryIndex::query(std::string_view test,
 
 std::size_t HistoryIndex::segmentCount() const {
   std::size_t count = 0;
-  auto cursor = store_.ref(kHeadRef);
-  std::string hash = cursor.value_or("");
+  std::string hash = store_.ref(kHeadRef).value_or("");
   while (!hash.empty()) {
-    auto bytes = store_.get(hash);
-    if (!bytes) {
-      throw Error("history chain is broken: segment '" + hash +
-                  "' is missing from the store");
-    }
     std::string prev;
-    parseSegment(*bytes, &prev);
+    readSegment(hash, &prev);
     hash = prev;
     ++count;
   }

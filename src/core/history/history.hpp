@@ -92,6 +92,20 @@ struct FomAggregate {
 };
 std::vector<FomAggregate> aggregateFoms(std::span<const TestRunResult> results);
 
+/// Where the next segment attaches to the chain: the head it names as
+/// `prev`, its meta `seq` and the seq of its first record (`base`).
+struct ChainTip {
+  std::string head;  // "" for an empty chain
+  std::uint64_t seq = 0;
+  std::uint64_t base = 0;
+};
+
+/// One verified walk of the whole chain.
+struct Chain {
+  std::vector<HistoryRecord> records;  // oldest first
+  ChainTip tip;
+};
+
 /// The chain view over an ObjectStore.  Not thread-safe; callers append
 /// from the (single-threaded) CLI tail after campaign merge.
 class HistoryIndex {
@@ -107,11 +121,26 @@ class HistoryIndex {
   /// Appends `records` as one new pinned segment and advances the head
   /// ref.  Sequence numbers are assigned here (input order preserved).
   /// Returns the segment hash; empty input appends nothing and returns "".
+  /// Reads the head segment to find the tip.
   std::string appendSegment(std::span<const HistoryRecord> records);
+
+  /// appendSegment at a tip the caller already read (readChain's), so
+  /// nothing is read.  `tip` must describe the current head.
+  std::string appendSegment(const ChainTip& tip,
+                            std::span<const HistoryRecord> records);
 
   /// All records, oldest first.  A broken chain (evicted or corrupt
   /// segment) throws rebench::Error naming the missing hash.
   std::vector<HistoryRecord> readAll() const;
+
+  /// readAll plus the tip the next segment attaches to, from one walk.
+  Chain readChain() const;
+
+  /// Verified read of one segment, parsed as parseSegment does; a
+  /// missing or corrupt segment throws rebench::Error.
+  std::vector<HistoryRecord> readSegment(const std::string& hash,
+                                         std::string* prevHash = nullptr,
+                                         std::uint64_t* seq = nullptr) const;
 
   /// Records matching the filters, oldest first; empty filter = any.
   std::vector<HistoryRecord> query(std::string_view test,

@@ -45,46 +45,63 @@ Submission enqueueSubmission(const std::string& queueDir,
   return sub;
 }
 
-std::vector<Submission> scanQueue(const std::string& queueDir) {
-  std::vector<std::string> paths;
+std::vector<std::string> listSubmissions(const std::string& queueDir) {
+  std::vector<std::string> names;
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(queueDir, ec)) {
     if (!entry.is_regular_file()) continue;
-    const std::string name = entry.path().filename().string();
+    std::string name = entry.path().filename().string();
     if (name.starts_with("sub-") && name.ends_with(".json")) {
-      paths.push_back(entry.path().string());
+      names.push_back(std::move(name));
     }
   }
-  std::sort(paths.begin(), paths.end());
+  std::sort(names.begin(), names.end());
+  for (std::string& name : names) {
+    name = name.substr(4, name.size() - 9);  // drop "sub-" and ".json"
+  }
+  return names;
+}
 
-  std::vector<Submission> result;
-  for (const std::string& path : paths) {
-    Submission sub;
-    sub.path = path;
-    const std::string stem = fs::path(path).stem().string();
-    sub.id = stem.substr(4);  // drop "sub-"
-    try {
-      const std::string body = readFile(path);
-      if (store::ObjectStore::hashBytes(body) != sub.id) {
-        sub.valid = false;
-        sub.error = "content hash does not match filename (tampered?)";
-      } else {
-        const obs::json::Value value = obs::json::parse(body);
-        const std::string schema = value.stringOr("schema", "");
-        if (schema != kSubmissionSchema) {
-          sub.valid = false;
-          sub.error = "unsupported submission schema '" + schema + "'";
-        } else {
-          sub.invocation = store::parseInvocation(value.at("invocation"));
-        }
-      }
-    } catch (const Error& e) {
+Submission readSubmission(const std::string& queueDir, const std::string& id) {
+  Submission sub;
+  sub.id = id;
+  sub.path = (fs::path(queueDir) / ("sub-" + id + ".json")).string();
+  try {
+    const std::string body = readFile(sub.path);
+    if (store::ObjectStore::hashBytes(body) != sub.id) {
       sub.valid = false;
-      sub.error = e.what();
+      sub.error = "content hash does not match filename (tampered?)";
+    } else {
+      const obs::json::Value value = obs::json::parse(body);
+      const std::string schema = value.stringOr("schema", "");
+      if (schema != kSubmissionSchema) {
+        sub.valid = false;
+        sub.error = "unsupported submission schema '" + schema + "'";
+      } else {
+        sub.invocation = store::parseInvocation(value.at("invocation"));
+      }
     }
-    result.push_back(std::move(sub));
+  } catch (const Error& e) {
+    sub.valid = false;
+    sub.error = e.what();
+  }
+  return sub;
+}
+
+std::vector<Submission> scanQueue(const std::string& queueDir) {
+  std::vector<Submission> result;
+  for (const std::string& id : listSubmissions(queueDir)) {
+    result.push_back(readSubmission(queueDir, id));
   }
   return result;
+}
+
+int queueDepth(const std::string& queueDir) {
+  int depth = 0;
+  for (const std::string& id : listSubmissions(queueDir)) {
+    if (!fs::exists(verdictPath(queueDir, id))) ++depth;
+  }
+  return depth;
 }
 
 std::string Verdict::serialize() const {

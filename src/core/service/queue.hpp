@@ -46,11 +46,22 @@ struct Submission {
 Submission enqueueSubmission(const std::string& queueDir,
                              const store::CampaignInvocation& inv);
 
-/// Scans `queueDir` for sub-*.json files, sorted by filename so every
+/// Ids of the sub-*.json files in `queueDir`, sorted by filename so every
 /// scan order — and therefore every verdict order — is deterministic.
-/// Hash-verifies and parses each file; failures yield valid=false
-/// entries rather than being skipped.
+/// A directory listing alone: no submission is read.
+std::vector<std::string> listSubmissions(const std::string& queueDir);
+
+/// Reads QUEUE/sub-<id>.json, hash-verifies and parses it; a tampered,
+/// malformed or unreadable file yields valid=false with `error` set.
+Submission readSubmission(const std::string& queueDir, const std::string& id);
+
+/// listSubmissions + readSubmission for each: every queued submission,
+/// invalid ones included rather than skipped.
 std::vector<Submission> scanQueue(const std::string& queueDir);
+
+/// Listed submissions without a verdict file — the queue depth that
+/// health.json reports — from directory entries alone.
+int queueDepth(const std::string& queueDir);
 
 /// The daemon's answer to one submission.
 struct Verdict {

@@ -210,21 +210,18 @@ ExecutedRecord summarizeCampaignOutcome(
   return outcome;
 }
 
-HistoryAppendResult appendCampaignHistory(store::ObjectStore& store,
-                                          const ExecutedRecord& outcome,
-                                          const SystemRegistry& systems,
-                                          bool skipIfCited) {
-  HistoryAppendResult result;
-  if (outcome.aggregates.empty()) return result;
-  history::HistoryIndex index(store);
-  if (skipIfCited) {
-    // Exactly-once across crash/resume: a resumed daemon whose previous
-    // incarnation already appended this campaign must not append twice.
-    // readAll also surfaces a broken chain here, before any mutation.
-    for (const history::HistoryRecord& record : index.readAll()) {
-      if (record.manifestHash == outcome.manifestHash) return result;
-    }
-  }
+namespace {
+
+bool cites(std::span<const history::HistoryRecord> records,
+           const std::string& manifestHash) {
+  return std::any_of(records.begin(), records.end(),
+                     [&](const history::HistoryRecord& record) {
+                       return record.manifestHash == manifestHash;
+                     });
+}
+
+std::vector<history::HistoryRecord> historyRecordsFor(
+    const ExecutedRecord& outcome, const SystemRegistry& systems) {
   std::vector<history::HistoryRecord> records;
   for (const AggregateRecord& agg : outcome.aggregates) {
     history::HistoryRecord record;
@@ -244,18 +241,15 @@ HistoryAppendResult appendCampaignHistory(store::ObjectStore& store,
     record.simTimestamp = outcome.simSeconds;
     records.push_back(std::move(record));
   }
-  result.segment = index.appendSegment(records);
-  result.records = static_cast<int>(records.size());
-  result.appended = true;
-  return result;
+  return records;
 }
 
-std::vector<history::GateResult> gateCampaign(
-    store::ObjectStore& store, const ExecutedRecord& outcome,
+/// The one gate implementation: checks every series in `all` and keeps
+/// the ones `outcome` touched, with their spans and counters.
+std::vector<history::GateResult> gateTouchedSeries(
+    std::span<const history::HistoryRecord> all, const ExecutedRecord& outcome,
     const history::GateOptions& options, obs::Tracer* tracer,
     obs::MetricsRegistry* metrics) {
-  history::HistoryIndex index(store);
-  const std::vector<history::HistoryRecord> all = index.readAll();
   std::vector<history::GateResult> touched;
   for (const history::GateResult& gate :
        history::checkRegression(all, options)) {
@@ -287,6 +281,59 @@ std::vector<history::GateResult> gateCampaign(
     }
   }
   return touched;
+}
+
+}  // namespace
+
+HistoryAppendResult appendCampaignHistory(store::ObjectStore& store,
+                                          const ExecutedRecord& outcome,
+                                          const SystemRegistry& systems,
+                                          bool skipIfCited) {
+  HistoryAppendResult result;
+  if (outcome.aggregates.empty()) return result;
+  history::HistoryIndex index(store);
+  if (skipIfCited) {
+    // Exactly-once across crash/resume: a resumed daemon whose previous
+    // incarnation already appended this campaign must not append twice.
+    // The walk also surfaces a broken chain here, before any mutation.
+    const history::Chain chain = index.readChain();
+    if (cites(chain.records, outcome.manifestHash)) return result;
+    result.segment =
+        index.appendSegment(chain.tip, historyRecordsFor(outcome, systems));
+  } else {
+    result.segment = index.appendSegment(historyRecordsFor(outcome, systems));
+  }
+  result.records = static_cast<int>(outcome.aggregates.size());
+  result.appended = true;
+  return result;
+}
+
+std::vector<history::GateResult> gateCampaign(
+    store::ObjectStore& store, const ExecutedRecord& outcome,
+    const history::GateOptions& options, obs::Tracer* tracer,
+    obs::MetricsRegistry* metrics) {
+  return gateTouchedSeries(history::HistoryIndex(store).readAll(), outcome,
+                           options, tracer, metrics);
+}
+
+std::vector<history::GateResult> appendAndGateCampaign(
+    store::ObjectStore& store, const ExecutedRecord& outcome,
+    const SystemRegistry& systems, const history::GateOptions& options,
+    obs::Tracer* tracer, obs::MetricsRegistry* metrics) {
+  history::HistoryIndex index(store);
+  history::Chain chain = index.readChain();
+  if (!outcome.aggregates.empty() &&
+      !cites(chain.records, outcome.manifestHash)) {
+    const std::string segment = index.appendSegment(
+        chain.tip, historyRecordsFor(outcome, systems));
+    // Read back through the verified path, so the gate sees exactly the
+    // bytes a fresh readAll would.
+    const std::vector<history::HistoryRecord> appended =
+        index.readSegment(segment);
+    chain.records.insert(chain.records.end(), appended.begin(),
+                         appended.end());
+  }
+  return gateTouchedSeries(chain.records, outcome, options, tracer, metrics);
 }
 
 std::string runKeyFor(const store::CampaignInvocation& inv,

@@ -120,6 +120,17 @@ std::vector<history::GateResult> gateCampaign(
     const history::GateOptions& options, obs::Tracer* tracer = nullptr,
     obs::MetricsRegistry* metrics = nullptr);
 
+/// The serve daemon's history tail: appendCampaignHistory with
+/// `skipIfCited` followed by gateCampaign, with the same bytes and
+/// results, from one verified chain walk.  The walk feeds the "already
+/// cited" check and gives the append its tip; the new segment joins the
+/// gate's input through a verified read-back.  Throws rebench::Error
+/// when the history is unreadable.
+std::vector<history::GateResult> appendAndGateCampaign(
+    store::ObjectStore& store, const ExecutedRecord& outcome,
+    const SystemRegistry& systems, const history::GateOptions& options,
+    obs::Tracer* tracer = nullptr, obs::MetricsRegistry* metrics = nullptr);
+
 /// The run-memoization key: hash(invocation bytes + environment
 /// fingerprint + system/partition configuration + concretized spec DAG
 /// hashes).  Everything that could change recorded bytes is in here;

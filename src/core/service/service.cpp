@@ -49,22 +49,12 @@ void writeHealthSnapshot(const ServeOptions& options,
                          const ServeReport& report,
                          const CircuitBreaker& breaker);
 
-/// Unanswered submissions right now (scanned live, unlike the report's
-/// exit-time queueDepth).
-int liveQueueDepth(const std::string& queueDir) {
-  int depth = 0;
-  for (const Submission& sub : scanQueue(queueDir)) {
-    if (!fs::exists(verdictPath(queueDir, sub.id))) ++depth;
-  }
-  return depth;
-}
-
 /// Mirrors the report counters into the telemetry plane and atomically
 /// refreshes QUEUE/health.json.  Runs at startup and after every filed
 /// verdict, so health.json is live, not just a drain-time artifact.
 void refreshHealth(const RunContextState& ctx) {
   ServeReport snapshot = ctx.report;
-  snapshot.queueDepth = liveQueueDepth(ctx.options.queueDir);
+  snapshot.queueDepth = queueDepth(ctx.options.queueDir);
   writeHealthSnapshot(ctx.options, snapshot, ctx.breaker);
   telemetry::TelemetryPlane& plane = ctx.plane;
   plane.setStat("processed", snapshot.processed);
@@ -359,11 +349,9 @@ void processSubmission(const RunContextState& ctx,
     try {
       // Idempotent under crash/resume: a previous incarnation's append
       // of this manifest hash is detected and skipped.
-      appendCampaignHistory(ctx.store, outcome, systems,
-                            /*skipIfCited=*/true);
-      for (const history::GateResult& gate :
-           gateCampaign(ctx.store, outcome, history::GateOptions{},
-                        ctx.options.tracer, ctx.options.metrics)) {
+      for (const history::GateResult& gate : appendAndGateCampaign(
+               ctx.store, outcome, systems, history::GateOptions{},
+               ctx.options.tracer, ctx.options.metrics)) {
         if (gate.regression) ++regressions;
       }
       verdict.verdict = regressions > 0 ? "ran:regressed" : "ran:clean";
@@ -502,8 +490,15 @@ ServeReport Service::run() {
   bool stop = false;
   while (!stop) {
     bool progressed = false;
-    for (const Submission& sub : scanQueue(options_.queueDir)) {
-      if (processedThisRun.count(sub.id) > 0) continue;
+    // Each pass reads only the submissions this run has not answered,
+    // so an idle poll lists the queue but reads none of it.
+    std::vector<Submission> pending;
+    for (const std::string& id : listSubmissions(options_.queueDir)) {
+      if (processedThisRun.count(id) == 0) {
+        pending.push_back(readSubmission(options_.queueDir, id));
+      }
+    }
+    for (const Submission& sub : pending) {
       if (drainRequested(options_.queueDir) || shutdownRequested()) {
         report.drained = true;
         stop = true;
@@ -533,11 +528,7 @@ ServeReport Service::run() {
     }
   }
 
-  for (const Submission& sub : scanQueue(options_.queueDir)) {
-    if (!fs::exists(verdictPath(options_.queueDir, sub.id))) {
-      ++report.queueDepth;
-    }
-  }
+  report.queueDepth = queueDepth(options_.queueDir);
   if (options_.metrics != nullptr) {
     options_.metrics->gauge("serve.queue_depth")
         .set(static_cast<double>(report.queueDepth));

@@ -17,6 +17,26 @@ namespace rebench::store {
 
 namespace fs = std::filesystem;
 
+namespace {
+
+/// Writes `bytes` to a fresh `path` and checks the stream after the
+/// write and the close, so a short write (ENOSPC, EFBIG) is an error and
+/// never a published file.  On failure the partial file is removed.
+void writeFileChecked(const std::string& path, std::string_view bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  if (out) {
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    out.close();
+  }
+  if (!out) {
+    std::error_code ec;
+    fs::remove(path, ec);
+    throw Error("cannot write '" + path + "'");
+  }
+}
+
+}  // namespace
+
 std::string ObjectStore::hashBytes(std::string_view bytes) {
   return Hasher{}.update(bytes).hex();
 }
@@ -36,10 +56,8 @@ ObjectStore::ObjectStore(std::string dir, StoreOptions options)
                 "': " + ec.message());
   }
   if (!fs::exists(indexPath_)) {
-    std::ofstream out(indexPath_);
-    if (!out) throw Error("cannot create store index '" + indexPath_ + "'");
-    out << "{\"kind\":\"meta\",\"schema\":" << obs::json::quote(kStoreSchema)
-        << "}\n";
+    writeFileChecked(indexPath_, "{\"kind\":\"meta\",\"schema\":" +
+                                     obs::json::quote(kStoreSchema) + "}\n");
     return;
   }
   std::ifstream in(indexPath_);
@@ -106,15 +124,29 @@ ObjectStore::ObjectStore(std::string dir, StoreOptions options)
 }
 
 void ObjectStore::appendIndex(const std::string& line) {
+  std::error_code ec;
+  const std::uintmax_t before = fs::file_size(indexPath_, ec);
   std::ofstream out(indexPath_, std::ios::app);
-  if (!out) throw Error("cannot append to store index '" + indexPath_ + "'");
-  out << line << "\n";
+  if (out) {
+    out << line << "\n";
+    out.close();
+  }
+  if (!out) {
+    // Cut a torn line back off: the next append must start a fresh line,
+    // or replay would lose it glued to the fragment.
+    if (!ec) fs::resize_file(indexPath_, before, ec);
+    throw Error("cannot append to store index '" + indexPath_ + "'");
+  }
 }
 
 void ObjectStore::touch(const std::string& hash) {
   auto it = entries_.find(hash);
   if (it == entries_.end()) return;
   it->second.lastUse = tick_++;
+  // Recency only steers eviction, and pinned objects are never evicted:
+  // their touches stay in memory (and in compactIndex), so verified
+  // reads of history segments and run-cache records write nothing.
+  if (pinned_.contains(hash)) return;
   appendIndex("{\"kind\":\"touch\",\"hash\":" + obs::json::quote(hash) +
               ",\"tick\":" + std::to_string(it->second.lastUse) + "}");
 }
@@ -182,11 +214,7 @@ std::string ObjectStore::put(std::string_view bytes) {
       (fs::path(dir_) / ("tmp-" + hash + "-" +
                          std::to_string(static_cast<unsigned>(tick_))))
           .string();
-  {
-    std::ofstream out(tmp, std::ios::binary);
-    if (!out) throw Error("cannot write store object '" + tmp + "'");
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
+  writeFileChecked(tmp, bytes);
   std::error_code ec;
   fs::rename(tmp, objectPath(hash), ec);
   if (ec) {
@@ -197,11 +225,13 @@ std::string ObjectStore::put(std::string_view bytes) {
   Entry entry;
   entry.bytes = bytes.size();
   entry.lastUse = tick_++;
-  totalBytes_ += entry.bytes;
-  entries_[hash] = entry;
+  // Indexed before it is live in memory: a failed append leaves an
+  // unindexed blob that the next put of these bytes overwrites.
   appendIndex("{\"kind\":\"put\",\"hash\":" + obs::json::quote(hash) +
               ",\"bytes\":" + std::to_string(entry.bytes) +
               ",\"tick\":" + std::to_string(entry.lastUse) + "}");
+  totalBytes_ += entry.bytes;
+  entries_[hash] = entry;
   return hash;
 }
 
@@ -244,9 +274,9 @@ bool ObjectStore::contains(const std::string& hash) const {
 
 void ObjectStore::setRef(std::string_view name, const std::string& hash) {
   std::lock_guard lock(mutex_);
-  refs_[std::string(name)] = hash;
   appendIndex("{\"kind\":\"ref\",\"name\":" + obs::json::quote(name) +
               ",\"hash\":" + obs::json::quote(hash) + "}");
+  refs_[std::string(name)] = hash;
 }
 
 std::optional<std::string> ObjectStore::ref(std::string_view name) const {
@@ -261,14 +291,16 @@ std::optional<std::string> ObjectStore::ref(std::string_view name) const {
 void ObjectStore::pin(const std::string& hash) {
   std::lock_guard lock(mutex_);
   if (!entries_.contains(hash)) return;  // nothing to protect
-  if (!pinned_.insert(hash).second) return;
+  if (pinned_.contains(hash)) return;
   appendIndex("{\"kind\":\"pin\",\"hash\":" + obs::json::quote(hash) + "}");
+  pinned_.insert(hash);
 }
 
 void ObjectStore::unpin(const std::string& hash) {
   std::lock_guard lock(mutex_);
-  if (pinned_.erase(hash) == 0) return;
+  if (!pinned_.contains(hash)) return;
   appendIndex("{\"kind\":\"unpin\",\"hash\":" + obs::json::quote(hash) + "}");
+  pinned_.erase(hash);
 }
 
 bool ObjectStore::pinned(const std::string& hash) const {
@@ -314,11 +346,7 @@ std::size_t ObjectStore::compactIndex() {
   // mid-compaction leaves either the old index or the new one, never a
   // torn file.
   const std::string tmp = indexPath_ + ".compact";
-  {
-    std::ofstream file(tmp, std::ios::binary);
-    if (!file) throw Error("cannot write compacted index '" + tmp + "'");
-    file << out.str();
-  }
+  writeFileChecked(tmp, out.str());
   std::error_code ec;
   fs::rename(tmp, indexPath_, ec);
   if (ec) {

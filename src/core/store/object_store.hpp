@@ -21,7 +21,11 @@
 // their target is evicted.  Pinned objects (history segments, anything
 // the caller cannot afford to lose to cache pressure) are exempt from
 // LRU eviction until unpinned.  The append-only index grows one line per
-// touch; `compactIndex` rewrites it down to the live state.
+// touch of an evictable object; a pinned object's recency lives only in
+// memory, so reading it writes nothing.  `compactIndex` rewrites the
+// index down to the live state, in-memory recency included.  Blob and
+// index writes are checked: a short write throws rebench::Error and
+// publishes nothing.
 #pragma once
 
 #include <cstdint>
@@ -60,10 +64,13 @@ class ObjectStore {
   /// present is not rewritten (the put is counted as deduplicated and the
   /// object's LRU position refreshed).  May evict other objects to honour
   /// the size cap; the just-put object is never evicted by its own put.
+  /// Throws rebench::Error when the blob or its index line cannot be
+  /// written in full.
   std::string put(std::string_view bytes);
 
   /// Verified read: returns the bytes iff the blob exists and re-hashes
-  /// to `hash`.  A corrupt blob is deleted and counted.
+  /// to `hash`.  A corrupt blob is deleted and counted.  Refreshes the
+  /// object's LRU position; only an unpinned object's is journaled.
   std::optional<std::string> get(const std::string& hash);
 
   /// Verified read with no side effects: no touch, no stats, no index

@@ -172,6 +172,12 @@ struct Table3Row {
   const char* mpiVersion;
 };
 
+// Without a printer gtest dumps the row's raw bytes — pointer values that
+// change with every load address — into the listed test names.
+void PrintTo(const Table3Row& row, std::ostream* os) {
+  *os << '"' << row.system << '"';
+}
+
 class Table3Test : public ConcretizerFixture,
                    public ::testing::WithParamInterface<Table3Row> {};
 

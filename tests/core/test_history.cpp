@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -159,6 +161,57 @@ TEST_F(HistoryIndexTest, PinnedSegmentsSurviveEvictionAndUnpinnedBreak) {
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find(h1), std::string::npos);
   }
+}
+
+// The serve daemon's tail appends at the tip of the chain it already
+// walked; the segment must be the one appendSegment's head read makes.
+TEST_F(HistoryIndexTest, AppendAtWalkedTipMatchesAppendSegment) {
+  store::ObjectStore viaHead(dir_ + "/head");
+  store::ObjectStore viaWalk(dir_ + "/walk");
+  HistoryIndex headIndex(viaHead);
+  HistoryIndex walkIndex(viaWalk);
+  const std::vector<std::vector<HistoryRecord>> campaigns{
+      {makeRecord("A", "Triad", 100.0), makeRecord("B", "Triad", 50.0)},
+      {makeRecord("A", "Triad", 101.0)},
+      {makeRecord("A", "Copy", 80.0), makeRecord("B", "Copy", 40.0),
+       makeRecord("C", "Copy", 20.0)}};
+  for (const std::vector<HistoryRecord>& records : campaigns) {
+    const Chain chain = walkIndex.readChain();
+    EXPECT_EQ(serializeSegment(chain.records, "", 0, 0),
+              serializeSegment(walkIndex.readAll(), "", 0, 0));
+    const std::string expected = headIndex.appendSegment(records);
+    const std::string actual = walkIndex.appendSegment(chain.tip, records);
+    EXPECT_EQ(actual, expected);
+    EXPECT_EQ(viaWalk.get(actual), viaHead.get(expected));
+    EXPECT_EQ(viaWalk.ref(kHeadRef), viaHead.ref(kHeadRef));
+    EXPECT_TRUE(viaWalk.pinned(actual));
+  }
+  const Chain chain = walkIndex.readChain();
+  EXPECT_EQ(chain.tip.head, viaWalk.ref(kHeadRef).value_or(""));
+  EXPECT_EQ(chain.tip.seq, 3u);
+  EXPECT_EQ(chain.tip.base, 6u);
+  EXPECT_EQ(serializeSegment(chain.records, "", 0, 0),
+            serializeSegment(headIndex.readAll(), "", 0, 0));
+}
+
+TEST_F(HistoryIndexTest, ReadingPinnedSegmentsWritesNothing) {
+  store::ObjectStore store(dir_);
+  HistoryIndex index(store);
+  for (int i = 0; i < 8; ++i) {
+    index.appendSegment({{makeRecord("A", "Triad", 100.0 + i)}});
+  }
+  const auto indexBytes = [&] {
+    std::ifstream in(fs::path(dir_) / "index.jsonl", std::ios::binary);
+    std::ostringstream out;
+    out << in.rdbuf();
+    return out.str();
+  };
+  const std::string before = indexBytes();
+  EXPECT_EQ(index.readAll().size(), 8u);
+  EXPECT_EQ(index.readChain().records.size(), 8u);
+  EXPECT_EQ(index.query("A").size(), 8u);
+  EXPECT_EQ(index.segmentCount(), 8u);
+  EXPECT_EQ(indexBytes(), before);
 }
 
 TEST_F(HistoryIndexTest, AppendAndQueryEmitContractCompliantSpans) {

@@ -13,6 +13,7 @@
 #include "core/fault/watchdog.hpp"
 #include "core/framework/pipeline.hpp"
 #include "core/history/history.hpp"
+#include "core/obs/json.hpp"
 #include "core/obs/trace.hpp"
 #include "core/obs/trace_reader.hpp"
 #include "core/service/journal.hpp"
@@ -47,6 +48,40 @@ RegressionTest syntheticTest(const std::string& name = "SyntheticTest") {
     return RunOutput{"RESULT OK\nrate 123.5 GB/s\n", 2.0};
   };
   return test;
+}
+
+/// Submissions scanQueue lists that have no verdict file yet.
+int unansweredByScan(const std::string& queueDir) {
+  int depth = 0;
+  for (const Submission& sub : scanQueue(queueDir)) {
+    if (!fs::exists(verdictPath(queueDir, sub.id))) ++depth;
+  }
+  return depth;
+}
+
+/// An executed campaign with Triad and Copy aggregates on archer2.  The
+/// means carry more digits than a segment keeps (6 decimals), so a gate
+/// fed anything but the stored bytes would see different values.
+ExecutedRecord campaignOutcome(int campaign, double triad, double copy) {
+  ExecutedRecord outcome;
+  outcome.manifestHash = "manifest-" + std::to_string(campaign);
+  outcome.runs = 2;
+  outcome.simSeconds = 10.0 * campaign;
+  for (const auto& [fom, mean] : {std::pair{"Triad", triad}, {"Copy", copy}}) {
+    AggregateRecord agg;
+    agg.test = "SyntheticTest";
+    agg.target = "archer2:compute";
+    agg.fom = fom;
+    agg.specHash = "00ff00ff00ff00ff";
+    agg.mean = mean + 1e-7 * campaign;
+    agg.min = mean - 1.0;
+    agg.max = mean + 1.0;
+    agg.ci = 0.5;
+    agg.ess = 3.0;
+    agg.repeats = 3;
+    outcome.aggregates.push_back(agg);
+  }
+  return outcome;
 }
 
 /// A fixture owning scratch queue/store directories plus the registries
@@ -402,6 +437,116 @@ TEST_F(ServiceFixture, BrokenHistoryHeadDegradesButStillExecutes) {
   EXPECT_EQ(again.executed, 1);
   EXPECT_EQ(again.cached, 1);  // the first submission stays memoized
   EXPECT_EQ(again.degraded, 0);
+}
+
+// Every verdict still verifies the whole chain, not just its head.
+TEST_F(ServiceFixture, CorruptOlderSegmentDegradesAndAppendsNothing) {
+  enqueueSubmission(queue_, invocation("first"));
+  enqueueSubmission(queue_, invocation("second"));
+  EXPECT_EQ(serve(makeOptions()).clean, 2);
+  std::string head;
+  {
+    store::ObjectStore objects(store_);
+    head = objects.ref(history::kHeadRef).value_or("");
+    std::string prev;
+    history::parseSegment(objects.get(head).value_or(""), &prev);
+    ASSERT_FALSE(prev.empty());
+    std::ofstream(objects.objectPath(prev), std::ios::binary) << "garbage";
+  }
+  const Submission third = enqueueSubmission(queue_, invocation("third"));
+  const ServeReport report = serve(makeOptions());
+  EXPECT_EQ(report.cached, 2);
+  EXPECT_EQ(report.executed, 1);
+  EXPECT_EQ(report.degraded, 1);
+  const Verdict verdict =
+      Verdict::parse(readFile(verdictPath(queue_, third.id)));
+  EXPECT_TRUE(verdict.degraded);
+  EXPECT_NE(verdict.detail.find("history unreadable"), std::string::npos);
+  store::ObjectStore objects(store_);
+  EXPECT_EQ(objects.ref(history::kHeadRef).value_or(""), head);
+}
+
+// The daemon's one-walk tail is the old append-then-gate pair, byte for
+// byte: same chain head and the same gate results, campaign by campaign,
+// including a resumed (already cited) campaign.
+TEST_F(ServiceFixture, HistoryTailMatchesAppendThenGate) {
+  store::ObjectStore twoCalls(root_ + "/two-calls");
+  store::ObjectStore oneWalk(root_ + "/one-walk");
+  const std::vector<ExecutedRecord> campaigns{
+      campaignOutcome(1, 100.0, 50.0), campaignOutcome(2, 101.0, 50.5),
+      campaignOutcome(3, 99.5, 49.5),  campaignOutcome(4, 100.5, 50.0),
+      campaignOutcome(5, 70.0, 50.2),  campaignOutcome(5, 70.0, 50.2),
+      campaignOutcome(6, 100.0, 20.0)};
+  int regressions = 0;
+  for (const ExecutedRecord& outcome : campaigns) {
+    SCOPED_TRACE(outcome.manifestHash);
+    appendCampaignHistory(twoCalls, outcome, systems_, /*skipIfCited=*/true);
+    const std::vector<history::GateResult> expected =
+        gateCampaign(twoCalls, outcome, history::GateOptions{});
+    const std::vector<history::GateResult> actual = appendAndGateCampaign(
+        oneWalk, outcome, systems_, history::GateOptions{});
+    EXPECT_EQ(oneWalk.ref(history::kHeadRef), twoCalls.ref(history::kHeadRef));
+    ASSERT_EQ(actual.size(), expected.size());
+    for (std::size_t i = 0; i < actual.size(); ++i) {
+      EXPECT_EQ(actual[i].series, expected[i].series);
+      EXPECT_EQ(actual[i].baseline, expected[i].baseline);
+      EXPECT_EQ(actual[i].latest, expected[i].latest);
+      EXPECT_EQ(actual[i].delta, expected[i].delta);
+      EXPECT_EQ(actual[i].regression, expected[i].regression);
+      EXPECT_EQ(actual[i].insufficient, expected[i].insufficient);
+      EXPECT_EQ(actual[i].baselineCi, expected[i].baselineCi);
+      EXPECT_EQ(actual[i].latestCi, expected[i].latestCi);
+      EXPECT_EQ(actual[i].latestEss, expected[i].latestEss);
+      EXPECT_EQ(actual[i].significant, expected[i].significant);
+      EXPECT_EQ(actual[i].changepoint, expected[i].changepoint);
+      EXPECT_EQ(actual[i].changepointIndex, expected[i].changepointIndex);
+      EXPECT_EQ(actual[i].justification, expected[i].justification);
+      if (actual[i].regression) ++regressions;
+    }
+  }
+  EXPECT_GE(regressions, 3);  // the Triad drop (twice) and the Copy drop
+  // The repeated campaign was cited already, so it appended nothing.
+  EXPECT_EQ(history::HistoryIndex(oneWalk).segmentCount(), 6u);
+}
+
+// health.json's queue depth comes from directory listings: it counts a
+// submission that arrives mid-drain and a tampered one, exactly as a
+// scanQueue of the queue would.
+TEST_F(ServiceFixture, HealthQueueDepthCountsLateAndTamperedSubmissions) {
+  enqueueSubmission(queue_, invocation("first"));
+  enqueueSubmission(queue_, invocation("second"));
+  const auto healthDepth = [&] {
+    return obs::json::parse(readFile(queue_ + "/health.json"))
+        .numberOr("queue_depth", -1);
+  };
+  int calls = 0;
+  double midDrainDepth = -1;
+  int midDrainScan = -1;
+  Service daemon(systems_, repo_, makeOptions(),
+                 [&](const store::CampaignInvocation&) {
+                   if (calls++ == 0) {
+                     enqueueSubmission(queue_, invocation("late"));
+                     const Submission tampered =
+                         enqueueSubmission(queue_, invocation("tampered"));
+                     std::ofstream(tampered.path, std::ios::app)
+                         << "tampered\n";
+                   } else {
+                     midDrainDepth = healthDepth();
+                     midDrainScan = unansweredByScan(queue_);
+                   }
+                   return std::vector<RegressionTest>{syntheticTest()};
+                 });
+  const ServeReport report = daemon.run();
+  // After the first verdict: the other initial submission plus both
+  // arrivals are unanswered.
+  EXPECT_EQ(calls, 2);
+  EXPECT_EQ(midDrainDepth, 3);
+  EXPECT_EQ(midDrainScan, 3);
+  // A --once pass answers what it listed at its start.
+  EXPECT_EQ(report.processed, 2);
+  EXPECT_EQ(report.queueDepth, 2);
+  EXPECT_EQ(healthDepth(), 2);
+  EXPECT_EQ(unansweredByScan(queue_), 2);
 }
 
 TEST_F(ServiceFixture, SubmissionWatchdogClassifiesSlowCampaigns) {

@@ -2,9 +2,13 @@
 // cap, verified (corruption-rejecting) reads, index persistence and the
 // provenance-keyed build cache's hit/drift behaviour.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <algorithm>
+#include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 
 #include "core/concretizer/concretizer.hpp"
 #include "core/obs/metrics.hpp"
@@ -19,6 +23,37 @@ namespace rebench::store {
 namespace {
 
 namespace fs = std::filesystem;
+
+std::string readFile(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+/// Lowers this process's file-size limit (RLIMIT_FSIZE) for one scope,
+/// with SIGXFSZ ignored so an oversized write fails with EFBIG instead
+/// of killing the process; both are restored on scope exit.
+class FileSizeLimit {
+ public:
+  explicit FileSizeLimit(rlim_t bytes) {
+    getrlimit(RLIMIT_FSIZE, &saved_);
+    previous_ = std::signal(SIGXFSZ, SIG_IGN);
+    rlimit lowered = saved_;
+    lowered.rlim_cur = bytes;
+    setrlimit(RLIMIT_FSIZE, &lowered);
+  }
+  ~FileSizeLimit() {
+    setrlimit(RLIMIT_FSIZE, &saved_);
+    std::signal(SIGXFSZ, previous_);
+  }
+  FileSizeLimit(const FileSizeLimit&) = delete;
+  FileSizeLimit& operator=(const FileSizeLimit&) = delete;
+
+ private:
+  rlimit saved_{};
+  void (*previous_)(int) = nullptr;
+};
 
 class StoreTest : public ::testing::Test {
  protected:
@@ -262,6 +297,89 @@ TEST_F(StoreTest, CompactIndexDropsTouchAndEvictChurn) {
   EXPECT_LT(sizeAfter, sizeBefore);
   ObjectStore reopened(dir_);
   EXPECT_TRUE(reopened.get(hash).has_value());
+}
+
+TEST_F(StoreTest, ReadsOfPinnedObjectsLeaveTheIndexUntouched) {
+  ObjectStore store(dir_);
+  const std::string pinned = store.put("history segment");
+  store.pin(pinned);
+  const fs::path index = fs::path(dir_) / "index.jsonl";
+  const std::string before = readFile(index);
+  for (int i = 0; i < 3; ++i) EXPECT_TRUE(store.get(pinned).has_value());
+  EXPECT_EQ(store.put("history segment"), pinned);  // deduplicated
+  EXPECT_EQ(readFile(index), before);
+
+  // An unpinned object's read still journals exactly one touch line.
+  const std::string loose = store.put("build artifact");
+  const std::string withLoose = readFile(index);
+  EXPECT_TRUE(store.get(loose).has_value());
+  const std::string after = readFile(index);
+  ASSERT_EQ(after.compare(0, withLoose.size(), withLoose), 0);
+  const std::string added = after.substr(withLoose.size());
+  EXPECT_EQ(std::count(added.begin(), added.end(), '\n'), 1);
+  EXPECT_NE(added.find("\"kind\":\"touch\",\"hash\":\"" + loose + "\""),
+            std::string::npos);
+}
+
+TEST_F(StoreTest, EvictionAfterPinGetUnpinFollowsInMemoryRecency) {
+  ObjectStore store(dir_, {.maxBytes = 30});
+  const std::string a = store.put(std::string(10, 'a'));
+  const std::string b = store.put(std::string(10, 'b'));
+  const std::string c = store.put(std::string(10, 'c'));
+  store.pin(a);
+  // The read of pinned `a` writes no touch line, but still makes `a`
+  // more recent than `b` for as long as this handle lives.
+  EXPECT_TRUE(store.get(a).has_value());
+  store.unpin(a);
+  const std::string d = store.put(std::string(10, 'd'));
+  EXPECT_EQ(store.stats().evictions, 1u);
+  EXPECT_FALSE(store.contains(b));
+  EXPECT_TRUE(store.contains(a));
+  EXPECT_TRUE(store.contains(c));
+  EXPECT_TRUE(store.contains(d));
+}
+
+TEST_F(StoreTest, PutThatCannotWriteItsBlobThrowsAndPublishesNothing) {
+  ObjectStore store(dir_);
+  const fs::path index = fs::path(dir_) / "index.jsonl";
+  const std::string before = readFile(index);
+  const std::string bytes(4096, 'x');
+  {
+    const FileSizeLimit limit(16);
+    EXPECT_THROW(store.put(bytes), Error);
+  }
+  const std::string hash = ObjectStore::hashBytes(bytes);
+  EXPECT_FALSE(store.contains(hash));
+  EXPECT_FALSE(fs::exists(store.objectPath(hash)));
+  EXPECT_EQ(readFile(index), before);
+  for (const auto& entry : fs::directory_iterator(dir_)) {
+    EXPECT_FALSE(entry.path().filename().string().starts_with("tmp-"))
+        << entry.path();
+  }
+  // With room again the same put lands whole.
+  EXPECT_EQ(store.put(bytes), hash);
+  EXPECT_EQ(store.get(hash), bytes);
+}
+
+TEST_F(StoreTest, FailedIndexAppendThrowsAndLeavesNoTornLine) {
+  ObjectStore store(dir_);
+  const std::string hash = store.put("latest manifest");
+  const fs::path index = fs::path(dir_) / "index.jsonl";
+  const std::string before = readFile(index);
+  {
+    // Room for a fragment of the ref line, not the whole line.
+    const FileSizeLimit limit(before.size() + 8);
+    EXPECT_THROW(store.setRef("latest", hash), Error);
+    EXPECT_THROW(store.pin(hash), Error);
+  }
+  EXPECT_EQ(readFile(index), before);
+  EXPECT_FALSE(store.ref("latest").has_value());
+  EXPECT_FALSE(store.pinned(hash));
+  // The next append starts a fresh line, so a reopen replays it.
+  store.setRef("latest", hash);
+  ObjectStore reopened(dir_);
+  EXPECT_EQ(reopened.ref("latest"), hash);
+  EXPECT_FALSE(reopened.pinned(hash));
 }
 
 class BuildCacheTest : public StoreTest {
