@@ -21,6 +21,10 @@ Args Args::parse(int argc, const char* const* argv) {
       }
       args.settings_.emplace_back(setting.substr(0, eq),
                                   setting.substr(eq + 1));
+    } else if (token == "-n" || token == "-x") {
+      // ReFrame's name filters: -n PAT selects, -x PAT excludes.
+      if (i + 1 >= argc) throw ParseError(token + " requires a pattern");
+      args.options_[token.substr(1)] = argv[++i];
     } else if (str::startsWith(token, "--")) {
       std::string name = token.substr(2);
       if (name.empty()) throw ParseError("bare '--' is not an option");

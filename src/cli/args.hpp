@@ -1,6 +1,7 @@
 // Minimal command-line argument parser for the rebench CLI: subcommand +
-// --flag / --key value / --key=value / -S key=value options, mirroring the
-// ReFrame invocation style the paper's appendix documents.
+// --flag / --key value / --key=value / -S key=value / -n PAT / -x PAT
+// options, mirroring the ReFrame invocation style the paper's appendix
+// documents.
 #pragma once
 
 #include <map>

@@ -15,6 +15,7 @@
 #include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <map>
 #include <optional>
@@ -492,12 +493,13 @@ std::optional<std::string> frameCacheFlagError(const Args& args) {
   return std::nullopt;
 }
 
-/// Validates `history`'s numeric flags (both sources) before any file is
-/// touched: --window must be a positive integer, --sigmas and
-/// --threshold numbers.  A bare flag (e.g. `--window -5`, whose value
-/// looks like an option) is an error too.
-std::optional<std::string> historyFlagError(const Args& args) {
-  for (const std::string_view name : {"window", "sigmas", "threshold"}) {
+/// Validates numeric flags before any file is touched: each of `names`,
+/// when given, must be a number, and --window a positive integer.  A
+/// bare flag (e.g. `--window -5`, whose value looks like an option) is an
+/// error too.
+std::optional<std::string> numericFlagError(
+    const Args& args, std::initializer_list<std::string_view> names) {
+  for (const std::string_view name : names) {
     if (args.hasFlag(name)) {
       return "--" + std::string(name) + " expects a value";
     }
@@ -506,8 +508,7 @@ std::optional<std::string> historyFlagError(const Args& args) {
     if (args.intOptionOr("window", 1) <= 0) {
       return "--window must be >= 1 (got " + *args.option("window") + ")";
     }
-    args.doubleOptionOr("sigmas", 0.0);
-    args.doubleOptionOr("threshold", 0.0);
+    for (const std::string_view name : names) args.doubleOptionOr(name, 0.0);
   } catch (const ParseError& e) {
     return std::string(e.what());
   }
@@ -983,9 +984,13 @@ int profileCommand(const Args& args) {
                    "(rebench profile --diff A B)\n";
       return 2;
     }
+    if (const auto error = numericFlagError(args, {"threshold"})) {
+      std::cerr << "profile: " << *error << "\n";
+      return 2;
+    }
     const obs::TraceFile a = obs::readTraceFile(*baseline);
     const obs::TraceFile b = obs::readTraceFile(args.positionals().front());
-    const double threshold = std::stod(args.optionOr("threshold", "0.05"));
+    const double threshold = args.doubleOptionOr("threshold", 0.05);
     const postproc::TraceDiff diff = postproc::diffTraces(a, b, threshold);
     if (args.hasFlag("json")) {
       std::cout << "{\"schema\":\"rebench.profile_diff/1\",\"diff\":"
@@ -1110,8 +1115,11 @@ int compare(const Args& args) {
     std::cerr << "compare: " << *error << "\n";
     return 2;
   }
-  const double threshold =
-      std::stod(args.optionOr("threshold", "0.05"));
+  if (const auto error = numericFlagError(args, {"threshold"})) {
+    std::cerr << "compare: " << *error << "\n";
+    return 2;
+  }
+  const double threshold = args.doubleOptionOr("threshold", 0.05);
 
   std::optional<store::ObjectStore> frameCache;
   if (const auto cacheDir = args.option("frame-cache")) {
@@ -1260,7 +1268,8 @@ int storeHistory(const Args& args, const std::string& storeDir) {
 }
 
 int history(const Args& args) {
-  if (const auto error = historyFlagError(args)) {
+  if (const auto error =
+          numericFlagError(args, {"window", "sigmas", "threshold"})) {
     std::cerr << "history: " << *error << "\n";
     return 2;
   }

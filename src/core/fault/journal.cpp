@@ -3,11 +3,11 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <filesystem>
 #include <fstream>
 #include <vector>
 
-#include "core/obs/json.hpp"
 #include "core/util/error.hpp"
 #include "core/util/strings.hpp"
 
@@ -15,59 +15,123 @@ namespace rebench {
 
 namespace {
 
-/// Writes all of `bytes` to `fd`, retrying short writes.
-void writeAll(int fd, const std::string& path, std::string_view bytes) {
-  std::size_t written = 0;
-  while (written < bytes.size()) {
-    const ssize_t n =
-        ::write(fd, bytes.data() + written, bytes.size() - written);
-    if (n < 0) {
-      ::close(fd);
-      throw Error("cannot write journal '" + path + "'");
-    }
-    written += static_cast<std::size_t>(n);
+namespace fs = std::filesystem;
+
+/// Writes all of `bytes` to `fd`, retrying short writes and EINTR, then
+/// fsyncs when `durability` asks for it.  False on any failure.
+bool writeAll(int fd, std::string_view bytes, Durability durability) {
+  while (!bytes.empty()) {
+    const ssize_t n = ::write(fd, bytes.data(), bytes.size());
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    bytes.remove_prefix(static_cast<std::size_t>(n));
   }
+  return durability == Durability::kBuffered || ::fsync(fd) == 0;
 }
 
 }  // namespace
 
-void durableAppendLine(const std::string& path, std::string_view line) {
+void writeFileAtomic(const std::string& path, std::string_view bytes,
+                     Durability durability, std::string_view tmp) {
+  const std::string tmpPath = tmp.empty() ? path + ".tmp" : std::string(tmp);
   const int fd =
-      ::open(path.c_str(), O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC, 0644);
-  if (fd < 0) {
-    throw Error("cannot open journal '" + path + "' for append");
-  }
-  std::string bytes(line);
-  if (bytes.empty() || bytes.back() != '\n') bytes += '\n';
-  writeAll(fd, path, bytes);
-  if (::fsync(fd) != 0) {
-    ::close(fd);
-    throw Error("cannot fsync journal '" + path + "'");
-  }
-  ::close(fd);
-}
-
-void durableWriteFile(const std::string& path, std::string_view bytes) {
-  const std::string tmp = path + ".tmp";
-  const int fd =
-      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) throw Error("cannot create file '" + tmp + "'");
-  writeAll(fd, tmp, bytes);
-  if (::fsync(fd) != 0) {
-    ::close(fd);
-    throw Error("cannot fsync file '" + tmp + "'");
-  }
-  ::close(fd);
+      ::open(tmpPath.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd < 0) throw Error("cannot create '" + tmpPath + "'");
+  const bool written = writeAll(fd, bytes, durability);
   std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
+  if (::close(fd) != 0 || !written) {
+    fs::remove(tmpPath, ec);
+    throw Error("cannot write '" + tmpPath + "'");
+  }
+  fs::rename(tmpPath, path, ec);
   if (ec) {
-    throw Error("cannot rename '" + tmp + "' to '" + path +
+    std::error_code ignored;
+    fs::remove(tmpPath, ignored);
+    throw Error("cannot rename '" + tmpPath + "' to '" + path +
                 "': " + ec.message());
   }
 }
 
+void durableWriteFile(const std::string& path, std::string_view bytes) {
+  writeFileAtomic(path, bytes, Durability::kFsync);
+}
+
+JsonlLog::JsonlLog(std::string path, std::string_view schema,
+                   Durability durability, const Replay& replay)
+    : path_(std::move(path)), durability_(durability) {
+  std::error_code ec;
+  fs::create_directories(fs::path(path_).parent_path(), ec);
+  if (ec) {
+    throw Error("cannot create the directory of '" + path_ +
+                "': " + ec.message());
+  }
+  if (!fs::exists(path_)) {
+    append("{\"kind\":\"meta\",\"schema\":" + obs::json::quote(schema) + "}");
+    return;
+  }
+  std::ifstream in(path_, std::ios::binary);
+  if (!in) throw Error("cannot read '" + path_ + "'");
+  std::string line;
+  std::vector<std::size_t> corrupt;  // line numbers; empty when undamaged
+  bool unterminated = false;
+  for (std::size_t number = 0; std::getline(in, line); ++number) {
+    unterminated = in.eof();
+    if (str::trim(line).empty()) continue;
+    obs::json::Value record;
+    try {
+      record = obs::json::parse(line);
+    } catch (const ParseError&) {
+      // The torn tail a crash mid-append leaves behind: the record it
+      // belonged to was never acknowledged.
+      corrupt.push_back(number);
+      continue;
+    }
+    if (!record.isObject()) continue;
+    if (record.stringOr("kind", "") != "meta") {
+      replay(record);
+    } else if (const std::string found = record.stringOr("schema", "");
+               found != schema) {
+      throw Error("'" + path_ + "' has schema '" + found + "' (expected '" +
+                  std::string(schema) + "')");
+    }
+  }
+  corruptLines_ = corrupt.size();
+  if (corrupt.empty() && !unterminated) return;
+  // An append after a torn tail would glue onto the fragment and be lost
+  // on the next replay: rewrite the file holding only the parseable
+  // lines, each ending in '\n'.
+  in.clear();
+  in.seekg(0);
+  std::string kept;
+  for (std::size_t number = 0, next = 0; std::getline(in, line); ++number) {
+    if (next < corrupt.size() && corrupt[next] == number) {
+      ++next;
+    } else if (!str::trim(line).empty()) {
+      kept += line;
+      kept += '\n';
+    }
+  }
+  writeFileAtomic(path_, kept, durability_);
+}
+
+void JsonlLog::append(std::string_view line) const {
+  std::string bytes(line);
+  bytes += '\n';
+  const int fd =
+      ::open(path_.c_str(), O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC, 0644);
+  if (fd < 0) throw Error("cannot open '" + path_ + "' for append");
+  const off_t before = ::lseek(fd, 0, SEEK_END);
+  const bool written = before >= 0 && writeAll(fd, bytes, durability_);
+  if (::close(fd) == 0 && written) return;
+  // Cut a torn line back off so the file stays byte-identical and the
+  // next append starts a fresh line.
+  std::error_code ec;
+  if (before >= 0) fs::resize_file(path_, before, ec);
+  throw Error("cannot append to '" + path_ + "'");
+}
+
 std::string RunJournal::pathFor(const std::string& dir) {
-  return (std::filesystem::path(dir) / "journal.jsonl").string();
+  return (fs::path(dir) / "journal.jsonl").string();
 }
 
 std::string RunJournal::key(std::string_view test, std::string_view target,
@@ -76,46 +140,15 @@ std::string RunJournal::key(std::string_view test, std::string_view target,
          std::to_string(repeat);
 }
 
-RunJournal::RunJournal(const std::string& dir) : path_(pathFor(dir)) {
-  std::filesystem::create_directories(dir);
-  if (!std::filesystem::exists(path_)) {
-    durableAppendLine(path_, "{\"kind\":\"meta\",\"schema\":" +
-                                 obs::json::quote(kJournalSchema) + "}");
-    return;
-  }
-  std::ifstream in(path_);
-  if (!in) throw Error("cannot read run journal '" + path_ + "'");
-  std::string line;
-  std::vector<std::string> intact;
-  while (std::getline(in, line)) {
-    if (str::trim(line).empty()) continue;
-    obs::json::Value record;
-    try {
-      record = obs::json::parse(line);
-    } catch (const ParseError&) {
-      // A killed campaign may leave a truncated final line; dropping it
-      // just reruns that one tuple.
-      ++corruptLines_;
-      continue;
-    }
-    intact.push_back(line);
-    if (!record.isObject() || record.stringOr("kind", "") != "run") continue;
-    keys_.insert(key(record.stringOr("test", ""),
+RunJournal::RunJournal(const std::string& dir)
+    : log_(pathFor(dir), kJournalSchema, Durability::kFsync,
+           [this](const obs::json::Value& record) {
+             if (record.stringOr("kind", "") != "run") return;
+             keys_.insert(
+                 key(record.stringOr("test", ""),
                      record.stringOr("target", ""),
                      static_cast<int>(record.numberOr("repeat", 0))));
-  }
-  in.close();
-  if (corruptLines_ > 0) {
-    // Truncate the torn tail so the file is parseable end to end again;
-    // the next append lands after the last intact record.
-    std::string rewritten;
-    for (const std::string& keep : intact) {
-      rewritten += keep;
-      rewritten += '\n';
-    }
-    durableWriteFile(path_, rewritten);
-  }
-}
+           }) {}
 
 bool RunJournal::contains(std::string_view test, std::string_view target,
                           int repeat) const {
@@ -125,13 +158,12 @@ bool RunJournal::contains(std::string_view test, std::string_view target,
 void RunJournal::record(std::string_view test, std::string_view target,
                         int repeat, std::string_view outcome,
                         std::string_view stage, int attempts) {
-  durableAppendLine(
-      path_, "{\"kind\":\"run\",\"test\":" + obs::json::quote(test) +
-                 ",\"target\":" + obs::json::quote(target) +
-                 ",\"repeat\":" + std::to_string(repeat) +
-                 ",\"outcome\":" + obs::json::quote(outcome) +
-                 ",\"stage\":" + obs::json::quote(stage) +
-                 ",\"attempts\":" + std::to_string(attempts) + "}");
+  log_.append("{\"kind\":\"run\",\"test\":" + obs::json::quote(test) +
+              ",\"target\":" + obs::json::quote(target) +
+              ",\"repeat\":" + std::to_string(repeat) +
+              ",\"outcome\":" + obs::json::quote(outcome) +
+              ",\"stage\":" + obs::json::quote(stage) +
+              ",\"attempts\":" + std::to_string(attempts) + "}");
   keys_.insert(key(test, target, repeat));
 }
 

@@ -1,15 +1,17 @@
-// Run journal (rebench::fault): resumable campaigns.
+// Durable JSONL logs, atomic file publication and the run journal
+// (rebench::fault).
 //
-// A suite run appends one JSONL record per completed (test, target,
-// repeat) tuple to DIR/journal.jsonl; a killed campaign restarted with
-// --resume DIR loads the journal and executes only the tuples that are
-// not yet recorded.  Appends are *durable*: each line is written and
-// fsynced before record() returns, so a crash can lose at most the line
-// being written — never a previously acknowledged one (losing an
-// acknowledged tuple would double-execute it on resume).  The loader
-// tolerates a torn final line (the crash that motivates resuming is
-// exactly what produces one) and truncates it away so the file is clean
-// again for the next append.
+// JsonlLog is the one open/replay/repair/append implementation behind
+// the three append-only JSONL files: the --resume run journal (below),
+// serve's write-ahead journal (service/journal.hpp) and the store index
+// (store/object_store.hpp).  writeFileAtomic is the one way a whole file
+// is published: readers see the old file or the complete new one.
+//
+// Run journal: a suite run appends one record per completed (test,
+// target, repeat) tuple to DIR/journal.jsonl; --resume DIR executes only
+// the tuples not yet recorded.  Each line is fsynced before record()
+// returns, so a crash loses at most the line being written, never an
+// acknowledged one (which would double-execute it on resume).
 //
 // Schema (one JSON object per line):
 //   {"kind":"meta","schema":"rebench.journal/1"}
@@ -18,34 +20,67 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <set>
 #include <string>
 #include <string_view>
+
+#include "core/obs/json.hpp"
 
 namespace rebench {
 
 inline constexpr std::string_view kJournalSchema = "rebench.journal/1";
 
-/// Appends `line` (a trailing '\n' is added when missing) to `path` and
-/// flushes it to stable storage (write + fsync) before returning, so an
-/// acknowledged journal record survives a crash.  Creates the file when
-/// absent.  Throws rebench::Error on I/O failure.
-void durableAppendLine(const std::string& path, std::string_view line);
+/// Whether a write reaches stable storage before it returns.  The
+/// journals need it: an acknowledged checkpoint must survive a crash.
+/// Store, manifest and flight-record writes are published without it.
+enum class Durability { kBuffered, kFsync };
 
-/// Writes `bytes` to `path` durably and atomically: the content lands in
-/// `path + ".tmp"`, is fsynced, and is renamed over `path`, so readers
-/// observe either the old file or the complete new one — never a torn
-/// write.  Throws rebench::Error on I/O failure.
+/// Publishes `bytes` at `path` atomically: they are written in full to
+/// `tmp` (`path + ".tmp"` when empty), fsynced when `durability` asks for
+/// it, and renamed over `path`.  A failed or short write removes the tmp
+/// file and throws rebench::Error, leaving `path` untouched.
+void writeFileAtomic(const std::string& path, std::string_view bytes,
+                     Durability durability, std::string_view tmp = {});
+
+/// writeFileAtomic with fsync and the default tmp name.
 void durableWriteFile(const std::string& path, std::string_view bytes);
+
+/// An append-only JSONL file: a meta line naming its schema, then one
+/// JSON record per line.
+class JsonlLog {
+ public:
+  using Replay = std::function<void(const obs::json::Value&)>;
+
+  /// Opens `path`, creating its directory and the meta line when absent.
+  /// An existing file is replayed: each line is parsed once and every
+  /// object record other than meta goes to `replay`, in file order.  A
+  /// meta line naming another schema throws rebench::Error.  Unparseable
+  /// lines are counted in corruptLines(); when there is one, or the last
+  /// byte is not '\n' (a torn append), the file is rewritten atomically
+  /// holding the parseable lines, so the next append starts a fresh line.
+  JsonlLog(std::string path, std::string_view schema, Durability durability,
+           const Replay& replay);
+
+  /// Appends `line` and a '\n' in one checked write, fsynced when the
+  /// log is durable.  A failed or short write is cut back off and throws
+  /// rebench::Error, leaving the file byte-identical.
+  void append(std::string_view line) const;
+
+  /// Unparseable lines dropped while opening (e.g. a torn tail).
+  std::size_t corruptLines() const { return corruptLines_; }
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+  Durability durability_;
+  std::size_t corruptLines_ = 0;
+};
 
 class RunJournal {
  public:
-  /// Opens DIR/journal.jsonl, creating DIR and the meta line when absent,
-  /// and loads already-recorded tuples.  A corrupt tail (torn lines from
-  /// a crash mid-append) is counted in corruptLines() and truncated away:
-  /// the file is rewritten (tmp + atomic rename) holding only the intact
-  /// lines.  Throws rebench::Error when the directory or file cannot be
-  /// created/read.
+  /// Opens DIR/journal.jsonl through JsonlLog and loads the tuples
+  /// already recorded.  Throws rebench::Error on I/O failure.
   explicit RunJournal(const std::string& dir);
 
   static std::string pathFor(const std::string& dir);
@@ -62,17 +97,16 @@ class RunJournal {
   std::size_t size() const { return keys_.size(); }
 
   /// Unparseable lines dropped while loading (e.g. a truncated tail).
-  std::size_t corruptLines() const { return corruptLines_; }
+  std::size_t corruptLines() const { return log_.corruptLines(); }
 
-  const std::string& path() const { return path_; }
+  const std::string& path() const { return log_.path(); }
 
  private:
   static std::string key(std::string_view test, std::string_view target,
                          int repeat);
 
-  std::string path_;
   std::set<std::string> keys_;
-  std::size_t corruptLines_ = 0;
+  JsonlLog log_;  // after keys_: replaying it fills them
 };
 
 }  // namespace rebench

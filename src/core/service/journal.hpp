@@ -31,6 +31,8 @@
 #include <string_view>
 #include <vector>
 
+#include "core/fault/journal.hpp"
+
 namespace rebench::service {
 
 inline constexpr std::string_view kServiceJournalSchema =
@@ -81,9 +83,9 @@ class ServiceJournal {
  public:
   enum class State { kNone, kClaimed, kExecuted, kVerdict, kDone };
 
-  /// Opens (creating when absent) QUEUE/service-journal.jsonl and
-  /// replays it.  A torn final line — the crash signature — is counted
-  /// and truncated away, like the run journal.
+  /// Opens (creating when absent) QUEUE/service-journal.jsonl through
+  /// JsonlLog and replays it.  A torn final line — the crash signature —
+  /// is counted and truncated away.
   explicit ServiceJournal(const std::string& queueDir);
 
   static std::string pathFor(const std::string& queueDir);
@@ -104,8 +106,8 @@ class ServiceJournal {
                      const VerdictRecord& record);
   void recordDone(const std::string& submission);
 
-  std::size_t corruptLines() const { return corruptLines_; }
-  const std::string& path() const { return path_; }
+  std::size_t corruptLines() const { return log_.corruptLines(); }
+  const std::string& path() const { return log_.path(); }
 
  private:
   struct Entry {
@@ -116,9 +118,11 @@ class ServiceJournal {
     bool pendingClaim = false;  // replay-time: claim without progress
   };
 
-  std::string path_;
+  /// Applies one replayed record to entries_.
+  void replay(const obs::json::Value& record);
+
   std::map<std::string, Entry> entries_;
-  std::size_t corruptLines_ = 0;
+  JsonlLog log_;  // after entries_: replaying it fills them
 };
 
 }  // namespace rebench::service

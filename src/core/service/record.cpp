@@ -5,6 +5,7 @@
 
 #include "core/concretizer/concretizer.hpp"
 #include "core/fault/fault.hpp"
+#include "core/fault/journal.hpp"
 #include "core/obs/metrics.hpp"
 #include "core/obs/trace.hpp"
 #include "core/store/build_cache.hpp"
@@ -159,11 +160,14 @@ ManifestWrite writeCampaignManifest(store::ObjectStore& store,
   const std::filesystem::path dir =
       std::filesystem::path(store.dir()) / "manifests";
   std::filesystem::create_directories(dir);
+  // Rendered once: contentHash() is the hash of these bytes.
+  const std::string rendered = manifest.render();
   ManifestWrite write;
-  write.hash = manifest.contentHash();
+  write.hash = Hasher{}.update(rendered).hex();
   write.path = (dir / ("campaign-" + write.hash + ".json")).string();
-  manifest.write(write.path);
-  manifest.write((dir / "latest.json").string());
+  writeFileAtomic(write.path, rendered, Durability::kBuffered);
+  writeFileAtomic((dir / "latest.json").string(), rendered,
+                  Durability::kBuffered);
   return write;
 }
 

@@ -234,12 +234,6 @@ CampaignManifest CampaignManifest::read(const std::string& path) {
   return parse(text.str());
 }
 
-void CampaignManifest::write(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) throw Error("cannot write manifest '" + path + "'");
-  out << render();
-}
-
 std::string CampaignManifest::contentHash() const {
   return Hasher{}.update(render()).hex();
 }

@@ -152,9 +152,6 @@ struct CampaignManifest {
   /// Reads and parses `path`; throws rebench::Error when unreadable.
   static CampaignManifest read(const std::string& path);
 
-  /// Writes `render()` to `path` (truncating); throws on I/O failure.
-  void write(const std::string& path) const;
-
   /// Stable fingerprint of the manifest contents (used to name the file).
   std::string contentHash() const;
 };

@@ -11,31 +11,10 @@
 #include "core/obs/trace.hpp"
 #include "core/util/error.hpp"
 #include "core/util/hash.hpp"
-#include "core/util/strings.hpp"
 
 namespace rebench::store {
 
 namespace fs = std::filesystem;
-
-namespace {
-
-/// Writes `bytes` to a fresh `path` and checks the stream after the
-/// write and the close, so a short write (ENOSPC, EFBIG) is an error and
-/// never a published file.  On failure the partial file is removed.
-void writeFileChecked(const std::string& path, std::string_view bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (out) {
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    out.close();
-  }
-  if (!out) {
-    std::error_code ec;
-    fs::remove(path, ec);
-    throw Error("cannot write '" + path + "'");
-  }
-}
-
-}  // namespace
 
 std::string ObjectStore::hashBytes(std::string_view bytes) {
   return Hasher{}.update(bytes).hex();
@@ -47,61 +26,15 @@ std::string ObjectStore::objectPath(const std::string& hash) const {
 
 ObjectStore::ObjectStore(std::string dir, StoreOptions options)
     : dir_(std::move(dir)),
-      indexPath_((fs::path(dir_) / "index.jsonl").string()),
-      options_(options) {
+      options_(options),
+      index_((fs::path(dir_) / "index.jsonl").string(), kStoreSchema,
+             Durability::kBuffered,
+             [this](const obs::json::Value& record) { replay(record); }) {
   std::error_code ec;
   fs::create_directories(fs::path(dir_) / "objects", ec);
   if (ec) {
     throw Error("cannot create object store at '" + dir_ +
                 "': " + ec.message());
-  }
-  if (!fs::exists(indexPath_)) {
-    writeFileChecked(indexPath_, "{\"kind\":\"meta\",\"schema\":" +
-                                     obs::json::quote(kStoreSchema) + "}\n");
-    return;
-  }
-  std::ifstream in(indexPath_);
-  if (!in) throw Error("cannot read store index '" + indexPath_ + "'");
-  std::string line;
-  while (std::getline(in, line)) {
-    if (str::trim(line).empty()) continue;
-    obs::json::Value record;
-    try {
-      record = obs::json::parse(line);
-    } catch (const ParseError&) {
-      continue;  // truncated tail from a killed process; replaying skips it
-    }
-    if (!record.isObject()) continue;
-    const std::string kind = record.stringOr("kind", "");
-    if (kind == "meta") {
-      const std::string schema = record.stringOr("schema", "");
-      if (schema != kStoreSchema) {
-        throw Error("store index '" + indexPath_ + "' has schema '" + schema +
-                    "' (expected '" + std::string(kStoreSchema) + "')");
-      }
-    } else if (kind == "put") {
-      const std::string hash = record.stringOr("hash", "");
-      Entry entry;
-      entry.bytes = static_cast<std::uint64_t>(record.numberOr("bytes", 0));
-      entry.lastUse = static_cast<std::uint64_t>(record.numberOr("tick", 0));
-      entries_[hash] = entry;
-      tick_ = std::max(tick_, entry.lastUse + 1);
-    } else if (kind == "touch") {
-      auto it = entries_.find(record.stringOr("hash", ""));
-      if (it != entries_.end()) {
-        it->second.lastUse =
-            static_cast<std::uint64_t>(record.numberOr("tick", 0));
-        tick_ = std::max(tick_, it->second.lastUse + 1);
-      }
-    } else if (kind == "ref") {
-      refs_[record.stringOr("name", "")] = record.stringOr("hash", "");
-    } else if (kind == "evict") {
-      entries_.erase(record.stringOr("hash", ""));
-    } else if (kind == "pin") {
-      pinned_.insert(record.stringOr("hash", ""));
-    } else if (kind == "unpin") {
-      pinned_.erase(record.stringOr("hash", ""));
-    }
   }
   // Drop entries whose blob vanished behind our back (manual deletion);
   // the store never trusts the index over the filesystem.
@@ -123,19 +56,30 @@ ObjectStore::ObjectStore(std::string dir, StoreOptions options)
   }
 }
 
-void ObjectStore::appendIndex(const std::string& line) {
-  std::error_code ec;
-  const std::uintmax_t before = fs::file_size(indexPath_, ec);
-  std::ofstream out(indexPath_, std::ios::app);
-  if (out) {
-    out << line << "\n";
-    out.close();
-  }
-  if (!out) {
-    // Cut a torn line back off: the next append must start a fresh line,
-    // or replay would lose it glued to the fragment.
-    if (!ec) fs::resize_file(indexPath_, before, ec);
-    throw Error("cannot append to store index '" + indexPath_ + "'");
+void ObjectStore::replay(const obs::json::Value& record) {
+  const std::string kind = record.stringOr("kind", "");
+  if (kind == "put") {
+    const std::string hash = record.stringOr("hash", "");
+    Entry entry;
+    entry.bytes = static_cast<std::uint64_t>(record.numberOr("bytes", 0));
+    entry.lastUse = static_cast<std::uint64_t>(record.numberOr("tick", 0));
+    entries_[hash] = entry;
+    tick_ = std::max(tick_, entry.lastUse + 1);
+  } else if (kind == "touch") {
+    auto it = entries_.find(record.stringOr("hash", ""));
+    if (it != entries_.end()) {
+      it->second.lastUse =
+          static_cast<std::uint64_t>(record.numberOr("tick", 0));
+      tick_ = std::max(tick_, it->second.lastUse + 1);
+    }
+  } else if (kind == "ref") {
+    refs_[record.stringOr("name", "")] = record.stringOr("hash", "");
+  } else if (kind == "evict") {
+    entries_.erase(record.stringOr("hash", ""));
+  } else if (kind == "pin") {
+    pinned_.insert(record.stringOr("hash", ""));
+  } else if (kind == "unpin") {
+    pinned_.erase(record.stringOr("hash", ""));
   }
 }
 
@@ -147,8 +91,8 @@ void ObjectStore::touch(const std::string& hash) {
   // their touches stay in memory (and in compactIndex), so verified
   // reads of history segments and run-cache records write nothing.
   if (pinned_.contains(hash)) return;
-  appendIndex("{\"kind\":\"touch\",\"hash\":" + obs::json::quote(hash) +
-              ",\"tick\":" + std::to_string(it->second.lastUse) + "}");
+  index_.append("{\"kind\":\"touch\",\"hash\":" + obs::json::quote(hash) +
+                ",\"tick\":" + std::to_string(it->second.lastUse) + "}");
 }
 
 void ObjectStore::removeObject(const std::string& hash) {
@@ -159,7 +103,8 @@ void ObjectStore::removeObject(const std::string& hash) {
   }
   std::error_code ec;
   fs::remove(objectPath(hash), ec);
-  appendIndex("{\"kind\":\"evict\",\"hash\":" + obs::json::quote(hash) + "}");
+  index_.append("{\"kind\":\"evict\",\"hash\":" + obs::json::quote(hash) +
+                "}");
 }
 
 void ObjectStore::evictToFit(std::uint64_t incoming,
@@ -209,27 +154,21 @@ std::string ObjectStore::put(std::string_view bytes) {
   }
   evictToFit(bytes.size(), hash);
   // Atomic publication: a concurrent writer of the same content races to
-  // an identical file, and rename() makes whichever lands last win whole.
+  // an identical file, and the rename makes whichever lands last win
+  // whole.
   const std::string tmp =
       (fs::path(dir_) / ("tmp-" + hash + "-" +
                          std::to_string(static_cast<unsigned>(tick_))))
           .string();
-  writeFileChecked(tmp, bytes);
-  std::error_code ec;
-  fs::rename(tmp, objectPath(hash), ec);
-  if (ec) {
-    fs::remove(tmp);
-    throw Error("cannot publish store object '" + hash +
-                "': " + ec.message());
-  }
+  writeFileAtomic(objectPath(hash), bytes, Durability::kBuffered, tmp);
   Entry entry;
   entry.bytes = bytes.size();
   entry.lastUse = tick_++;
   // Indexed before it is live in memory: a failed append leaves an
   // unindexed blob that the next put of these bytes overwrites.
-  appendIndex("{\"kind\":\"put\",\"hash\":" + obs::json::quote(hash) +
-              ",\"bytes\":" + std::to_string(entry.bytes) +
-              ",\"tick\":" + std::to_string(entry.lastUse) + "}");
+  index_.append("{\"kind\":\"put\",\"hash\":" + obs::json::quote(hash) +
+                ",\"bytes\":" + std::to_string(entry.bytes) +
+                ",\"tick\":" + std::to_string(entry.lastUse) + "}");
   totalBytes_ += entry.bytes;
   entries_[hash] = entry;
   return hash;
@@ -274,8 +213,8 @@ bool ObjectStore::contains(const std::string& hash) const {
 
 void ObjectStore::setRef(std::string_view name, const std::string& hash) {
   std::lock_guard lock(mutex_);
-  appendIndex("{\"kind\":\"ref\",\"name\":" + obs::json::quote(name) +
-              ",\"hash\":" + obs::json::quote(hash) + "}");
+  index_.append("{\"kind\":\"ref\",\"name\":" + obs::json::quote(name) +
+                ",\"hash\":" + obs::json::quote(hash) + "}");
   refs_[std::string(name)] = hash;
 }
 
@@ -292,14 +231,16 @@ void ObjectStore::pin(const std::string& hash) {
   std::lock_guard lock(mutex_);
   if (!entries_.contains(hash)) return;  // nothing to protect
   if (pinned_.contains(hash)) return;
-  appendIndex("{\"kind\":\"pin\",\"hash\":" + obs::json::quote(hash) + "}");
+  index_.append("{\"kind\":\"pin\",\"hash\":" + obs::json::quote(hash) +
+                "}");
   pinned_.insert(hash);
 }
 
 void ObjectStore::unpin(const std::string& hash) {
   std::lock_guard lock(mutex_);
   if (!pinned_.contains(hash)) return;
-  appendIndex("{\"kind\":\"unpin\",\"hash\":" + obs::json::quote(hash) + "}");
+  index_.append("{\"kind\":\"unpin\",\"hash\":" + obs::json::quote(hash) +
+                "}");
   pinned_.erase(hash);
 }
 
@@ -342,18 +283,10 @@ std::size_t ObjectStore::compactIndex() {
     out << "{\"kind\":\"pin\",\"hash\":" << obs::json::quote(hash) << "}\n";
     ++lines;
   }
-  // Same tmp + atomic-rename discipline as blob publication: a crash
-  // mid-compaction leaves either the old index or the new one, never a
-  // torn file.
-  const std::string tmp = indexPath_ + ".compact";
-  writeFileChecked(tmp, out.str());
-  std::error_code ec;
-  fs::rename(tmp, indexPath_, ec);
-  if (ec) {
-    fs::remove(tmp);
-    throw Error("cannot replace store index '" + indexPath_ +
-                "': " + ec.message());
-  }
+  // A crash mid-compaction leaves either the old index or the new one,
+  // never a torn file.
+  writeFileAtomic(index_.path(), out.str(), Durability::kBuffered,
+                  index_.path() + ".compact");
   return lines;
 }
 

@@ -25,7 +25,8 @@
 // memory, so reading it writes nothing.  `compactIndex` rewrites the
 // index down to the live state, in-memory recency included.  Blob and
 // index writes are checked: a short write throws rebench::Error and
-// publishes nothing.
+// publishes nothing.  The index is a JsonlLog (fault/journal.hpp): a torn
+// tail is cut off on open, so the next append starts a fresh line.
 #pragma once
 
 #include <cstdint>
@@ -35,6 +36,8 @@
 #include <set>
 #include <string>
 #include <string_view>
+
+#include "core/fault/journal.hpp"
 
 namespace rebench::obs {
 class Tracer;
@@ -132,8 +135,9 @@ class ObjectStore {
     std::uint64_t lastUse = 0;  // logical tick, higher = more recent
   };
 
+  /// Applies one replayed index record.
+  void replay(const obs::json::Value& record);
   // Private helpers assume mutex_ is held by the caller.
-  void appendIndex(const std::string& line);
   void touch(const std::string& hash);
   void removeObject(const std::string& hash);
   /// Evicts LRU objects until `incoming` more bytes fit; never evicts
@@ -144,7 +148,6 @@ class ObjectStore {
   // campaign workers in the parallel executor.
   mutable std::mutex mutex_;
   std::string dir_;
-  std::string indexPath_;
   StoreOptions options_;
   obs::Tracer* tracer_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
@@ -154,6 +157,7 @@ class ObjectStore {
   std::uint64_t totalBytes_ = 0;
   std::uint64_t tick_ = 0;
   Stats stats_;
+  JsonlLog index_;  // last: replaying it fills the members above
 };
 
 }  // namespace rebench::store

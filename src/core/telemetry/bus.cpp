@@ -1,11 +1,10 @@
 #include "core/telemetry/bus.hpp"
 
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 
+#include "core/fault/journal.hpp"
 #include "core/obs/json.hpp"
-#include "core/util/error.hpp"
 #include "core/util/strings.hpp"
 
 namespace rebench::telemetry {
@@ -99,15 +98,7 @@ std::string dumpFlightRecord(const std::string& queueDir,
   const fs::path path =
       fs::path(queueDir) /
       ("flightrec-" + std::to_string(events.back().seq) + ".jsonl");
-  const fs::path tmp = path.string() + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      throw Error("cannot write flight record '" + tmp.string() + "'");
-    }
-    out << body.str();
-  }
-  fs::rename(tmp, path);
+  writeFileAtomic(path.string(), body.str(), Durability::kBuffered);
   return path.string();
 }
 

@@ -84,9 +84,10 @@ class EventBus {
 };
 
 /// Dumps the ring to QUEUE/flightrec-<lastseq>.jsonl (schema meta line,
-/// then one event per line, oldest first) via tmp + rename so readers
-/// never observe a torn record.  Returns the path written ("" when the
-/// ring is empty — no flight record is better than an empty one).
+/// then one event per line, oldest first) via writeFileAtomic so readers
+/// never observe a torn record; a failed or short write throws
+/// rebench::Error and leaves no file.  Returns the path written ("" when
+/// the ring is empty — no flight record is better than an empty one).
 std::string dumpFlightRecord(const std::string& queueDir,
                              const EventBus& bus);
 

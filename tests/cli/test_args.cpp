@@ -62,6 +62,20 @@ TEST(CliArgs, SettingsCollectInOrder) {
   EXPECT_EQ(args.settings()[1].second, "1024");
 }
 
+TEST(CliArgs, NameFiltersTakeTheNextToken) {
+  // ReFrame's -n/-x, stored where --n/--x land.
+  const Args args =
+      parse({"suite", "--system", "archer2", "-n", "babel", "-x", "Intel"});
+  EXPECT_EQ(args.option("n"), "babel");
+  EXPECT_EQ(args.option("x"), "Intel");
+  EXPECT_TRUE(args.positionals().empty());
+}
+
+TEST(CliArgs, NameFilterWithoutPatternIsAnError) {
+  EXPECT_THROW(parse({"suite", "-n"}), ParseError);
+  EXPECT_THROW(parse({"suite", "--system", "archer2", "-x"}), ParseError);
+}
+
 TEST(CliArgs, PaperStyleInvocation) {
   // Mirrors the appendix: -S spack_spec='babelstream%gcc@9.2.0 +omp'
   const Args args = parse({"run", "--benchmark", "babelstream",

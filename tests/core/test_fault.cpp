@@ -1,11 +1,14 @@
 // Unit tests for the rebench::fault subsystem: fault configuration and
 // injector determinism, the failure taxonomy, retry backoff, the
-// quarantine circuit breaker, the resumable run journal, and the lenient
-// perflog reader that survives corrupted campaign logs.
+// quarantine circuit breaker, the resumable run journal, the shared JSONL
+// log under all three of its owners, and the lenient perflog reader that
+// survives corrupted campaign logs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 
 #include "core/fault/failure.hpp"
 #include "core/fault/fault.hpp"
@@ -14,8 +17,11 @@
 #include "core/fault/retry.hpp"
 #include "core/fault/watchdog.hpp"
 #include "core/framework/perflog.hpp"
+#include "core/service/journal.hpp"
+#include "core/store/object_store.hpp"
 #include "core/util/error.hpp"
 #include "core/util/strings.hpp"
+#include "file_size_limit.hpp"
 
 namespace rebench {
 namespace {
@@ -309,6 +315,128 @@ TEST(RunJournal, TruncatesCorruptTailOnDisk) {
   EXPECT_TRUE(clean.contains("T", "sys", 0));
   std::filesystem::remove_all(dir);
 }
+
+// The run journal, the service journal and the store index share one
+// JsonlLog; each case drives it through its owner's public API.
+struct LogOwner {
+  const char* name;
+  std::string (*pathFor)(const std::string& dir);
+  std::string_view schema;
+  /// Opens the owner over `dir` and appends one record named `id`.
+  void (*append)(const std::string& dir, const std::string& id);
+  /// Opens the owner over `dir`: did the record named `id` replay?
+  bool (*replayed)(const std::string& dir, const std::string& id);
+};
+
+void PrintTo(const LogOwner& owner, std::ostream* out) { *out << owner.name; }
+
+const LogOwner kLogOwners[] = {
+    {"run_journal", &RunJournal::pathFor, kJournalSchema,
+     [](const std::string& dir, const std::string& id) {
+       RunJournal(dir).record(id, "sys", 0, "pass", "", 1);
+     },
+     [](const std::string& dir, const std::string& id) {
+       return RunJournal(dir).contains(id, "sys", 0);
+     }},
+    {"service_journal", &service::ServiceJournal::pathFor,
+     service::kServiceJournalSchema,
+     [](const std::string& dir, const std::string& id) {
+       service::ServiceJournal(dir).recordClaim(id, "key");
+     },
+     [](const std::string& dir, const std::string& id) {
+       return service::ServiceJournal(dir).state(id) ==
+              service::ServiceJournal::State::kClaimed;
+     }},
+    {"store_index",
+     [](const std::string& dir) {
+       return (std::filesystem::path(dir) / "index.jsonl").string();
+     },
+     store::kStoreSchema,
+     [](const std::string& dir, const std::string& id) {
+       store::ObjectStore(dir).put(id);
+     },
+     [](const std::string& dir, const std::string& id) {
+       return store::ObjectStore(dir).contains(
+           store::ObjectStore::hashBytes(id));
+     }},
+};
+
+class SharedLog : public ::testing::TestWithParam<LogOwner> {
+ protected:
+  void SetUp() override {
+    // One directory per test and owner: ctest -j runs them concurrently.
+    std::string name =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::replace(name.begin(), name.end(), '/', '_');
+    dir_ = (std::filesystem::path(::testing::TempDir()) /
+            ("shared_log_" + name))
+               .string();
+    std::filesystem::remove_all(dir_);
+    path_ = GetParam().pathFor(dir_);
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  std::string contents() const {
+    std::ifstream in(path_, std::ios::binary);
+    std::ostringstream out;
+    out << in.rdbuf();
+    return out.str();
+  }
+  /// Corrupt lines a fresh open of the file counts.
+  std::size_t corruptLinesOnOpen() const {
+    return JsonlLog(path_, GetParam().schema, Durability::kBuffered,
+                    [](const obs::json::Value&) {})
+        .corruptLines();
+  }
+
+  std::string dir_;
+  std::string path_;
+};
+
+TEST_P(SharedLog, UnparseableTornTailIsCutOnOpen) {
+  const LogOwner& owner = GetParam();
+  owner.append(dir_, "first");
+  std::ofstream(path_, std::ios::app) << "{\"kind\":\"pu";
+  owner.append(dir_, "second");
+  EXPECT_TRUE(owner.replayed(dir_, "first"));
+  EXPECT_TRUE(owner.replayed(dir_, "second"));
+  EXPECT_EQ(corruptLinesOnOpen(), 0u);
+}
+
+TEST_P(SharedLog, UnterminatedLastLineIsCutOnOpen) {
+  const LogOwner& owner = GetParam();
+  owner.append(dir_, "first");
+  // A crash between the record and its '\n': the line parses, but an
+  // append would glue onto it.
+  std::filesystem::resize_file(path_, contents().size() - 1);
+  owner.append(dir_, "second");
+  EXPECT_TRUE(owner.replayed(dir_, "first"));
+  EXPECT_TRUE(owner.replayed(dir_, "second"));
+  EXPECT_EQ(corruptLinesOnOpen(), 0u);
+}
+
+TEST_P(SharedLog, MetaNamingAnotherSchemaThrows) {
+  std::filesystem::create_directories(dir_);
+  std::ofstream(path_)
+      << "{\"kind\":\"meta\",\"schema\":\"rebench.other/1\"}\n";
+  EXPECT_THROW(GetParam().replayed(dir_, "first"), Error);
+}
+
+TEST_P(SharedLog, AppendUnderFileSizeLimitThrowsAndLeavesFileIntact) {
+  const LogOwner& owner = GetParam();
+  owner.append(dir_, "first");
+  const std::string before = contents();
+  {
+    // Room for a fragment of the next line, not the whole line.
+    const FileSizeLimit limit(before.size() + 8);
+    EXPECT_THROW(owner.append(dir_, "second"), Error);
+  }
+  EXPECT_EQ(contents(), before);
+  EXPECT_FALSE(owner.replayed(dir_, "second"));
+}
+
+INSTANTIATE_TEST_SUITE_P(Owners, SharedLog, ::testing::ValuesIn(kLogOwners),
+                         [](const auto& info) { return info.param.name; });
 
 TEST(Watchdog, LimitResolutionAndFiring) {
   WatchdogPolicy policy;

@@ -2,10 +2,8 @@
 // cap, verified (corruption-rejecting) reads, index persistence and the
 // provenance-keyed build cache's hit/drift behaviour.
 #include <gtest/gtest.h>
-#include <sys/resource.h>
 
 #include <algorithm>
-#include <csignal>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -18,6 +16,7 @@
 #include "core/store/object_store.hpp"
 #include "core/sysconfig/system_config.hpp"
 #include "core/util/error.hpp"
+#include "file_size_limit.hpp"
 
 namespace rebench::store {
 namespace {
@@ -30,30 +29,6 @@ std::string readFile(const fs::path& path) {
   out << in.rdbuf();
   return out.str();
 }
-
-/// Lowers this process's file-size limit (RLIMIT_FSIZE) for one scope,
-/// with SIGXFSZ ignored so an oversized write fails with EFBIG instead
-/// of killing the process; both are restored on scope exit.
-class FileSizeLimit {
- public:
-  explicit FileSizeLimit(rlim_t bytes) {
-    getrlimit(RLIMIT_FSIZE, &saved_);
-    previous_ = std::signal(SIGXFSZ, SIG_IGN);
-    rlimit lowered = saved_;
-    lowered.rlim_cur = bytes;
-    setrlimit(RLIMIT_FSIZE, &lowered);
-  }
-  ~FileSizeLimit() {
-    setrlimit(RLIMIT_FSIZE, &saved_);
-    std::signal(SIGXFSZ, previous_);
-  }
-  FileSizeLimit(const FileSizeLimit&) = delete;
-  FileSizeLimit& operator=(const FileSizeLimit&) = delete;
-
- private:
-  rlimit saved_{};
-  void (*previous_)(int) = nullptr;
-};
 
 class StoreTest : public ::testing::Test {
  protected:
@@ -207,6 +182,28 @@ TEST_F(StoreTest, ToleratesTruncatedIndexTail) {
   }
   ObjectStore reopened(dir_);
   EXPECT_TRUE(reopened.get(hash).has_value());
+}
+
+TEST_F(StoreTest, AppendAfterTornIndexTailSurvivesReopen) {
+  {
+    ObjectStore store(dir_);
+    store.put("first");
+  }
+  {
+    std::ofstream out(fs::path(dir_) / "index.jsonl", std::ios::app);
+    out << "{\"kind\":\"pu";  // crash mid-append
+  }
+  std::string hash;
+  {
+    // The open cuts the fragment off, so these appends start fresh lines
+    // instead of gluing onto it.
+    ObjectStore store(dir_);
+    hash = store.put("second");
+    store.setRef("latest", hash);
+  }
+  ObjectStore reopened(dir_);
+  EXPECT_TRUE(reopened.contains(hash));
+  EXPECT_EQ(reopened.ref("latest"), hash);
 }
 
 TEST_F(StoreTest, PinnedObjectSurvivesEvictionPressure) {

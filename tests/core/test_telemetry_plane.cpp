@@ -16,6 +16,7 @@
 #include "core/telemetry/plane.hpp"
 #include "core/telemetry/probe.hpp"
 #include "core/util/error.hpp"
+#include "file_size_limit.hpp"
 
 namespace rebench::telemetry {
 namespace {
@@ -130,6 +131,24 @@ TEST(FlightRecord, DumpWritesMetaLineThenEventsOldestFirst) {
   }
   EXPECT_EQ(events, 4);
   EXPECT_EQ(previousSeq, 6u);  // last line is the newest event
+  fs::remove_all(dir);
+}
+
+TEST(FlightRecord, ShortWriteThrowsAndLeavesNoFile) {
+  const std::string dir =
+      (fs::temp_directory_path() / "rebench-flightrec-short").string();
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  EventBus bus(64);
+  for (int i = 0; i < 64; ++i) {
+    bus.publish("exec", "sub", "step-" + std::to_string(i));
+  }
+  {
+    const FileSizeLimit limit(256);
+    EXPECT_THROW(dumpFlightRecord(dir, bus), Error);
+  }
+  // Neither a truncated flightrec-*.jsonl nor its tmp file is left.
+  EXPECT_TRUE(fs::is_empty(dir));
   fs::remove_all(dir);
 }
 
