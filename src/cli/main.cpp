@@ -27,6 +27,7 @@
 #include "babelstream/testcase.hpp"
 #include "cli/args.hpp"
 #include "core/concretizer/concretizer.hpp"
+#include "core/fault/journal.hpp"
 #include "core/framework/pipeline.hpp"
 #include "core/history/history.hpp"
 #include "core/infer/controller.hpp"
@@ -52,7 +53,6 @@
 #include "core/store/object_store.hpp"
 #include "core/telemetry/bus.hpp"
 #include "core/telemetry/http.hpp"
-#include "core/telemetry/probe.hpp"
 #include "core/util/error.hpp"
 #include "core/util/strings.hpp"
 #include "core/util/table.hpp"
@@ -62,151 +62,6 @@
 
 namespace rebench::cli {
 namespace {
-
-int usage() {
-  std::cout <<
-      "rebench — automated and reproducible benchmarking\n"
-      "\n"
-      "subcommands:\n"
-      "  list-systems                     configured systems/partitions\n"
-      "  list-packages                    recipe repository contents\n"
-      "  spec <spec> --system S           concretize a spec on a system\n"
-      "       [--env-file F] [--trace]       (or a user-authored env file)\n"
-      "  run --benchmark B --system S     run a benchmark (babelstream |\n"
-      "      [-S key=value]... [--perflog F] [--repeats N] [--account A]\n"
-      "      [--trace DIR] [--faults SPEC]  hpcg | hpgmg) through the\n"
-      "      [--retries N] [--backoff-base S] [--backoff-max S] pipeline\n"
-      "      [--store DIR] [--no-cache]     --store keeps a content-\n"
-      "      [--metrics-out FILE]           addressed artifact store +\n"
-      "                                     provenance manifest and appends\n"
-      "                                     the campaign's FOMs to the\n"
-      "                                     performance history; builds are\n"
-      "                                     reused only on exact provenance\n"
-      "                                     match (--no-cache disables\n"
-      "                                     reuse); --metrics-out exports\n"
-      "                                     the metrics registry + FOMs as\n"
-      "                                     OpenMetrics text\n"
-      "      [--ci-halfwidth R]             adaptive run-length control:\n"
-      "      [--min-repeats N]              repeat each test until every\n"
-      "      [--max-repeats N]              FOM mean's 95% CI (ESS-\n"
-      "                                     corrected) is within +/-R\n"
-      "                                     relative half-width, between\n"
-      "                                     N_min and N_max repeats\n"
-      "      [--probe sim|real]             per-stage resource accounting:\n"
-      "                                     rusage deltas around build/run\n"
-      "                                     as x:rusage_* perflog extras,\n"
-      "                                     telemetry.probe spans and\n"
-      "                                     manifest facets ('sim' is the\n"
-      "                                     deterministic synthetic source;\n"
-      "                                     'real' reads getrusage)\n"
-      "  suite --system S [--tag T]       run the builtin suite, ReFrame\n"
-      "        [-n PAT] [-x PAT] [--perflog F]  style selection (-n/-x)\n"
-      "        [--trace DIR] [--faults FILE|SPEC] [--retries N]\n"
-      "        [--repeats N] [--resume DIR] [--quarantine-after N]\n"
-      "        [--store DIR] [--no-cache] [--jobs N] [--lanes N]\n"
-      "        [--metrics-out FILE] [--ci-halfwidth R]\n"
-      "        [--min-repeats N] [--max-repeats N] [--probe sim|real]\n"
-      "                                     --faults injects deterministic\n"
-      "                                     failures (seed=..,crash=..,\n"
-      "                                     node=..,preempt=..,build=..,\n"
-      "                                     corrupt=..,teldrop=..); --resume\n"
-      "                                     journals completed runs to DIR\n"
-      "                                     and skips them on rerun; --jobs\n"
-      "                                     runs campaigns on N workers with\n"
-      "                                     byte-identical perflog/trace/\n"
-      "                                     manifest output (kernel threads\n"
-      "                                     via REBENCH_THREADS env);\n"
-      "                                     --lanes sets the virtual-lane\n"
-      "                                     width profiling stamps into the\n"
-      "                                     trace (default 8, jobs-\n"
-      "                                     independent)\n"
-      "  replay <manifest>                re-execute a campaign manifest\n"
-      "                                     from scratch and diff the\n"
-      "                                     regenerated perflog/trace bytes\n"
-      "                                     against the recorded hashes\n"
-      "                                     (exit 1 on divergence)\n"
-      "  trace-report <file> [--tree]     per-stage timing + metrics from a\n"
-      "               [--json] [--chrome F]  trace JSONL (--trace output);\n"
-      "                                     --json emits the machine-\n"
-      "                                     readable report, --chrome a\n"
-      "                                     chrome://tracing export\n"
-      "  profile <file> [--json]          campaign schedule profiling from\n"
-      "          [--chrome F]               a trace: lane Gantt + busy/idle/\n"
-      "          [--diff A B]               blocked utilization + critical\n"
-      "          [--threshold 0.05]         path with self/child attribution\n"
-      "                                     (needs exec.worker lane stamps;\n"
-      "                                     run-mode traces profile on one\n"
-      "                                     lane); --chrome exports the\n"
-      "                                     catapult JSON, --diff aligns\n"
-      "                                     two traces by span path and\n"
-      "                                     exits 1 on duration regressions\n"
-      "                                     above the threshold\n"
-      "  env --system S                   captured system environment\n"
-      "  audit --perflog F [--strict]     Bailey/Hoefler-Belli hygiene audit\n"
-      "        [--manifest M]               (--manifest also flags results\n"
-      "                                     from stale artifacts)\n"
-      "  report --perflog F [--fom NAME]  tabulate/plot perflog contents;\n"
-      "         [--stats] [--plot]           --frame-cache keeps a verified\n"
-      "         [--frame-cache DIR]          columnar copy of the perflog\n"
-      "                                     (content-hash keyed; reused\n"
-      "                                     until the file changes)\n"
-      "  history [<test> [<target>]]      longitudinal FOM history from a\n"
-      "          --store DIR [--json]       campaign store: per-(test,\n"
-      "          [--window N] [--check]     target, fom) trend tables with\n"
-      "          [--threshold 0.05]         sparklines, rolling mean/stddev\n"
-      "                                     and deterministic changepoint\n"
-      "                                     flags; --check gates the newest\n"
-      "                                     record against the rolling\n"
-      "                                     baseline: a threshold-sized\n"
-      "                                     drop regresses only when it is\n"
-      "                                     statistically significant\n"
-      "                                     (baseline CI band), justified\n"
-      "                                     by an EDM changepoint scan;\n"
-      "                                     --json emits the machine-\n"
-      "                                     readable verdicts (exit 0 ok,\n"
-      "                                     1 on regression, 2 usage/no\n"
-      "                                     records)\n"
-      "  history --perflog F [--detect]   legacy perflog history +\n"
-      "          [--window N] [--sigmas X]  regression detection\n"
-      "          [--frame-cache DIR]\n"
-      "  compare --before A --after B     before/after perflog comparison\n"
-      "          [--threshold 0.05]         (CI gate: exit 1 on regression)\n"
-      "          [--frame-cache DIR]\n"
-      "  submit --queue DIR ...           enqueue a run/suite invocation\n"
-      "                                     for `serve` (same flags as\n"
-      "                                     run/suite; atomic + idempotent\n"
-      "                                     by content hash)\n"
-      "  serve --queue DIR --store DIR    crash-safe continuous-\n"
-      "        [--once] [--jobs N]          benchmarking daemon: drains the\n"
-      "        [--stage-timeout S]          queue with run-level\n"
-      "        [--submission-timeout S]     memoization (verdicts: cached |\n"
-      "        [--quarantine-after N]       ran:clean | ran:regressed |\n"
-      "        [--trace DIR]                failed:<class>), write-ahead\n"
-      "        [--metrics-out FILE]         journal for exactly-once crash\n"
-      "        [--request-drain]            resume, watchdogs, crash-loop\n"
-      "        [--clear-drain]              quarantine and graceful drain\n"
-      "        [--listen HOST:PORT]         (SIGTERM or --request-drain);\n"
-      "                                     health snapshot refreshed in\n"
-      "                                     QUEUE/health.json after every\n"
-      "                                     verdict; --listen exposes the\n"
-      "                                     live HTTP status endpoint\n"
-      "                                     (GET /health | /metrics |\n"
-      "                                     /verdicts?since=N |\n"
-      "                                     /submissions/<id>; port 0 =\n"
-      "                                     ephemeral, bound address in\n"
-      "                                     QUEUE/endpoint.addr); crashes\n"
-      "                                     and failed:* verdicts dump the\n"
-      "                                     event-bus ring to\n"
-      "                                     QUEUE/flightrec-<seq>.jsonl\n"
-      "  status --queue DIR [--follow]    live view of a serve queue via\n"
-      "         [--fetch PATH]              the --listen endpoint (fallback:\n"
-      "                                     health.json), plus the newest\n"
-      "                                     flight record; --fetch prints\n"
-      "                                     one endpoint response verbatim,\n"
-      "                                     --follow streams verdicts as\n"
-      "                                     they are filed\n";
-  return 2;
-}
 
 int listSystems() {
   const SystemRegistry systems = builtinSystems();
@@ -255,26 +110,22 @@ std::string slurp(const std::string& path) {
 }
 
 int showSpec(const Args& args) {
-  if (args.positionals().empty()) {
-    std::cerr << "spec: missing spec string\n";
-    return 2;
-  }
   const SystemRegistry systems = builtinSystems();
   const PackageRepository repo = builtinRepository();
   // --env-file lets a user concretize against a hand-authored system
   // environment (see `rebench env` for the format) without recompiling.
   SystemEnvironment environment;
-  if (auto envFile = args.option("env-file")) {
+  if (auto envFile = args.text("env-file")) {
     environment = parseEnvironmentConfig(slurp(*envFile));
   } else {
-    environment =
-        systems.resolve(args.optionOr("system", "local")).first->environment;
+    environment = systems.resolve(args.text("system").value_or("local"))
+                      .first->environment;
   }
   Concretizer concretizer(repo, environment);
   const ConcretizationResult result =
       concretizer.concretize(Spec::parse(args.positionals().front()));
   std::cout << result.root->tree();
-  if (args.hasFlag("trace")) {
+  if (args.flag("trace")) {
     std::cout << "\ntrace:\n";
     for (const std::string& line : result.trace) {
       std::cout << "  " << line << "\n";
@@ -284,14 +135,20 @@ int showSpec(const Args& args) {
 }
 
 /// Builds the run-mode test from a normalized invocation (directly from
-/// the CLI flags, or re-hydrated from a campaign manifest by `replay`).
+/// the CLI flags, or re-hydrated by `replay` and `serve`).  A malformed
+/// -S value is a UsageError naming the setting.
 RegressionTest buildTest(const store::CampaignInvocation& inv) {
+  auto toInt = [](const std::string& key, const std::string& value) {
+    return parseInteger<int>("-S " + key, value);
+  };
   if (inv.benchmark == "babelstream") {
     babelstream::BabelstreamTestOptions options;
     if (inv.ntimes > 0) options.ntimes = inv.ntimes;
     for (const auto& [key, value] : inv.settings) {
       if (key == "model") options.model = value;
-      if (key == "array_size") options.arraySize = std::stoull(value);
+      if (key == "array_size") {
+        options.arraySize = parseInteger<std::size_t>("-S " + key, value);
+      }
     }
     return babelstream::makeBabelstreamTest(options);
   }
@@ -299,8 +156,8 @@ RegressionTest buildTest(const store::CampaignInvocation& inv) {
     hpcg::HpcgTestOptions options;
     for (const auto& [key, value] : inv.settings) {
       if (key == "operator") options.variant = hpcg::variantFromName(value);
-      if (key == "num_tasks") options.numTasks = std::stoi(value);
-      if (key == "grid") options.gridSize = std::stoi(value);
+      if (key == "num_tasks") options.numTasks = toInt(key, value);
+      if (key == "grid") options.gridSize = toInt(key, value);
       if (key == "multigrid") options.multigrid = value == "1" || value == "true";
     }
     return hpcg::makeHpcgTest(options);
@@ -308,41 +165,39 @@ RegressionTest buildTest(const store::CampaignInvocation& inv) {
   if (inv.benchmark == "hpgmg") {
     hpgmg::HpgmgTestOptions options;
     for (const auto& [key, value] : inv.settings) {
-      if (key == "num_tasks") options.numTasks = std::stoi(value);
+      if (key == "num_tasks") options.numTasks = toInt(key, value);
       if (key == "num_tasks_per_node") {
-        options.numTasksPerNode = std::stoi(value);
+        options.numTasksPerNode = toInt(key, value);
       }
       if (key == "num_cpus_per_task") {
-        options.numCpusPerTask = std::stoi(value);
+        options.numCpusPerTask = toInt(key, value);
       }
-      if (key == "log2_box_dim") options.log2BoxDim = std::stoi(value);
+      if (key == "log2_box_dim") options.log2BoxDim = toInt(key, value);
       if (key == "boxes_per_rank") {
-        options.targetBoxesPerRank = std::stoi(value);
+        options.targetBoxesPerRank = toInt(key, value);
       }
     }
     return hpgmg::makeHpgmgTest(options);
   }
-  throw ParseError("--benchmark must be babelstream, hpcg or hpgmg (got '" +
+  throw UsageError("--benchmark must be babelstream, hpcg or hpgmg (got '" +
                    inv.benchmark + "')");
 }
 
 int showEnv(const Args& args) {
   const SystemRegistry systems = builtinSystems();
-  const auto [sys, part] = systems.resolve(args.optionOr("system", "local"));
+  const auto [sys, part] =
+      systems.resolve(args.text("system").value_or("local"));
   std::cout << sys->environment.renderConfig();
   return 0;
 }
 
 int audit(const Args& args) {
-  const auto path = args.option("perflog");
-  if (!path) {
-    std::cerr << "audit: --perflog required\n";
-    return 2;
-  }
+  const auto path = args.text("perflog");
+  if (!path) throw UsageError("--perflog required");
   HygieneOptions options;
-  options.requireReferences = args.hasFlag("strict");
+  options.requireReferences = args.flag("strict");
   auto findings = auditPerflogFile(*path, options);
-  if (auto manifestPath = args.option("manifest")) {
+  if (auto manifestPath = args.text("manifest")) {
     const store::CampaignManifest manifest =
         store::CampaignManifest::read(*manifestPath);
     const PerfLog::LenientParse parsed = PerfLog::readFileLenient(*path);
@@ -364,7 +219,7 @@ struct TraceSession {
   obs::MetricsRegistry metrics;
 
   explicit TraceSession(const Args& args)
-      : dir(args.option("trace")), metricsOut(args.option("metrics-out")) {}
+      : dir(args.text("trace")), metricsOut(args.text("metrics-out")) {}
   bool active() const { return dir.has_value(); }
 
   void attach(PipelineOptions& options) {
@@ -380,8 +235,7 @@ struct TraceSession {
     std::filesystem::create_directories(*dir);
     const std::string path =
         (std::filesystem::path(*dir) / "trace.jsonl").string();
-    std::ofstream out(path);
-    out << bytes;
+    writeFileAtomic(path, bytes, Durability::kBuffered);
     std::cout << "trace written to " << path << "\n";
   }
 
@@ -427,93 +281,11 @@ struct TraceSession {
                         const obs::MetricSample& b) {
                        return a.family < b.family;
                      });
-    std::ofstream out(*metricsOut, std::ios::binary);
-    if (!out) throw Error("cannot write metrics file '" + *metricsOut + "'");
-    out << obs::renderOpenMetrics(metrics, samples);
+    writeFileAtomic(*metricsOut, obs::renderOpenMetrics(metrics, samples),
+                    Durability::kBuffered);
     std::cout << "metrics written to " << *metricsOut << "\n";
   }
 };
-
-/// Validates the run-length flags shared by run/suite/submit: --repeats
-/// and the adaptive --min-repeats/--max-repeats/--ci-halfwidth family
-/// must be positive.  A negative value such as `--repeats -1` parses as
-/// a valueless flag (the '-1' token looks like an option to the
-/// parser), so both spellings are rejected here.  Returns the error
-/// message, or nullopt when the flags are sound.
-std::optional<std::string> runLengthFlagError(const Args& args) {
-  for (const std::string_view name :
-       {"repeats", "min-repeats", "max-repeats"}) {
-    if (args.hasFlag(name)) {
-      return "--" + std::string(name) + " expects a positive integer";
-    }
-    if (args.option(name).has_value() && args.intOptionOr(name, 1) <= 0) {
-      return "--" + std::string(name) + " must be >= 1 (got " +
-             *args.option(name) + ")";
-    }
-  }
-  if (args.hasFlag("ci-halfwidth")) {
-    return std::string(
-        "--ci-halfwidth expects a positive relative half-width "
-        "(e.g. 0.05)");
-  }
-  if (args.option("ci-halfwidth").has_value() &&
-      args.doubleOptionOr("ci-halfwidth", 1.0) <= 0.0) {
-    return "--ci-halfwidth must be > 0 (got " +
-           *args.option("ci-halfwidth") + ")";
-  }
-  const int minRepeats = args.intOptionOr("min-repeats", -1);
-  const int maxRepeats = args.intOptionOr("max-repeats", -1);
-  if (minRepeats > 0 && maxRepeats > 0 && maxRepeats < minRepeats) {
-    return std::string("--max-repeats must be >= --min-repeats");
-  }
-  return std::nullopt;
-}
-
-/// Validates --probe (shared by run/suite/submit): it must name a real
-/// probe mode; a bare `--probe` parses as a valueless flag.
-std::optional<std::string> probeFlagError(const Args& args) {
-  if (args.hasFlag("probe")) {
-    return std::string("--probe expects a mode ('sim' or 'real')");
-  }
-  const std::string name = args.optionOr("probe", "");
-  telemetry::ProbeMode mode = telemetry::ProbeMode::kOff;
-  if (!telemetry::probeModeFromName(name, &mode)) {
-    return "--probe must be 'sim' or 'real' (got '" + name + "')";
-  }
-  return std::nullopt;
-}
-
-/// A valueless `--frame-cache` parses as a flag; reject it explicitly so a
-/// forgotten DIR doesn't silently fall back to parsing the perflog every
-/// invocation.
-std::optional<std::string> frameCacheFlagError(const Args& args) {
-  if (args.hasFlag("frame-cache")) {
-    return std::string("--frame-cache expects a directory");
-  }
-  return std::nullopt;
-}
-
-/// Validates numeric flags before any file is touched: each of `names`,
-/// when given, must be a number, and --window a positive integer.  A
-/// bare flag (e.g. `--window -5`, whose value looks like an option) is an
-/// error too.
-std::optional<std::string> numericFlagError(
-    const Args& args, std::initializer_list<std::string_view> names) {
-  for (const std::string_view name : names) {
-    if (args.hasFlag(name)) {
-      return "--" + std::string(name) + " expects a value";
-    }
-  }
-  try {
-    if (args.intOptionOr("window", 1) <= 0) {
-      return "--window must be >= 1 (got " + *args.option("window") + ")";
-    }
-    for (const std::string_view name : names) args.doubleOptionOr(name, 0.0);
-  } catch (const ParseError& e) {
-    return std::string(e.what());
-  }
-  return std::nullopt;
-}
 
 /// Prints the adaptive controller's per-(test, target, fom) decisions.
 void printInferenceDecisions(const infer::ControllerReport& inference) {
@@ -529,48 +301,40 @@ void printInferenceDecisions(const infer::ControllerReport& inference) {
   }
 }
 
-/// Normalizes the run/suite CLI flags into the invocation record a
-/// campaign manifest stores (and `rebench replay` re-executes).
+/// Normalizes the run/suite/submit options into the invocation record a
+/// campaign manifest stores (and `rebench replay` re-executes).  Absent
+/// options keep their "unset" sentinels, which the rows' bounds exclude.
 store::CampaignInvocation invocationFromArgs(const Args& args,
                                              const std::string& mode) {
   store::CampaignInvocation inv;
   inv.mode = mode;
-  inv.system = args.optionOr("system", "local");
-  inv.account = args.optionOr("account", "ec999");
-  inv.repeats = args.intOptionOr("repeats", 1);
-  inv.benchmark = args.optionOr("benchmark", "");
-  inv.ntimes = args.intOptionOr("ntimes", -1);
+  inv.system = args.text("system").value_or("local");
+  inv.account = args.text("account").value_or("ec999");
+  inv.repeats = args.integer("repeats").value_or(1);
+  inv.benchmark = args.text("benchmark").value_or("");
+  inv.ntimes = args.integer("ntimes").value_or(-1);
   inv.settings = args.settings();
-  inv.tag = args.optionOr("tag", "");
-  inv.namePattern = args.optionOr("n", "");
-  inv.excludePattern = args.optionOr("x", "");
-  inv.faults = args.optionOr("faults", "");
-  inv.retries = args.intOptionOr("retries", -1);
-  inv.backoffBase = args.doubleOptionOr("backoff-base", -1.0);
-  inv.backoffMultiplier = args.doubleOptionOr("backoff-mult", -1.0);
-  inv.backoffMax = args.doubleOptionOr("backoff-max", -1.0);
-  inv.quarantineAfter = args.intOptionOr("quarantine-after", -1);
-  inv.stageTimeout = args.doubleOptionOr("stage-timeout", -1.0);
-  inv.lanes = args.intOptionOr("lanes", -1);
-  inv.ciHalfwidth = args.doubleOptionOr("ci-halfwidth", -1.0);
-  inv.minRepeats = args.intOptionOr("min-repeats", -1);
-  inv.maxRepeats = args.intOptionOr("max-repeats", -1);
-  inv.withStore = args.option("store").has_value();
-  inv.cache = !args.hasFlag("no-cache");
-  inv.probe = args.optionOr("probe", "");
+  inv.tag = args.text("tag").value_or("");
+  inv.namePattern = args.text("n").value_or("");
+  inv.excludePattern = args.text("x").value_or("");
+  inv.faults = args.text("faults").value_or("");
+  inv.retries = args.integer("retries").value_or(-1);
+  inv.backoffBase = args.number("backoff-base").value_or(-1.0);
+  inv.backoffMultiplier = args.number("backoff-mult").value_or(-1.0);
+  inv.backoffMax = args.number("backoff-max").value_or(-1.0);
+  inv.quarantineAfter = args.integer("quarantine-after").value_or(-1);
+  inv.stageTimeout = args.number("stage-timeout").value_or(-1.0);
+  inv.lanes = args.integer("lanes").value_or(-1);
+  inv.ciHalfwidth = args.number("ci-halfwidth").value_or(-1.0);
+  inv.minRepeats = args.integer("min-repeats").value_or(-1);
+  inv.maxRepeats = args.integer("max-repeats").value_or(-1);
+  inv.withStore = args.text("store").has_value();
+  inv.cache = !args.flag("no-cache");
+  inv.probe = args.text("probe").value_or("");
+  if (inv.maxRepeats > 0 && inv.maxRepeats < inv.minRepeats) {
+    throw UsageError("--max-repeats must be >= --min-repeats");
+  }
   return inv;
-}
-
-/// Expands an invocation into pipeline options (shared with the serve
-/// daemon so both resolve flags identically — see service/record).
-PipelineOptions optionsFromInvocation(const store::CampaignInvocation& inv) {
-  return service::pipelineOptionsFor(inv);
-}
-
-/// Serializes perflog lines to the byte stream a manifest hashes
-/// (shared with the serve daemon — see service/record).
-std::string perflogBytes(const PerfLog& perflog) {
-  return service::perflogBytes(perflog);
 }
 
 /// Store state for one CLI invocation; active when --store DIR was given.
@@ -582,8 +346,8 @@ struct StoreSession {
   bool coldStart = true;
   std::string manifestHash;  // set by writeManifest
 
-  explicit StoreSession(const Args& args) : cache(!args.hasFlag("no-cache")) {
-    if (auto dir = args.option("store")) {
+  explicit StoreSession(const Args& args) : cache(!args.flag("no-cache")) {
+    if (auto dir = args.text("store")) {
       store.emplace(*dir);
       coldStart = store->objectCount() == 0;
     }
@@ -650,26 +414,19 @@ struct StoreSession {
 };
 
 int runBenchmark(const Args& args) {
-  if (const auto error = runLengthFlagError(args)) {
-    std::cerr << "run: " << *error << "\n";
-    return usage();
-  }
-  if (const auto error = probeFlagError(args)) {
-    std::cerr << "run: " << *error << "\n";
-    return usage();
-  }
+  const store::CampaignInvocation invocation = invocationFromArgs(args, "run");
+  // Before any store or perflog is opened: a bad -S touches no file.
+  const RegressionTest test = buildTest(invocation);
   const SystemRegistry systems = builtinSystems();
   const PackageRepository repo = builtinRepository();
-  const store::CampaignInvocation invocation = invocationFromArgs(args, "run");
-  PipelineOptions options = optionsFromInvocation(invocation);
+  PipelineOptions options = service::pipelineOptionsFor(invocation);
   TraceSession trace(args);
   trace.attach(options);
   StoreSession storeSession(args);
   storeSession.attach(options);
   Pipeline pipeline(systems, repo, options);
 
-  PerfLog perflog(args.optionOr("perflog", ""));
-  const RegressionTest test = buildTest(invocation);
+  PerfLog perflog(args.text("perflog").value_or(""));
   const std::string target = invocation.system;
 
   std::vector<TestRunResult> results;
@@ -705,7 +462,7 @@ int runBenchmark(const Args& args) {
       std::cout << "[" << (result.passed ? " OK " : "FAIL") << "] "
                 << result.testName << " @ " << result.system << ":"
                 << result.partition << " (" << result.environ << ")\n";
-      if (args.hasFlag("verbose")) {
+      if (args.flag("verbose")) {
         std::cout << "  spec:   " << result.concreteSpec->shortForm() << "\n";
         std::cout << "  launch: " << result.launchCommand << "\n";
       }
@@ -733,9 +490,9 @@ int runBenchmark(const Args& args) {
       }
     }
   }
-  if (perflog.size() > 0 && args.option("perflog")) {
+  if (perflog.size() > 0 && args.text("perflog")) {
     std::cout << perflog.size() << " perflog entries appended to "
-              << *args.option("perflog") << "\n";
+              << *args.text("perflog") << "\n";
   }
   const std::string traceBytes = trace.active() ? trace.serialize() : "";
   const auto fomAggregates = history::aggregateFoms(results);
@@ -749,32 +506,24 @@ int runBenchmark(const Args& args) {
 }
 
 int runSuite(const Args& args) {
-  if (const auto error = runLengthFlagError(args)) {
-    std::cerr << "suite: " << *error << "\n";
-    return usage();
-  }
-  if (const auto error = probeFlagError(args)) {
-    std::cerr << "suite: " << *error << "\n";
-    return usage();
-  }
   const SystemRegistry systems = builtinSystems();
   const PackageRepository repo = builtinRepository();
   const store::CampaignInvocation invocation =
       invocationFromArgs(args, "suite");
-  PipelineOptions options = optionsFromInvocation(invocation);
+  PipelineOptions options = service::pipelineOptionsFor(invocation);
   // Deliberately not part of the invocation/manifest: output bytes are
   // identical for every job count, so the manifest stays jobs-invariant
   // (and replay may use any worker count).
-  options.jobs = std::max(1, args.intOptionOr("jobs", 1));
+  options.jobs = args.integer("jobs").value_or(1);
   TraceSession trace(args);
   trace.attach(options);
   StoreSession storeSession(args);
   storeSession.attach(options);
   Pipeline pipeline(systems, repo, options);
-  PerfLog perflog(args.optionOr("perflog", ""));
+  PerfLog perflog(args.text("perflog").value_or(""));
 
   std::optional<RunJournal> journal;
-  if (auto resumeDir = args.option("resume")) {
+  if (auto resumeDir = args.text("resume")) {
     journal.emplace(*resumeDir);
     if (journal->corruptLines() > 0) {
       std::cerr << "suite: journal had " << journal->corruptLines()
@@ -841,10 +590,6 @@ int runSuite(const Args& args) {
 /// byte-exact; any divergence means the campaign is not reproducible
 /// from its manifest (code, environment or configuration drifted).
 int replay(const Args& args) {
-  if (args.positionals().empty()) {
-    std::cerr << "replay: missing manifest path\n";
-    return 2;
-  }
   const std::string manifestPath = args.positionals().front();
   const store::CampaignManifest manifest =
       store::CampaignManifest::read(manifestPath);
@@ -861,7 +606,7 @@ int replay(const Args& args) {
 
   const SystemRegistry systems = builtinSystems();
   const PackageRepository repo = builtinRepository();
-  PipelineOptions options = optionsFromInvocation(invocation);
+  PipelineOptions options = service::pipelineOptionsFor(invocation);
   obs::Tracer tracer;
   obs::MetricsRegistry metrics;
   if (wantTrace) {
@@ -908,7 +653,7 @@ int replay(const Args& args) {
   }
 
   std::map<std::string, std::string> replayed;
-  replayed["perflog"] = perflogBytes(perflog);
+  replayed["perflog"] = service::perflogBytes(perflog);
   if (wantTrace) replayed["trace"] = tracer.toJsonl(&metrics);
   if (!scratch.empty()) std::filesystem::remove_all(scratch);
 
@@ -934,38 +679,33 @@ void writeChromeTrace(const obs::TraceFile& trace, const std::string& path,
     }
     profile = &empty;
   }
-  std::ofstream out(path);
-  if (!out) throw Error("cannot write chrome trace '" + path + "'");
-  out << postproc::renderChromeTrace(trace, *profile);
+  writeFileAtomic(path, postproc::renderChromeTrace(trace, *profile),
+                  Durability::kBuffered);
   // stderr, so the report on stdout stays byte-comparable across
   // invocations that name their export file differently.
   std::cerr << "chrome trace written to " << path << "\n";
 }
 
 int traceReport(const Args& args) {
-  if (args.positionals().empty()) {
-    std::cerr << "trace-report: missing trace file\n";
-    return 2;
-  }
   const obs::TraceFile trace =
       obs::readTraceFile(args.positionals().front());
   const std::vector<std::string> issues = obs::lintTrace(trace);
   for (const std::string& issue : issues) {
     std::cerr << "trace-report: warning: " << issue << "\n";
   }
-  if (args.hasFlag("json")) {
+  if (args.flag("json")) {
     std::cout << "{\"schema\":\"rebench.trace_report/1\",\"spans\":"
               << trace.spans.size() << ",\"events\":" << trace.events.size()
               << ",\"stages\":" << stageTableJson(trace)
               << ",\"metrics\":" << metricsJson(trace) << "}\n";
   } else {
     std::cout << renderStageTable(trace);
-    if (args.hasFlag("tree")) {
+    if (args.flag("tree")) {
       std::cout << "\n" << renderTraceTree(trace);
     }
     std::cout << "\n" << renderMetricsReport(trace);
   }
-  if (auto chromePath = args.option("chrome")) {
+  if (auto chromePath = args.text("chrome")) {
     writeChromeTrace(trace, *chromePath, nullptr);
   }
   return 0;
@@ -977,22 +717,13 @@ int traceReport(const Args& args) {
 /// aligns two traces by span name-path instead and exits 1 when the
 /// candidate regressed beyond --threshold.
 int profileCommand(const Args& args) {
-  if (auto baseline = args.option("diff")) {
-    // Parsed as `--diff A` (option) + `B` (positional).
-    if (args.positionals().empty()) {
-      std::cerr << "profile: --diff needs two traces "
-                   "(rebench profile --diff A B)\n";
-      return 2;
-    }
-    if (const auto error = numericFlagError(args, {"threshold"})) {
-      std::cerr << "profile: " << *error << "\n";
-      return 2;
-    }
+  if (auto baseline = args.text("diff")) {
+    // Parsed as `--diff A` (option) + `B` (the operand).
     const obs::TraceFile a = obs::readTraceFile(*baseline);
     const obs::TraceFile b = obs::readTraceFile(args.positionals().front());
-    const double threshold = args.doubleOptionOr("threshold", 0.05);
+    const double threshold = args.number("threshold").value_or(0.05);
     const postproc::TraceDiff diff = postproc::diffTraces(a, b, threshold);
-    if (args.hasFlag("json")) {
+    if (args.flag("json")) {
       std::cout << "{\"schema\":\"rebench.profile_diff/1\",\"diff\":"
                 << postproc::diffJson(diff) << "}\n";
     } else {
@@ -1001,10 +732,6 @@ int profileCommand(const Args& args) {
     return diff.regressions() == 0 ? 0 : 1;
   }
 
-  if (args.positionals().empty()) {
-    std::cerr << "profile: missing trace file\n";
-    return 2;
-  }
   const obs::TraceFile trace =
       obs::readTraceFile(args.positionals().front());
   for (const std::string& issue : obs::lintTrace(trace)) {
@@ -1013,7 +740,7 @@ int profileCommand(const Args& args) {
   const postproc::TraceProfile profile = postproc::profileTrace(trace);
   const postproc::CriticalPathReport critical =
       postproc::extractCriticalPath(trace, profile);
-  if (args.hasFlag("json")) {
+  if (args.flag("json")) {
     std::cout << "{\"schema\":\"rebench.profile/1\",\"profile\":"
               << postproc::profileJson(profile)
               << ",\"critical_path\":" << postproc::criticalPathJson(critical)
@@ -1023,24 +750,17 @@ int profileCommand(const Args& args) {
     std::cout << postproc::renderProfile(profile) << "\n"
               << postproc::renderCriticalPath(critical);
   }
-  if (auto chromePath = args.option("chrome")) {
+  if (auto chromePath = args.text("chrome")) {
     writeChromeTrace(trace, *chromePath, &profile);
   }
   return 0;
 }
 
 int report(const Args& args) {
-  const auto path = args.option("perflog");
-  if (!path) {
-    std::cerr << "report: --perflog required\n";
-    return 2;
-  }
-  if (const auto error = frameCacheFlagError(args)) {
-    std::cerr << "report: " << *error << "\n";
-    return 2;
-  }
+  const auto path = args.text("perflog");
+  if (!path) throw UsageError("--perflog required");
   DataFrame frame;
-  if (const auto cacheDir = args.option("frame-cache")) {
+  if (const auto cacheDir = args.text("frame-cache")) {
     // Columnar cache path: same bytes out, but repeat reads of a large
     // unchanged perflog skip the parse entirely (content-hash keyed,
     // verified read — corruption degrades to a re-parse).
@@ -1049,7 +769,7 @@ int report(const Args& args) {
   } else {
     frame = perflogToDataFrame(PerfLog::readFile(*path));
   }
-  if (auto fom = args.option("fom")) {
+  if (auto fom = args.text("fom")) {
     frame = frame.filterEquals("fom", *fom);
   }
   if (frame.empty()) {
@@ -1067,9 +787,8 @@ int report(const Args& args) {
   }
   std::cout << table.render();
 
-  if (args.hasFlag("stats")) {
+  if (args.flag("stats")) {
     // H&B-style reporting: per (system, test, fom) summary over repeats.
-    const std::array<std::string, 3> keys{"system", "test", "fom"};
     std::cout << "\nstatistics per series (Hoefler-Belli reporting):\n";
     std::map<std::string, std::vector<double>> series;
     for (std::size_t i = 0; i < frame.rowCount(); ++i) {
@@ -1087,10 +806,9 @@ int report(const Args& args) {
       if (!isReportable(stats)) std::cout << "  [NOT REPORTABLE]";
       std::cout << "\n";
     }
-    (void)keys;
   }
 
-  if (args.hasFlag("plot")) {
+  if (args.flag("plot")) {
     std::vector<std::string> labels;
     std::vector<double> values;
     for (std::size_t i = 0; i < frame.rowCount(); ++i) {
@@ -1105,24 +823,13 @@ int report(const Args& args) {
 }
 
 int compare(const Args& args) {
-  const auto before = args.option("before");
-  const auto after = args.option("after");
-  if (!before || !after) {
-    std::cerr << "compare: --before and --after perflogs required\n";
-    return 2;
-  }
-  if (const auto error = frameCacheFlagError(args)) {
-    std::cerr << "compare: " << *error << "\n";
-    return 2;
-  }
-  if (const auto error = numericFlagError(args, {"threshold"})) {
-    std::cerr << "compare: " << *error << "\n";
-    return 2;
-  }
-  const double threshold = args.doubleOptionOr("threshold", 0.05);
+  const auto before = args.text("before");
+  const auto after = args.text("after");
+  if (!before || !after) throw UsageError("--before and --after required");
+  const double threshold = args.number("threshold").value_or(0.05);
 
   std::optional<store::ObjectStore> frameCache;
-  if (const auto cacheDir = args.option("frame-cache")) {
+  if (const auto cacheDir = args.text("frame-cache")) {
     frameCache.emplace(*cacheDir);
   }
   auto collect = [&frameCache](const std::string& path) {
@@ -1192,23 +899,22 @@ int storeHistory(const Args& args, const std::string& storeDir) {
   const std::vector<history::HistoryRecord> records =
       index.query(test, target);
 
-  // `--check` is a flag when trailing but swallows a following bare
-  // token as its value; accept both spellings.
-  if (args.hasFlag("check") || args.option("check").has_value()) {
+  if (args.flag("check")) {
     if (records.empty()) {
       std::cerr << "history: no matching records to gate\n";
       return 2;
     }
     history::GateOptions gate;
-    gate.window = static_cast<std::size_t>(args.intOptionOr("window", 5));
-    gate.threshold = args.doubleOptionOr("threshold", 0.05);
+    gate.window =
+        static_cast<std::size_t>(args.integer("window").value_or(5));
+    gate.threshold = args.number("threshold").value_or(0.05);
     const std::vector<history::GateResult> verdicts =
         history::checkRegression(records, gate);
     int regressions = 0;
     for (const history::GateResult& verdict : verdicts) {
       if (verdict.regression) ++regressions;
     }
-    if (args.hasFlag("json")) {
+    if (args.flag("json")) {
       std::cout << "{\"schema\":\"rebench.history_gate/1\",\"window\":"
                 << gate.window << ",\"threshold\":"
                 << str::fixed(gate.threshold, 6)
@@ -1260,33 +966,22 @@ int storeHistory(const Args& args, const std::string& storeDir) {
   }
 
   history::RenderOptions options;
-  options.json = args.hasFlag("json");
-  options.window = static_cast<std::size_t>(args.intOptionOr("window", 5));
-  options.changepoint.relThreshold = args.doubleOptionOr("threshold", 0.05);
+  options.json = args.flag("json");
+  options.window =
+      static_cast<std::size_t>(args.integer("window").value_or(5));
+  options.changepoint.relThreshold = args.number("threshold").value_or(0.05);
   std::cout << history::renderHistory(records, options);
   return 0;
 }
 
 int history(const Args& args) {
-  if (const auto error =
-          numericFlagError(args, {"window", "sigmas", "threshold"})) {
-    std::cerr << "history: " << *error << "\n";
-    return 2;
-  }
-  if (auto storeDir = args.option("store")) {
+  if (auto storeDir = args.text("store")) {
     return storeHistory(args, *storeDir);
   }
-  const auto path = args.option("perflog");
-  if (!path) {
-    std::cerr << "history: --store DIR or --perflog F required\n";
-    return 2;
-  }
-  if (const auto error = frameCacheFlagError(args)) {
-    std::cerr << "history: " << *error << "\n";
-    return 2;
-  }
+  const auto path = args.text("perflog");
+  if (!path) throw UsageError("--store DIR or --perflog F required");
   std::vector<PerfLogEntry> all;
-  if (const auto cacheDir = args.option("frame-cache")) {
+  if (const auto cacheDir = args.text("frame-cache")) {
     store::ObjectStore cache(*cacheDir);
     all = tableToPerflogEntries(loadOrConvertPerflog(cache, *path).table);
   } else {
@@ -1302,10 +997,10 @@ int history(const Args& args) {
   perfHistory.addAll(entries);
 
   DetectorOptions options;
-  options.window = args.intOptionOr("window", 8);
-  options.sigmas = args.doubleOptionOr("sigmas", 3.0);
+  options.window = args.integer("window").value_or(8);
+  options.sigmas = args.number("sigmas").value_or(3.0);
   const auto events =
-      args.hasFlag("detect") ? perfHistory.detect(options)
+      args.flag("detect") ? perfHistory.detect(options)
                              : std::vector<RegressionEvent>{};
 
   for (const SeriesKey& key : perfHistory.keys()) {
@@ -1334,25 +1029,13 @@ std::vector<RegressionTest> resolveSubmissionTests(
 /// `rebench submit` — drops one campaign invocation into a serve queue
 /// (tmp + atomic rename; idempotent by content hash).
 int submitCommand(const Args& args) {
-  if (const auto error = runLengthFlagError(args)) {
-    std::cerr << "submit: " << *error << "\n";
-    return usage();
-  }
-  if (const auto error = probeFlagError(args)) {
-    std::cerr << "submit: " << *error << "\n";
-    return usage();
-  }
-  const auto queueDir = args.option("queue");
-  if (!queueDir) {
-    std::cerr << "submit: --queue DIR required\n";
-    return 2;
-  }
-  const std::string mode = args.option("benchmark") ? "run" : "suite";
+  const auto queueDir = args.text("queue");
+  if (!queueDir) throw UsageError("--queue DIR required");
+  const std::string mode = args.text("benchmark") ? "run" : "suite";
   store::CampaignInvocation inv = invocationFromArgs(args, mode);
   // Submissions always execute against the daemon's store; only build
   // reuse stays configurable.
   inv.withStore = true;
-  inv.cache = !args.hasFlag("no-cache");
   const service::Submission sub = service::enqueueSubmission(*queueDir, inv);
   std::cout << "submitted " << sub.id << " (" << mode << " @ " << inv.system
             << ") -> " << sub.path << "\n";
@@ -1362,22 +1045,19 @@ int submitCommand(const Args& args) {
 /// `rebench serve` — the crash-safe continuous-benchmarking daemon (see
 /// service/service.hpp and DESIGN.md §14).
 int serveCommand(const Args& args) {
-  const auto queueDir = args.option("queue");
-  if (queueDir && args.hasFlag("request-drain")) {
+  const auto queueDir = args.text("queue");
+  if (queueDir && args.flag("request-drain")) {
     service::requestDrain(*queueDir);
     std::cout << "serve: drain requested for " << *queueDir << "\n";
     return 0;
   }
-  if (queueDir && args.hasFlag("clear-drain")) {
+  if (queueDir && args.flag("clear-drain")) {
     service::clearDrainRequest(*queueDir);
     std::cout << "serve: drain request cleared for " << *queueDir << "\n";
     return 0;
   }
-  const auto storeDir = args.option("store");
-  if (!queueDir || !storeDir) {
-    std::cerr << "serve: --queue DIR and --store DIR required\n";
-    return 2;
-  }
+  const auto storeDir = args.text("store");
+  if (!queueDir || !storeDir) throw UsageError("--queue and --store required");
   const SystemRegistry systems = builtinSystems();
   const PackageRepository repo = builtinRepository();
   TraceSession trace(args);
@@ -1385,19 +1065,14 @@ int serveCommand(const Args& args) {
   service::ServeOptions options;
   options.queueDir = *queueDir;
   options.storeDir = *storeDir;
-  options.once = args.hasFlag("once");
-  options.jobs = std::max(1, args.intOptionOr("jobs", 1));
-  options.quarantineAfter =
-      std::max(1, args.intOptionOr("quarantine-after", 3));
-  options.stageTimeout = args.doubleOptionOr("stage-timeout", -1.0);
+  options.once = args.flag("once");
+  options.jobs = args.integer("jobs").value_or(1);
+  options.quarantineAfter = args.integer("quarantine-after").value_or(3);
+  options.stageTimeout = args.number("stage-timeout").value_or(-1.0);
   options.submissionTimeout =
-      args.doubleOptionOr("submission-timeout", -1.0);
-  options.crashAfter = args.optionOr("crash-after", "");
-  if (args.hasFlag("listen")) {
-    std::cerr << "serve: --listen expects HOST:PORT (port 0 = ephemeral)\n";
-    return 2;
-  }
-  options.listen = args.optionOr("listen", "");
+      args.number("submission-timeout").value_or(-1.0);
+  options.crashAfter = args.text("crash-after").value_or("");
+  options.listen = args.text("listen").value_or("");
   if (trace.active()) options.tracer = &trace.tracer;
   if (trace.active() || trace.metricsOut.has_value()) {
     options.metrics = &trace.metrics;
@@ -1552,14 +1227,11 @@ void printFlightRecordSummary(const std::string& queueDir) {
 /// record.  --fetch PATH prints one endpoint response verbatim (the
 /// in-test HTTP client); --follow streams /verdicts as they are filed.
 int statusCommand(const Args& args) {
-  const auto queueDir = args.option("queue");
-  if (!queueDir) {
-    std::cerr << "status: --queue DIR required\n";
-    return 2;
-  }
+  const auto queueDir = args.text("queue");
+  if (!queueDir) throw UsageError("--queue DIR required");
   const std::string addr = readEndpointAddress(*queueDir);
 
-  if (const auto fetch = args.option("fetch")) {
+  if (const auto fetch = args.text("fetch")) {
     if (addr.empty()) {
       std::cerr << "status: no live endpoint (" << *queueDir
                 << "/endpoint.addr missing)\n";
@@ -1569,7 +1241,7 @@ int statusCommand(const Args& args) {
     return 0;
   }
 
-  if (args.hasFlag("follow")) {
+  if (args.flag("follow")) {
     if (addr.empty()) {
       std::cerr << "status: --follow needs a live endpoint (" << *queueDir
                 << "/endpoint.addr missing)\n";
@@ -1651,17 +1323,25 @@ int dispatch(const Args& args) {
   if (args.subcommand() == "submit") return submitCommand(args);
   if (args.subcommand() == "serve") return serveCommand(args);
   if (args.subcommand() == "status") return statusCommand(args);
-  return usage();
+  throw InternalError("no handler for " + std::string(args.subcommand()));
 }
 
 }  // namespace
 }  // namespace rebench::cli
 
+/// Exit status: 0 ok; 1 a failed run, regression, audit finding, replay
+/// divergence or any other error (I/O included); 2 a command-line error,
+/// reported with the subcommand's generated usage; 3 serve's crash hook.
 int main(int argc, char** argv) {
+  using namespace rebench::cli;
+  const std::string name = argc > 1 && findCommand(argv[1]) ? argv[1] : "";
   try {
-    const rebench::cli::Args args = rebench::cli::Args::parse(argc, argv);
-    return rebench::cli::dispatch(args);
-  } catch (const rebench::Error& e) {
+    return dispatch(Args::parse(argc, argv));
+  } catch (const UsageError& e) {
+    std::cerr << "rebench" << (name.empty() ? "" : " ") << name << ": "
+              << e.what() << "\n" << usage(name);
+    return 2;
+  } catch (const std::exception& e) {
     std::cerr << "rebench: " << e.what() << "\n";
     return 1;
   }
