@@ -4,11 +4,12 @@
 // records each, 4 interleaved FOM series with a seeded mean shift at
 // 60%) is pushed through the history subsystem end to end: segment
 // serialization/parse, store-backed append (put + pin + head-ref
-// advance), full-chain query, and sliding-window changepoint detection.
-// The microbenchmarks quantify per-stage cost; reproduceAblation()
-// checks the invariants `rebench history` rests on — global sequence
-// numbers stay monotone, the seeded regime shift is flagged within one
-// window, pinned segments survive LRU eviction pressure, and index
+// advance), full-chain query, and the EDM changepoint scan that marks
+// the trend view and justifies the gate.  The microbenchmarks quantify
+// per-stage cost; reproduceAblation() checks the invariants `rebench
+// history` rests on — global sequence numbers stay monotone, the seeded
+// regime shift is flagged once, at its point, pinned segments survive
+// LRU eviction pressure, and index
 // compaction round-trips the chain byte-exactly — then writes
 // BENCH_history.json, the first point of the repo's perf trajectory
 // (ROADMAP item 4).
@@ -21,8 +22,8 @@
 #include <string>
 #include <vector>
 
-#include "core/history/changepoint.hpp"
 #include "core/history/history.hpp"
+#include "core/infer/changepoint_edm.hpp"
 #include "core/store/object_store.hpp"
 #include "core/util/error.hpp"
 #include "core/util/strings.hpp"
@@ -110,7 +111,7 @@ void BM_Changepoint(benchmark::State& state) {
     series.push_back(base + 0.1 * static_cast<double>(point % 7));
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(history::detectChangepoints(series, {}));
+    benchmark::DoNotOptimize(infer::detectChangepointsEdm(series));
   }
 }
 BENCHMARK(BM_Changepoint)->Unit(benchmark::kMillisecond);
@@ -154,19 +155,13 @@ void reproduceAblation() {
   means.reserve(one.size());
   for (const auto& record : one) means.push_back(record.mean);
   const auto cpStart = Clock::now();
-  const auto flags = history::detectChangepoints(means, {});
+  const auto flags = infer::detectChangepointsEdm(means);
   const double cpSeconds =
       std::chrono::duration<double>(Clock::now() - cpStart).count();
-  bool flaggedAtShift = false;
-  for (const auto& flag : flags) {
-    if (flag.index >= kShiftAt - 3 && flag.index <= kShiftAt + 3 &&
-        flag.shift < 0.0) {
-      flaggedAtShift = true;
-    }
-  }
-  check(flaggedAtShift,
+  check(flags.size() == 1 && flags[0].index == kShiftAt &&
+            flags[0].medianAfter < flags[0].medianBefore,
         "seeded mean shift at point " + std::to_string(kShiftAt) +
-            " is flagged within one window");
+            " is the one EDM changepoint");
 
   // Pinned segments must survive LRU pressure: reopen capped, then shove
   // junk through until evictions happen.

@@ -10,7 +10,8 @@
 // ESS-corrected interval beats the naive s/sqrt(n) one on correlated
 // series, the adaptive controller spends repeats where the noise is
 // (and only there) while always delivering the requested precision,
-// EDM pins a seeded shift without false-flagging flat noise, and the
+// EDM pins a seeded shift, centred or not, without false-flagging flat
+// noise, and the
 // half-split guard catches warmup drift — then writes BENCH_infer.json.
 #include <benchmark/benchmark.h>
 
@@ -240,6 +241,27 @@ void reproduceAblation() {
   check(edmFpRate <= 0.05, "EDM false-positive rate on flat noise is " +
                                str::fixed(edmFpRate * 100.0, 1) + "%");
 
+  // The same shift three quarters of the way in must be flagged once,
+  // where it is: a split statistic weighted towards the centre misses it.
+  // Its own generator leaves the draws of the checks around it unchanged.
+  Rng offCentreRng(99);
+  int edmOffCentreHits = 0;
+  for (int t = 0; t < kTrials; ++t) {
+    std::vector<double> shifted;
+    for (int i = 0; i < 24; ++i) {
+      shifted.push_back((i < 18 ? 100.0 : 90.0) + offCentreRng.normal());
+    }
+    const auto flags = infer::detectChangepointsEdm(shifted);
+    if (flags.size() == 1 && flags[0].index >= 17 && flags[0].index <= 19) {
+      ++edmOffCentreHits;
+    }
+  }
+  const double edmOffCentreHitRate =
+      static_cast<double>(edmOffCentreHits) / kTrials;
+  check(edmOffCentreHitRate >= 0.9,
+        "EDM flags a shift at 18 of 24 exactly once, +/- 1 point, in " +
+            str::fixed(edmOffCentreHitRate * 100.0, 1) + "% of trials");
+
   // (5) Drift guard: warmup ramps must block convergence.
   int driftFlagged = 0;
   for (int t = 0; t < kTrials; ++t) {
@@ -274,6 +296,8 @@ void reproduceAblation() {
       << "\"adaptive_trials_per_s\":"
       << str::fixed(2.0 * kTrials / adaptiveSeconds, 1) << ","
       << "\"edm_hit_rate\":" << str::fixed(edmHitRate, 4) << ","
+      << "\"edm_offcentre_hit_rate\":" << str::fixed(edmOffCentreHitRate, 4)
+      << ","
       << "\"edm_false_positive_rate\":" << str::fixed(edmFpRate, 4) << ","
       << "\"drift_detection_rate\":" << str::fixed(driftRate, 4) << ","
       << "\"estimate_points_per_s\":"

@@ -29,6 +29,7 @@ rebench_add_bench(ablation_profile.cpp)
 rebench_add_bench(ablation_history.cpp)
 rebench_add_bench(ablation_infer.cpp)
 rebench_add_bench(ablation_dataframe.cpp)
+target_link_libraries(ablation_dataframe PRIVATE rebench_legacy_rowframe)
 
 # bench/e2e's end-to-end benchmark, compiled against the tier-1 libraries
 # so that a src/ API change which breaks it fails `cmake --build`.

@@ -1,8 +1,9 @@
 // The CI pipeline of the paper's conclusion, end to end: a simulated week
 // of nightly suite runs across systems, appending to per-system perflogs,
 // followed by the analysis battery — hygiene audit, summary statistics,
-// and regression detection — that §4 wants running "as part of a CI
-// pipeline ... to measure and track performance over time".
+// and the regression gate `rebench history --perflog --check` runs — that
+// §4 wants running "as part of a CI pipeline ... to measure and track
+// performance over time".
 //
 //   $ ./ci_nightly
 #include <cstdio>
@@ -10,8 +11,8 @@
 #include <iostream>
 
 #include "core/framework/pipeline.hpp"
+#include "core/history/history.hpp"
 #include "core/postproc/hygiene.hpp"
-#include "core/postproc/regression.hpp"
 #include "core/postproc/stats.hpp"
 #include "core/util/rng.hpp"
 #include "core/util/strings.hpp"
@@ -48,29 +49,33 @@ int main() {
   std::cout << renderHygieneReport(auditPerflog(entries));
 
   std::cout << "\n2. per-series statistics (night-to-night variability):\n";
-  PerfHistory history;
-  history.addAll(entries);
-  for (const SeriesKey& key : history.keys()) {
-    if (key.fomName != "Triad") continue;
+  const std::vector<history::HistoryRecord> records =
+      history::recordsFromPerflog(entries);
+  for (const auto& [key, series] : history::groupSeries(records)) {
+    if (series.front().fom != "Triad") continue;
     std::vector<double> values;
-    for (const HistoryPoint& point : history.series(key)) {
-      values.push_back(point.value / 1.0e3);  // GB/s
+    for (const history::HistoryRecord& record : series) {
+      values.push_back(record.mean / 1.0e3);  // GB/s
     }
-    std::cout << "  " << key.toString() << ": "
-              << renderStats(summarize(values)) << " GB/s\n";
+    std::cout << "  " << key << ": " << renderStats(summarize(values))
+              << " GB/s\n";
   }
 
-  std::cout << "\n3. regression detection:\n";
-  const auto events = history.detect();
-  if (events.empty()) {
+  std::cout << "\n3. regression gate (tonight against the nights before):\n";
+  int regressions = 0;
+  for (const history::GateResult& verdict :
+       history::checkRegression(records, {})) {
+    if (!verdict.regression) continue;
+    ++regressions;
+    std::cout << "  REGRESSION " << verdict.series << ": "
+              << verdict.justification << "\n";
+  }
+  if (regressions == 0) {
     std::cout << "  no regressions across " << kNights
               << " nights — the gate passes.\n";
-  }
-  for (const RegressionEvent& event : events) {
-    std::cout << "  REGRESSION " << event.detail << "\n";
   }
 
   std::cout << "\nperflog retained at " << perflogPath
             << " — feed it to `rebench report/history/audit/compare`.\n";
-  return events.empty() ? 0 : 1;
+  return regressions == 0 ? 0 : 1;
 }

@@ -102,12 +102,11 @@ const std::vector<Command>& table() {
       {"history", "[<test> [<target>]]", 0, 2,
        "FOM history trends and regression gate",
        {{"store", kText, "DIR", "history of a campaign store"},
-        {"perflog", kText, "F", "legacy perflog history"}, kJson,
-        {"window", kInt, "N", "rolling window (default 5, --perflog 8)", kOne},
-        {"threshold", kNumber, "X", "regression threshold (default 0.05)"},
+        {"perflog", kText, "F", "history of a perflog, one record a row"},
+        kJson, {"window", kInt, "N", "rolling window (default 5)", kOne},
+        {"threshold", kNumber, "X",
+         "--check regression threshold (default 0.05)"},
         {"check", kFlag, "", "gate the newest record; exit 1 on regression"},
-        {"detect", kFlag, "", "detect perflog regressions; exit 1 on any"},
-        {"sigmas", kNumber, "X", "--detect band width (default 3)"},
         kFrameCache}},
       {"compare", "", 0, 0, "before/after perflogs; exit 1 on regression",
        {{"before", kText, "F", "baseline perflog"},

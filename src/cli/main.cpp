@@ -8,7 +8,7 @@
 //               --perflog perf.log --repeats 3 --account ec999
 //   rebench run --benchmark hpgmg --system archer2
 //   rebench report --perflog perf.log --fom Triad
-//   rebench history --perflog perf.log --detect
+//   rebench history --perflog perf.log --check
 #include <algorithm>
 #include <array>
 #include <chrono>
@@ -43,7 +43,6 @@
 #include "core/postproc/trace_report.hpp"
 #include "core/postproc/plot.hpp"
 #include "core/postproc/hygiene.hpp"
-#include "core/postproc/regression.hpp"
 #include "core/postproc/stats.hpp"
 #include "core/service/queue.hpp"
 #include "core/service/record.hpp"
@@ -881,23 +880,38 @@ int compare(const Args& args) {
   return regressions == 0 ? 0 : 1;
 }
 
-/// Store-backed `rebench history`: trend view and regression gate over
-/// the hash-chained history the campaigns under --store appended.
-int storeHistory(const Args& args, const std::string& storeDir) {
-  // A read-only command: a mistyped DIR must not turn into a new store.
-  if (!std::filesystem::exists(std::filesystem::path(storeDir) /
-                               "index.jsonl")) {
-    std::cerr << "history: no store at " << storeDir << "\n";
-    return 2;
-  }
-  store::ObjectStore store(storeDir);
-  history::HistoryIndex index(store);
+/// `rebench history`: the records of a store's hash-chained history or
+/// of a perflog, filtered by [test [target]], then the trend view or the
+/// regression gate over them.
+int history(const Args& args) {
   const std::string test =
       args.positionals().empty() ? "" : args.positionals()[0];
   const std::string target =
       args.positionals().size() < 2 ? "" : args.positionals()[1];
-  const std::vector<history::HistoryRecord> records =
-      index.query(test, target);
+  std::vector<history::HistoryRecord> records;
+  if (const auto storeDir = args.text("store")) {
+    // A read-only command: a mistyped DIR must not turn into a new store.
+    if (!std::filesystem::exists(std::filesystem::path(*storeDir) /
+                                 "index.jsonl")) {
+      std::cerr << "history: no store at " << *storeDir << "\n";
+      return 2;
+    }
+    store::ObjectStore store(*storeDir);
+    records = history::HistoryIndex(store).query(test, target);
+  } else if (const auto path = args.text("perflog")) {
+    std::vector<PerfLogEntry> entries;
+    if (const auto cacheDir = args.text("frame-cache")) {
+      store::ObjectStore cache(*cacheDir);
+      entries =
+          tableToPerflogEntries(loadOrConvertPerflog(cache, *path).table);
+    } else {
+      entries = PerfLog::readFile(*path);
+    }
+    records = history::selectRecords(history::recordsFromPerflog(entries),
+                                     test, target);
+  } else {
+    throw UsageError("--store DIR or --perflog F required");
+  }
 
   if (args.flag("check")) {
     if (records.empty()) {
@@ -969,51 +983,8 @@ int storeHistory(const Args& args, const std::string& storeDir) {
   options.json = args.flag("json");
   options.window =
       static_cast<std::size_t>(args.integer("window").value_or(5));
-  options.changepoint.relThreshold = args.number("threshold").value_or(0.05);
   std::cout << history::renderHistory(records, options);
   return 0;
-}
-
-int history(const Args& args) {
-  if (auto storeDir = args.text("store")) {
-    return storeHistory(args, *storeDir);
-  }
-  const auto path = args.text("perflog");
-  if (!path) throw UsageError("--store DIR or --perflog F required");
-  std::vector<PerfLogEntry> all;
-  if (const auto cacheDir = args.text("frame-cache")) {
-    store::ObjectStore cache(*cacheDir);
-    all = tableToPerflogEntries(loadOrConvertPerflog(cache, *path).table);
-  } else {
-    all = PerfLog::readFile(*path);
-  }
-  PerfHistory perfHistory;
-  std::vector<PerfLogEntry> entries;
-  for (PerfLogEntry& entry : all) {
-    // result=summary aggregate rows are derived statistics, not
-    // longitudinal observations.
-    if (entry.result != "summary") entries.push_back(std::move(entry));
-  }
-  perfHistory.addAll(entries);
-
-  DetectorOptions options;
-  options.window = args.integer("window").value_or(8);
-  options.sigmas = args.number("sigmas").value_or(3.0);
-  const auto events =
-      args.flag("detect") ? perfHistory.detect(options)
-                             : std::vector<RegressionEvent>{};
-
-  for (const SeriesKey& key : perfHistory.keys()) {
-    const auto& points = perfHistory.series(key);
-    std::cout << key.toString() << ": " << points.size() << " points\n";
-    if (points.size() >= 2) {
-      std::cout << renderHistoryPlot(points, events, "") << "\n";
-    }
-  }
-  for (const RegressionEvent& event : events) {
-    std::cout << "REGRESSION " << event.detail << "\n";
-  }
-  return events.empty() ? 0 : 1;
 }
 
 /// Maps a queued invocation to its tests — injected into the service

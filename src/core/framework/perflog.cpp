@@ -1,5 +1,6 @@
 #include "core/framework/perflog.hpp"
 
+#include <charconv>
 #include <fstream>
 
 #include "core/util/error.hpp"
@@ -45,6 +46,18 @@ std::string unescape(std::string_view raw) {
     } else {
       out += raw[i];
     }
+  }
+  return out;
+}
+
+/// A numeric field must be one whole number token: a numeric prefix
+/// ("1.5abc") or an out-of-range value ("1e999") makes the line malformed.
+double parseNumber(const std::string& key, const std::string& value) {
+  double out = 0.0;
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, out);
+  if (ec != std::errc() || ptr != end) {
+    throw ParseError("malformed perflog number: " + key + "='" + value + "'");
   }
   return out;
 }
@@ -105,11 +118,11 @@ PerfLogEntry PerfLogEntry::parse(const std::string& line) {
     else if (key == "binary_id") entry.binaryId = value;
     else if (key == "job_id") entry.jobId = value;
     else if (key == "fom") entry.fomName = value;
-    else if (key == "value") entry.value = std::stod(value);
+    else if (key == "value") entry.value = parseNumber(key, value);
     else if (key == "unit") entry.unit = unitFromName(value);
-    else if (key == "ref") entry.reference = std::stod(value);
-    else if (key == "lower") entry.lowerThresh = std::stod(value);
-    else if (key == "upper") entry.upperThresh = std::stod(value);
+    else if (key == "ref") entry.reference = parseNumber(key, value);
+    else if (key == "lower") entry.lowerThresh = parseNumber(key, value);
+    else if (key == "upper") entry.upperThresh = parseNumber(key, value);
     else if (key == "result") entry.result = value;
     else if (str::startsWith(key, "x:")) entry.extras[key.substr(2)] = value;
     else throw ParseError("unknown perflog key: '" + key + "'");
@@ -167,9 +180,8 @@ PerfLog::LenientParse PerfLog::parseLinesLenient(
   for (const std::string& line : lines) {
     try {
       out.entries.push_back(PerfLogEntry::parse(line));
-    } catch (const std::exception&) {
-      // stod() throws std::invalid_argument, parse() throws ParseError;
-      // either way the line is damaged, not the file.
+    } catch (const ParseError&) {
+      // The line is damaged, not the file.
       ++out.corruptLines;
     }
   }

@@ -1,9 +1,11 @@
 #include "core/history/history.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <iomanip>
 #include <sstream>
 
+#include "core/framework/perflog.hpp"
 #include "core/framework/pipeline.hpp"
 #include "core/infer/changepoint_edm.hpp"
 #include "core/infer/estimator.hpp"
@@ -64,6 +66,41 @@ std::vector<FomAggregate> aggregateFoms(
     out.push_back(std::move(aggregate));
   }
   return out;
+}
+
+std::vector<HistoryRecord> recordsFromPerflog(
+    std::span<const PerfLogEntry> entries) {
+  std::vector<HistoryRecord> records;
+  for (std::size_t row = 0; row < entries.size(); ++row) {
+    const PerfLogEntry& entry = entries[row];
+    // Summary rows are statistics over repeats, not observations, and
+    // failed runs carry no FOM.
+    if (entry.result == "summary" || entry.result == "error") continue;
+    HistoryRecord record;
+    record.seq = row;
+    record.test = entry.testName;
+    record.target = entry.system + ":" + entry.partition;
+    record.fom = entry.fomName;
+    record.specHash = entry.specHash;
+    record.mean = entry.value;
+    record.min = entry.value;
+    record.max = entry.value;
+    record.repeats = 1;
+    records.push_back(std::move(record));
+  }
+  return records;
+}
+
+std::vector<HistoryRecord> selectRecords(std::vector<HistoryRecord> records,
+                                         std::string_view test,
+                                         std::string_view target,
+                                         std::string_view fom) {
+  std::erase_if(records, [&](const HistoryRecord& record) {
+    return (!test.empty() && record.test != test) ||
+           (!target.empty() && record.target != target) ||
+           (!fom.empty() && record.fom != fom);
+  });
+  return records;
 }
 
 std::string serializeSegment(std::span<const HistoryRecord> records,
@@ -236,14 +273,7 @@ std::vector<HistoryRecord> HistoryIndex::readAll() const {
 std::vector<HistoryRecord> HistoryIndex::query(std::string_view test,
                                                std::string_view target,
                                                std::string_view fom) const {
-  std::vector<HistoryRecord> out;
-  std::vector<HistoryRecord> all = readAll();
-  for (HistoryRecord& record : all) {
-    if (!test.empty() && record.test != test) continue;
-    if (!target.empty() && record.target != target) continue;
-    if (!fom.empty() && record.fom != fom) continue;
-    out.push_back(std::move(record));
-  }
+  std::vector<HistoryRecord> out = selectRecords(readAll(), test, target, fom);
   if (tracer_ != nullptr) {
     tracer_->beginSpan("history.query");
     tracer_->setAttr("test", test.empty() ? "*" : std::string(test));
@@ -280,6 +310,35 @@ std::map<std::string, std::vector<HistoryRecord>> groupSeries(
 
 namespace {
 
+double meanOf(std::span<const double> values) {
+  if (values.empty()) return 0.0;
+  double sum = 0.0;
+  for (const double v : values) sum += v;
+  return sum / static_cast<double>(values.size());
+}
+
+double stddevOf(std::span<const double> values) {
+  if (values.size() < 2) return 0.0;
+  const double mean = meanOf(values);
+  double squares = 0.0;
+  for (const double v : values) squares += (v - mean) * (v - mean);
+  return std::sqrt(squares / static_cast<double>(values.size()));
+}
+
+std::vector<double> meansOf(const std::vector<HistoryRecord>& series) {
+  std::vector<double> means;
+  means.reserve(series.size());
+  for (const HistoryRecord& record : series) means.push_back(record.mean);
+  return means;
+}
+
+bool flaggedAt(const std::vector<infer::EdmChangepoint>& flags,
+               std::size_t index) {
+  return std::any_of(
+      flags.begin(), flags.end(),
+      [index](const infer::EdmChangepoint& c) { return c.index == index; });
+}
+
 std::string renderHistoryText(
     const std::map<std::string, std::vector<HistoryRecord>>& series,
     const RenderOptions& options) {
@@ -296,20 +355,15 @@ std::string renderHistoryText(
     out << "== " << head.test << " @ " << head.target << " · " << head.fom
         << " (" << records.size() << " record"
         << (records.size() == 1 ? "" : "s") << ") ==\n";
-    std::vector<double> means;
-    means.reserve(records.size());
-    for (const HistoryRecord& record : records) means.push_back(record.mean);
+    const std::vector<double> means = meansOf(records);
     out << "  trend |" << sparkline(means) << "|\n";
-    const auto flags = detectChangepoints(means, options.changepoint);
+    const auto flags = infer::detectChangepointsEdm(means);
     out << "  " << std::left << std::setw(6) << "seq" << std::setw(13)
         << "mean" << std::setw(13) << "min" << std::setw(13) << "max"
         << std::setw(8) << "reps" << std::setw(13) << "roll_mean"
         << std::setw(13) << "roll_std" << "flag\n";
     for (std::size_t i = 0; i < records.size(); ++i) {
       const HistoryRecord& record = records[i];
-      const bool flagged =
-          std::any_of(flags.begin(), flags.end(),
-                      [i](const Changepoint& c) { return c.index == i; });
       out << "  " << std::left << std::setw(6) << record.seq << std::setw(13)
           << obs::formatMetricValue(record.mean) << std::setw(13)
           << obs::formatMetricValue(record.min) << std::setw(13)
@@ -318,16 +372,18 @@ std::string renderHistoryText(
           << obs::formatMetricValue(rollingMean(means, i, options.window))
           << std::setw(13)
           << obs::formatMetricValue(rollingStddev(means, i, options.window))
-          << (flagged ? "*" : "") << "\n";
+          << (flaggedAt(flags, i) ? "*" : "") << "\n";
     }
     if (flags.empty()) {
       out << "  changepoints: none\n";
     } else {
-      for (const Changepoint& flag : flags) {
-        out << "  changepoint @ seq " << records[flag.index].seq << ": mean "
-            << obs::formatMetricValue(flag.meanBefore) << " -> "
-            << obs::formatMetricValue(flag.meanAfter) << " (shift "
-            << obs::formatMetricValue(flag.shift) << ")\n";
+      for (const infer::EdmChangepoint& flag : flags) {
+        out << "  changepoint @ seq " << records[flag.index].seq
+            << ": median " << obs::formatMetricValue(flag.medianBefore)
+            << " -> " << obs::formatMetricValue(flag.medianAfter)
+            << " (shift "
+            << obs::formatMetricValue(flag.medianAfter - flag.medianBefore)
+            << ")\n";
       }
     }
   }
@@ -345,19 +401,14 @@ std::string renderHistoryJson(
     if (!firstSeries) out << ",";
     firstSeries = false;
     const HistoryRecord& head = records.front();
-    std::vector<double> means;
-    means.reserve(records.size());
-    for (const HistoryRecord& record : records) means.push_back(record.mean);
-    const auto flags = detectChangepoints(means, options.changepoint);
+    const std::vector<double> means = meansOf(records);
+    const auto flags = infer::detectChangepointsEdm(means);
     out << "{\"test\":" << obs::json::quote(head.test)
         << ",\"target\":" << obs::json::quote(head.target)
         << ",\"fom\":" << obs::json::quote(head.fom) << ",\"records\":[";
     for (std::size_t i = 0; i < records.size(); ++i) {
       const HistoryRecord& record = records[i];
       if (i != 0) out << ",";
-      const bool flagged =
-          std::any_of(flags.begin(), flags.end(),
-                      [i](const Changepoint& c) { return c.index == i; });
       out << "{\"seq\":" << record.seq
           << ",\"manifest\":" << obs::json::quote(record.manifestHash)
           << ",\"env\":" << obs::json::quote(record.envFingerprint)
@@ -373,16 +424,21 @@ std::string renderHistoryJson(
           << obs::formatMetricValue(rollingMean(means, i, options.window))
           << ",\"rolling_stddev\":"
           << obs::formatMetricValue(rollingStddev(means, i, options.window))
-          << ",\"changepoint\":" << (flagged ? "true" : "false") << "}";
+          << ",\"changepoint\":" << (flaggedAt(flags, i) ? "true" : "false")
+          << "}";
     }
     out << "],\"changepoints\":[";
     for (std::size_t i = 0; i < flags.size(); ++i) {
       if (i != 0) out << ",";
       out << "{\"index\":" << flags[i].index
-          << ",\"seq\":" << records[flags[i].index].seq << ",\"mean_before\":"
-          << obs::formatMetricValue(flags[i].meanBefore) << ",\"mean_after\":"
-          << obs::formatMetricValue(flags[i].meanAfter)
-          << ",\"shift\":" << obs::formatMetricValue(flags[i].shift) << "}";
+          << ",\"seq\":" << records[flags[i].index].seq
+          << ",\"median_before\":"
+          << obs::formatMetricValue(flags[i].medianBefore)
+          << ",\"median_after\":"
+          << obs::formatMetricValue(flags[i].medianAfter) << ",\"shift\":"
+          << obs::formatMetricValue(flags[i].medianAfter -
+                                    flags[i].medianBefore)
+          << "}";
     }
     out << "]}";
   }
@@ -397,6 +453,39 @@ std::string renderHistory(std::span<const HistoryRecord> records,
   const auto series = groupSeries(records);
   return options.json ? renderHistoryJson(series, options)
                       : renderHistoryText(series, options);
+}
+
+double rollingMean(std::span<const double> values, std::size_t index,
+                   std::size_t window) {
+  if (index >= values.size() || window == 0) return 0.0;
+  const std::size_t begin = index + 1 >= window ? index + 1 - window : 0;
+  return meanOf(values.subspan(begin, index + 1 - begin));
+}
+
+double rollingStddev(std::span<const double> values, std::size_t index,
+                     std::size_t window) {
+  if (index >= values.size() || window == 0) return 0.0;
+  const std::size_t begin = index + 1 >= window ? index + 1 - window : 0;
+  return stddevOf(values.subspan(begin, index + 1 - begin));
+}
+
+std::string sparkline(std::span<const double> values) {
+  static constexpr std::string_view kLevels = " .:-=+*#%@";
+  std::string out;
+  out.reserve(values.size());
+  if (values.empty()) return out;
+  const auto [minIt, maxIt] = std::minmax_element(values.begin(), values.end());
+  const double lo = *minIt;
+  const double span = *maxIt - lo;
+  for (const double v : values) {
+    // Degenerate (flat) series sits mid-scale instead of at zero, so a
+    // steady FOM doesn't render as blank space.
+    double unit = span > 0.0 ? (v - lo) / span : 0.5;
+    const auto level = static_cast<std::size_t>(
+        unit * static_cast<double>(kLevels.size() - 1) + 0.5);
+    out += kLevels[std::min(level, kLevels.size() - 1)];
+  }
+  return out;
 }
 
 std::vector<GateResult> checkRegression(std::span<const HistoryRecord> records,
@@ -448,10 +537,7 @@ std::vector<GateResult> checkRegression(std::span<const HistoryRecord> records,
 
     // EDM changepoint scan over the whole series for justification:
     // the most recent accepted split, if any.
-    std::vector<double> means;
-    means.reserve(series.size());
-    for (const HistoryRecord& record : series) means.push_back(record.mean);
-    const auto flags = infer::detectChangepointsEdm(means);
+    const auto flags = infer::detectChangepointsEdm(meansOf(series));
     if (!flags.empty()) {
       verdict.changepoint = true;
       verdict.changepointIndex = flags.back().index;

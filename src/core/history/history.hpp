@@ -22,6 +22,9 @@
 // On top of the index: series grouping, trend rendering (table or JSON,
 // with sparklines, rolling stats and changepoint flags), and the
 // regression gate `checkRegression` used by `rebench history --check`.
+// A perflog converts to the same records (recordsFromPerflog), so both
+// sources share one analysis: the EDM scan of rebench::infer marks the
+// trend view's changepoints and justifies the gate's verdicts.
 #pragma once
 
 #include <cstdint>
@@ -31,8 +34,6 @@
 #include <string>
 #include <string_view>
 #include <vector>
-
-#include "core/history/changepoint.hpp"
 
 namespace rebench::obs {
 class Tracer;
@@ -44,6 +45,7 @@ class ObjectStore;
 }  // namespace rebench::store
 
 namespace rebench {
+struct PerfLogEntry;
 struct TestRunResult;
 }  // namespace rebench
 
@@ -91,6 +93,19 @@ struct FomAggregate {
   int repeats = 0;
 };
 std::vector<FomAggregate> aggregateFoms(std::span<const TestRunResult> results);
+
+/// One record per perflog row that observes a FOM (result neither
+/// "summary" nor "error"), in row order: target "system:partition",
+/// mean = min = max = the row's value, repeats 1, ci 0, the row's
+/// spec_hash, and seq the row's index among `entries`.
+std::vector<HistoryRecord> recordsFromPerflog(
+    std::span<const PerfLogEntry> entries);
+
+/// The records matching the filters, in input order; empty filter = any.
+std::vector<HistoryRecord> selectRecords(std::vector<HistoryRecord> records,
+                                         std::string_view test,
+                                         std::string_view target = {},
+                                         std::string_view fom = {});
 
 /// Where the next segment attaches to the chain: the head it names as
 /// `prev`, its meta `seq` and the seq of its first record (`base`).
@@ -173,16 +188,28 @@ std::map<std::string, std::vector<HistoryRecord>> groupSeries(
 
 struct RenderOptions {
   bool json = false;
-  std::size_t window = 5;  // rolling stats + gate baseline width
-  ChangepointOptions changepoint;
+  std::size_t window = 5;  // rolling stats width
 };
 
 /// Renders the trend view `rebench history` prints: one block per
 /// series with a sparkline, per-record rows (seq, mean, min, max,
-/// repeats, rolling mean/stddev, changepoint marker) and flagged
-/// changepoints.  JSON mode emits the same data as one document.
+/// repeats, rolling mean/stddev, changepoint marker) and the EDM
+/// changepoints of the series means, the same scan checkRegression
+/// cites.  JSON mode emits the same data as one document.
 std::string renderHistory(std::span<const HistoryRecord> records,
                           const RenderOptions& options);
+
+/// Mean / population standard deviation of the up-to-`window` values
+/// ending at `index` (inclusive) — the "rolling" columns of the trend
+/// view.  An empty effective window reports 0.
+double rollingMean(std::span<const double> values, std::size_t index,
+                   std::size_t window);
+double rollingStddev(std::span<const double> values, std::size_t index,
+                     std::size_t window);
+
+/// ASCII sparkline: one character per value, min..max mapped onto
+/// " .:-=+*#%@" (a constant series sits mid-scale, all '+').
+std::string sparkline(std::span<const double> values);
 
 struct GateOptions {
   std::size_t window = 5;    // rolling-baseline width (records before newest)

@@ -1,20 +1,21 @@
 // E-divisive-with-medians (EDM) changepoint detection (rebench::infer).
 //
-// pilot-bench's detect_changepoint_edm: a robust alternative to the
-// sliding-window mean-shift scan in history/changepoint.  EDM splits a
-// series at the point that maximizes a scaled between-segment median
-// distance, normalized by a robust (MAD-based) scale estimate, then
-// recurses on both sides (binary segmentation).  Medians make it blind
-// to the occasional outlier repeat that wrecks mean-based tests, and
-// the scaled statistic
+// After pilot-bench's detect_changepoint_edm; the one changepoint scan
+// of rebench: the history trend view marks its changepoints and the
+// regression gate cites the last one.  Binary segmentation: each
+// segment splits where the total absolute deviation of each side from
+// its own median is smallest (running medians, one pass from each end,
+// O(n log n)), which puts a step where it is however far off-centre.
+// The split is accepted only when the scaled median distance
 //
 //   stat(t) = (t * (n - t) / n) * |median(left) - median(right)| / scale
 //
-// peaks at a genuine regime boundary rather than at the series edges.
-// A split is accepted only when the statistic clears `threshold` AND
-// the raw median shift clears a relative floor, so flat-but-noisy
-// series yield no changepoints.  Deterministic: no permutation test —
-// plain arithmetic in input order, same series, same flags.
+// (scale: the segment's MAD) clears `threshold` AND the raw median shift
+// clears a relative floor, so flat-but-noisy series yield no
+// changepoints; the scan then recurses on both sides.  Medians make it
+// blind to the occasional outlier repeat that wrecks mean-based tests.
+// Deterministic: no permutation test — plain arithmetic in input order,
+// same series, same flags.
 #pragma once
 
 #include <cstddef>

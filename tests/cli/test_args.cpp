@@ -55,7 +55,7 @@ TEST(CliArgs, FlagWithoutValue) {
 
 TEST(CliArgs, TrailingOptionIsFlag) {
   // Only a declared flag: a trailing value option is missing its value.
-  EXPECT_TRUE(parse({"history", "--detect"}).flag("detect"));
+  EXPECT_TRUE(parse({"history", "--check"}).flag("check"));
   EXPECT_THROW(parse({"history", "--window"}), UsageError);
   EXPECT_THROW(parse({"report", "--frame-cache"}), UsageError);
 }
@@ -120,6 +120,8 @@ TEST(CliArgs, UnknownOptionIsAnError) {
   EXPECT_THROW(parse({"suite", "--jbos", "8"}), UsageError);
   EXPECT_THROW(parse({"suite", "--stroe", "S"}), UsageError);
   EXPECT_THROW(parse({"spec", "hpgmg", "--jobs", "2"}), UsageError);
+  EXPECT_THROW(parse({"history", "--detect"}), UsageError);
+  EXPECT_THROW(parse({"history", "--sigmas", "3"}), UsageError);
   // One-letter names take one dash, longer names two.
   EXPECT_THROW(parse({"suite", "--n", "babel"}), UsageError);
   EXPECT_THROW(parse({"suite", "-system", "archer2"}), UsageError);
@@ -149,7 +151,8 @@ TEST(CliArgs, NumbersMustBeWholeAndFinite) {
   for (const char* bad : {"0.05abc", "abc", "nan", "inf", "-inf", "1e999"}) {
     EXPECT_THROW(parse({"history", "--threshold", bad}), UsageError) << bad;
   }
-  EXPECT_EQ(parse({"history", "--sigmas", "2.5e0"}).number("sigmas"), 2.5);
+  EXPECT_EQ(parse({"history", "--threshold", "2.5e0"}).number("threshold"),
+            2.5);
 }
 
 TEST(CliArgs, BoundsPerKind) {

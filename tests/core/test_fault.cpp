@@ -489,12 +489,14 @@ TEST(PerfLogLenient, SkipsAndCountsCorruptLines) {
       good.serialize(),
       "#### CORRUPTED OUTPUT ####",
       "system=x|value=not_a_number",  // truncated mid-value
+      "system=x|value=336565.526000abc",
+      "system=x|value=1e999",
       good.serialize(),
   };
   EXPECT_THROW(PerfLog::parseLines(lines), ParseError);
   const PerfLog::LenientParse parsed = PerfLog::parseLinesLenient(lines);
   EXPECT_EQ(parsed.entries.size(), 2u);
-  EXPECT_EQ(parsed.corruptLines, 2u);
+  EXPECT_EQ(parsed.corruptLines, 4u);
   EXPECT_EQ(parsed.entries[0].testName, "T");
 }
 

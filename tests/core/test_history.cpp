@@ -1,23 +1,26 @@
 // Unit tests for the longitudinal history subsystem: segment
 // serialization, the hash-chained store-backed index (pinning, broken
-// chains), FOM aggregation, changepoint detection, trend rendering and
-// the regression gate.
+// chains), FOM aggregation, the trend view's changepoints, trend
+// rendering, the regression gate, and perflogs as a record source.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/framework/perflog.hpp"
 #include "core/framework/pipeline.hpp"
-#include "core/history/changepoint.hpp"
 #include "core/history/history.hpp"
+#include "core/obs/json.hpp"
 #include "core/obs/metrics.hpp"
 #include "core/obs/trace.hpp"
 #include "core/obs/trace_reader.hpp"
 #include "core/store/object_store.hpp"
 #include "core/util/error.hpp"
+#include "core/util/rng.hpp"
 
 namespace rebench::history {
 namespace {
@@ -277,30 +280,50 @@ TEST(HistoryAggregateTest, AggregatesPerTestTargetFomInCanonicalOrder) {
   EXPECT_EQ(aggregates[2].repeats, 2);
 }
 
+/// One StreamTest/Triad series with the given means, seq = index.
+std::vector<HistoryRecord> seriesOf(const std::vector<double>& means) {
+  std::vector<HistoryRecord> records;
+  for (std::size_t i = 0; i < means.size(); ++i) {
+    records.push_back(makeRecord("StreamTest", "Triad", means[i]));
+    records.back().seq = i;
+  }
+  return records;
+}
+
+/// The record indexes the trend view lists as changepoints of its first
+/// series, read back from the JSON view.
+std::vector<std::size_t> trendChangepoints(
+    std::span<const HistoryRecord> records) {
+  const obs::json::Value doc =
+      obs::json::parse(renderHistory(records, {.json = true}));
+  std::vector<std::size_t> out;
+  for (const obs::json::Value& flag :
+       doc.at("series").array.at(0).at("changepoints").array) {
+    out.push_back(static_cast<std::size_t>(flag.at("index").number));
+  }
+  return out;
+}
+
 TEST(ChangepointTest, DetectsSeededMeanShiftOnce) {
-  // A 6% drop: a partially-overlapping after-window shifts the mean by
-  // only 2% / 4%, so the single flag lands exactly on the boundary.
-  std::vector<double> series;
-  for (int i = 0; i < 20; ++i) series.push_back(i < 12 ? 100.0 : 94.0);
-  const auto flags = detectChangepoints(series, {});
-  ASSERT_EQ(flags.size(), 1u);
-  EXPECT_EQ(flags[0].index, 12u);
-  EXPECT_LT(flags[0].shift, 0.0);
-  EXPECT_DOUBLE_EQ(flags[0].meanBefore, 100.0);
-  EXPECT_DOUBLE_EQ(flags[0].meanAfter, 94.0);
-  // Deterministic: the same series always yields the same flags.
-  const auto again = detectChangepoints(series, {});
-  ASSERT_EQ(again.size(), 1u);
-  EXPECT_EQ(again[0].index, flags[0].index);
+  std::vector<double> means;
+  for (int i = 0; i < 20; ++i) means.push_back(i < 12 ? 100.0 : 94.0);
+  const auto records = seriesOf(means);
+  EXPECT_EQ(trendChangepoints(records), std::vector<std::size_t>{12});
+  const std::string text = renderHistory(records, {});
+  EXPECT_NE(text.find("changepoint @ seq 12: median 100 -> 94 (shift -6)"),
+            std::string::npos)
+      << text;
 }
 
 TEST(ChangepointTest, FlatAndNoisySeriesYieldNoFlags) {
-  EXPECT_TRUE(detectChangepoints(std::vector<double>(16, 5.0), {}).empty());
-  // Wobble below both the relative threshold and the sigma floor.
   std::vector<double> noisy;
   for (int i = 0; i < 16; ++i) noisy.push_back(100.0 + 0.5 * (i % 4));
-  EXPECT_TRUE(detectChangepoints(noisy, {}).empty());
-  EXPECT_TRUE(detectChangepoints(std::vector<double>{1.0, 2.0}, {}).empty());
+  for (const auto& means :
+       {std::vector<double>(16, 5.0), noisy, std::vector<double>{1.0, 2.0}}) {
+    EXPECT_TRUE(trendChangepoints(seriesOf(means)).empty());
+    EXPECT_NE(renderHistory(seriesOf(means), {}).find("changepoints: none"),
+              std::string::npos);
+  }
 }
 
 TEST(ChangepointTest, RollingStatsAndSparkline) {
@@ -320,38 +343,36 @@ TEST(ChangepointTest, RollingStatsAndSparkline) {
 }
 
 TEST(ChangepointTest, SeriesShorterThanTwoWindowsYieldsNoFlags) {
-  // A boundary needs a full `window` on each side, so anything shorter
-  // than 2*window has no candidate boundary at all — even with a clear
+  // A split needs EdmOptions::minSegment (3) points on each side, so a
+  // series shorter than 6 has no candidate split — even with a clear
   // regime shift inside it.
-  const ChangepointOptions options;  // window = 3
-  EXPECT_TRUE(detectChangepoints({}, options).empty());
-  EXPECT_TRUE(
-      detectChangepoints(std::vector<double>{100.0}, options).empty());
-  EXPECT_TRUE(
-      detectChangepoints(std::vector<double>(5, 100.0), options).empty());
-  EXPECT_TRUE(detectChangepoints(
-                  std::vector<double>{100.0, 100.0, 50.0, 50.0, 50.0},
-                  options)
-                  .empty());
+  for (const auto& means :
+       {std::vector<double>{100.0}, std::vector<double>(5, 100.0),
+        std::vector<double>{100.0, 100.0, 50.0, 50.0, 50.0}}) {
+    EXPECT_TRUE(trendChangepoints(seriesOf(means)).empty());
+  }
 }
 
 TEST(ChangepointTest, ConstantSeriesNeverFlags) {
-  // Identical values at any length: zero shift, zero stddev — the
-  // detector must not divide by the zero noise floor or flag anything.
+  // Identical values at any length: zero shift and zero MAD; the scan
+  // must not divide by the zero scale or flag anything.
   for (const std::size_t n : {6u, 7u, 16u, 64u}) {
     EXPECT_TRUE(
-        detectChangepoints(std::vector<double>(n, 42.0), {}).empty());
+        trendChangepoints(seriesOf(std::vector<double>(n, 42.0))).empty());
   }
 }
 
 TEST(ChangepointTest, SinglePointShiftAtFinalRecordCannotFlag) {
-  // The newest record dropping alone cannot be flagged: the last full
-  // after-window dilutes the one shifted point to a third of its
-  // magnitude, below the relative threshold.  (That is the regression
-  // gate's job — see HistoryGateTest — not the changepoint scan's.)
-  std::vector<double> series(12, 100.0);
-  series.back() = 94.0;
-  EXPECT_TRUE(detectChangepoints(series, {}).empty());
+  // The newest record dropping alone is no regime: both sides of every
+  // split keep a median of 100.  Catching it is the gate's job.
+  std::vector<double> means(12, 100.0);
+  means.back() = 94.0;
+  const auto records = seriesOf(means);
+  EXPECT_TRUE(trendChangepoints(records).empty());
+  const auto verdicts = checkRegression(records, {});
+  ASSERT_EQ(verdicts.size(), 1u);
+  EXPECT_TRUE(verdicts[0].regression);
+  EXPECT_FALSE(verdicts[0].changepoint);
 }
 
 TEST(HistoryRenderTest, TextViewShowsTrendTableAndChangepoints) {
@@ -372,10 +393,53 @@ TEST(HistoryRenderTest, TextViewShowsTrendTableAndChangepoints) {
   const std::string json = renderHistory(records, {.json = true});
   EXPECT_NE(json.find("\"schema\":\"rebench.history/1\""), std::string::npos);
   EXPECT_NE(json.find("\"changepoint\":true"), std::string::npos);
-  EXPECT_NE(json.find("\"changepoints\":[{\"index\":8"), std::string::npos);
+  EXPECT_NE(json.find("\"changepoints\":[{\"index\":8,\"seq\":8,"
+                      "\"median_before\":100,\"median_after\":94,"
+                      "\"shift\":-6}]"),
+            std::string::npos)
+      << json;
 
   const std::string empty = renderHistory({}, {});
   EXPECT_NE(empty.find("no matching records"), std::string::npos);
+}
+
+TEST(HistoryRenderTest, LastChangepointIsTheGatesChangepoint) {
+  std::vector<double> means;
+  for (int i = 0; i < 30; ++i) {
+    means.push_back(i < 10 ? 100.0 : (i < 22 ? 80.0 : 60.0));
+  }
+  const auto records = seriesOf(means);
+  const std::vector<std::size_t> flags = trendChangepoints(records);
+  EXPECT_EQ(flags, (std::vector<std::size_t>{10, 22}));
+  const auto verdicts = checkRegression(records, {});
+  ASSERT_EQ(verdicts.size(), 1u);
+  ASSERT_TRUE(verdicts[0].changepoint);
+  ASSERT_FALSE(flags.empty());
+  EXPECT_EQ(verdicts[0].changepointIndex, flags.back());
+}
+
+TEST(HistoryPlot, MarksFlaggedPoints) {
+  std::vector<double> means;
+  for (int i = 0; i < 12; ++i) means.push_back(i < 8 ? 100.0 : 80.0);
+  const std::string text = renderHistory(seriesOf(means), {});
+  // Exactly one table row, the first of the new regime, ends in '*'.
+  std::istringstream lines(text);
+  std::vector<std::string> marked;
+  for (std::string line; std::getline(lines, line);) {
+    if (!line.empty() && line.back() == '*') marked.push_back(line);
+  }
+  ASSERT_EQ(marked.size(), 1u) << text;
+  EXPECT_EQ(marked[0].rfind("  8 ", 0), 0u) << marked[0];
+}
+
+TEST(HistoryPlot, ShortHistoryHandled) {
+  const auto records = seriesOf({100.0});
+  const std::string text = renderHistory(records, {});
+  EXPECT_NE(text.find("(1 record)"), std::string::npos);
+  EXPECT_NE(text.find("trend |+|"), std::string::npos);
+  EXPECT_NE(text.find("changepoints: none"), std::string::npos);
+  EXPECT_NE(renderHistory(records, {.json = true}).find("\"changepoints\":[]"),
+            std::string::npos);
 }
 
 TEST(HistoryGateTest, FlagsDropsBeyondThresholdOnly) {
@@ -417,6 +481,178 @@ TEST(HistoryGateTest, SingleRecordSeriesIsInsufficientNotFailing) {
   EXPECT_TRUE(verdicts[0].insufficient);
   EXPECT_FALSE(verdicts[0].regression);
   EXPECT_TRUE(verdicts[1].regression);
+}
+
+PerfLogEntry perflogRow(const std::string& system, double value,
+                        const std::string& result = "pass") {
+  PerfLogEntry entry;
+  entry.system = system;
+  entry.partition = "compute";
+  entry.testName = "BabelstreamTest_omp";
+  entry.fomName = "Triad";
+  entry.specHash = "00ff00ff00ff00ff";
+  entry.value = value;
+  entry.result = result;
+  return entry;
+}
+
+/// Nightly archer2 perflog rows: `base(night)` times 1% seeded noise.
+template <typename Base>
+std::vector<PerfLogEntry> nightlyRows(int nights, std::uint64_t seed,
+                                      Base base) {
+  Rng rng(seed);
+  std::vector<PerfLogEntry> rows;
+  for (int night = 0; night < nights; ++night) {
+    rows.push_back(perflogRow("archer2", base(night) * rng.noiseFactor(0.01)));
+  }
+  return rows;
+}
+
+/// Gates every prefix of `records` ending at a record of `series`, as a
+/// nightly CI run would, and returns the nights that regressed.
+std::vector<std::size_t> alarmNights(const std::vector<HistoryRecord>& records,
+                                     const std::string& series) {
+  std::vector<std::size_t> nights;
+  std::vector<HistoryRecord> prefix;
+  std::size_t night = 0;
+  for (const HistoryRecord& record : records) {
+    prefix.push_back(record);
+    const std::string key =
+        record.test + "|" + record.target + "|" + record.fom;
+    if (key != series) continue;
+    for (const GateResult& verdict : checkRegression(prefix, {})) {
+      if (verdict.series == series && verdict.regression) {
+        nights.push_back(night);
+      }
+    }
+    ++night;
+  }
+  return nights;
+}
+
+constexpr const char* kArcher2Series =
+    "BabelstreamTest_omp|archer2:compute|Triad";
+
+TEST(PerflogRecords, CollectsSeriesByKey) {
+  const std::vector<PerfLogEntry> rows{perflogRow("archer2", 100.0),
+                                       perflogRow("archer2", 101.0),
+                                       perflogRow("csd3", 55.0)};
+  const std::vector<HistoryRecord> records = recordsFromPerflog(rows);
+  ASSERT_EQ(records.size(), 3u);
+  const HistoryRecord& last = records[2];
+  EXPECT_EQ(last.seq, 2u);
+  EXPECT_EQ(last.test, "BabelstreamTest_omp");
+  EXPECT_EQ(last.target, "csd3:compute");
+  EXPECT_EQ(last.fom, "Triad");
+  EXPECT_EQ(last.specHash, "00ff00ff00ff00ff");
+  EXPECT_DOUBLE_EQ(last.mean, 55.0);
+  EXPECT_DOUBLE_EQ(last.min, 55.0);
+  EXPECT_DOUBLE_EQ(last.max, 55.0);
+  EXPECT_EQ(last.repeats, 1);
+  EXPECT_DOUBLE_EQ(last.ci, 0.0);
+  const auto series = groupSeries(records);
+  ASSERT_EQ(series.size(), 2u);
+  EXPECT_EQ(series.at(kArcher2Series).size(), 2u);
+  EXPECT_EQ(selectRecords(records, "", "csd3:compute").size(), 1u);
+  EXPECT_TRUE(selectRecords(records, "nosuchtest").empty());
+}
+
+TEST(PerflogRecords, ErrorAndSummaryRowsIgnored) {
+  const std::vector<PerfLogEntry> rows{perflogRow("archer2", 0.0, "error"),
+                                       perflogRow("archer2", 100.0),
+                                       perflogRow("archer2", 100.0, "summary"),
+                                       perflogRow("archer2", 99.0, "fail")};
+  const std::vector<HistoryRecord> records = recordsFromPerflog(rows);
+  // A run outside its reference band still observed its FOM.
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].seq, 1u);
+  EXPECT_EQ(records[1].seq, 3u);
+}
+
+TEST(Detector, QuietHistoryRaisesNothing) {
+  const auto records = recordsFromPerflog(
+      nightlyRows(30, 5, [](int) { return 100.0; }));
+  EXPECT_TRUE(alarmNights(records, kArcher2Series).empty());
+  EXPECT_TRUE(trendChangepoints(records).empty());
+}
+
+TEST(Detector, InjectedSlowdownIsFlagged) {
+  // 10% regression from night 12 onwards (a quietly-degraded system):
+  // the nightly gate fires on night 12 and EDM pins the regime there.
+  const auto records = recordsFromPerflog(
+      nightlyRows(20, 7, [](int night) { return night < 12 ? 100.0 : 90.0; }));
+  const std::vector<std::size_t> alarms = alarmNights(records, kArcher2Series);
+  ASSERT_FALSE(alarms.empty());
+  EXPECT_EQ(alarms.front(), 12u);
+  EXPECT_EQ(trendChangepoints(records), std::vector<std::size_t>{12});
+  const auto verdicts = checkRegression(records, {});
+  ASSERT_EQ(verdicts.size(), 1u);
+  EXPECT_EQ(verdicts[0].changepointIndex, 12u);
+  EXPECT_NE(verdicts[0].justification.find("EDM changepoint at seq 12"),
+            std::string::npos);
+}
+
+TEST(Detector, SuspiciousImprovementAlsoFlagged) {
+  // Bailey's tricks cut both ways: a sudden "improvement" often means the
+  // benchmark silently changed (wrong size, wrong build).  The trend view
+  // marks the rise; the gate, which fails drops only, stays green.
+  const auto records = recordsFromPerflog(
+      nightlyRows(15, 9, [](int night) { return night < 10 ? 100.0 : 150.0; }));
+  EXPECT_EQ(trendChangepoints(records), std::vector<std::size_t>{10});
+  EXPECT_NE(renderHistory(records, {}).find("changepoint @ seq 10"),
+            std::string::npos);
+  EXPECT_TRUE(alarmNights(records, kArcher2Series).empty());
+}
+
+TEST(Detector, MinHistoryRespected) {
+  // The gate compares from two records on; a changepoint needs
+  // EdmOptions::minSegment records on each side of it.
+  auto records = recordsFromPerflog(std::vector<PerfLogEntry>{
+      perflogRow("archer2", 100.0)});
+  auto verdicts = checkRegression(records, {});
+  ASSERT_EQ(verdicts.size(), 1u);
+  EXPECT_TRUE(verdicts[0].insufficient);
+  EXPECT_FALSE(verdicts[0].regression);
+
+  std::vector<PerfLogEntry> rows(4, perflogRow("archer2", 100.0));
+  rows.push_back(perflogRow("archer2", 10.0));
+  records = recordsFromPerflog(rows);
+  verdicts = checkRegression(records, {});
+  EXPECT_TRUE(verdicts[0].regression);
+  EXPECT_FALSE(verdicts[0].changepoint);
+  EXPECT_TRUE(trendChangepoints(records).empty());
+}
+
+TEST(Detector, MinBandFractionAbsorbsTinyNoise) {
+  // A perfectly flat history has a zero-width CI band, so a 0.3% dip is
+  // "significant"; the relative threshold keeps it from failing.
+  std::vector<PerfLogEntry> rows(10, perflogRow("archer2", 100.0));
+  rows.push_back(perflogRow("archer2", 99.7));
+  const auto records = recordsFromPerflog(rows);
+  const auto verdicts = checkRegression(records, {});
+  ASSERT_EQ(verdicts.size(), 1u);
+  EXPECT_TRUE(verdicts[0].significant);
+  EXPECT_FALSE(verdicts[0].regression);
+  EXPECT_TRUE(trendChangepoints(records).empty());
+}
+
+TEST(Detector, SeriesAreIndependent) {
+  Rng rng(11);
+  std::vector<PerfLogEntry> rows;
+  for (int night = 0; night < 16; ++night) {
+    rows.push_back(perflogRow("archer2", 100.0 * rng.noiseFactor(0.01)));
+    rows.push_back(perflogRow("csd3", night < 10 ? 200.0 : 160.0));
+  }
+  const auto records = recordsFromPerflog(rows);
+  EXPECT_TRUE(alarmNights(records, kArcher2Series).empty());
+  EXPECT_EQ(alarmNights(records, "BabelstreamTest_omp|csd3:compute|Triad")
+                .front(),
+            10u);
+  const auto verdicts = checkRegression(records, {});
+  ASSERT_EQ(verdicts.size(), 2u);
+  EXPECT_FALSE(verdicts[0].changepoint);  // archer2
+  EXPECT_TRUE(verdicts[1].changepoint);   // csd3
+  EXPECT_EQ(verdicts[1].changepointIndex, 10u);
 }
 
 }  // namespace

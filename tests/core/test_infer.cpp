@@ -2,6 +2,7 @@
 // series estimation, EDM changepoint detection, the controller's
 // window-growth rule and the CI-significance band of the history gate.
 #include <cmath>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include "core/infer/changepoint_edm.hpp"
 #include "core/infer/controller.hpp"
 #include "core/infer/estimator.hpp"
+#include "core/util/rng.hpp"
 
 namespace rebench::infer {
 namespace {
@@ -124,8 +126,10 @@ TEST(EdmTest, SeriesShorterThanTwoMinSegmentsYieldsNothing) {
 }
 
 TEST(EdmTest, ConstantAndFlatNoisySeriesYieldNothing) {
-  EXPECT_TRUE(
-      detectChangepointsEdm(std::vector<double>(12, 100.0)).empty());
+  for (const std::size_t n : {6u, 7u, 12u, 16u, 64u}) {
+    EXPECT_TRUE(detectChangepointsEdm(std::vector<double>(n, 100.0)).empty())
+        << n << " points";
+  }
   // ±1% wobble: any split's median shift stays under the 2% relative
   // floor, so no changepoint regardless of the scaled statistic.
   const std::vector<double> noisy{100.0, 101.0, 100.0, 99.0, 100.0, 101.0,
@@ -134,14 +138,52 @@ TEST(EdmTest, ConstantAndFlatNoisySeriesYieldNothing) {
 }
 
 TEST(EdmTest, SeededStepIsLocatedExactly) {
-  std::vector<double> series(6, 100.0);
-  series.insert(series.end(), 6, 50.0);
-  const std::vector<EdmChangepoint> flags = detectChangepointsEdm(series);
-  ASSERT_EQ(flags.size(), 1u);
-  EXPECT_EQ(flags[0].index, 6u);
-  EXPECT_DOUBLE_EQ(flags[0].medianBefore, 100.0);
-  EXPECT_DOUBLE_EQ(flags[0].medianAfter, 50.0);
-  EXPECT_GT(flags[0].statistic, EdmOptions{}.threshold);
+  // {before, after, step index, length}: a halving at the centre and a
+  // 6% drop at 12 of 20.
+  for (const auto& [before, after, at, n] :
+       {std::tuple{100.0, 50.0, 6u, 12u}, std::tuple{100.0, 94.0, 12u, 20u}}) {
+    std::vector<double> series(at, before);
+    series.insert(series.end(), n - at, after);
+    const std::vector<EdmChangepoint> flags = detectChangepointsEdm(series);
+    ASSERT_EQ(flags.size(), 1u);
+    EXPECT_EQ(flags[0].index, at);
+    EXPECT_DOUBLE_EQ(flags[0].medianBefore, before);
+    EXPECT_DOUBLE_EQ(flags[0].medianAfter, after);
+    EXPECT_GT(flags[0].statistic, EdmOptions{}.threshold);
+  }
+}
+
+TEST(EdmTest, OffCentreStepsAreLocatedExactly) {
+  // Each step is flagged once, where it is, however far off-centre.
+  auto steps = [](std::size_t n, std::vector<std::size_t> at,
+                  std::vector<double> levels) {
+    std::vector<double> series;
+    for (std::size_t i = 0; i < n; ++i) {
+      std::size_t regime = 0;
+      while (regime < at.size() && i >= at[regime]) ++regime;
+      series.push_back(levels[regime]);
+    }
+    return series;
+  };
+  Rng rng(9);
+  std::vector<double> rise;
+  for (int i = 0; i < 15; ++i) {
+    rise.push_back((i < 10 ? 100.0 : 150.0) * rng.noiseFactor(0.01));
+  }
+  const std::vector<std::pair<std::vector<double>, std::vector<std::size_t>>>
+      cases{{steps(12, {9}, {100.0, 80.0}), {9}},
+            {steps(1000, {250}, {100.0, 80.0}), {250}},
+            {steps(1000, {750}, {100.0, 80.0}), {750}},
+            {steps(30, {10, 22}, {100.0, 80.0, 60.0}), {10, 22}},
+            {steps(12, {8}, {100.0, 94.0}), {8}},
+            {rise, {10}}};
+  for (const auto& [series, expected] : cases) {
+    std::vector<std::size_t> found;
+    for (const EdmChangepoint& flag : detectChangepointsEdm(series)) {
+      found.push_back(flag.index);
+    }
+    EXPECT_EQ(found, expected) << series.size() << " points";
+  }
 }
 
 TEST(EdmTest, OutlierRepeatDoesNotFoolTheMedians) {
@@ -150,6 +192,10 @@ TEST(EdmTest, OutlierRepeatDoesNotFoolTheMedians) {
   const std::vector<double> series{100.0, 100.0, 100.0, 100.0, 500.0, 100.0,
                                    100.0, 100.0, 100.0, 100.0, 100.0, 100.0};
   EXPECT_TRUE(detectChangepointsEdm(series).empty());
+  // Nor does a drop in the last record only: no regime follows it.
+  std::vector<double> lastDrops(12, 100.0);
+  lastDrops.back() = 94.0;
+  EXPECT_TRUE(detectChangepointsEdm(lastDrops).empty());
 }
 
 TEST(ControllerGrowthTest, ConvergedSeriesSchedulesMinimalProbe) {

@@ -70,6 +70,20 @@ TEST(PerfLogEntry, MissingReferenceStaysAbsent) {
 TEST(PerfLogEntry, MalformedLineThrows) {
   EXPECT_THROW(PerfLogEntry::parse("not a perflog line"), ParseError);
   EXPECT_THROW(PerfLogEntry::parse("bogus_key=1"), ParseError);
+  // Numbers parse as whole tokens: no numeric prefix, no overflow.
+  for (const char* bad :
+       {"value=336565.526000abc", "value=abc", "value=1e999", "value=",
+        "ref=1.5x", "lower=-0.1 ", "upper=0x10"}) {
+    EXPECT_THROW(PerfLogEntry::parse(bad), ParseError) << bad;
+  }
+  try {
+    PerfLogEntry::parse("test=T|value=12.5abc");
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("value='12.5abc'"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(PerfLog, InMemoryAppend) {
