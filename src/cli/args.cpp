@@ -1,9 +1,10 @@
 #include "cli/args.hpp"
 
-#include <charconv>
 #include <cmath>
 #include <initializer_list>
 #include <iterator>
+
+#include "core/util/strings.hpp"
 
 namespace rebench::cli {
 namespace {
@@ -167,13 +168,19 @@ void requireMin(std::string_view what, double value, Min min,
   }
 }
 
-double parseNumber(std::string_view what, std::string_view token, Min min) {
-  double value = 0.0;
-  const char* end = token.data() + token.size();
-  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
-  if (ec != std::errc() || ptr != end || !std::isfinite(value)) {
-    throwMalformed(what, "a finite number", token);
+/// str::parseWhole, its ParseError reported as a command-line error.
+template <typename T>
+T parseToken(std::string_view what, std::string_view token) {
+  try {
+    return str::parseWhole<T>(token, what);
+  } catch (const ParseError& e) {
+    throw UsageError(e.what());
   }
+}
+
+double parseNumber(std::string_view what, std::string_view token, Min min) {
+  const double value = parseToken<double>(what, token);
+  if (!std::isfinite(value)) throwMalformed(what, "a finite number", token);
   requireMin(what, value, min, token);
   return value;
 }
@@ -241,12 +248,7 @@ std::string usage(std::string_view subcommand) {
 
 template <std::integral T>
 T parseInteger(std::string_view what, std::string_view token, Min min) {
-  T value{};
-  const char* end = token.data() + token.size();
-  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
-  if (ec != std::errc() || ptr != end) {
-    throwMalformed(what, "an integer", token);
-  }
+  const T value = parseToken<T>(what, token);
   requireMin(what, static_cast<double>(value), min, token);
   return value;
 }

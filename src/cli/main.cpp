@@ -300,6 +300,17 @@ void printInferenceDecisions(const infer::ControllerReport& inference) {
   }
 }
 
+/// Checks an option's value with `parse`: its ParseError becomes a
+/// command-line error naming the option, so a malformed value exits 2.
+template <typename Parse>
+void checkValue(std::string_view option, Parse parse) {
+  try {
+    parse();
+  } catch (const ParseError& e) {
+    throw UsageError(std::string(option) + ": " + e.what());
+  }
+}
+
 /// Normalizes the run/suite/submit options into the invocation record a
 /// campaign manifest stores (and `rebench replay` re-executes).  Absent
 /// options keep their "unset" sentinels, which the rows' bounds exclude.
@@ -317,6 +328,9 @@ store::CampaignInvocation invocationFromArgs(const Args& args,
   inv.namePattern = args.text("n").value_or("");
   inv.excludePattern = args.text("x").value_or("");
   inv.faults = args.text("faults").value_or("");
+  if (!inv.faults.empty()) {
+    checkValue("--faults", [&] { loadFaultConfig(inv.faults); });
+  }
   inv.retries = args.integer("retries").value_or(-1);
   inv.backoffBase = args.number("backoff-base").value_or(-1.0);
   inv.backoffMultiplier = args.number("backoff-mult").value_or(-1.0);
@@ -1029,6 +1043,10 @@ int serveCommand(const Args& args) {
   }
   const auto storeDir = args.text("store");
   if (!queueDir || !storeDir) throw UsageError("--queue and --store required");
+  const std::string listen = args.text("listen").value_or("");
+  if (!listen.empty()) {
+    checkValue("--listen", [&] { telemetry::validateListenAddress(listen); });
+  }
   const SystemRegistry systems = builtinSystems();
   const PackageRepository repo = builtinRepository();
   TraceSession trace(args);
@@ -1043,7 +1061,7 @@ int serveCommand(const Args& args) {
   options.submissionTimeout =
       args.number("submission-timeout").value_or(-1.0);
   options.crashAfter = args.text("crash-after").value_or("");
-  options.listen = args.text("listen").value_or("");
+  options.listen = listen;
   if (trace.active()) options.tracer = &trace.tracer;
   if (trace.active() || trace.metricsOut.has_value()) {
     options.metrics = &trace.metrics;

@@ -13,14 +13,9 @@ namespace rebench {
 namespace {
 
 double parseProb(std::string_view key, const std::string& value) {
-  double prob = 0.0;
-  try {
-    prob = std::stod(value);
-  } catch (const std::exception&) {
-    throw ParseError("fault spec: '" + std::string(key) +
-                     "' expects a number, got '" + value + "'");
-  }
-  if (prob < 0.0 || prob > 1.0) {
+  const double prob =
+      str::parseWhole<double>(value, "fault spec: '" + std::string(key) + "'");
+  if (!(prob >= 0.0 && prob <= 1.0)) {
     throw ParseError("fault spec: '" + std::string(key) +
                      "' must be in [0,1], got '" + value + "'");
   }
@@ -42,12 +37,7 @@ FaultConfig FaultConfig::parse(std::string_view spec) {
     const std::string key{str::trim(trimmed.substr(0, eq))};
     const std::string value{str::trim(trimmed.substr(eq + 1))};
     if (key == "seed") {
-      try {
-        config.seed = std::stoull(value);
-      } catch (const std::exception&) {
-        throw ParseError("fault spec: 'seed' expects an integer, got '" +
-                         value + "'");
-      }
+      config.seed = str::parseWhole<std::uint64_t>(value, "fault spec: 'seed'");
     } else if (key == "crash") {
       config.jobCrashProb = parseProb(key, value);
     } else if (key == "node") {

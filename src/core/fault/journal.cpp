@@ -3,7 +3,9 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <vector>
@@ -33,7 +35,13 @@ bool writeAll(int fd, std::string_view bytes, Durability durability) {
 
 void writeFileAtomic(const std::string& path, std::string_view bytes,
                      Durability durability, std::string_view tmp) {
-  const std::string tmpPath = tmp.empty() ? path + ".tmp" : std::string(tmp);
+  // Unique per writer, so concurrent publishers of one path never write
+  // or rename each other's temp file.
+  static std::atomic<std::uint64_t> published{0};
+  const std::string tmpPath =
+      (tmp.empty() ? path + ".tmp" : std::string(tmp)) + "." +
+      std::to_string(::getpid()) + "." +
+      std::to_string(published.fetch_add(1, std::memory_order_relaxed));
   const int fd =
       ::open(tmpPath.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
   if (fd < 0) throw Error("cannot create '" + tmpPath + "'");

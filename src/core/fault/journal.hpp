@@ -36,10 +36,13 @@ inline constexpr std::string_view kJournalSchema = "rebench.journal/1";
 /// Store, manifest and flight-record writes are published without it.
 enum class Durability { kBuffered, kFsync };
 
-/// Publishes `bytes` at `path` atomically: they are written in full to
-/// `tmp` (`path + ".tmp"` when empty), fsynced when `durability` asks for
-/// it, and renamed over `path`.  A failed or short write removes the tmp
-/// file and throws rebench::Error, leaving `path` untouched.
+/// Publishes `bytes` at `path` atomically: they are written in full to a
+/// temp file, fsynced when `durability` asks for it, and renamed over
+/// `path`.  The temp file is `<tmp>.<pid>.<n>` (`tmp` defaults to
+/// `path + ".tmp"`; n counts this process's calls), so concurrent writers
+/// of one path, in any process or thread, each publish whole.  A failed
+/// or short write removes the temp file and throws rebench::Error,
+/// leaving `path` untouched.
 void writeFileAtomic(const std::string& path, std::string_view bytes,
                      Durability durability, std::string_view tmp = {});
 

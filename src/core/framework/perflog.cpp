@@ -1,6 +1,5 @@
 #include "core/framework/perflog.hpp"
 
-#include <charconv>
 #include <fstream>
 
 #include "core/util/error.hpp"
@@ -53,13 +52,11 @@ std::string unescape(std::string_view raw) {
 /// A numeric field must be one whole number token: a numeric prefix
 /// ("1.5abc") or an out-of-range value ("1e999") makes the line malformed.
 double parseNumber(const std::string& key, const std::string& value) {
-  double out = 0.0;
-  const char* end = value.data() + value.size();
-  const auto [ptr, ec] = std::from_chars(value.data(), end, out);
-  if (ec != std::errc() || ptr != end) {
+  try {
+    return str::parseWhole<double>(value, key);
+  } catch (const ParseError&) {
     throw ParseError("malformed perflog number: " + key + "='" + value + "'");
   }
-  return out;
 }
 
 void put(std::string& line, std::string_view key, std::string_view value) {

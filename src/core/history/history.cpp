@@ -1,7 +1,10 @@
 #include "core/history/history.hpp"
 
+#include <sys/stat.h>
+
 #include <algorithm>
 #include <cmath>
+#include <ctime>
 #include <iomanip>
 #include <sstream>
 
@@ -185,6 +188,37 @@ ChainTip tipAfter(const std::string& head, std::uint64_t headSeq,
           headRecords.empty() ? 0 : headRecords.back().seq + 1};
 }
 
+std::int64_t nanoseconds(const timespec& time) {
+  return static_cast<std::int64_t>(time.tv_sec) * 1'000'000'000 +
+         time.tv_nsec;
+}
+
+/// CLOCK_REALTIME_COARSE's tick: the clock file timestamps are taken from.
+std::int64_t coarseTickNs() {
+  static const std::int64_t tick = [] {
+    timespec resolution{};
+    ::clock_getres(CLOCK_REALTIME_COARSE, &resolution);
+    return std::max<std::int64_t>(nanoseconds(resolution), 1);
+  }();
+  return tick;
+}
+
+/// Fills `stamp`'s stat fields from `path`; false when the stat fails.
+bool statInto(const std::string& path, SegmentStamp& stamp) {
+  struct stat info {};
+  if (::stat(path.c_str(), &info) != 0) return false;
+  stamp.size = static_cast<std::uint64_t>(info.st_size);
+  stamp.inode = static_cast<std::uint64_t>(info.st_ino);
+  stamp.mtimeNs = nanoseconds(info.st_mtim);
+  stamp.ctimeNs = nanoseconds(info.st_ctim);
+  return true;
+}
+
+bool sameFile(const SegmentStamp& a, const SegmentStamp& b) {
+  return a.size == b.size && a.inode == b.inode && a.mtimeNs == b.mtimeNs &&
+         a.ctimeNs == b.ctimeNs;
+}
+
 }  // namespace
 
 HistoryIndex::HistoryIndex(store::ObjectStore& store) : store_(store) {}
@@ -238,9 +272,22 @@ std::string HistoryIndex::appendSegment(
   return hash;
 }
 
+std::string HistoryIndex::extend(Chain& chain,
+                                 std::span<const HistoryRecord> records) {
+  try {
+    const std::string hash = appendSegment(chain.tip, records);
+    if (!hash.empty()) readNewer(chain, hash);
+    return hash;
+  } catch (...) {
+    chain = Chain{};
+    throw;
+  }
+}
+
 std::vector<HistoryRecord> HistoryIndex::readSegment(
     const std::string& hash, std::string* prevHash,
     std::uint64_t* seq) const {
+  ++segmentReads_;
   const auto bytes = store_.get(hash);
   if (!bytes) {
     throw Error("history chain is broken: segment '" + hash +
@@ -249,20 +296,82 @@ std::vector<HistoryRecord> HistoryIndex::readSegment(
   return parseSegment(*bytes, prevHash, seq);
 }
 
-Chain HistoryIndex::readChain() const {
-  Chain chain;
-  std::vector<std::vector<HistoryRecord>> segments;  // newest first
-  std::string hash = store_.ref(kHeadRef).value_or("");
-  while (!hash.empty()) {
+std::vector<HistoryRecord> HistoryIndex::verifySegment(
+    const std::string& hash, SegmentStamp& stamp, std::string* prevHash,
+    std::uint64_t* seq) const {
+  // The clock is read before the stat: a rewrite after it lands in a
+  // later tick, so it moves the ctime of any segment older than a tick.
+  timespec now{};
+  ::clock_gettime(CLOCK_REALTIME_COARSE, &now);
+  stamp.hash = hash;
+  const bool statted = statInto(store_.objectPath(hash), stamp);
+  std::vector<HistoryRecord> records = readSegment(hash, prevHash, seq);
+  stamp.racy =
+      !statted || stamp.ctimeNs > nanoseconds(now) - coarseTickNs();
+  return records;
+}
+
+bool HistoryIndex::readNewer(Chain& chain, const std::string& head) const {
+  struct Walked {
+    std::vector<HistoryRecord> records;
+    SegmentStamp stamp;
+  };
+  std::vector<Walked> newer;  // newest first
+  ChainTip tip;
+  std::string hash = head;
+  while (!hash.empty() && hash != chain.tip.head) {
+    Walked& segment = newer.emplace_back();
     std::string prev;
     std::uint64_t seq = 0;
-    segments.push_back(readSegment(hash, &prev, &seq));
-    if (segments.size() == 1) chain.tip = tipAfter(hash, seq, segments[0]);
+    segment.records = verifySegment(hash, segment.stamp, &prev, &seq);
+    if (newer.size() == 1) tip = tipAfter(hash, seq, segment.records);
     hash = prev;
   }
-  for (auto it = segments.rbegin(); it != segments.rend(); ++it) {
-    chain.records.insert(chain.records.end(), it->begin(), it->end());
+  const bool descends = hash == chain.tip.head;
+  if (!descends) chain = Chain{};
+  if (newer.empty()) return descends;
+  if (chain.records.empty()) {
+    std::size_t total = 0;
+    for (const Walked& segment : newer) total += segment.records.size();
+    chain.records.reserve(total);
+    chain.segments.reserve(newer.size());
   }
+  // Copied, not moved: the copies sit together while the parse's
+  // interleaved allocations are freed whole.  Moving them raised
+  // history_check's peak RSS by 0.5 MB (bench/e2e, 1000 segments).
+  for (auto it = newer.rbegin(); it != newer.rend(); ++it) {
+    chain.records.insert(chain.records.end(), it->records.begin(),
+                         it->records.end());
+    chain.segments.push_back(std::move(it->stamp));
+  }
+  chain.tip = tip;
+  return descends;
+}
+
+void HistoryIndex::refresh(Chain& chain) const {
+  try {
+    const std::size_t covered = chain.segments.size();
+    if (!readNewer(chain, store_.ref(kHeadRef).value_or(""))) return;
+    // Segments are content-addressed: a re-read that still hashes to its
+    // name holds the records the chain already has.
+    for (std::size_t i = 0; i < covered; ++i) {
+      SegmentStamp& stamp = chain.segments[i];
+      SegmentStamp now;
+      if (!stamp.racy && statInto(store_.objectPath(stamp.hash), now) &&
+          sameFile(now, stamp)) {
+        continue;
+      }
+      verifySegment(stamp.hash, stamp, nullptr, nullptr);
+    }
+  } catch (...) {
+    chain = Chain{};
+    throw;
+  }
+}
+
+Chain HistoryIndex::readChain() const {
+  Chain chain;
+  refresh(chain);
   return chain;
 }
 

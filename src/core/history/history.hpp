@@ -18,6 +18,9 @@
 // are verified by the store as usual.  Everything appended derives from
 // canonical campaign results and manifests, so history bytes — like
 // every other rebench artefact — are identical at every --jobs width.
+// A long-lived reader (the serve daemon) keeps a Chain and refreshes it,
+// re-reading only the segments that are new, changed on disk or racily
+// clean (HistoryIndex::refresh).
 //
 // On top of the index: series grouping, trend rendering (table or JSON,
 // with sparklines, rolling stats and changepoint flags), and the
@@ -115,10 +118,25 @@ struct ChainTip {
   std::uint64_t base = 0;
 };
 
-/// One verified walk of the whole chain.
+/// The stat fingerprint a segment file was verified under.  Segments are
+/// immutable, so while the fingerprint holds the verified records do too.
+struct SegmentStamp {
+  std::string hash;
+  std::uint64_t size = 0;
+  std::uint64_t inode = 0;
+  std::int64_t mtimeNs = 0;
+  std::int64_t ctimeNs = 0;
+  /// The ctime was not at least one CLOCK_REALTIME_COARSE tick older than
+  /// the clock read before the stat: a rewrite in that same tick could
+  /// leave every field above unchanged, so the next refresh re-reads it.
+  bool racy = true;
+};
+
+/// A verified view of the chain, kept up to date by HistoryIndex::refresh.
 struct Chain {
   std::vector<HistoryRecord> records;  // oldest first
   ChainTip tip;
+  std::vector<SegmentStamp> segments;  // oldest first, one per segment
 };
 
 /// The chain view over an ObjectStore.  Not thread-safe; callers append
@@ -144,11 +162,25 @@ class HistoryIndex {
   std::string appendSegment(const ChainTip& tip,
                             std::span<const HistoryRecord> records);
 
-  /// All records, oldest first.  A broken chain (evicted or corrupt
-  /// segment) throws rebench::Error naming the missing hash.
+  /// appendSegment at `chain`'s tip, then extends `chain` by a verified
+  /// read-back of the new segment; no other segment is read.  A throw
+  /// leaves `chain` empty.
+  std::string extend(Chain& chain, std::span<const HistoryRecord> records);
+
+  /// Brings `chain` up to date with the store in one pass: verified reads
+  /// of the segments newer than its tip, a stat of every segment it
+  /// covers, and a verified re-read of each covered segment whose stamp
+  /// changed or was racy.  A head that does not descend from the tip
+  /// replaces the chain with a full walk.  A broken chain (missing,
+  /// corrupt or rewritten segment) throws rebench::Error naming the hash
+  /// and leaves `chain` empty.
+  void refresh(Chain& chain) const;
+
+  /// All records, oldest first: readChain().records.
   std::vector<HistoryRecord> readAll() const;
 
-  /// readAll plus the tip the next segment attaches to, from one walk.
+  /// One full walk: refresh of an empty chain, so a broken chain throws
+  /// rebench::Error naming the missing or corrupt segment.
   Chain readChain() const;
 
   /// Verified read of one segment, parsed as parseSegment does; a
@@ -156,6 +188,9 @@ class HistoryIndex {
   std::vector<HistoryRecord> readSegment(const std::string& hash,
                                          std::string* prevHash = nullptr,
                                          std::uint64_t* seq = nullptr) const;
+
+  /// Verified segment reads this index has made.
+  std::uint64_t segmentReads() const { return segmentReads_; }
 
   /// Records matching the filters, oldest first; empty filter = any.
   std::vector<HistoryRecord> query(std::string_view test,
@@ -165,9 +200,20 @@ class HistoryIndex {
   std::size_t segmentCount() const;
 
  private:
+  /// readSegment, stamped with a stat taken just before the read.
+  std::vector<HistoryRecord> verifySegment(const std::string& hash,
+                                           SegmentStamp& stamp,
+                                           std::string* prevHash,
+                                           std::uint64_t* seq) const;
+  /// Verified reads from `head` back to `chain`'s tip, appended to it.
+  /// Returns false when the walk reached the root without meeting the
+  /// tip: the chain then holds exactly the walked segments.
+  bool readNewer(Chain& chain, const std::string& head) const;
+
   store::ObjectStore& store_;
   obs::Tracer* tracer_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
+  mutable std::uint64_t segmentReads_ = 0;
 };
 
 /// Serialization used for segment blobs (exposed for tests/tools).

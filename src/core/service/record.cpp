@@ -248,40 +248,51 @@ std::vector<history::HistoryRecord> historyRecordsFor(
   return records;
 }
 
-/// The one gate implementation: checks every series in `all` and keeps
-/// the ones `outcome` touched, with their spans and counters.
+/// The one gate implementation: checks the series `outcome` touched,
+/// with their spans and counters.  Series are gated independently, so
+/// only their records go to checkRegression.
 std::vector<history::GateResult> gateTouchedSeries(
     std::span<const history::HistoryRecord> all, const ExecutedRecord& outcome,
     const history::GateOptions& options, obs::Tracer* tracer,
     obs::MetricsRegistry* metrics) {
-  std::vector<history::GateResult> touched;
-  for (const history::GateResult& gate :
-       history::checkRegression(all, options)) {
-    for (const AggregateRecord& agg : outcome.aggregates) {
-      if (gate.series != agg.test + "|" + agg.target + "|" + agg.fom) {
-        continue;
-      }
-      if (tracer != nullptr) {
-        tracer->beginSpan("infer.changepoint");
-        tracer->setAttr("test", agg.test);
-        tracer->setAttr("target", agg.target);
-        tracer->setAttr("fom", agg.fom);
-        tracer->setAttr("repeats", std::to_string(agg.repeats));
-        tracer->setAttr("ess", str::fixed(gate.latestEss, 3));
-        tracer->setAttr("ci_halfwidth", str::fixed(gate.latestCi, 6));
-        tracer->setAttr("baseline_ci", str::fixed(gate.baselineCi, 6));
-        tracer->setAttr("regression", gate.regression ? "true" : "false");
-        tracer->setAttr("significant", gate.significant ? "true" : "false");
-        tracer->setAttr("changepoint", gate.changepoint ? "true" : "false");
-        tracer->endSpan();
-      }
-      if (metrics != nullptr) {
-        metrics->counter("infer.gated_series").inc();
-        if (gate.regression) metrics->counter("infer.regressions").inc();
-        if (gate.changepoint) metrics->counter("infer.changepoints").inc();
-      }
-      touched.push_back(gate);
-      break;
+  std::vector<history::HistoryRecord> own;
+  for (const history::HistoryRecord& record : all) {
+    if (std::any_of(outcome.aggregates.begin(), outcome.aggregates.end(),
+                    [&](const AggregateRecord& agg) {
+                      return agg.test == record.test &&
+                             agg.target == record.target &&
+                             agg.fom == record.fom;
+                    })) {
+      own.push_back(record);
+    }
+  }
+  std::vector<history::GateResult> touched =
+      history::checkRegression(own, options);
+  for (const history::GateResult& gate : touched) {
+    const AggregateRecord& agg = *std::find_if(
+        outcome.aggregates.begin(), outcome.aggregates.end(),
+        [&](const AggregateRecord& candidate) {
+          return gate.series == candidate.test + "|" + candidate.target +
+                                    "|" + candidate.fom;
+        });
+    if (tracer != nullptr) {
+      tracer->beginSpan("infer.changepoint");
+      tracer->setAttr("test", agg.test);
+      tracer->setAttr("target", agg.target);
+      tracer->setAttr("fom", agg.fom);
+      tracer->setAttr("repeats", std::to_string(agg.repeats));
+      tracer->setAttr("ess", str::fixed(gate.latestEss, 3));
+      tracer->setAttr("ci_halfwidth", str::fixed(gate.latestCi, 6));
+      tracer->setAttr("baseline_ci", str::fixed(gate.baselineCi, 6));
+      tracer->setAttr("regression", gate.regression ? "true" : "false");
+      tracer->setAttr("significant", gate.significant ? "true" : "false");
+      tracer->setAttr("changepoint", gate.changepoint ? "true" : "false");
+      tracer->endSpan();
+    }
+    if (metrics != nullptr) {
+      metrics->counter("infer.gated_series").inc();
+      if (gate.regression) metrics->counter("infer.regressions").inc();
+      if (gate.changepoint) metrics->counter("infer.changepoints").inc();
     }
   }
   return touched;
@@ -321,21 +332,17 @@ std::vector<history::GateResult> gateCampaign(
 }
 
 std::vector<history::GateResult> appendAndGateCampaign(
-    store::ObjectStore& store, const ExecutedRecord& outcome,
-    const SystemRegistry& systems, const history::GateOptions& options,
-    obs::Tracer* tracer, obs::MetricsRegistry* metrics) {
+    store::ObjectStore& store, history::Chain& chain,
+    const ExecutedRecord& outcome, const SystemRegistry& systems,
+    const history::GateOptions& options, obs::Tracer* tracer,
+    obs::MetricsRegistry* metrics) {
   history::HistoryIndex index(store);
-  history::Chain chain = index.readChain();
+  index.refresh(chain);
   if (!outcome.aggregates.empty() &&
       !cites(chain.records, outcome.manifestHash)) {
-    const std::string segment = index.appendSegment(
-        chain.tip, historyRecordsFor(outcome, systems));
-    // Read back through the verified path, so the gate sees exactly the
-    // bytes a fresh readAll would.
-    const std::vector<history::HistoryRecord> appended =
-        index.readSegment(segment);
-    chain.records.insert(chain.records.end(), appended.begin(),
-                         appended.end());
+    // The verified read-back gives the gate exactly the bytes a fresh
+    // walk would.
+    index.extend(chain, historyRecordsFor(outcome, systems));
   }
   return gateTouchedSeries(chain.records, outcome, options, tracer, metrics);
 }

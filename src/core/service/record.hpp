@@ -109,12 +109,12 @@ HistoryAppendResult appendCampaignHistory(store::ObjectStore& store,
 
 /// Runs the statistically-grounded regression gate over the series this
 /// campaign touched: reads the full history and checks each (test,
-/// target, fom) series the outcome's aggregates name.  Returns the
-/// per-series results (only for touched series).  With a tracer
-/// attached, one `infer.changepoint` span per gated series carries the
-/// decision evidence (test/target/fom/repeats/ess/ci_halfwidth — the
-/// trace_lint contract — plus regression/changepoint flags).  Throws
-/// rebench::Error when the history is unreadable.
+/// target, fom) series the outcome's aggregates name, from those series'
+/// records alone.  Returns the per-series results (only for touched
+/// series).  With a tracer attached, one `infer.changepoint` span per
+/// gated series carries the decision evidence (test/target/fom/repeats/
+/// ess/ci_halfwidth — the trace_lint contract — plus regression/changepoint
+/// flags).  Throws rebench::Error when the history is unreadable.
 std::vector<history::GateResult> gateCampaign(
     store::ObjectStore& store, const ExecutedRecord& outcome,
     const history::GateOptions& options, obs::Tracer* tracer = nullptr,
@@ -122,14 +122,17 @@ std::vector<history::GateResult> gateCampaign(
 
 /// The serve daemon's history tail: appendCampaignHistory with
 /// `skipIfCited` followed by gateCampaign, with the same bytes and
-/// results, from one verified chain walk.  The walk feeds the "already
-/// cited" check and gives the append its tip; the new segment joins the
-/// gate's input through a verified read-back.  Throws rebench::Error
-/// when the history is unreadable.
+/// results, over the daemon's long-lived `chain`.  A refresh brings the
+/// chain up to date (HistoryIndex::refresh) and feeds the "already
+/// cited" check and the append's tip; the new segment joins the gate's
+/// input through a verified read-back.  Throws rebench::Error when the
+/// history is unreadable, leaving `chain` empty so the next call walks
+/// the whole chain again.
 std::vector<history::GateResult> appendAndGateCampaign(
-    store::ObjectStore& store, const ExecutedRecord& outcome,
-    const SystemRegistry& systems, const history::GateOptions& options,
-    obs::Tracer* tracer = nullptr, obs::MetricsRegistry* metrics = nullptr);
+    store::ObjectStore& store, history::Chain& chain,
+    const ExecutedRecord& outcome, const SystemRegistry& systems,
+    const history::GateOptions& options, obs::Tracer* tracer = nullptr,
+    obs::MetricsRegistry* metrics = nullptr);
 
 /// The run-memoization key: hash(invocation bytes + environment
 /// fingerprint + system/partition configuration + concretized spec DAG

@@ -43,6 +43,9 @@ struct RunContextState {
   CircuitBreaker& breaker;
   ServeReport& report;
   telemetry::TelemetryPlane& plane;
+  /// The history as of the last executed verdict; empty until the first
+  /// one, and again after a refresh fails.
+  history::Chain& history;
 };
 
 void writeHealthSnapshot(const ServeOptions& options,
@@ -350,8 +353,9 @@ void processSubmission(const RunContextState& ctx,
       // Idempotent under crash/resume: a previous incarnation's append
       // of this manifest hash is detected and skipped.
       for (const history::GateResult& gate : appendAndGateCampaign(
-               ctx.store, outcome, systems, history::GateOptions{},
-               ctx.options.tracer, ctx.options.metrics)) {
+               ctx.store, ctx.history, outcome, systems,
+               history::GateOptions{}, ctx.options.tracer,
+               ctx.options.metrics)) {
         if (gate.regression) ++regressions;
       }
       verdict.verdict = regressions > 0 ? "ran:regressed" : "ran:clean";
@@ -463,8 +467,9 @@ ServeReport Service::run() {
   CircuitBreaker breaker(options_.quarantineAfter);
   ServeReport report;
   telemetry::TelemetryPlane plane;
-  RunContextState ctx{options_,       store, runCache, journal,
-                      breaker, report, plane};
+  history::Chain history;
+  RunContextState ctx{options_, store,  runCache, journal,
+                      breaker,  report, plane,    history};
   plane.setWatchdogArms((options_.stageTimeout > 0.0 ? 1 : 0) +
                         (options_.submissionTimeout > 0.0 ? 1 : 0));
 

@@ -156,11 +156,8 @@ std::string ObjectStore::put(std::string_view bytes) {
   // Atomic publication: a concurrent writer of the same content races to
   // an identical file, and the rename makes whichever lands last win
   // whole.
-  const std::string tmp =
-      (fs::path(dir_) / ("tmp-" + hash + "-" +
-                         std::to_string(static_cast<unsigned>(tick_))))
-          .string();
-  writeFileAtomic(objectPath(hash), bytes, Durability::kBuffered, tmp);
+  writeFileAtomic(objectPath(hash), bytes, Durability::kBuffered,
+                  (fs::path(dir_) / ("tmp-" + hash)).string());
   Entry entry;
   entry.bytes = bytes.size();
   entry.lastUse = tick_++;

@@ -11,6 +11,7 @@
 #include <sstream>
 
 #include "core/util/error.hpp"
+#include "core/util/strings.hpp"
 
 namespace rebench::telemetry {
 
@@ -25,17 +26,14 @@ ParsedAddress parseHostPort(const std::string& listen) {
   const std::size_t colon = listen.rfind(':');
   if (colon == std::string::npos || colon == 0 ||
       colon + 1 >= listen.size()) {
-    throw Error("listen address '" + listen + "' is not HOST:PORT");
+    throw ParseError("listen address '" + listen + "' is not HOST:PORT");
   }
   ParsedAddress parsed;
   parsed.host = listen.substr(0, colon);
-  try {
-    parsed.port = std::stoi(listen.substr(colon + 1));
-  } catch (const std::exception&) {
-    throw Error("listen address '" + listen + "' has a non-numeric port");
-  }
+  parsed.port = str::parseWhole<int>(std::string_view(listen).substr(colon + 1),
+                                     "listen address '" + listen + "' port");
   if (parsed.port < 0 || parsed.port > 65535) {
-    throw Error("listen port out of range in '" + listen + "'");
+    throw ParseError("listen port out of range in '" + listen + "'");
   }
   return parsed;
 }
@@ -47,7 +45,7 @@ sockaddr_in resolveIpv4(const ParsedAddress& address) {
   const std::string host =
       address.host == "localhost" ? "127.0.0.1" : address.host;
   if (inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    throw Error("cannot parse IPv4 host '" + address.host + "'");
+    throw ParseError("cannot parse IPv4 host '" + address.host + "'");
   }
   return addr;
 }
@@ -93,6 +91,10 @@ void writeAll(int fd, const std::string& bytes) {
 }
 
 }  // namespace
+
+void validateListenAddress(const std::string& listen) {
+  resolveIpv4(parseHostPort(listen));
+}
 
 StatusServer::StatusServer(Handler handler)
     : handler_(std::move(handler)),

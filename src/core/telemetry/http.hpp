@@ -42,6 +42,11 @@ struct HttpResponse {
   std::string body;
 };
 
+/// Checks "HOST:PORT" as StatusServer::start reads it: an IPv4 host or
+/// localhost, and a whole-token port in [0, 65535] (0 = ephemeral).
+/// Throws ParseError otherwise.
+void validateListenAddress(const std::string& listen);
+
 class StatusServer {
  public:
   using Handler = std::function<HttpResponse(const HttpRequest&)>;

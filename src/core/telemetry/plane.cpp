@@ -4,6 +4,7 @@
 
 #include "core/obs/json.hpp"
 #include "core/obs/openmetrics.hpp"
+#include "core/util/error.hpp"
 #include "core/util/strings.hpp"
 
 namespace rebench::telemetry {
@@ -199,8 +200,9 @@ HttpResponse TelemetryPlane::handle(const HttpRequest& request) const {
     std::uint64_t since = 0;
     if (request.query.rfind("since=", 0) == 0) {
       try {
-        since = std::stoull(request.query.substr(6));
-      } catch (const std::exception&) {
+        since = str::parseWhole<std::uint64_t>(
+            std::string_view(request.query).substr(6), "since=");
+      } catch (const ParseError&) {
         return {400, "text/plain", "bad since= value\n"};
       }
     }

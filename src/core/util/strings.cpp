@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdio>
+#include <type_traits>
+
+#include "core/util/error.hpp"
 
 namespace rebench::str {
 
@@ -106,5 +110,24 @@ std::string padRight(std::string_view s, std::size_t width) {
   if (out.size() < width) out.append(width - out.size(), ' ');
   return out;
 }
+
+template <typename T>
+T parseWhole(std::string_view token, std::string_view what) {
+  T value{};
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (ec != std::errc() || ptr != end) {
+    throw ParseError(std::string(what) + " expects " +
+                     (std::is_integral_v<T> ? "an integer" : "a number") +
+                     ", got '" + std::string(token) + "'");
+  }
+  return value;
+}
+template int parseWhole<int>(std::string_view, std::string_view);
+template unsigned long parseWhole<unsigned long>(std::string_view,
+                                                 std::string_view);
+template unsigned long long parseWhole<unsigned long long>(std::string_view,
+                                                           std::string_view);
+template double parseWhole<double>(std::string_view, std::string_view);
 
 }  // namespace rebench::str

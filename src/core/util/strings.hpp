@@ -38,4 +38,13 @@ std::string fixed(double value, int digits);
 std::string padLeft(std::string_view s, std::size_t width);
 std::string padRight(std::string_view s, std::size_t width);
 
+/// Reads all of `token` as one T with std::from_chars.  An empty token, a
+/// numeric prefix ("13x"), a leading '+' or space, a '-' on an unsigned
+/// T, or a value T cannot hold throws ParseError "<what> expects an
+/// integer|a number, got '<token>'".  A floating-point token may spell
+/// inf or nan.  Defined for int, unsigned long, unsigned long long and
+/// double, so std::size_t and std::uint64_t work on every platform.
+template <typename T>
+T parseWhole(std::string_view token, std::string_view what);
+
 }  // namespace rebench::str

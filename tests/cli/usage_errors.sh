@@ -50,6 +50,16 @@ expect_usage_error --stage-timeout $suite --stage-timeout abc
 expect_usage_error --ntimes run --benchmark babelstream --system noctua2 --ntimes abc
 expect_usage_error --quarantine-after serve --queue q --store s --once --quarantine-after 0
 test ! -e q || fail "a rejected serve touched its queue"
+# Values parsed past the option table are whole tokens too: a numeric
+# prefix is neither a fault seed nor a port.
+expect_usage_error --faults $babel --faults 'seed=13x,crash=0.3'
+expect_usage_error --faults $babel --faults 'seed=abc'
+expect_usage_error --faults $suite --faults 'crash=0.3x'
+expect_usage_error --faults submit --queue q --benchmark babelstream --faults 'seed=13x'
+expect_usage_error --listen serve --queue q --store s --once --listen 127.0.0.1:80x
+expect_usage_error --listen serve --queue q --store s --once --listen 127.0.0.1:70000
+expect_usage_error --listen serve --queue q --store s --once --listen nohost:0
+test ! -e q || fail "a rejected serve or submit touched its queue"
 # A malformed -S value names the setting.
 expect_usage_error num_tasks run --benchmark hpcg --system noctua2 -S num_tasks=x
 # A flag takes no value, and the token after it is an operand.

@@ -6,9 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <thread>
+#include <vector>
 
 #include "core/fault/failure.hpp"
 #include "core/fault/fault.hpp"
@@ -52,6 +55,11 @@ TEST(FaultConfig, RejectsMalformedSpecs) {
   EXPECT_THROW(FaultConfig::parse("crash=-0.1"), ParseError);
   EXPECT_THROW(FaultConfig::parse("crash=abc"), ParseError);
   EXPECT_THROW(FaultConfig::parse("seed=xyz"), ParseError);
+  // Values are whole tokens: a numeric prefix is not the number.
+  EXPECT_THROW(FaultConfig::parse("seed=13x,crash=0.3"), ParseError);
+  EXPECT_THROW(FaultConfig::parse("crash=0.3x"), ParseError);
+  EXPECT_THROW(FaultConfig::parse("seed=-1"), ParseError);
+  EXPECT_THROW(FaultConfig::parse("crash=nan"), ParseError);
   // Job-level fault probabilities partition one draw; they cannot sum > 1.
   EXPECT_THROW(FaultConfig::parse("crash=0.5,node=0.4,preempt=0.2"),
                ParseError);
@@ -437,6 +445,50 @@ TEST_P(SharedLog, AppendUnderFileSizeLimitThrowsAndLeavesFileIntact) {
 
 INSTANTIATE_TEST_SUITE_P(Owners, SharedLog, ::testing::ValuesIn(kLogOwners),
                          [](const auto& info) { return info.param.name; });
+
+// Concurrent publishers of one path (two `run --store` writing
+// manifests/latest.json) each write their own temp file: every call
+// returns, one writer's bytes win whole, and no temp file is left.
+TEST(WriteFileAtomic, ConcurrentWritersEachPublishWhole) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "atomic_writers";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "latest.json").string();
+  constexpr int kWriters = 8;
+  constexpr int kRounds = 50;
+  std::vector<std::string> payloads;
+  for (int w = 0; w < kWriters; ++w) {
+    payloads.push_back(std::string(4096 + w, static_cast<char>('a' + w)));
+  }
+  std::atomic<int> published{0};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      for (int round = 0; round < kRounds; ++round) {
+        try {
+          writeFileAtomic(path, payloads[static_cast<std::size_t>(w)],
+                          Durability::kBuffered);
+          ++published;
+        } catch (const Error&) {
+        }
+      }
+    });
+  }
+  for (std::thread& writer : writers) writer.join();
+  EXPECT_EQ(published.load(), kWriters * kRounds);
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  EXPECT_NE(std::find(payloads.begin(), payloads.end(), bytes.str()),
+            payloads.end());
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  EXPECT_EQ(names, std::vector<std::string>{"latest.json"});
+  std::filesystem::remove_all(dir);
+}
 
 TEST(Watchdog, LimitResolutionAndFiring) {
   WatchdogPolicy policy;

@@ -1,14 +1,20 @@
 // Unit tests for the longitudinal history subsystem: segment
 // serialization, the hash-chained store-backed index (pinning, broken
-// chains), FOM aggregation, the trend view's changepoints, trend
-// rendering, the regression gate, and perflogs as a record source.
+// chains, long-lived chains kept up to date by refresh), FOM
+// aggregation, the trend view's changepoints, trend rendering, the
+// regression gate, and perflogs as a record source.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
+#include <chrono>
+#include <ctime>
 #include <filesystem>
 #include <fstream>
 #include <span>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/framework/perflog.hpp"
@@ -240,6 +246,259 @@ TEST_F(HistoryIndexTest, AppendAndQueryEmitContractCompliantSpans) {
   // The emitted trace satisfies the trace_lint span contract.
   const obs::TraceFile trace = obs::parseTraceJsonl(tracer.toJsonl(&metrics));
   EXPECT_TRUE(obs::lintTrace(trace).empty());
+}
+
+// ------------------------------------------------- long-lived chains
+
+std::int64_t nanoseconds(const timespec& time) {
+  return static_cast<std::int64_t>(time.tv_sec) * 1'000'000'000 +
+         time.tv_nsec;
+}
+
+/// Sleeps until CLOCK_REALTIME_COARSE is a full tick past `path`'s ctime:
+/// a verification from then on trusts the file's stamp (not racy).
+void waitUntilTrustable(const std::string& path) {
+  timespec tick{};
+  ::clock_getres(CLOCK_REALTIME_COARSE, &tick);
+  struct stat info {};
+  ASSERT_EQ(::stat(path.c_str(), &info), 0) << path;
+  while (true) {
+    timespec now{};
+    ::clock_gettime(CLOCK_REALTIME_COARSE, &now);
+    if (nanoseconds(now) - nanoseconds(tick) >= nanoseconds(info.st_ctim)) {
+      return;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+/// Whether `path`'s ctime is still within a tick of CLOCK_REALTIME_COARSE:
+/// a verification that read the clock earlier must have found it racy.
+bool withinATick(const std::string& path) {
+  timespec tick{};
+  ::clock_getres(CLOCK_REALTIME_COARSE, &tick);
+  struct stat info {};
+  timespec now{};
+  ::clock_gettime(CLOCK_REALTIME_COARSE, &now);
+  return ::stat(path.c_str(), &info) == 0 &&
+         nanoseconds(info.st_ctim) + nanoseconds(tick) > nanoseconds(now);
+}
+
+/// Overwrites one byte of `path` in place: same size, same inode.
+void rewriteInPlace(const std::string& path) {
+  std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(file.is_open()) << path;
+  file.seekg(0, std::ios::end);
+  const std::streamoff middle = file.tellg() / 2;
+  file.seekg(middle);
+  char byte = 0;
+  file.get(byte);
+  file.seekp(middle);
+  file.put(byte == 'x' ? 'y' : 'x');
+}
+
+/// `count` one-record segments appended through `index`.
+void appendSegments(HistoryIndex& index, int count) {
+  for (int i = 0; i < count; ++i) {
+    index.appendSegment({{makeRecord("A", "Triad", 100.0 + i)}});
+  }
+}
+
+/// The chain's records as segment bytes, for whole-chain comparisons.
+std::string recordBytes(const Chain& chain) {
+  return serializeSegment(chain.records, "", 0, 0);
+}
+
+// A long-lived chain is as strict as a fresh walk: each way an older
+// segment can change on disk makes the next refresh throw, as readChain
+// does, and leaves the chain empty.
+TEST_F(HistoryIndexTest, RefreshCatchesInPlaceRewriteRightAfterVerify) {
+  store::ObjectStore store(dir_);
+  HistoryIndex index(store);
+  appendSegments(index, 3);
+  Chain chain;
+  index.refresh(chain);
+  ASSERT_EQ(chain.segments.size(), 3u);
+  const std::string path = store.objectPath(chain.segments[1].hash);
+  if (withinATick(path)) EXPECT_TRUE(chain.segments[1].racy);
+  rewriteInPlace(path);
+  EXPECT_THROW(index.refresh(chain), Error);
+  EXPECT_TRUE(chain.records.empty());
+  EXPECT_TRUE(chain.segments.empty());
+  EXPECT_THROW(index.readChain(), Error);
+}
+
+TEST_F(HistoryIndexTest, RefreshCatchesInPlaceRewriteOfTrustedSegment) {
+  store::ObjectStore store(dir_);
+  HistoryIndex index(store);
+  appendSegments(index, 3);
+  Chain chain;
+  index.refresh(chain);
+  waitUntilTrustable(store.objectPath(chain.segments.back().hash));
+  index.refresh(chain);  // re-reads the racy stamps: now all trusted
+  for (const SegmentStamp& stamp : chain.segments) EXPECT_FALSE(stamp.racy);
+  const std::uint64_t reads = index.segmentReads();
+  index.refresh(chain);
+  EXPECT_EQ(index.segmentReads(), reads);  // trusted: stat only
+  rewriteInPlace(store.objectPath(chain.segments[0].hash));
+  EXPECT_THROW(index.refresh(chain), Error);
+  EXPECT_TRUE(chain.records.empty());
+}
+
+TEST_F(HistoryIndexTest, RefreshCatchesRewriteWithMtimeSetBack) {
+  store::ObjectStore store(dir_);
+  HistoryIndex index(store);
+  appendSegments(index, 3);
+  Chain chain;
+  index.refresh(chain);
+  waitUntilTrustable(store.objectPath(chain.segments.back().hash));
+  index.refresh(chain);
+  const std::string path = store.objectPath(chain.segments[1].hash);
+  struct stat before {};
+  ASSERT_EQ(::stat(path.c_str(), &before), 0);
+  rewriteInPlace(path);
+  // Size and mtime as verified; only the ctime, which userspace cannot
+  // set back, records the rewrite.
+  const timespec times[2] = {before.st_atim, before.st_mtim};
+  ASSERT_EQ(::utimensat(AT_FDCWD, path.c_str(), times, 0), 0);
+  EXPECT_THROW(index.refresh(chain), Error);
+  EXPECT_TRUE(chain.records.empty());
+}
+
+TEST_F(HistoryIndexTest, RefreshCatchesDeletedSegment) {
+  store::ObjectStore store(dir_);
+  HistoryIndex index(store);
+  appendSegments(index, 3);
+  Chain chain;
+  index.refresh(chain);
+  const std::string missing = chain.segments[0].hash;
+  fs::remove(store.objectPath(missing));
+  try {
+    index.refresh(chain);
+    FAIL() << "expected broken-chain error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(missing), std::string::npos);
+  }
+  EXPECT_TRUE(chain.records.empty());
+}
+
+// A rewrite in the tick a segment was verified in may leave its whole
+// stat unchanged.  Simulated by stamping the chain with the rewritten
+// file's stat: a racy stamp is re-read regardless and the rewrite caught,
+// while a trusted stamp that matches is not read at all.
+TEST_F(HistoryIndexTest, RacyStampIsReReadEvenWhenStatMatches) {
+  store::ObjectStore store(dir_);
+  HistoryIndex index(store);
+  appendSegments(index, 2);
+  Chain chain;
+  index.refresh(chain);
+  SegmentStamp& stamp = chain.segments[0];
+  const std::string path = store.objectPath(stamp.hash);
+  const auto restamp = [&](bool racy) {
+    struct stat info {};
+    ASSERT_EQ(::stat(path.c_str(), &info), 0);
+    stamp.size = static_cast<std::uint64_t>(info.st_size);
+    stamp.inode = static_cast<std::uint64_t>(info.st_ino);
+    stamp.mtimeNs = nanoseconds(info.st_mtim);
+    stamp.ctimeNs = nanoseconds(info.st_ctim);
+    stamp.racy = racy;
+    chain.segments[1].racy = false;
+  };
+  restamp(false);
+  std::uint64_t reads = index.segmentReads();
+  index.refresh(chain);
+  EXPECT_EQ(index.segmentReads(), reads);
+  restamp(true);
+  reads = index.segmentReads();
+  index.refresh(chain);
+  EXPECT_EQ(index.segmentReads(), reads + 1);
+  rewriteInPlace(path);
+  restamp(true);
+  EXPECT_THROW(index.refresh(chain), Error);
+}
+
+// A head another writer moved is picked up by reading only the new
+// segment; the refreshed chain equals a fresh walk.
+TEST_F(HistoryIndexTest, RefreshReadsOnlySegmentsNewerThanItsTip) {
+  store::ObjectStore store(dir_);
+  HistoryIndex reader(store);
+  HistoryIndex writer(store);
+  appendSegments(writer, 3);
+  Chain chain;
+  reader.refresh(chain);
+  waitUntilTrustable(store.objectPath(chain.segments.back().hash));
+  reader.refresh(chain);
+  appendSegments(writer, 1);
+  const std::uint64_t reads = reader.segmentReads();
+  reader.refresh(chain);
+  EXPECT_EQ(reader.segmentReads(), reads + 1);
+  const Chain fresh = HistoryIndex(store).readChain();
+  EXPECT_EQ(recordBytes(chain), recordBytes(fresh));
+  EXPECT_EQ(chain.tip.head, fresh.tip.head);
+  EXPECT_EQ(chain.tip.seq, fresh.tip.seq);
+  EXPECT_EQ(chain.tip.base, fresh.tip.base);
+  ASSERT_EQ(chain.segments.size(), 4u);
+  EXPECT_EQ(chain.segments.back().hash, store.ref(kHeadRef));
+}
+
+// A head that does not descend from the chain's tip (here a fork off the
+// oldest segment) replaces the chain with a full walk.
+TEST_F(HistoryIndexTest, RefreshFallsBackToFullWalkOffTheTip) {
+  store::ObjectStore store(dir_);
+  HistoryIndex index(store);
+  appendSegments(index, 3);
+  Chain chain;
+  index.refresh(chain);
+  store.setRef(kHeadRef, chain.segments[0].hash);
+  const std::string fork =
+      index.appendSegment({{makeRecord("B", "Copy", 7.0)}});
+  const std::uint64_t reads = index.segmentReads();
+  index.refresh(chain);
+  EXPECT_EQ(index.segmentReads(), reads + 2);  // the fork and its root
+  ASSERT_EQ(chain.segments.size(), 2u);
+  EXPECT_EQ(chain.tip.head, fork);
+  EXPECT_EQ(recordBytes(chain), recordBytes(index.readChain()));
+  ASSERT_EQ(chain.records.size(), 2u);
+  EXPECT_EQ(chain.records[1].test, "B");
+}
+
+// Per-refresh reads do not grow with the history: each of 200
+// append-then-refresh rounds reads exactly the appended segment, while a
+// fresh walk reads all of them.
+TEST_F(HistoryIndexTest, RefreshReadsConstantSegmentsPerAppend) {
+  store::ObjectStore store(dir_);
+  HistoryIndex reader(store);
+  HistoryIndex writer(store);
+  Chain chain;
+  for (int round = 0; round < 200; ++round) {
+    const std::string hash =
+        writer.appendSegment({{makeRecord("A", "Triad", 100.0 + round)}});
+    waitUntilTrustable(store.objectPath(hash));
+    const std::uint64_t reads = reader.segmentReads();
+    reader.refresh(chain);
+    ASSERT_EQ(reader.segmentReads(), reads + 1) << "round " << round;
+  }
+  HistoryIndex fresh(store);
+  EXPECT_EQ(recordBytes(chain), recordBytes(fresh.readChain()));
+  EXPECT_EQ(fresh.segmentReads(), 200u);
+}
+
+// extend() appends at the chain's tip and reads back only the new
+// segment; the chain then equals a fresh walk.
+TEST_F(HistoryIndexTest, ExtendReadsBackOnlyTheNewSegment) {
+  store::ObjectStore store(dir_);
+  HistoryIndex index(store);
+  appendSegments(index, 2);
+  Chain chain;
+  index.refresh(chain);
+  const std::uint64_t reads = index.segmentReads();
+  const std::string hash =
+      index.extend(chain, {{makeRecord("B", "Copy", 5.0)}});
+  EXPECT_EQ(index.segmentReads(), reads + 1);
+  EXPECT_EQ(chain.tip.head, hash);
+  EXPECT_EQ(store.ref(kHeadRef), hash);
+  EXPECT_EQ(recordBytes(chain), recordBytes(index.readChain()));
+  EXPECT_EQ(index.extend(chain, {}), "");
 }
 
 TEST(HistoryLintTest, HistorySpanMissingAttributesIsFlagged) {

@@ -4,8 +4,10 @@
 // degraded mode — all in-process via an injected synthetic TestResolver.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -439,7 +441,9 @@ TEST_F(ServiceFixture, BrokenHistoryHeadDegradesButStillExecutes) {
   EXPECT_EQ(again.degraded, 0);
 }
 
-// Every verdict still verifies the whole chain, not just its head.
+// A daemon start verifies the whole chain, not just its head: its first
+// executed verdict walks every segment, so an older segment corrupted
+// between runs is caught.
 TEST_F(ServiceFixture, CorruptOlderSegmentDegradesAndAppendsNothing) {
   enqueueSubmission(queue_, invocation("first"));
   enqueueSubmission(queue_, invocation("second"));
@@ -466,6 +470,88 @@ TEST_F(ServiceFixture, CorruptOlderSegmentDegradesAndAppendsNothing) {
   EXPECT_EQ(objects.ref(history::kHeadRef).value_or(""), head);
 }
 
+// Within one run the daemon keeps its chain, yet a segment rewritten in
+// place between two verdicts is caught: the next verdict is degraded and
+// appends nothing.
+TEST_F(ServiceFixture, SegmentRewrittenMidRunDegradesTheNextVerdict) {
+  std::map<std::string, std::string> ids;  // benchmark -> submission
+  for (const char* name : {"first", "second", "third"}) {
+    ids[name] = enqueueSubmission(queue_, invocation(name)).id;
+  }
+  int resolved = 0;
+  std::string third;
+  std::string head;
+  Service daemon(
+      systems_, repo_, makeOptions(),
+      [&](const store::CampaignInvocation& inv) {
+        if (++resolved == 3) {
+          third = ids.at(inv.benchmark);
+          const store::ObjectStore objects(store_);
+          head = objects.ref(history::kHeadRef).value_or("");
+          std::string prev;
+          history::parseSegment(readFile(objects.objectPath(head)), &prev);
+          EXPECT_FALSE(prev.empty());
+          std::fstream file(objects.objectPath(prev),
+                            std::ios::in | std::ios::out | std::ios::binary);
+          file.seekp(0);
+          file.put('#');
+        }
+        return std::vector<RegressionTest>{syntheticTest()};
+      });
+  const ServeReport report = daemon.run();
+  EXPECT_EQ(report.executed, 3);
+  EXPECT_EQ(report.clean, 3);
+  EXPECT_EQ(report.degraded, 1);
+  ASSERT_FALSE(third.empty());
+  const Verdict verdict = Verdict::parse(readFile(verdictPath(queue_, third)));
+  EXPECT_TRUE(verdict.degraded);
+  EXPECT_NE(verdict.detail.find("history unreadable"), std::string::npos);
+  store::ObjectStore objects(store_);
+  EXPECT_EQ(objects.ref(history::kHeadRef).value_or(""), head);
+}
+
+// Gating only the campaign's own series gives exactly the full-history
+// checkRegression entries for those series.
+TEST_F(ServiceFixture, GateOfTouchedSeriesMatchesFullHistoryGate) {
+  store::ObjectStore objects(store_);
+  std::vector<ExecutedRecord> campaigns;
+  for (int i = 1; i <= 6; ++i) {
+    ExecutedRecord outcome =
+        campaignOutcome(i, i == 6 ? 60.0 : 100.0 + i, 50.0 - 0.1 * i);
+    ExecutedRecord other = campaignOutcome(100 + i, 30.0 + i, 20.0);
+    for (AggregateRecord& agg : other.aggregates) agg.test = "OtherTest";
+    appendCampaignHistory(objects, other, systems_, /*skipIfCited=*/false);
+    appendCampaignHistory(objects, outcome, systems_, /*skipIfCited=*/false);
+    campaigns.push_back(outcome);
+  }
+  const auto all = history::HistoryIndex(objects).readAll();
+  const std::vector<history::GateResult> full =
+      history::checkRegression(all, history::GateOptions{});
+  ASSERT_EQ(full.size(), 4u);  // two tests x two FOMs
+  const std::vector<history::GateResult> touched =
+      gateCampaign(objects, campaigns.back(), history::GateOptions{});
+  ASSERT_EQ(touched.size(), 2u);
+  int regressions = 0;
+  for (const history::GateResult& gate : touched) {
+    const auto same = std::find_if(
+        full.begin(), full.end(),
+        [&](const history::GateResult& g) { return g.series == gate.series; });
+    ASSERT_NE(same, full.end()) << gate.series;
+    EXPECT_EQ(gate.baseline, same->baseline);
+    EXPECT_EQ(gate.latest, same->latest);
+    EXPECT_EQ(gate.delta, same->delta);
+    EXPECT_EQ(gate.regression, same->regression);
+    EXPECT_EQ(gate.insufficient, same->insufficient);
+    EXPECT_EQ(gate.baselineCi, same->baselineCi);
+    EXPECT_EQ(gate.significant, same->significant);
+    EXPECT_EQ(gate.changepoint, same->changepoint);
+    EXPECT_EQ(gate.changepointIndex, same->changepointIndex);
+    EXPECT_EQ(gate.justification, same->justification);
+    if (gate.regression) ++regressions;
+  }
+  EXPECT_EQ(regressions, 1);  // SyntheticTest Triad dropped to 60
+}
+
 // The daemon's one-walk tail is the old append-then-gate pair, byte for
 // byte: same chain head and the same gate results, campaign by campaign,
 // including a resumed (already cited) campaign.
@@ -477,6 +563,7 @@ TEST_F(ServiceFixture, HistoryTailMatchesAppendThenGate) {
       campaignOutcome(3, 99.5, 49.5),  campaignOutcome(4, 100.5, 50.0),
       campaignOutcome(5, 70.0, 50.2),  campaignOutcome(5, 70.0, 50.2),
       campaignOutcome(6, 100.0, 20.0)};
+  history::Chain chain;  // long-lived, as the daemon's
   int regressions = 0;
   for (const ExecutedRecord& outcome : campaigns) {
     SCOPED_TRACE(outcome.manifestHash);
@@ -484,7 +571,7 @@ TEST_F(ServiceFixture, HistoryTailMatchesAppendThenGate) {
     const std::vector<history::GateResult> expected =
         gateCampaign(twoCalls, outcome, history::GateOptions{});
     const std::vector<history::GateResult> actual = appendAndGateCampaign(
-        oneWalk, outcome, systems_, history::GateOptions{});
+        oneWalk, chain, outcome, systems_, history::GateOptions{});
     EXPECT_EQ(oneWalk.ref(history::kHeadRef), twoCalls.ref(history::kHeadRef));
     ASSERT_EQ(actual.size(), expected.size());
     for (std::size_t i = 0; i < actual.size(); ++i) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
+#include "core/util/error.hpp"
+
 namespace rebench::str {
 namespace {
 
@@ -64,6 +68,32 @@ TEST(Pad, LeftAndRight) {
   EXPECT_EQ(padLeft("7", 3), "  7");
   EXPECT_EQ(padRight("7", 3), "7  ");
   EXPECT_EQ(padLeft("1234", 3), "1234");  // never truncates
+}
+
+TEST(ParseWhole, ReadsOnlyWholeTokens) {
+  EXPECT_EQ(parseWhole<int>("8080", "port"), 8080);
+  EXPECT_EQ(parseWhole<int>("-3", "n"), -3);
+  EXPECT_EQ(parseWhole<std::uint64_t>("18446744073709551615", "seed"),
+            18446744073709551615ull);
+  EXPECT_DOUBLE_EQ(parseWhole<double>("0.3", "crash"), 0.3);
+  EXPECT_DOUBLE_EQ(parseWhole<double>("1e-3", "x"), 1e-3);
+  for (const char* bad : {"", "13x", "80x", " 13", "13 ", "+13", "0x10",
+                          "abc", "1.5", "99999999999"}) {
+    EXPECT_THROW(parseWhole<int>(bad, "n"), ParseError) << bad;
+  }
+  EXPECT_THROW(parseWhole<std::uint64_t>("-1", "seed"), ParseError);
+  EXPECT_THROW(parseWhole<std::uint64_t>("18446744073709551616", "seed"),
+               ParseError);
+  for (const char* bad : {"", "0.3x", "abc", "1e999", ".", "--1"}) {
+    EXPECT_THROW(parseWhole<double>(bad, "x"), ParseError) << bad;
+  }
+  try {
+    parseWhole<std::uint64_t>("13x", "fault spec: 'seed'");
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_STREQ(e.what(),
+                 "fault spec: 'seed' expects an integer, got '13x'");
+  }
 }
 
 }  // namespace
