@@ -362,7 +362,8 @@ struct StoreSession {
   explicit StoreSession(const Args& args) : cache(!args.flag("no-cache")) {
     if (auto dir = args.text("store")) {
       store.emplace(*dir);
-      coldStart = store->objectCount() == 0;
+      coldStart = std::filesystem::is_empty(std::filesystem::path(*dir) /
+                                            "objects");
     }
   }
   bool active() const { return store.has_value(); }
@@ -415,8 +416,7 @@ struct StoreSession {
       std::cout << "store: " << buildCache->stats().hits << " cache hit(s), "
                 << buildCache->stats().misses << " rebuilt, "
                 << buildCache->stats().singleFlightDeduped
-                << " deduped by single-flight, "
-                << store->stats().evictions << " evicted - "
+                << " deduped by single-flight - "
                 << store->objectCount() << " object(s), "
                 << store->totalBytes() << " bytes in " << store->dir()
                 << "\n";
@@ -906,7 +906,7 @@ int history(const Args& args) {
   if (const auto storeDir = args.text("store")) {
     // A read-only command: a mistyped DIR must not turn into a new store.
     if (!std::filesystem::exists(std::filesystem::path(*storeDir) /
-                                 "index.jsonl")) {
+                                 "objects")) {
       std::cerr << "history: no store at " << *storeDir << "\n";
       return 2;
     }
@@ -1074,7 +1074,13 @@ int serveCommand(const Args& args) {
   std::signal(SIGINT, [](int) { service::Service::requestShutdown(); });
   service::Service daemon(systems, repo, std::move(options),
                           resolveSubmissionTests);
-  const service::ServeReport report = daemon.run();
+  service::ServeReport report;
+  try {
+    report = daemon.run();
+  } catch (const service::QueueBusyError& e) {
+    std::cerr << "rebench serve: " << e.what() << "\n";
+    return 2;
+  }
   std::signal(SIGTERM, SIG_DFL);
   std::signal(SIGINT, SIG_DFL);
 
@@ -1152,22 +1158,23 @@ void printHealthFields(const obs::json::Value& health) {
 void printFlightRecordSummary(const std::string& queueDir) {
   namespace fs = std::filesystem;
   std::string newest;
-  long long newestSeq = -1;
+  unsigned long long newestSeq = 0;
   for (const auto& entry : fs::directory_iterator(queueDir)) {
+    // Only a complete flightrec-<digits>.jsonl: a crash mid-dump leaves
+    // the atomic writer's flightrec-<seq>.jsonl.tmp.<pid>.<n> behind.
     const std::string name = entry.path().filename().string();
-    if (name.rfind("flightrec-", 0) != 0 ||
-        name.find(".jsonl") == std::string::npos) {
+    if (!name.starts_with("flightrec-") || !name.ends_with(".jsonl")) {
       continue;
     }
-    const std::string digits =
-        name.substr(10, name.size() - 10 - std::string(".jsonl").size());
-    long long seq = -1;
+    unsigned long long seq = 0;
     try {
-      seq = std::stoll(digits);
-    } catch (...) {
+      seq = str::parseWhole<unsigned long long>(
+          std::string_view(name).substr(10, name.size() - 16),
+          "flight record seq");
+    } catch (const ParseError&) {
       continue;
     }
-    if (seq > newestSeq) {
+    if (newest.empty() || seq > newestSeq) {
       newestSeq = seq;
       newest = entry.path().string();
     }
@@ -1320,7 +1327,8 @@ int dispatch(const Args& args) {
 
 /// Exit status: 0 ok; 1 a failed run, regression, audit finding, replay
 /// divergence or any other error (I/O included); 2 a command-line error,
-/// reported with the subcommand's generated usage; 3 serve's crash hook.
+/// reported with the subcommand's generated usage, or serve on a queue
+/// another daemon holds; 3 serve's crash hook.
 int main(int argc, char** argv) {
   using namespace rebench::cli;
   const std::string name = argc > 1 && findCommand(argv[1]) ? argv[1] : "";

@@ -1,6 +1,7 @@
 #include "core/fault/journal.hpp"
 
 #include <fcntl.h>
+#include <sys/file.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -62,6 +63,24 @@ void writeFileAtomic(const std::string& path, std::string_view bytes,
 
 void durableWriteFile(const std::string& path, std::string_view bytes) {
   writeFileAtomic(path, bytes, Durability::kFsync);
+}
+
+FileLock::FileLock(const std::string& path, Mode mode)
+    : fd_(::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644)) {
+  if (fd_ < 0) throw Error("cannot open lock file '" + path + "'");
+  const int operation = LOCK_EX | (mode == Mode::kTry ? LOCK_NB : 0);
+  while (::flock(fd_, operation) != 0) {
+    if (errno == EINTR) continue;
+    const bool busy = errno == EWOULDBLOCK;
+    ::close(fd_);
+    fd_ = -1;
+    if (busy) return;
+    throw Error("cannot lock '" + path + "'");
+  }
+}
+
+FileLock::~FileLock() {
+  if (fd_ >= 0) ::close(fd_);
 }
 
 JsonlLog::JsonlLog(std::string path, std::string_view schema,

@@ -2,10 +2,11 @@
 // (rebench::fault).
 //
 // JsonlLog is the one open/replay/repair/append implementation behind
-// the three append-only JSONL files: the --resume run journal (below),
-// serve's write-ahead journal (service/journal.hpp) and the store index
-// (store/object_store.hpp).  writeFileAtomic is the one way a whole file
-// is published: readers see the old file or the complete new one.
+// the append-only JSONL files: the --resume run journal (below), serve's
+// write-ahead journal (service/journal.hpp) and the old store index that
+// store/object_store.hpp converts.  writeFileAtomic is the one way a
+// whole file is published: readers see the old file or the complete new
+// one.  FileLock is the one inter-process lock.
 //
 // Run journal: a suite run appends one record per completed (test,
 // target, repeat) tuple to DIR/journal.jsonl; --resume DIR executes only
@@ -48,6 +49,26 @@ void writeFileAtomic(const std::string& path, std::string_view bytes,
 
 /// writeFileAtomic with fsync and the default tmp name.
 void durableWriteFile(const std::string& path, std::string_view bytes);
+
+/// An exclusive flock(2) on `path` (created when absent), held until the
+/// FileLock is destroyed or the process exits, however it exits.  Two
+/// FileLocks on one path exclude each other, in one process or two.
+class FileLock {
+ public:
+  enum class Mode { kWait, kTry };
+
+  /// kTry returns at once, with held() false while another holder has
+  /// the lock.  Throws rebench::Error when `path` cannot be opened.
+  explicit FileLock(const std::string& path, Mode mode = Mode::kWait);
+  ~FileLock();
+  FileLock(const FileLock&) = delete;
+  FileLock& operator=(const FileLock&) = delete;
+
+  bool held() const { return fd_ >= 0; }
+
+ private:
+  int fd_ = -1;
+};
 
 /// An append-only JSONL file: a meta line naming its schema, then one
 /// JSON record per line.

@@ -352,12 +352,11 @@ std::vector<TestRunResult> CampaignExecutor::run(
   enumerate(tests, targets);
   classifyBuildKeys();
 
-  // Workers record into per-campaign shards; the pipeline's store hooks
-  // are detached for the duration so no store event can race onto the
-  // main tracer mid-campaign (evictions re-surface after the merge).
+  // Workers record into per-campaign shards, so the store's counter hook
+  // is detached while they run.
   PipelineOptions& options = pipeline_.options_;
   if (options.store != nullptr) {
-    options.store->setObservability(nullptr, nullptr);
+    options.store->setObservability(nullptr);
   }
 
   if (jobs_ == 1 || units_.size() <= 1) {
@@ -412,7 +411,7 @@ std::vector<TestRunResult> CampaignExecutor::run(
   }
 
   if (options.store != nullptr) {
-    options.store->setObservability(options.tracer, options.metrics);
+    options.store->setObservability(options.metrics);
   }
 
   // ---- Campaign-level accounting ----------------------------------------

@@ -34,7 +34,7 @@ Pipeline::Pipeline(const SystemRegistry& systems,
       options_(std::move(options)),
       builder_(options_.rebuildEveryRun) {
   if (options_.store != nullptr) {
-    options_.store->setObservability(options_.tracer, options_.metrics);
+    options_.store->setObservability(options_.metrics);
     if (options_.cacheBuilds) {
       buildCache_.emplace(*options_.store, options_.tracer,
                           options_.metrics);

@@ -229,32 +229,34 @@ void HistoryIndex::setObservability(obs::Tracer* tracer,
   metrics_ = metrics;
 }
 
+ChainTip HistoryIndex::headTip() const {
+  const auto head = store_.ref(kHeadRef);
+  if (!head) return {};
+  std::uint64_t headSeq = 0;
+  const auto headRecords = readSegment(*head, nullptr, &headSeq);
+  return tipAfter(*head, headSeq, headRecords);
+}
+
 std::string HistoryIndex::appendSegment(
     std::span<const HistoryRecord> records) {
   if (records.empty()) return "";
-  ChainTip tip;
-  if (const auto head = store_.ref(kHeadRef)) {
-    std::uint64_t headSeq = 0;
-    const auto headRecords = readSegment(*head, nullptr, &headSeq);
-    tip = tipAfter(*head, headSeq, headRecords);
-  }
-  return appendSegment(tip, records);
+  return appendSegment(headTip(), records);
 }
 
 std::string HistoryIndex::appendSegment(
     const ChainTip& tip, std::span<const HistoryRecord> records) {
   if (records.empty()) return "";
   std::vector<HistoryRecord> stamped(records.begin(), records.end());
-  for (std::size_t i = 0; i < stamped.size(); ++i) {
-    stamped[i].seq = tip.base + i;
+  std::string hash;
+  // When another writer moved the head first, attach after its segment;
+  // the segment just put stays in the store, unreferenced.
+  for (ChainTip at = tip;; at = headTip()) {
+    for (std::size_t i = 0; i < stamped.size(); ++i) {
+      stamped[i].seq = at.base + i;
+    }
+    hash = store_.put(serializeSegment(stamped, at.head, at.seq, at.base));
+    if (store_.compareAndSetRef(kHeadRef, at.head, hash)) break;
   }
-  const std::string blob =
-      serializeSegment(stamped, tip.head, tip.seq, tip.base);
-  const std::string hash = store_.put(blob);
-  // Pin before publishing the head ref: from the moment the chain can
-  // reach this segment, LRU pressure must not be able to evict it.
-  store_.pin(hash);
-  store_.setRef(kHeadRef, hash);
   if (tracer_ != nullptr) {
     const std::string count = std::to_string(stamped.size());
     for (const HistoryRecord& record : stamped) {

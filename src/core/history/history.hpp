@@ -13,11 +13,11 @@
 //
 // Segments form a hash chain: `prev` names the previous segment (empty
 // for the first), and the chain head lives under the ObjectStore ref
-// "history/head".  Segments are *pinned* in the store so LRU pressure
-// from build artefacts can never silently amputate the history; reads
-// are verified by the store as usual.  Everything appended derives from
-// canonical campaign results and manifests, so history bytes — like
-// every other rebench artefact — are identical at every --jobs width.
+// "history/head", which advances by compare-and-swap so concurrent
+// writers each land their segment; reads are verified by the store as
+// usual.  Everything appended derives from canonical campaign results
+// and manifests, so history bytes — like every other rebench artefact —
+// are identical at every --jobs width.
 // A long-lived reader (the serve daemon) keeps a Chain and refreshes it,
 // re-reading only the segments that are new, changed on disk or racily
 // clean (HistoryIndex::refresh).
@@ -140,7 +140,8 @@ struct Chain {
 };
 
 /// The chain view over an ObjectStore.  Not thread-safe; callers append
-/// from the (single-threaded) CLI tail after campaign merge.
+/// from the (single-threaded) CLI tail after campaign merge.  Indexes in
+/// several threads or processes may append to one store directory.
 class HistoryIndex {
  public:
   explicit HistoryIndex(store::ObjectStore& store);
@@ -151,20 +152,21 @@ class HistoryIndex {
   /// contract); counters `history.append` / `history.query` tick.
   void setObservability(obs::Tracer* tracer, obs::MetricsRegistry* metrics);
 
-  /// Appends `records` as one new pinned segment and advances the head
-  /// ref.  Sequence numbers are assigned here (input order preserved).
-  /// Returns the segment hash; empty input appends nothing and returns "".
-  /// Reads the head segment to find the tip.
+  /// Appends `records` as one new segment and advances the head ref.
+  /// Sequence numbers are assigned here (input order preserved).  Returns
+  /// the segment hash; empty input appends nothing and returns "".  Reads
+  /// the head segment to find the tip.
   std::string appendSegment(std::span<const HistoryRecord> records);
 
-  /// appendSegment at a tip the caller already read (readChain's), so
-  /// nothing is read.  `tip` must describe the current head.
+  /// appendSegment at a tip the caller already read (readChain's).  The
+  /// head advances by compare-and-swap: when another writer moved it, the
+  /// records are re-stamped after the new head segment and retried.
   std::string appendSegment(const ChainTip& tip,
                             std::span<const HistoryRecord> records);
 
-  /// appendSegment at `chain`'s tip, then extends `chain` by a verified
-  /// read-back of the new segment; no other segment is read.  A throw
-  /// leaves `chain` empty.
+  /// appendSegment at `chain`'s tip, then extends `chain` by verified
+  /// reads from the new segment back to the old tip (taking in any
+  /// segment another writer appended).  A throw leaves `chain` empty.
   std::string extend(Chain& chain, std::span<const HistoryRecord> records);
 
   /// Brings `chain` up to date with the store in one pass: verified reads
@@ -200,6 +202,8 @@ class HistoryIndex {
   std::size_t segmentCount() const;
 
  private:
+  /// Where a segment appended now attaches: after the head segment.
+  ChainTip headTip() const;
   /// readSegment, stamped with a stat taken just before the read.
   std::vector<HistoryRecord> verifySegment(const std::string& hash,
                                            SegmentStamp& stamp,

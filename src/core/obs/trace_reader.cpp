@@ -170,20 +170,15 @@ std::vector<std::string> lintTrace(const TraceFile& trace) {
     }
   }
   // Store records have an attribute contract too: a lookup span says
-  // what key it resolved and how it went, put/evict events name the
-  // object they touched.
+  // what key it resolved and how it went, a put event names the object
+  // it stored.
   for (const EventRecord& event : trace.events) {
-    if (event.name == "store.put") {
-      if (event.attrs.find("hash") == event.attrs.end()) {
-        issues.push_back("store.put event without a 'hash' attribute");
-      }
-      if (event.attrs.find("bytes") == event.attrs.end()) {
-        issues.push_back("store.put event without a 'bytes' attribute");
-      }
-    } else if (event.name == "store.evict") {
-      if (event.attrs.find("hash") == event.attrs.end()) {
-        issues.push_back("store.evict event without a 'hash' attribute");
-      }
+    if (event.name != "store.put") continue;
+    if (event.attrs.find("hash") == event.attrs.end()) {
+      issues.push_back("store.put event without a 'hash' attribute");
+    }
+    if (event.attrs.find("bytes") == event.attrs.end()) {
+      issues.push_back("store.put event without a 'bytes' attribute");
     }
   }
   for (const SpanRecord& span : trace.spans) {

@@ -458,9 +458,17 @@ ServeReport Service::run() {
   if (options_.queueDir.empty()) throw Error("serve: queue directory unset");
   if (options_.storeDir.empty()) throw Error("serve: store directory unset");
   fs::create_directories(options_.queueDir);
+  // One daemon per queue, or a second would execute every submission
+  // again.  A crash releases the lease with the process.
+  const FileLock lease((fs::path(options_.queueDir) / "lock").string(),
+                       FileLock::Mode::kTry);
+  if (!lease.held()) {
+    throw QueueBusyError("queue " + options_.queueDir +
+                         " is held by another serve daemon");
+  }
 
   store::ObjectStore store(options_.storeDir);
-  store.setObservability(options_.tracer, options_.metrics);
+  store.setObservability(options_.metrics);
   store::RunCache runCache(store);
   runCache.setObservability(options_.tracer, options_.metrics);
   ServiceJournal journal(options_.queueDir);

@@ -18,6 +18,9 @@
 //     (claims without progress in the journal) are quarantined
 //   * graceful drain — QUEUE/drain sentinel or SIGTERM/SIGINT finishes
 //     the submission in flight, snapshots health.json and exits
+//   * queue lease — a daemon holds an flock on QUEUE/lock while it runs,
+//     so a second daemon on the same queue refuses to start instead of
+//     executing every submission again
 //   * degraded mode — an unreadable history head or a corrupt RunCache
 //     record never stops the daemon: it executes anyway and marks the
 //     verdict degraded
@@ -38,6 +41,7 @@
 #include "core/pkg/recipe.hpp"
 #include "core/store/manifest.hpp"
 #include "core/sysconfig/system_config.hpp"
+#include "core/util/error.hpp"
 
 namespace rebench::obs {
 class Tracer;
@@ -102,13 +106,21 @@ struct ServeReport {
   std::string endpointAddress;
 };
 
+/// Service::run found another daemon holding the queue's lease.
+class QueueBusyError : public Error {
+ public:
+  using Error::Error;
+};
+
 class Service {
  public:
   Service(const SystemRegistry& systems, const PackageRepository& repo,
           ServeOptions options, TestResolver resolver);
 
   /// Drains the queue (once or until drained/shut down) and snapshots
-  /// QUEUE/health.json.  Throws rebench::Error only on unusable
+  /// QUEUE/health.json, holding an flock on QUEUE/lock throughout; when
+  /// another daemon holds it, throws QueueBusyError having written
+  /// nothing.  Otherwise throws rebench::Error only on unusable
   /// queue/store directories — per-submission failures become verdicts.
   ServeReport run();
 

@@ -104,9 +104,9 @@ class BuildCache {
   void recordMiss(const std::string& key, obs::Tracer* tracer,
                   obs::MetricsRegistry* metrics);
 
-  /// Silent verified lookup: no spans, no counters, no stats, no LRU
-  /// touches.  Used by the executor's pre-pass to classify keys as
-  /// warm/cold without observable side effects.
+  /// Silent verified lookup: no spans, no counters, no stats.  Used by
+  /// the executor's pre-pass to classify keys as warm/cold without
+  /// observable side effects.
   std::optional<BuildRecord> peek(const std::string& key,
                                   const BuildPlan& plan) const;
 

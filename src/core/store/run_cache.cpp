@@ -66,8 +66,8 @@ RunCache::Lookup RunCache::lookup(const std::string& key) {
   if (!hash) {
     result.outcome = Outcome::kMiss;
   } else if (std::optional<std::string> bytes = store_.get(*hash); !bytes) {
-    // The blob existed in the index but failed verified read (or was
-    // evicted): the store already disposed of it.
+    // The ref's blob existed but failed verified read: the store already
+    // disposed of it.
     result.outcome = Outcome::kCorrupt;
   } else {
     RunRecord record;
@@ -116,9 +116,7 @@ RunCache::Lookup RunCache::lookup(const std::string& key) {
 }
 
 void RunCache::insert(const RunRecord& record) {
-  const std::string hash = store_.put(record.serialize());
-  store_.pin(hash);
-  store_.setRef(refName(record.key), hash);
+  store_.setRef(refName(record.key), store_.put(record.serialize()));
 }
 
 }  // namespace rebench::store

@@ -48,9 +48,8 @@ struct RunRecord {
   static RunRecord parse(const std::string& text);
 };
 
-/// Store-backed run memo table.  Records live as pinned blobs addressed
-/// via "runcache/<key>" named refs, so they survive LRU pressure and
-/// reopen with the store.
+/// Store-backed run memo table.  Records live as blobs addressed via
+/// "runcache/<key>" named refs, so they reopen with the store.
 class RunCache {
  public:
   explicit RunCache(ObjectStore& store) : store_(store) {}
@@ -77,7 +76,7 @@ class RunCache {
   /// degraded-mode accounting).
   Lookup lookup(const std::string& key);
 
-  /// Memoizes `record` under its key: blob put + pin + named ref.
+  /// Memoizes `record` under its key: blob put + named ref.
   void insert(const RunRecord& record);
 
   struct Stats {

@@ -21,7 +21,6 @@
 #include "core/fault/watchdog.hpp"
 #include "core/framework/perflog.hpp"
 #include "core/service/journal.hpp"
-#include "core/store/object_store.hpp"
 #include "core/util/error.hpp"
 #include "core/util/strings.hpp"
 #include "file_size_limit.hpp"
@@ -324,8 +323,8 @@ TEST(RunJournal, TruncatesCorruptTailOnDisk) {
   std::filesystem::remove_all(dir);
 }
 
-// The run journal, the service journal and the store index share one
-// JsonlLog; each case drives it through its owner's public API.
+// The run journal and the service journal share one JsonlLog; each case
+// drives it through its owner's public API.
 struct LogOwner {
   const char* name;
   std::string (*pathFor)(const std::string& dir);
@@ -354,18 +353,6 @@ const LogOwner kLogOwners[] = {
      [](const std::string& dir, const std::string& id) {
        return service::ServiceJournal(dir).state(id) ==
               service::ServiceJournal::State::kClaimed;
-     }},
-    {"store_index",
-     [](const std::string& dir) {
-       return (std::filesystem::path(dir) / "index.jsonl").string();
-     },
-     store::kStoreSchema,
-     [](const std::string& dir, const std::string& id) {
-       store::ObjectStore(dir).put(id);
-     },
-     [](const std::string& dir, const std::string& id) {
-       return store::ObjectStore(dir).contains(
-           store::ObjectStore::hashBytes(id));
      }},
 };
 
@@ -445,6 +432,22 @@ TEST_P(SharedLog, AppendUnderFileSizeLimitThrowsAndLeavesFileIntact) {
 
 INSTANTIATE_TEST_SUITE_P(Owners, SharedLog, ::testing::ValuesIn(kLogOwners),
                          [](const auto& info) { return info.param.name; });
+
+// flock locks belong to an open file: a second FileLock on the path, in
+// this process or another, waits (or, trying, fails) until the first is
+// released.
+TEST(FileLock, TryFailsWhileAnotherHolderHasTheLock) {
+  const std::string path =
+      (std::filesystem::path(::testing::TempDir()) / "file_lock_try").string();
+  std::filesystem::remove(path);
+  {
+    const FileLock first(path);
+    ASSERT_TRUE(first.held());
+    EXPECT_FALSE(FileLock(path, FileLock::Mode::kTry).held());
+  }
+  EXPECT_TRUE(FileLock(path, FileLock::Mode::kTry).held());
+  std::filesystem::remove(path);
+}
 
 // Concurrent publishers of one path (two `run --store` writing
 // manifests/latest.json) each write their own temp file: every call

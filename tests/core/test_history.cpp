@@ -1,6 +1,6 @@
 // Unit tests for the longitudinal history subsystem: segment
-// serialization, the hash-chained store-backed index (pinning, broken
-// chains, long-lived chains kept up to date by refresh), FOM
+// serialization, the hash-chained store-backed index (concurrent
+// appends, broken chains, long-lived chains kept up to date by refresh), FOM
 // aggregation, the trend view's changepoints, trend rendering, the
 // regression gate, and perflogs as a record source.
 #include <fcntl.h>
@@ -27,6 +27,7 @@
 #include "core/store/object_store.hpp"
 #include "core/util/error.hpp"
 #include "core/util/rng.hpp"
+#include "dir_snapshot.hpp"
 
 namespace rebench::history {
 namespace {
@@ -109,8 +110,6 @@ TEST_F(HistoryIndexTest, AppendAssignsMonotoneSequenceAcrossSegments) {
   const std::string h2 = index.appendSegment(second);
   EXPECT_NE(h1, "");
   EXPECT_NE(h2, h1);
-  EXPECT_TRUE(store.pinned(h1));
-  EXPECT_TRUE(store.pinned(h2));
   EXPECT_EQ(index.segmentCount(), 2u);
 
   const auto all = index.readAll();
@@ -127,8 +126,8 @@ TEST_F(HistoryIndexTest, AppendAssignsMonotoneSequenceAcrossSegments) {
   EXPECT_EQ(again[2].seq, 2u);
   const std::string h3 =
       reopenedIndex.appendSegment({{makeRecord("C", "Triad", 10.0)}});
+  EXPECT_EQ(reopened.ref(kHeadRef), h3);
   EXPECT_EQ(reopenedIndex.readAll().back().seq, 3u);
-  EXPECT_TRUE(reopened.pinned(h3));
 }
 
 TEST_F(HistoryIndexTest, QueryFiltersByTestTargetAndFom) {
@@ -145,31 +144,6 @@ TEST_F(HistoryIndexTest, QueryFiltersByTestTargetAndFom) {
   EXPECT_EQ(index.query("", "noctua2:gpu").size(), 1u);
   EXPECT_EQ(index.query("", "", "Triad").size(), 2u);
   EXPECT_EQ(index.query("Missing").size(), 0u);
-}
-
-TEST_F(HistoryIndexTest, PinnedSegmentsSurviveEvictionAndUnpinnedBreak) {
-  store::ObjectStore store(dir_, {.maxBytes = 4096});
-  HistoryIndex index(store);
-  const std::string h1 =
-      index.appendSegment({{makeRecord("A", "Triad", 1.0)}});
-  const std::string h2 =
-      index.appendSegment({{makeRecord("A", "Triad", 2.0)}});
-  // Pinned segments ride out pressure that evicts everything else.
-  store.put(std::string(8192, 'x'));
-  EXPECT_EQ(index.readAll().size(), 2u);
-
-  // An unpinned middle segment is fair game — and its loss is loud.
-  store.unpin(h1);
-  store.put(std::string(8192, 'y'));
-  EXPECT_FALSE(store.contains(h1));
-  EXPECT_TRUE(store.contains(h2));
-  EXPECT_THROW(index.readAll(), Error);
-  try {
-    index.readAll();
-    FAIL() << "expected broken-chain error";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find(h1), std::string::npos);
-  }
 }
 
 // The serve daemon's tail appends at the tip of the chain it already
@@ -193,7 +167,6 @@ TEST_F(HistoryIndexTest, AppendAtWalkedTipMatchesAppendSegment) {
     EXPECT_EQ(actual, expected);
     EXPECT_EQ(viaWalk.get(actual), viaHead.get(expected));
     EXPECT_EQ(viaWalk.ref(kHeadRef), viaHead.ref(kHeadRef));
-    EXPECT_TRUE(viaWalk.pinned(actual));
   }
   const Chain chain = walkIndex.readChain();
   EXPECT_EQ(chain.tip.head, viaWalk.ref(kHeadRef).value_or(""));
@@ -203,24 +176,56 @@ TEST_F(HistoryIndexTest, AppendAtWalkedTipMatchesAppendSegment) {
             serializeSegment(headIndex.readAll(), "", 0, 0));
 }
 
+// Reading the chain writes nothing anywhere in the store directory.
 TEST_F(HistoryIndexTest, ReadingPinnedSegmentsWritesNothing) {
   store::ObjectStore store(dir_);
   HistoryIndex index(store);
   for (int i = 0; i < 8; ++i) {
     index.appendSegment({{makeRecord("A", "Triad", 100.0 + i)}});
   }
-  const auto indexBytes = [&] {
-    std::ifstream in(fs::path(dir_) / "index.jsonl", std::ios::binary);
-    std::ostringstream out;
-    out << in.rdbuf();
-    return out.str();
-  };
-  const std::string before = indexBytes();
+  const auto before = snapshotDir(dir_);
   EXPECT_EQ(index.readAll().size(), 8u);
-  EXPECT_EQ(index.readChain().records.size(), 8u);
+  Chain chain = index.readChain();
+  EXPECT_EQ(chain.records.size(), 8u);
+  index.refresh(chain);
   EXPECT_EQ(index.query("A").size(), 8u);
   EXPECT_EQ(index.segmentCount(), 8u);
-  EXPECT_EQ(indexBytes(), before);
+  EXPECT_EQ(snapshotDir(dir_), before);
+}
+
+// Two writers, each with its own store handle on one directory (as two
+// `run --store S` processes have), append concurrently: the head's
+// compare-and-swap keeps every segment in one chain with monotone seqs.
+TEST_F(HistoryIndexTest, ConcurrentAppendsFromTwoHandlesKeepEverySegment) {
+  constexpr int kPerWriter = 50;
+  const auto writer = [&](const std::string& test) {
+    store::ObjectStore store(dir_);
+    HistoryIndex index(store);
+    for (int i = 0; i < kPerWriter; ++i) {
+      index.appendSegment({{makeRecord(test, "Triad", 100.0 + i)}});
+    }
+  };
+  std::thread first(writer, "A");
+  std::thread second(writer, "B");
+  first.join();
+  second.join();
+
+  store::ObjectStore store(dir_);
+  HistoryIndex index(store);
+  const Chain chain = index.readChain();
+  ASSERT_EQ(chain.segments.size(), 2u * kPerWriter);
+  ASSERT_EQ(chain.records.size(), 2u * kPerWriter);
+  for (std::size_t i = 0; i < chain.records.size(); ++i) {
+    EXPECT_EQ(chain.records[i].seq, i);
+  }
+  // Each writer's own records keep their order.
+  for (const std::string test : {"A", "B"}) {
+    const std::vector<HistoryRecord> mine = index.query(test);
+    ASSERT_EQ(mine.size(), static_cast<std::size_t>(kPerWriter));
+    for (int i = 0; i < kPerWriter; ++i) {
+      EXPECT_DOUBLE_EQ(mine[i].mean, 100.0 + i);
+    }
+  }
 }
 
 TEST_F(HistoryIndexTest, AppendAndQueryEmitContractCompliantSpans) {
@@ -499,6 +504,30 @@ TEST_F(HistoryIndexTest, ExtendReadsBackOnlyTheNewSegment) {
   EXPECT_EQ(store.ref(kHeadRef), hash);
   EXPECT_EQ(recordBytes(chain), recordBytes(index.readChain()));
   EXPECT_EQ(index.extend(chain, {}), "");
+}
+
+// A daemon's chain extended after another writer moved the head picks
+// up that writer's segment too, without a full walk.
+TEST_F(HistoryIndexTest, ExtendAfterAnotherWriterPicksUpItsSegment) {
+  store::ObjectStore store(dir_);
+  HistoryIndex daemon(store);
+  appendSegments(daemon, 2);
+  Chain chain = daemon.readChain();
+  store::ObjectStore other(dir_);
+  HistoryIndex(other).appendSegment({{makeRecord("B", "Copy", 7.0)}});
+  const std::uint64_t reads = daemon.segmentReads();
+  const std::string hash =
+      daemon.extend(chain, {{makeRecord("C", "Copy", 9.0)}});
+  // The other writer's head segment to re-stamp after, then the walk
+  // back from the published segment: itself and the other writer's.
+  EXPECT_EQ(daemon.segmentReads(), reads + 3);
+  EXPECT_EQ(chain.tip.head, hash);
+  EXPECT_EQ(store.ref(kHeadRef), hash);
+  ASSERT_EQ(chain.records.size(), 4u);
+  EXPECT_EQ(chain.records[2].test, "B");
+  EXPECT_EQ(chain.records[3].test, "C");
+  EXPECT_EQ(chain.records[3].seq, 3u);
+  EXPECT_EQ(recordBytes(chain), recordBytes(daemon.readChain()));
 }
 
 TEST(HistoryLintTest, HistorySpanMissingAttributesIsFlagged) {

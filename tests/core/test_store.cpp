@@ -1,12 +1,15 @@
-// Layer-1/3 store tests: content addressing, LRU eviction under a size
-// cap, verified (corruption-rejecting) reads, index persistence and the
+// Layer-1/3 store tests: content addressing, verified
+// (corruption-rejecting) reads, ref files (publication, the unset rules,
+// compare-and-swap), conversion of a rebench.store/1 index, and the
 // provenance-keyed build cache's hit/drift behaviour.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
+#include <thread>
+#include <vector>
 
 #include "core/concretizer/concretizer.hpp"
 #include "core/obs/metrics.hpp"
@@ -16,6 +19,7 @@
 #include "core/store/object_store.hpp"
 #include "core/sysconfig/system_config.hpp"
 #include "core/util/error.hpp"
+#include "dir_snapshot.hpp"
 #include "file_size_limit.hpp"
 
 namespace rebench::store {
@@ -23,11 +27,58 @@ namespace {
 
 namespace fs = std::filesystem;
 
-std::string readFile(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
+/// A rebench.store/1 directory written by hand: blobs "older" and
+/// "newer", and an index holding a superseded ref, a ref to a missing
+/// object, pin/touch/evict churn and a torn tail.
+void writeV1Store(const std::string& dir) {
+  fs::create_directories(fs::path(dir) / "objects");
+  for (const std::string bytes : {"older", "newer"}) {
+    std::ofstream(fs::path(dir) / "objects" / ObjectStore::hashBytes(bytes),
+                  std::ios::binary)
+        << bytes;
+  }
+  const std::string older = ObjectStore::hashBytes("older");
+  const std::string newer = ObjectStore::hashBytes("newer");
+  std::ofstream(fs::path(dir) / "index.jsonl", std::ios::binary)
+      << "{\"kind\":\"meta\",\"schema\":\"rebench.store/1\"}\n"
+      << "{\"kind\":\"put\",\"hash\":\"" << older
+      << "\",\"bytes\":5,\"tick\":0}\n"
+      << "{\"kind\":\"put\",\"hash\":\"" << newer
+      << "\",\"bytes\":5,\"tick\":1}\n"
+      << "{\"kind\":\"ref\",\"name\":\"latest\",\"hash\":\"" << older
+      << "\"}\n"
+      << "{\"kind\":\"pin\",\"hash\":\"" << older << "\"}\n"
+      << "{\"kind\":\"touch\",\"hash\":\"" << older
+      << "\",\"tick\":2}\n"
+      << "{\"kind\":\"ref\",\"name\":\"latest\",\"hash\":\"" << newer
+      << "\"}\n"
+      << "{\"kind\":\"ref\",\"name\":\"history/head\",\"hash\":\""
+      << older << "\"}\n"
+      << "{\"kind\":\"ref\",\"name\":\"build/gone\","
+         "\"hash\":\"00000000deadbeef\"}\n"
+      << "{\"kind\":\"evict\",\"hash\":\"00000000deadbeef\"}\n"
+      << "{\"kind\":\"unpin\",\"hash\":\"" << older << "\"}\n"
+      << "{\"kind\":\"ref\",\"name\":\"torn\",\"hash\":\"" << older;
+}
+
+/// The refs writeV1Store's index leaves live, as ref files.
+void expectConvertedRefs(const std::string& dir) {
+  const ObjectStore store(dir);
+  EXPECT_EQ(store.ref("latest"), ObjectStore::hashBytes("newer"));
+  EXPECT_EQ(store.ref("history/head"), ObjectStore::hashBytes("older"));
+  EXPECT_FALSE(store.ref("build/gone").has_value());
+  EXPECT_FALSE(store.ref("torn").has_value());
+  EXPECT_FALSE(fs::exists(fs::path(dir) / "index.jsonl"));
+  EXPECT_TRUE(fs::exists(fs::path(dir) / "index.jsonl.v1"));
+  std::set<std::string> refFiles;
+  for (const auto& entry :
+       fs::recursive_directory_iterator(fs::path(dir) / "refs")) {
+    if (entry.is_regular_file()) {
+      refFiles.insert(
+          fs::relative(entry.path(), fs::path(dir) / "refs").string());
+    }
+  }
+  EXPECT_EQ(refFiles, (std::set<std::string>{"history/head", "latest"}));
 }
 
 class StoreTest : public ::testing::Test {
@@ -97,42 +148,51 @@ TEST_F(StoreTest, PersistsAcrossReopen) {
   EXPECT_EQ(*reopened.ref("latest"), hash);
 }
 
-TEST_F(StoreTest, EvictsLeastRecentlyUsedUnderSizeCap) {
-  ObjectStore store(dir_, {.maxBytes = 30});
-  const std::string a = store.put(std::string(10, 'a'));
-  const std::string b = store.put(std::string(10, 'b'));
-  const std::string c = store.put(std::string(10, 'c'));
-  EXPECT_EQ(store.objectCount(), 3u);
-  // Touch `a` so `b` becomes the LRU victim.
-  EXPECT_TRUE(store.get(a).has_value());
-  const std::string d = store.put(std::string(10, 'd'));
-  EXPECT_EQ(store.objectCount(), 3u);
-  EXPECT_EQ(store.stats().evictions, 1u);
-  EXPECT_FALSE(store.contains(b));
-  EXPECT_TRUE(store.contains(a));
-  EXPECT_TRUE(store.contains(c));
-  EXPECT_TRUE(store.contains(d));
-  EXPECT_LE(store.totalBytes(), 30u);
-}
-
-TEST_F(StoreTest, OversizedPutNeverEvictsItself) {
-  ObjectStore store(dir_, {.maxBytes = 8});
-  const std::string big = store.put("way more than eight bytes");
-  EXPECT_TRUE(store.contains(big));
-  // The next put evicts the oversized blob, not itself.
-  const std::string small = store.put("tiny");
-  EXPECT_TRUE(store.contains(small));
-  EXPECT_FALSE(store.contains(big));
-}
-
 TEST_F(StoreTest, RefToEvictedObjectReadsUnset) {
-  ObjectStore store(dir_, {.maxBytes = 12});
-  const std::string hash = store.put("pinned bytes");
+  ObjectStore store(dir_);
+  const std::string hash = store.put("referenced bytes");
   store.setRef("build/key", hash);
-  ASSERT_TRUE(store.ref("build/key").has_value());
-  store.put("replacement bytes longer");
+  ASSERT_EQ(store.ref("build/key"), hash);
+  fs::remove(store.objectPath(hash));
   EXPECT_FALSE(store.contains(hash));
   EXPECT_FALSE(store.ref("build/key").has_value());
+  EXPECT_TRUE(fs::exists(fs::path(dir_) / "refs" / "build" / "key"));
+}
+
+// A ref file must hold exactly one hash and a newline; anything else
+// (a foreign or hand-edited file) reads as unset.
+TEST_F(StoreTest, MalformedRefFileReadsUnset) {
+  ObjectStore store(dir_);
+  const std::string hash = store.put("target");
+  store.setRef("latest", hash);
+  const fs::path file = fs::path(dir_) / "refs" / "latest";
+  const std::vector<std::string> malformed = {
+      hash,        hash + "\n\n", hash + " \n",
+      "\n",        "",            "XYZ" + hash.substr(3) + "\n",
+      hash.substr(1) + "\n"};
+  for (const std::string& bytes : malformed) {
+    std::ofstream(file, std::ios::binary | std::ios::trunc) << bytes;
+    EXPECT_FALSE(store.ref("latest").has_value()) << '"' << bytes << '"';
+  }
+  std::ofstream(file, std::ios::binary | std::ios::trunc) << hash << "\n";
+  EXPECT_EQ(store.ref("latest"), hash);
+}
+
+TEST_F(StoreTest, CompareAndSetRefPublishesOnlyOverTheExpectedHash) {
+  ObjectStore store(dir_);
+  const std::string a = store.put("first");
+  const std::string b = store.put("second");
+  EXPECT_FALSE(store.compareAndSetRef("history/head", a, b));
+  EXPECT_FALSE(store.ref("history/head").has_value());
+  EXPECT_TRUE(store.compareAndSetRef("history/head", "", a));
+  EXPECT_FALSE(store.compareAndSetRef("history/head", "", b));
+  EXPECT_EQ(store.ref("history/head"), a);
+  EXPECT_TRUE(store.compareAndSetRef("history/head", a, b));
+  EXPECT_EQ(store.ref("history/head"), b);
+  // A head whose object is gone reads as unset, so "" matches it.
+  fs::remove(store.objectPath(b));
+  EXPECT_TRUE(store.compareAndSetRef("history/head", "", a));
+  EXPECT_EQ(store.ref("history/head"), a);
 }
 
 TEST_F(StoreTest, TruncatedBlobIsRejectedAndDeleted) {
@@ -151,7 +211,7 @@ TEST_F(StoreTest, TruncatedBlobIsRejectedAndDeleted) {
 TEST_F(StoreTest, CorruptBlobEmitsCounter) {
   obs::MetricsRegistry metrics;
   ObjectStore store(dir_);
-  store.setObservability(nullptr, &metrics);
+  store.setObservability(&metrics);
   const std::string hash = store.put("tamper target");
   {
     std::ofstream out(store.objectPath(hash), std::ios::trunc);
@@ -161,6 +221,8 @@ TEST_F(StoreTest, CorruptBlobEmitsCounter) {
   EXPECT_EQ(metrics.counter("store.corrupt").value(), 1u);
 }
 
+// Conversion replays the old index through JsonlLog, so an index naming
+// another schema is refused rather than guessed at.
 TEST_F(StoreTest, IndexSchemaMismatchThrows) {
   fs::create_directories(dir_);
   {
@@ -168,178 +230,69 @@ TEST_F(StoreTest, IndexSchemaMismatchThrows) {
     out << "{\"kind\":\"meta\",\"schema\":\"rebench.store/999\"}\n";
   }
   EXPECT_THROW(ObjectStore{dir_}, Error);
+  EXPECT_TRUE(fs::exists(fs::path(dir_) / "index.jsonl"));
 }
 
+// The first open of a rebench.store/1 directory converts its index: the
+// last ref line per name wins, refs to missing objects and the torn tail
+// are dropped, and the index is kept as index.jsonl.v1.
 TEST_F(StoreTest, ToleratesTruncatedIndexTail) {
-  std::string hash;
-  {
-    ObjectStore store(dir_);
-    hash = store.put("survives a crash");
-  }
-  {
-    std::ofstream out(fs::path(dir_) / "index.jsonl", std::ios::app);
-    out << "{\"kind\":\"pu";  // crash mid-append
-  }
-  ObjectStore reopened(dir_);
-  EXPECT_TRUE(reopened.get(hash).has_value());
+  writeV1Store(dir_);
+  expectConvertedRefs(dir_);
 }
 
+// Reopening a converted store converts nothing a second time: a ref set
+// after the conversion keeps its value, and the directory is unchanged.
 TEST_F(StoreTest, AppendAfterTornIndexTailSurvivesReopen) {
-  {
-    ObjectStore store(dir_);
-    store.put("first");
-  }
-  {
-    std::ofstream out(fs::path(dir_) / "index.jsonl", std::ios::app);
-    out << "{\"kind\":\"pu";  // crash mid-append
-  }
+  writeV1Store(dir_);
   std::string hash;
   {
-    // The open cuts the fragment off, so these appends start fresh lines
-    // instead of gluing onto it.
     ObjectStore store(dir_);
-    hash = store.put("second");
+    hash = store.put("after conversion");
     store.setRef("latest", hash);
   }
+  const auto before = snapshotDir(dir_);
   ObjectStore reopened(dir_);
-  EXPECT_TRUE(reopened.contains(hash));
   EXPECT_EQ(reopened.ref("latest"), hash);
+  EXPECT_EQ(reopened.ref("history/head"), ObjectStore::hashBytes("older"));
+  EXPECT_EQ(snapshotDir(dir_), before);
 }
 
-TEST_F(StoreTest, PinnedObjectSurvivesEvictionPressure) {
-  ObjectStore store(dir_, {.maxBytes = 30});
-  const std::string pinned = store.put(std::string(10, 'a'));
-  store.pin(pinned);
-  EXPECT_TRUE(store.pinned(pinned));
-  // Three younger puts would normally push `pinned` (the LRU entry) out.
-  store.put(std::string(10, 'b'));
-  store.put(std::string(10, 'c'));
-  store.put(std::string(10, 'd'));
-  EXPECT_TRUE(store.contains(pinned));
-  EXPECT_GT(store.stats().evictions, 0u);
-}
-
-TEST_F(StoreTest, UnpinMakesObjectEvictableAgain) {
-  ObjectStore store(dir_, {.maxBytes = 30});
-  const std::string hash = store.put(std::string(10, 'a'));
-  store.pin(hash);
-  store.put(std::string(10, 'b'));
-  store.put(std::string(10, 'c'));
-  store.put(std::string(10, 'd'));
-  EXPECT_TRUE(store.contains(hash));
-  store.unpin(hash);
-  EXPECT_FALSE(store.pinned(hash));
-  store.put(std::string(10, 'e'));
-  EXPECT_FALSE(store.contains(hash));
-}
-
-TEST_F(StoreTest, EvictionStopsWhenOnlyPinnedObjectsRemain) {
-  ObjectStore store(dir_, {.maxBytes = 12});
-  const std::string a = store.put("first pinned");
-  store.pin(a);
-  // Over the cap with no unpinned victim: the put must still land and
-  // the pinned object must still be there.
-  const std::string b = store.put("second blob over cap");
-  EXPECT_TRUE(store.contains(a));
-  EXPECT_TRUE(store.contains(b));
-}
-
-TEST_F(StoreTest, PinPersistsAcrossReopen) {
-  std::string hash;
-  {
-    ObjectStore store(dir_, {.maxBytes = 30});
-    hash = store.put(std::string(10, 'a'));
-    store.pin(hash);
+// Two handles opening one rebench.store/1 directory at once convert it
+// once between them and leave the refs a lone conversion leaves.
+TEST_F(StoreTest, ConcurrentConversionsLeaveTheSameRefs) {
+  for (int round = 0; round < 20; ++round) {
+    fs::remove_all(dir_);
+    writeV1Store(dir_);
+    std::thread first([&] { ObjectStore{dir_}; });
+    std::thread second([&] { ObjectStore{dir_}; });
+    first.join();
+    second.join();
+    expectConvertedRefs(dir_);
   }
-  ObjectStore reopened(dir_, {.maxBytes = 30});
-  EXPECT_TRUE(reopened.pinned(hash));
-  reopened.put(std::string(10, 'b'));
-  reopened.put(std::string(10, 'c'));
-  reopened.put(std::string(10, 'd'));
-  EXPECT_TRUE(reopened.contains(hash));
 }
 
-TEST_F(StoreTest, CompactIndexPreservesEntriesRefsPinsAndLruOrder) {
-  ObjectStore store(dir_, {.maxBytes = 0});
-  const std::string a = store.put("object a");
-  const std::string b = store.put("object b");
-  const std::string c = store.put("object c");
-  store.setRef("latest", c);
-  store.pin(b);
-  // Touch `a` so it is the *newest* entry; after compaction + reopen the
-  // LRU victim under pressure must still be `c` (oldest unpinned).
-  EXPECT_TRUE(store.get(a).has_value());
-  const std::size_t lines = store.compactIndex();
-  // meta + 3 puts + 1 ref + 1 pin.
-  EXPECT_EQ(lines, 6u);
-
-  ObjectStore reopened(dir_, {.maxBytes = 26});
-  EXPECT_EQ(reopened.objectCount(), 3u);
-  EXPECT_TRUE(reopened.pinned(b));
-  ASSERT_TRUE(reopened.ref("latest").has_value());
-  EXPECT_EQ(*reopened.ref("latest"), c);
-  reopened.put("object d!");
-  EXPECT_FALSE(reopened.contains(c));
-  EXPECT_TRUE(reopened.contains(a));
-  EXPECT_TRUE(reopened.contains(b));
-}
-
-TEST_F(StoreTest, CompactIndexDropsTouchAndEvictChurn) {
-  ObjectStore store(dir_);
-  const std::string hash = store.put("churny object");
-  for (int i = 0; i < 50; ++i) EXPECT_TRUE(store.get(hash).has_value());
-  const auto sizeBefore = fs::file_size(fs::path(dir_) / "index.jsonl");
-  EXPECT_EQ(store.compactIndex(), 2u);  // meta + one put
-  const auto sizeAfter = fs::file_size(fs::path(dir_) / "index.jsonl");
-  EXPECT_LT(sizeAfter, sizeBefore);
-  ObjectStore reopened(dir_);
-  EXPECT_TRUE(reopened.get(hash).has_value());
-}
-
+// A read writes nothing: get, peek and ref (set or unset) leave every
+// file and directory of the store as it was.
 TEST_F(StoreTest, ReadsOfPinnedObjectsLeaveTheIndexUntouched) {
   ObjectStore store(dir_);
-  const std::string pinned = store.put("history segment");
-  store.pin(pinned);
-  const fs::path index = fs::path(dir_) / "index.jsonl";
-  const std::string before = readFile(index);
-  for (int i = 0; i < 3; ++i) EXPECT_TRUE(store.get(pinned).has_value());
-  EXPECT_EQ(store.put("history segment"), pinned);  // deduplicated
-  EXPECT_EQ(readFile(index), before);
-
-  // An unpinned object's read still journals exactly one touch line.
-  const std::string loose = store.put("build artifact");
-  const std::string withLoose = readFile(index);
-  EXPECT_TRUE(store.get(loose).has_value());
-  const std::string after = readFile(index);
-  ASSERT_EQ(after.compare(0, withLoose.size(), withLoose), 0);
-  const std::string added = after.substr(withLoose.size());
-  EXPECT_EQ(std::count(added.begin(), added.end(), '\n'), 1);
-  EXPECT_NE(added.find("\"kind\":\"touch\",\"hash\":\"" + loose + "\""),
-            std::string::npos);
-}
-
-TEST_F(StoreTest, EvictionAfterPinGetUnpinFollowsInMemoryRecency) {
-  ObjectStore store(dir_, {.maxBytes = 30});
-  const std::string a = store.put(std::string(10, 'a'));
-  const std::string b = store.put(std::string(10, 'b'));
-  const std::string c = store.put(std::string(10, 'c'));
-  store.pin(a);
-  // The read of pinned `a` writes no touch line, but still makes `a`
-  // more recent than `b` for as long as this handle lives.
-  EXPECT_TRUE(store.get(a).has_value());
-  store.unpin(a);
-  const std::string d = store.put(std::string(10, 'd'));
-  EXPECT_EQ(store.stats().evictions, 1u);
-  EXPECT_FALSE(store.contains(b));
-  EXPECT_TRUE(store.contains(a));
-  EXPECT_TRUE(store.contains(c));
-  EXPECT_TRUE(store.contains(d));
+  const std::string hash = store.put("history segment");
+  store.setRef("history/head", hash);
+  const auto before = snapshotDir(dir_);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(store.get(hash), "history segment");
+    EXPECT_EQ(store.peek(hash), "history segment");
+    EXPECT_EQ(store.ref("history/head"), hash);
+    EXPECT_FALSE(store.ref("runcache/unset").has_value());
+  }
+  EXPECT_EQ(store.put("history segment"), hash);  // deduplicated
+  EXPECT_EQ(snapshotDir(dir_), before);
 }
 
 TEST_F(StoreTest, PutThatCannotWriteItsBlobThrowsAndPublishesNothing) {
   ObjectStore store(dir_);
-  const fs::path index = fs::path(dir_) / "index.jsonl";
-  const std::string before = readFile(index);
+  store.setRef("latest", store.put("first"));
+  const auto before = snapshotDir(dir_);
   const std::string bytes(4096, 'x');
   {
     const FileSizeLimit limit(16);
@@ -347,36 +300,29 @@ TEST_F(StoreTest, PutThatCannotWriteItsBlobThrowsAndPublishesNothing) {
   }
   const std::string hash = ObjectStore::hashBytes(bytes);
   EXPECT_FALSE(store.contains(hash));
-  EXPECT_FALSE(fs::exists(store.objectPath(hash)));
-  EXPECT_EQ(readFile(index), before);
-  for (const auto& entry : fs::directory_iterator(dir_)) {
-    EXPECT_FALSE(entry.path().filename().string().starts_with("tmp-"))
-        << entry.path();
-  }
+  EXPECT_EQ(snapshotDir(dir_), before);
   // With room again the same put lands whole.
   EXPECT_EQ(store.put(bytes), hash);
   EXPECT_EQ(store.get(hash), bytes);
 }
 
+// A ref is published whole or not at all: a setRef the file-size limit
+// cuts short throws, leaves no temp file, and the old ref reads whole.
 TEST_F(StoreTest, FailedIndexAppendThrowsAndLeavesNoTornLine) {
   ObjectStore store(dir_);
-  const std::string hash = store.put("latest manifest");
-  const fs::path index = fs::path(dir_) / "index.jsonl";
-  const std::string before = readFile(index);
+  const std::string old = store.put("first manifest");
+  const std::string next = store.put("second manifest");
+  store.setRef("latest", old);
+  const auto before = snapshotDir(dir_);
   {
-    // Room for a fragment of the ref line, not the whole line.
-    const FileSizeLimit limit(before.size() + 8);
-    EXPECT_THROW(store.setRef("latest", hash), Error);
-    EXPECT_THROW(store.pin(hash), Error);
+    // Room for part of the ref file, not all of it.
+    const FileSizeLimit limit(8);
+    EXPECT_THROW(store.setRef("latest", next), Error);
   }
-  EXPECT_EQ(readFile(index), before);
-  EXPECT_FALSE(store.ref("latest").has_value());
-  EXPECT_FALSE(store.pinned(hash));
-  // The next append starts a fresh line, so a reopen replays it.
-  store.setRef("latest", hash);
-  ObjectStore reopened(dir_);
-  EXPECT_EQ(reopened.ref("latest"), hash);
-  EXPECT_FALSE(reopened.pinned(hash));
+  EXPECT_EQ(snapshotDir(dir_), before);
+  EXPECT_EQ(store.ref("latest"), old);
+  store.setRef("latest", next);
+  EXPECT_EQ(ObjectStore(dir_).ref("latest"), next);
 }
 
 class BuildCacheTest : public StoreTest {
