@@ -9,46 +9,6 @@ namespace rebench {
 
 namespace {
 
-// '|' and '=' structure the record; newline ends it.  Escape with URL-ish
-// percent encoding so arbitrary test output can round-trip.
-std::string escape(std::string_view raw) {
-  std::string out;
-  out.reserve(raw.size());
-  for (char c : raw) {
-    if (c == '|' || c == '=' || c == '%' || c == '\n') {
-      static constexpr char kHex[] = "0123456789abcdef";
-      out += '%';
-      out += kHex[(static_cast<unsigned char>(c) >> 4) & 0xf];
-      out += kHex[static_cast<unsigned char>(c) & 0xf];
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-int hexVal(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  throw ParseError("bad escape in perflog line");
-}
-
-std::string unescape(std::string_view raw) {
-  std::string out;
-  out.reserve(raw.size());
-  for (std::size_t i = 0; i < raw.size(); ++i) {
-    if (raw[i] == '%') {
-      if (i + 2 >= raw.size()) throw ParseError("truncated escape");
-      out += static_cast<char>(hexVal(raw[i + 1]) * 16 + hexVal(raw[i + 2]));
-      i += 2;
-    } else {
-      out += raw[i];
-    }
-  }
-  return out;
-}
-
 /// A numeric field must be one whole number token: a numeric prefix
 /// ("1.5abc") or an out-of-range value ("1e999") makes the line malformed.
 double parseNumber(const std::string& key, const std::string& value) {
@@ -61,9 +21,9 @@ double parseNumber(const std::string& key, const std::string& value) {
 
 void put(std::string& line, std::string_view key, std::string_view value) {
   if (!line.empty()) line += '|';
-  line += escape(key);
+  line += str::percentEscape(key);
   line += '=';
-  line += escape(value);
+  line += str::percentEscape(value);
 }
 
 }  // namespace
@@ -102,8 +62,8 @@ PerfLogEntry PerfLogEntry::parse(const std::string& line) {
     if (eq == std::string::npos) {
       throw ParseError("malformed perflog field: '" + field + "'");
     }
-    const std::string key = unescape(field.substr(0, eq));
-    const std::string value = unescape(field.substr(eq + 1));
+    const std::string key = str::percentUnescape(field.substr(0, eq));
+    const std::string value = str::percentUnescape(field.substr(eq + 1));
     if (key == "ts") entry.timestamp = value;
     else if (key == "version") entry.frameworkVersion = value;
     else if (key == "system") entry.system = value;

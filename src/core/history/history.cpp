@@ -3,10 +3,13 @@
 #include <sys/stat.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <ctime>
 #include <iomanip>
+#include <limits>
 #include <sstream>
+#include <type_traits>
 
 #include "core/framework/perflog.hpp"
 #include "core/framework/pipeline.hpp"
@@ -106,36 +109,152 @@ std::vector<HistoryRecord> selectRecords(std::vector<HistoryRecord> records,
   return records;
 }
 
-std::string serializeSegment(std::span<const HistoryRecord> records,
-                             std::string_view prevHash, std::uint64_t seq,
-                             std::uint64_t base) {
-  std::ostringstream out;
-  out << "{\"kind\":\"meta\",\"schema\":" << obs::json::quote(kHistorySchema)
-      << ",\"prev\":" << obs::json::quote(prevHash) << ",\"seq\":" << seq
-      << ",\"base\":" << base << ",\"records\":" << records.size() << "}\n";
-  for (const HistoryRecord& record : records) {
-    out << "{\"kind\":\"record\",\"seq\":" << record.seq
-        << ",\"test\":" << obs::json::quote(record.test)
-        << ",\"target\":" << obs::json::quote(record.target)
-        << ",\"fom\":" << obs::json::quote(record.fom)
-        << ",\"manifest\":" << obs::json::quote(record.manifestHash)
-        << ",\"env\":" << obs::json::quote(record.envFingerprint)
-        << ",\"spec\":" << obs::json::quote(record.specHash)
-        << ",\"mean\":" << str::fixed(record.mean, 6)
-        << ",\"min\":" << str::fixed(record.min, 6)
-        << ",\"max\":" << str::fixed(record.max, 6)
-        << ",\"ci\":" << str::fixed(record.ci, 6)
-        << ",\"ess\":" << str::fixed(record.ess, 3)
-        << ",\"repeats\":" << record.repeats
-        << ",\"sim_timestamp\":" << str::fixed(record.simTimestamp, 6)
-        << "}\n";
-  }
-  return out.str();
+namespace {
+
+/// Fields of a kSegmentSchema header and of each of its rows.
+constexpr std::size_t kHeaderFields = 5;
+constexpr std::size_t kRowFields = 13;
+/// Marks a row field equal to the same field of the row above.
+constexpr std::string_view kDitto = "=";
+/// What every segment schema starts with.
+constexpr std::string_view kSchemaPrefix = "rebench.history/";
+
+/// A record's row fields before escaping, in column order.  The numbers
+/// keep rebench.history/1's text, so both encodings parse to one double.
+std::array<std::string, kRowFields> rowFields(const HistoryRecord& record) {
+  return {record.test,
+          record.target,
+          record.fom,
+          record.manifestHash,
+          record.envFingerprint,
+          record.specHash,
+          str::fixed(record.mean, 6),
+          str::fixed(record.min, 6),
+          str::fixed(record.max, 6),
+          str::fixed(record.ci, 6),
+          str::fixed(record.ess, 3),
+          std::to_string(record.repeats),
+          str::fixed(record.simTimestamp, 6)};
 }
 
-std::vector<HistoryRecord> parseSegment(std::string_view bytes,
-                                        std::string* prevHash,
-                                        std::uint64_t* seq) {
+/// Splits `line` on '|' into `fields` (views into `line`).
+void splitFields(std::string_view line, std::vector<std::string_view>& fields) {
+  fields.clear();
+  while (true) {
+    const std::size_t bar = line.find('|');
+    fields.push_back(line.substr(0, bar));
+    if (bar == std::string_view::npos) return;
+    line.remove_prefix(bar + 1);
+  }
+}
+
+/// One row of a kSegmentSchema segment; `above` is the record of the row
+/// before it (null for the first row).  Number fields are never escaped.
+HistoryRecord parseRow(const std::vector<std::string_view>& fields,
+                       const HistoryRecord* above, std::uint64_t seq) {
+  HistoryRecord record;
+  record.seq = seq;
+  std::size_t column = 0;
+  // The next field, or nullopt when it repeats the row above.
+  const auto next = [&]() -> std::optional<std::string_view> {
+    const std::string_view field = fields[column++];
+    if (field != kDitto) return field;
+    if (above == nullptr) {
+      throw Error("history segment's first row has a ditto field");
+    }
+    return std::nullopt;
+  };
+  const auto text = [&](std::string HistoryRecord::*member) {
+    const auto field = next();
+    record.*member = field ? str::percentUnescape(*field) : above->*member;
+  };
+  const auto number = [&](auto HistoryRecord::*member, std::string_view name) {
+    const auto field = next();
+    using Number = std::remove_reference_t<decltype(record.*member)>;
+    record.*member = field ? str::parseWhole<Number>(*field, name)
+                           : above->*member;
+  };
+  text(&HistoryRecord::test);
+  text(&HistoryRecord::target);
+  text(&HistoryRecord::fom);
+  text(&HistoryRecord::manifestHash);
+  text(&HistoryRecord::envFingerprint);
+  text(&HistoryRecord::specHash);
+  number(&HistoryRecord::mean, "history mean");
+  number(&HistoryRecord::min, "history min");
+  number(&HistoryRecord::max, "history max");
+  number(&HistoryRecord::ci, "history ci");
+  number(&HistoryRecord::ess, "history ess");
+  number(&HistoryRecord::repeats, "history repeats");
+  number(&HistoryRecord::simTimestamp, "history sim_timestamp");
+  return record;
+}
+
+std::vector<HistoryRecord> parseRows(std::string_view bytes,
+                                     std::string* prevHash,
+                                     std::uint64_t* seq) {
+  if (bytes.empty() || bytes.back() != '\n') {
+    throw Error("history segment does not end in a newline");
+  }
+  std::vector<std::string_view> fields;
+  std::string_view rest = bytes;
+  const auto nextLine = [&] {
+    const std::size_t end = rest.find('\n');
+    splitFields(rest.substr(0, end), fields);
+    rest.remove_prefix(end + 1);
+  };
+  nextLine();
+  if (fields.size() != kHeaderFields) {
+    throw Error("history segment header has " + std::to_string(fields.size()) +
+                " fields (expected " + std::to_string(kHeaderFields) + ")");
+  }
+  std::string prev = str::percentUnescape(fields[1]);
+  const auto headerSeq =
+      str::parseWhole<std::uint64_t>(fields[2], "history segment seq");
+  const auto base =
+      str::parseWhole<std::uint64_t>(fields[3], "history segment base");
+  const auto count =
+      str::parseWhole<std::uint64_t>(fields[4], "history segment records");
+  const auto rows =
+      static_cast<std::uint64_t>(std::count(rest.begin(), rest.end(), '\n'));
+  if (rows != count) {
+    throw Error("history segment holds " + std::to_string(rows) +
+                " rows, its header says " + std::to_string(count));
+  }
+  std::vector<HistoryRecord> records;
+  records.reserve(rows);
+  while (!rest.empty()) {
+    nextLine();
+    if (fields.size() != kRowFields) {
+      throw Error("history segment row has " + std::to_string(fields.size()) +
+                  " fields (expected " + std::to_string(kRowFields) + ")");
+    }
+    records.push_back(parseRow(fields,
+                               records.empty() ? nullptr : &records.back(),
+                               base + records.size()));
+  }
+  if (prevHash != nullptr) *prevHash = std::move(prev);
+  if (seq != nullptr) *seq = headerSeq;
+  return records;
+}
+
+/// A rebench.history/1 integer: a JSON number, range-checked before the
+/// cast (an out-of-range cast is undefined).
+template <typename T>
+T jsonInteger(const obs::json::Value& value, std::string_view key) {
+  const double number = value.numberOr(key, 0);
+  if (!(number >= static_cast<double>(std::numeric_limits<T>::min()) &&
+        number < static_cast<double>(std::numeric_limits<T>::max()) + 1.0)) {
+    throw Error("history segment " + std::string(key) + " is out of range");
+  }
+  return static_cast<T>(number);
+}
+
+/// A rebench.history/1 segment: one JSON meta line, one JSON line per
+/// record.  Read for stores written before kSegmentSchema; never written.
+std::vector<HistoryRecord> parseJsonLines(std::string_view bytes,
+                                          std::string* prevHash,
+                                          std::uint64_t* seq) {
   std::vector<HistoryRecord> records;
   std::istringstream in{std::string(bytes)};
   std::string line;
@@ -151,13 +270,11 @@ std::vector<HistoryRecord> parseSegment(std::string_view bytes,
                     "' (expected '" + std::string(kHistorySchema) + "')");
       }
       if (prevHash != nullptr) *prevHash = value.stringOr("prev", "");
-      if (seq != nullptr) {
-        *seq = static_cast<std::uint64_t>(value.numberOr("seq", 0));
-      }
+      if (seq != nullptr) *seq = jsonInteger<std::uint64_t>(value, "seq");
       sawMeta = true;
     } else if (kind == "record") {
       HistoryRecord record;
-      record.seq = static_cast<std::uint64_t>(value.numberOr("seq", 0));
+      record.seq = jsonInteger<std::uint64_t>(value, "seq");
       record.test = value.stringOr("test", "");
       record.target = value.stringOr("target", "");
       record.fom = value.stringOr("fom", "");
@@ -169,13 +286,54 @@ std::vector<HistoryRecord> parseSegment(std::string_view bytes,
       record.max = value.numberOr("max", 0);
       record.ci = value.numberOr("ci", 0);
       record.ess = value.numberOr("ess", 0);
-      record.repeats = static_cast<int>(value.numberOr("repeats", 0));
+      record.repeats = jsonInteger<int>(value, "repeats");
       record.simTimestamp = value.numberOr("sim_timestamp", 0);
       records.push_back(std::move(record));
     }
   }
   if (!sawMeta) throw Error("history segment is missing its meta line");
   return records;
+}
+
+}  // namespace
+
+std::string serializeSegment(std::span<const HistoryRecord> records,
+                             std::string_view prevHash, std::uint64_t seq,
+                             std::uint64_t base) {
+  std::string out = std::string(kSegmentSchema) + "|" +
+                    str::percentEscape(prevHash) + "|" + std::to_string(seq) +
+                    "|" + std::to_string(base) + "|" +
+                    std::to_string(records.size()) + "\n";
+  std::array<std::string, kRowFields> above;
+  for (std::size_t row = 0; row < records.size(); ++row) {
+    std::array<std::string, kRowFields> fields = rowFields(records[row]);
+    for (std::size_t i = 0; i < kRowFields; ++i) {
+      if (i != 0) out += '|';
+      if (row != 0 && !fields[i].empty() && fields[i] == above[i]) {
+        out += kDitto;
+      } else {
+        out += str::percentEscape(fields[i]);
+      }
+    }
+    out += '\n';
+    above = std::move(fields);
+  }
+  return out;
+}
+
+std::vector<HistoryRecord> parseSegment(std::string_view bytes,
+                                        std::string* prevHash,
+                                        std::uint64_t* seq) {
+  if (!str::startsWith(bytes, kSchemaPrefix)) {
+    return parseJsonLines(bytes, prevHash, seq);
+  }
+  const std::string_view schema = bytes.substr(0, bytes.find_first_of("|\n"));
+  if (schema != kSegmentSchema) {
+    throw Error("history segment has schema '" + std::string(schema) +
+                "' (this build reads " + std::string(kSegmentSchema) +
+                " and the JSON lines of " + std::string(kHistorySchema) + ")");
+  }
+  return parseRows(bytes, prevHash, seq);
 }
 
 namespace {

@@ -3,13 +3,19 @@
 // An append-only, schema-versioned index of per-(test, target, fom)
 // results stored as content-addressed segments in the ObjectStore.  Each
 // completed campaign under `--store` appends one segment holding one
-// record per (test, target, fom) triple:
+// record per (test, target, fom) triple, encoded as rebench.history/2:
 //
-//   {"kind":"meta","schema":"rebench.history/1","prev":H,"seq":S,
-//    "base":B,"records":N}
-//   {"kind":"record","seq":K,"test":T,"target":G,"fom":F,
-//    "manifest":MH,"env":EF,"spec":SH,"mean":..,"min":..,"max":..,
-//    "repeats":R,"sim_timestamp":TS}
+//   rebench.history/2|PREV|SEQ|BASE|N
+//   test|target|fom|manifest|env|spec|mean|min|max|ci|ess|repeats|sim_timestamp
+//   ... (N rows; row i is record seq BASE + i)
+//
+// Fields are percent-escaped as perflog fields are (str::percentEscape),
+// numbers keep the fixed-decimal text of the JSON lines before them, and a
+// non-empty field equal to the same field of the row above is written as
+// a lone "=".  Segments written before rebench.history/2 hold JSON lines
+// ({"kind":"meta","schema":"rebench.history/1",...} then one
+// {"kind":"record",...} per record); they are read, never written, and a
+// chain may hold them below rebench.history/2 segments.
 //
 // Segments form a hash chain: `prev` names the previous segment (empty
 // for the first), and the chain head lives under the ObjectStore ref
@@ -54,7 +60,11 @@ struct TestRunResult;
 
 namespace rebench::history {
 
+/// Schema of the `history --json` document, and of the JSON-lines
+/// segments written before kSegmentSchema.
 inline constexpr std::string_view kHistorySchema = "rebench.history/1";
+/// Schema of the segments appendSegment writes.
+inline constexpr std::string_view kSegmentSchema = "rebench.history/2";
 /// ObjectStore ref naming the newest segment of the chain.
 inline constexpr std::string_view kHeadRef = "history/head";
 
@@ -220,12 +230,15 @@ class HistoryIndex {
   mutable std::uint64_t segmentReads_ = 0;
 };
 
-/// Serialization used for segment blobs (exposed for tests/tools).
+/// Serialization used for segment blobs (exposed for tests/tools): one
+/// kSegmentSchema segment.  The records' `seq` is not stored; the parse
+/// numbers row i `base + i`, as appendSegment stamps them.
 std::string serializeSegment(std::span<const HistoryRecord> records,
                              std::string_view prevHash, std::uint64_t seq,
                              std::uint64_t base);
-/// Parses one segment blob; returns records and fills `prevHash` /
-/// `seq` when requested.  Throws rebench::Error on schema mismatch.
+/// Parses one segment blob of either schema; returns records and fills
+/// `prevHash` / `seq` when requested.  Throws rebench::Error on another
+/// schema or any malformed header, row, field or number.
 std::vector<HistoryRecord> parseSegment(std::string_view bytes,
                                         std::string* prevHash = nullptr,
                                         std::uint64_t* seq = nullptr);

@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "core/util/error.hpp"
+#include "core/util/strings.hpp"
 
 namespace rebench::obs::json {
 
@@ -215,13 +216,15 @@ class Parser {
       ++pos_;
     }
     if (pos_ == start) fail("expected a value");
+    // The scan accepts any run of number characters; the token must parse
+    // whole, so "1.2.3" or "12e" is rejected rather than read as a prefix.
+    const std::string_view token = text_.substr(start, pos_ - start);
     Value v;
     v.kind = Value::Kind::kNumber;
     try {
-      v.number = std::stod(std::string(text_.substr(start, pos_ - start)));
-    } catch (const std::exception&) {
-      fail("bad number '" + std::string(text_.substr(start, pos_ - start)) +
-           "'");
+      v.number = str::parseWhole<double>(token, "json");
+    } catch (const ParseError&) {
+      fail("bad number '" + std::string(token) + "'");
     }
     return v;
   }

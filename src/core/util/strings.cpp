@@ -99,6 +99,49 @@ std::string fixed(double value, int digits) {
   return buf;
 }
 
+std::string percentEscape(std::string_view raw) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::string out;
+  out.reserve(raw.size());
+  for (const char c : raw) {
+    if (c == '|' || c == '=' || c == '%' || c == '\n') {
+      out += '%';
+      out += kHex[(static_cast<unsigned char>(c) >> 4) & 0xf];
+      out += kHex[static_cast<unsigned char>(c) & 0xf];
+    } else {
+      out += c;
+    }
+  }
+  return out;
+}
+
+namespace {
+
+int hexValue(char c) {
+  if (c >= '0' && c <= '9') return c - '0';
+  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
+  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
+  throw ParseError(std::string("bad percent escape digit '") + c + "'");
+}
+
+}  // namespace
+
+std::string percentUnescape(std::string_view escaped) {
+  std::string out;
+  out.reserve(escaped.size());
+  for (std::size_t i = 0; i < escaped.size(); ++i) {
+    if (escaped[i] != '%') {
+      out += escaped[i];
+      continue;
+    }
+    if (i + 2 >= escaped.size()) throw ParseError("truncated percent escape");
+    out += static_cast<char>(hexValue(escaped[i + 1]) * 16 +
+                             hexValue(escaped[i + 2]));
+    i += 2;
+  }
+  return out;
+}
+
 std::string padLeft(std::string_view s, std::size_t width) {
   std::string out(s);
   if (out.size() < width) out.insert(0, width - out.size(), ' ');

@@ -34,6 +34,15 @@ std::string replaceAll(std::string_view s, std::string_view from,
 /// trailing ".0" is *not* done: benchmark tables want stable widths.
 std::string fixed(double value, int digits);
 
+/// Percent-encodes '|', '=', '%' and '\n' as %7c, %3d, %25 and %0a: the
+/// characters that structure perflog lines and history segment rows, so
+/// any text round-trips through either.
+std::string percentEscape(std::string_view raw);
+
+/// Decodes every %XX (two hex digits, either case) of `escaped`.  A '%'
+/// without two hex digits after it throws ParseError.
+std::string percentUnescape(std::string_view escaped);
+
 /// Left/right pads `s` with spaces to at least `width` characters.
 std::string padLeft(std::string_view s, std::size_t width);
 std::string padRight(std::string_view s, std::size_t width);

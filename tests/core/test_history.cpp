@@ -8,9 +8,11 @@
 #include <sys/stat.h>
 
 #include <chrono>
+#include <cmath>
 #include <ctime>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <span>
 #include <sstream>
 #include <string>
@@ -27,6 +29,7 @@
 #include "core/store/object_store.hpp"
 #include "core/util/error.hpp"
 #include "core/util/rng.hpp"
+#include "core/util/strings.hpp"
 #include "dir_snapshot.hpp"
 
 namespace rebench::history {
@@ -49,6 +52,18 @@ HistoryRecord makeRecord(const std::string& test, const std::string& fom,
   record.repeats = 3;
   record.simTimestamp = 12.5;
   return record;
+}
+
+/// Records as their seqs plus segment bytes, for whole-chain comparisons.
+std::string recordBytes(std::span<const HistoryRecord> records) {
+  std::string seqs;
+  for (const HistoryRecord& record : records) {
+    seqs += std::to_string(record.seq) + ",";
+  }
+  return seqs + "\n" + serializeSegment(records, "", 0, 0);
+}
+std::string recordBytes(const Chain& chain) {
+  return recordBytes(chain.records);
 }
 
 class HistoryIndexTest : public ::testing::Test {
@@ -90,13 +105,107 @@ TEST(HistorySegmentTest, SerializeParseRoundTrip) {
   EXPECT_EQ(parsed[1].repeats, 3);
 }
 
+// A field equal to the one above it is a lone "="; the first row, empty
+// fields and escaped "=" are never dittoed, and seq is not stored.
+TEST(HistorySegmentTest, WritesDittoCodedRows) {
+  std::vector<HistoryRecord> records{makeRecord("StreamTest", "Triad", 100.5),
+                                     makeRecord("StreamTest", "Copy", 90.25),
+                                     makeRecord("a|b=", "Copy", 90.25)};
+  records[0].envFingerprint = "";
+  records[1].envFingerprint = "";
+  records[2].envFingerprint = "=";
+  records[2].ess = 2.5;
+  EXPECT_EQ(serializeSegment(records, "cafecafecafecafe", 3, 7),
+            "rebench.history/2|cafecafecafecafe|3|7|3\n"
+            "StreamTest|archer2:compute|Triad|0123456789abcdef||"
+            "00ff00ff00ff00ff|100.500000|99.500000|101.500000|0.000000|"
+            "0.000|3|12.500000\n"
+            "=|=|Copy|=||=|90.250000|89.250000|91.250000|=|=|=|=\n"
+            "a%7cb%3d|=|=|=|%3d|=|=|=|=|=|2.500|=|=\n");
+  const auto parsed = parseSegment(serializeSegment(records, "", 0, 7));
+  ASSERT_EQ(parsed.size(), 3u);
+  EXPECT_EQ(parsed[2].seq, 9u);
+  EXPECT_EQ(parsed[2].test, "a|b=");
+  EXPECT_EQ(parsed[2].target, "archer2:compute");
+  EXPECT_EQ(parsed[2].envFingerprint, "=");
+  EXPECT_DOUBLE_EQ(parsed[2].min, 89.25);
+  EXPECT_DOUBLE_EQ(parsed[2].ess, 2.5);
+}
+
 TEST(HistorySegmentTest, ParseRejectsWrongSchema) {
   EXPECT_THROW(parseSegment("{\"kind\":\"meta\",\"schema\":\"bogus/9\"}\n"),
                Error);
+  for (const std::string header :
+       {"rebench.history/3|||0|0|0\n", "rebench.history/1|x|0|0|0\n"}) {
+    try {
+      parseSegment(header);
+      FAIL() << "expected a schema error for " << header;
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("'" + header.substr(0, header.find('|')) + "'"),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("rebench.history/2"), std::string::npos) << what;
+    }
+  }
+}
+
+// The rebench.history/2 parse is strict: every malformed header, row,
+// field or number throws.
+TEST(HistorySegmentTest, ParseRejectsMalformedRows) {
+  const std::string row =
+      "A|archer2:compute|Triad|m|e|s|1.000000|0.500000|1.500000|0.000000|"
+      "3.000|3|0.000000\n";
+  EXPECT_EQ(parseSegment("rebench.history/2||0|0|1\n" + row).size(), 1u);
+  for (const std::string& bad : {
+           "rebench.history/2||0|0\n" + row,            // 4 header fields
+           "rebench.history/2||0|0|1|x\n" + row,        // 6 header fields
+           "rebench.history/2||0|0|2\n" + row,          // fewer rows
+           "rebench.history/2||0|0|0\n" + row,          // more rows
+           "rebench.history/2||0|0|1\n" + row + "\n",   // a blank row
+           "rebench.history/2||0|0|1\n" + row.substr(0, row.size() - 1),
+           "rebench.history/2||x|0|1\n" + row,          // seq not a number
+           "rebench.history/2||0|-1|1\n" + row,         // negative base
+           "rebench.history/2||0|0|1\nA|" + row,        // 14 fields
+           "rebench.history/2||0|0|1\n" + row.substr(2),  // 12 fields
+           "rebench.history/2||0|0|1\n=" + row.substr(1),  // ditto first row
+           "rebench.history/2||0|0|1\n%7" + row.substr(1),  // bad escape
+           "rebench.history/2|%zz|0|0|1\n" + row,       // bad escape in prev
+           "rebench.history/2||0|0|1\n" +
+               str::replaceAll(row, "1.000000", "1.000000x"),
+           "rebench.history/2||0|0|1\n" +
+               str::replaceAll(row, "|3|", "|3.5|"),    // repeats not whole
+           "rebench.history/2||0|0|1\n" +
+               str::replaceAll(row, "1.500000", ""),    // empty number
+           std::string("rebench.history/2")}) {
+    EXPECT_THROW(parseSegment(bad), Error) << bad;
+  }
 }
 
 TEST(HistorySegmentTest, ParseRejectsMissingMeta) {
   EXPECT_THROW(parseSegment("{\"kind\":\"record\",\"seq\":0}\n"), Error);
+}
+
+// JSON numbers are doubles: an integer field outside its type throws
+// rather than reaching an undefined cast.
+TEST(HistorySegmentTest, JsonLinesRejectOutOfRangeIntegers) {
+  const std::string meta =
+      "{\"kind\":\"meta\",\"schema\":\"rebench.history/1\",\"prev\":\"\","
+      "\"seq\":0,\"base\":0,\"records\":1}\n";
+  EXPECT_EQ(
+      parseSegment(meta + "{\"kind\":\"record\",\"seq\":0,\"repeats\":3}\n")
+          .size(),
+      1u);
+  for (const std::string bad :
+       {"{\"kind\":\"record\",\"seq\":-1}", "{\"kind\":\"record\",\"seq\":1e300}",
+        "{\"kind\":\"record\",\"repeats\":1e300}",
+        "{\"kind\":\"record\",\"repeats\":-3e9}"}) {
+    EXPECT_THROW(parseSegment(meta + bad + "\n"), Error) << bad;
+  }
+  std::uint64_t seq = 0;
+  EXPECT_THROW(parseSegment(str::replaceAll(meta, "\"seq\":0", "\"seq\":-2"),
+                            nullptr, &seq),
+               Error);
 }
 
 TEST_F(HistoryIndexTest, AppendAssignsMonotoneSequenceAcrossSegments) {
@@ -160,8 +269,7 @@ TEST_F(HistoryIndexTest, AppendAtWalkedTipMatchesAppendSegment) {
        makeRecord("C", "Copy", 20.0)}};
   for (const std::vector<HistoryRecord>& records : campaigns) {
     const Chain chain = walkIndex.readChain();
-    EXPECT_EQ(serializeSegment(chain.records, "", 0, 0),
-              serializeSegment(walkIndex.readAll(), "", 0, 0));
+    EXPECT_EQ(recordBytes(chain.records), recordBytes(walkIndex.readAll()));
     const std::string expected = headIndex.appendSegment(records);
     const std::string actual = walkIndex.appendSegment(chain.tip, records);
     EXPECT_EQ(actual, expected);
@@ -172,8 +280,102 @@ TEST_F(HistoryIndexTest, AppendAtWalkedTipMatchesAppendSegment) {
   EXPECT_EQ(chain.tip.head, viaWalk.ref(kHeadRef).value_or(""));
   EXPECT_EQ(chain.tip.seq, 3u);
   EXPECT_EQ(chain.tip.base, 6u);
-  EXPECT_EQ(serializeSegment(chain.records, "", 0, 0),
-            serializeSegment(headIndex.readAll(), "", 0, 0));
+  EXPECT_EQ(recordBytes(chain.records), recordBytes(headIndex.readAll()));
+}
+
+// Non-finite aggregates round-trip; the JSON lines of rebench.history/1
+// wrote them as bare tokens its own reader rejected, breaking the chain.
+TEST_F(HistoryIndexTest, NonFiniteValuesRoundTrip) {
+  store::ObjectStore store(dir_);
+  HistoryIndex index(store);
+  HistoryRecord record = makeRecord("A", "Triad", 1.0);
+  record.mean = std::numeric_limits<double>::infinity();
+  record.min = -std::numeric_limits<double>::infinity();
+  record.ci = std::numeric_limits<double>::quiet_NaN();
+  record.ess = std::numeric_limits<double>::quiet_NaN();
+  index.appendSegment({{record}});
+  index.appendSegment({{makeRecord("A", "Triad", 2.0)}});
+  const auto all = index.readAll();
+  ASSERT_EQ(all.size(), 2u);
+  EXPECT_TRUE(std::isinf(all[0].mean) && all[0].mean > 0);
+  EXPECT_TRUE(std::isinf(all[0].min) && all[0].min < 0);
+  EXPECT_DOUBLE_EQ(all[0].max, 2.0);
+  EXPECT_TRUE(std::isnan(all[0].ci));
+  EXPECT_TRUE(std::isnan(all[0].ess));
+  EXPECT_DOUBLE_EQ(all[1].mean, 2.0);
+}
+
+// Two rebench.history/1 segments as the JSON-lines writer wrote them; the
+// second names the first as `prev`.
+constexpr std::string_view kV1First =
+    "{\"kind\":\"meta\",\"schema\":\"rebench.history/1\",\"prev\":\"\","
+    "\"seq\":0,\"base\":0,\"records\":2}\n"
+    "{\"kind\":\"record\",\"seq\":0,\"test\":\"A\",\"target\":"
+    "\"archer2:compute\",\"fom\":\"Triad\",\"manifest\":\"0123456789abcdef\","
+    "\"env\":\"fedcba9876543210\",\"spec\":\"00ff00ff00ff00ff\",\"mean\":"
+    "100.100000,\"min\":99.100000,\"max\":101.100000,\"ci\":0.250000,"
+    "\"ess\":2.500,\"repeats\":3,\"sim_timestamp\":12.500000}\n"
+    "{\"kind\":\"record\",\"seq\":1,\"test\":\"B|=%\\\"x\\\\\",\"target\":"
+    "\"archer2:compute\",\"fom\":\"Copy\",\"manifest\":\"0123456789abcdef\","
+    "\"env\":\"fedcba9876543210\",\"spec\":\"00ff00ff00ff00ff\",\"mean\":"
+    "50.000000,\"min\":49.000000,\"max\":51.000000,\"ci\":0.000000,"
+    "\"ess\":0.000,\"repeats\":3,\"sim_timestamp\":12.500000}\n";
+
+std::string v1Second(const std::string& prev) {
+  return "{\"kind\":\"meta\",\"schema\":\"rebench.history/1\",\"prev\":\"" +
+         prev +
+         "\",\"seq\":1,\"base\":2,\"records\":1}\n"
+         "{\"kind\":\"record\",\"seq\":2,\"test\":\"A\",\"target\":"
+         "\"archer2:compute\",\"fom\":\"Triad\",\"manifest\":"
+         "\"1111111111111111\",\"env\":\"fedcba9876543210\",\"spec\":"
+         "\"00ff00ff00ff00ff\",\"mean\":101.300000,\"min\":100.300000,"
+         "\"max\":102.300000,\"ci\":0.125000,\"ess\":3.000,\"repeats\":3,"
+         "\"sim_timestamp\":25.000000}\n";
+}
+
+// A store written before rebench.history/2 keeps its segments; the chain
+// grows v2 segments on top and reads exactly as the same records written
+// as an all-v2 chain.
+TEST_F(HistoryIndexTest, V1ChainExtendedByV2ReadsAsAllV2Chain) {
+  store::ObjectStore mixedStore(dir_ + "/mixed");
+  store::ObjectStore v2Store(dir_ + "/v2");
+  HistoryIndex mixed(mixedStore);
+  HistoryIndex v2(v2Store);
+  const std::string first = mixedStore.put(std::string(kV1First));
+  const std::string second = mixedStore.put(v1Second(first));
+  mixedStore.setRef(kHeadRef, second);
+  Chain chain = mixed.readChain();
+  ASSERT_EQ(chain.records.size(), 3u);
+  EXPECT_EQ(chain.records[1].test, "B|=%\"x\\");
+  v2.appendSegment(parseSegment(kV1First));
+  v2.appendSegment(parseSegment(v1Second(first)));
+
+  const std::vector<std::vector<HistoryRecord>> campaigns{
+      {makeRecord("A", "Triad", 99.7), makeRecord("B|=%\"x\\", "Copy", 48.0)},
+      {makeRecord("A", "Triad", 90.0)}};
+  for (const std::vector<HistoryRecord>& records : campaigns) {
+    mixed.appendSegment(records);
+    v2.appendSegment(records);
+  }
+
+  const std::vector<HistoryRecord> all = mixed.readAll();
+  ASSERT_EQ(all.size(), 6u);
+  for (std::size_t i = 0; i < all.size(); ++i) EXPECT_EQ(all[i].seq, i);
+  EXPECT_DOUBLE_EQ(all[2].ci, 0.125);
+  EXPECT_EQ(recordBytes(all), recordBytes(v2.readAll()));
+  EXPECT_EQ(renderHistory(all, {}), renderHistory(v2.readAll(), {}));
+  EXPECT_EQ(renderHistory(all, {.json = true}),
+            renderHistory(v2.readAll(), {.json = true}));
+
+  // A chain whose tip is the last v1 segment reads only the v2 ones.
+  const std::uint64_t reads = mixed.segmentReads();
+  mixed.refresh(chain);
+  EXPECT_GE(mixed.segmentReads(), reads + 2);
+  const Chain fresh = v2.readChain();
+  EXPECT_EQ(recordBytes(chain), recordBytes(fresh));
+  EXPECT_EQ(chain.tip.seq, fresh.tip.seq);
+  EXPECT_EQ(chain.tip.base, fresh.tip.base);
+  EXPECT_EQ(chain.segments.size(), 4u);
 }
 
 // Reading the chain writes nothing anywhere in the store directory.
@@ -307,11 +509,6 @@ void appendSegments(HistoryIndex& index, int count) {
   for (int i = 0; i < count; ++i) {
     index.appendSegment({{makeRecord("A", "Triad", 100.0 + i)}});
   }
-}
-
-/// The chain's records as segment bytes, for whole-chain comparisons.
-std::string recordBytes(const Chain& chain) {
-  return serializeSegment(chain.records, "", 0, 0);
 }
 
 // A long-lived chain is as strict as a fresh walk: each way an older

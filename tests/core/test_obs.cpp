@@ -233,6 +233,10 @@ TEST(Json, ParseRejectsGarbage) {
   EXPECT_THROW(json::parse("{\"a\":}"), ParseError);
   EXPECT_THROW(json::parse("{} trailing"), ParseError);
   EXPECT_THROW(json::parse(""), ParseError);
+  // A number is one whole token, not its numeric prefix.
+  EXPECT_THROW(json::parse("{\"a\":1.2.3}"), ParseError);
+  EXPECT_THROW(json::parse("{\"a\":1-2}"), ParseError);
+  EXPECT_THROW(json::parse("{\"a\":12e}"), ParseError);
 }
 
 TEST(Json, EscapePassesUtf8ThroughUntouched) {

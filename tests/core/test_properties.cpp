@@ -4,12 +4,15 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <functional>
+#include <string_view>
 
 #include "core/concretizer/concretizer.hpp"
 #include "core/spec/spec.hpp"
 #include "core/util/error.hpp"
 #include "core/framework/perflog.hpp"
+#include "core/history/history.hpp"
 #include "core/postproc/dataframe.hpp"
 #include "core/sched/scheduler.hpp"
 #include "core/sysconfig/system_config.hpp"
@@ -296,6 +299,146 @@ TEST_P(PerflogProperty, RoundTripArbitraryContent) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PerflogProperty, ::testing::Range(1, 5));
+
+// ---------------------------------------------------------------------------
+// History segments: ditto-coded rows round-trip nasty strings exactly, and
+// damaged segments of either schema parse or throw rebench::Error.
+// ---------------------------------------------------------------------------
+
+class HistorySegmentProperty : public ::testing::TestWithParam<int> {};
+
+/// Empty, the row above's value, a literal "=", or nasty text.
+std::string randomField(Rng& rng, const std::string& above) {
+  switch (rng.below(4)) {
+    case 0: return "";
+    case 1: return above;
+    case 2: return "=";
+    default: return randomNasty(rng);
+  }
+}
+
+/// The row above's value or a number `decimals` fixed decimals hold exactly.
+double randomNumber(Rng& rng, double above, int decimals) {
+  if (rng.below(3) == 0) return above;
+  const double scale = std::pow(10.0, decimals);
+  return std::round(rng.uniform(-1e6, 1e6) * scale) / scale;
+}
+
+std::vector<history::HistoryRecord> randomRecords(Rng& rng) {
+  std::vector<history::HistoryRecord> records(1 + rng.below(12));
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const history::HistoryRecord above =
+        i == 0 ? history::HistoryRecord{} : records[i - 1];
+    history::HistoryRecord& record = records[i];
+    record.test = randomField(rng, above.test);
+    record.target = randomField(rng, above.target);
+    record.fom = randomField(rng, above.fom);
+    record.manifestHash = randomField(rng, above.manifestHash);
+    record.envFingerprint = randomField(rng, above.envFingerprint);
+    record.specHash = randomField(rng, above.specHash);
+    record.mean = randomNumber(rng, above.mean, 6);
+    record.min = randomNumber(rng, above.min, 6);
+    record.max = randomNumber(rng, above.max, 6);
+    record.ci = randomNumber(rng, above.ci, 6);
+    record.ess = randomNumber(rng, above.ess, 3);
+    record.repeats = rng.below(3) == 0
+                         ? above.repeats
+                         : static_cast<int>(rng.below(2001)) - 1000;
+    record.simTimestamp = randomNumber(rng, above.simTimestamp, 6);
+  }
+  return records;
+}
+
+TEST_P(HistorySegmentProperty, RoundTripsNastyRecordsExactly) {
+  Rng rng(GetParam() * 71);
+  for (int i = 0; i < 20; ++i) {
+    const std::vector<history::HistoryRecord> records = randomRecords(rng);
+    const std::string prev = randomNasty(rng);
+    const std::uint64_t seq = rng.below(1000);
+    const std::uint64_t base = rng.below(1000);
+    const std::string bytes =
+        history::serializeSegment(records, prev, seq, base);
+    std::string parsedPrev;
+    std::uint64_t parsedSeq = 0;
+    const auto parsed = history::parseSegment(bytes, &parsedPrev, &parsedSeq);
+    EXPECT_EQ(parsedPrev, prev);
+    EXPECT_EQ(parsedSeq, seq);
+    ASSERT_EQ(parsed.size(), records.size()) << bytes;
+    for (std::size_t j = 0; j < records.size(); ++j) {
+      const history::HistoryRecord& want = records[j];
+      const history::HistoryRecord& got = parsed[j];
+      EXPECT_EQ(got.seq, base + j);
+      EXPECT_EQ(got.test, want.test);
+      EXPECT_EQ(got.target, want.target);
+      EXPECT_EQ(got.fom, want.fom);
+      EXPECT_EQ(got.manifestHash, want.manifestHash);
+      EXPECT_EQ(got.envFingerprint, want.envFingerprint);
+      EXPECT_EQ(got.specHash, want.specHash);
+      EXPECT_EQ(got.mean, want.mean);
+      EXPECT_EQ(got.min, want.min);
+      EXPECT_EQ(got.max, want.max);
+      EXPECT_EQ(got.ci, want.ci);
+      EXPECT_EQ(got.ess, want.ess);
+      EXPECT_EQ(got.repeats, want.repeats);
+      EXPECT_EQ(got.simTimestamp, want.simTimestamp);
+    }
+    EXPECT_EQ(history::serializeSegment(parsed, prev, seq, base), bytes);
+  }
+}
+
+/// A rebench.history/1 segment as its JSON-lines writer wrote one.
+constexpr std::string_view kJsonLinesSegment =
+    "{\"kind\":\"meta\",\"schema\":\"rebench.history/1\",\"prev\":"
+    "\"cafecafecafecafe\",\"seq\":4,\"base\":9,\"records\":2}\n"
+    "{\"kind\":\"record\",\"seq\":9,\"test\":\"a|b=\\\"\\n\",\"target\":"
+    "\"archer2:compute\",\"fom\":\"Triad\",\"manifest\":\"0123456789abcdef\","
+    "\"env\":\"fedcba9876543210\",\"spec\":\"00ff00ff00ff00ff\",\"mean\":"
+    "100.100000,\"min\":99.100000,\"max\":101.100000,\"ci\":0.250000,"
+    "\"ess\":2.500,\"repeats\":3,\"sim_timestamp\":12.500000}\n"
+    "{\"kind\":\"record\",\"seq\":10,\"test\":\"B\",\"target\":"
+    "\"archer2:compute\",\"fom\":\"Copy\",\"manifest\":\"0123456789abcdef\","
+    "\"env\":\"fedcba9876543210\",\"spec\":\"00ff00ff00ff00ff\",\"mean\":"
+    "50.000000,\"min\":49.000000,\"max\":51.000000,\"ci\":0.000000,"
+    "\"ess\":0.000,\"repeats\":3,\"sim_timestamp\":12.500000}\n";
+
+TEST_P(HistorySegmentProperty, DamagedSegmentsParseOrThrow) {
+  static constexpr char kStructural[] = "|=%\n\"{}[]:,-.e09";
+  Rng rng(GetParam() * 73);
+  const std::string rows = history::serializeSegment(
+      randomRecords(rng), "cafecafecafecafe", 4, 9);
+  for (const std::string_view original :
+       {std::string_view(rows), kJsonLinesSegment}) {
+    ASSERT_FALSE(history::parseSegment(original).empty());
+    for (int trial = 0; trial < 300; ++trial) {
+      std::string bytes(original);
+      for (std::uint64_t edits = 1 + rng.below(3); edits > 0; --edits) {
+        const std::size_t at = rng.below(bytes.size() + 1);
+        switch (rng.below(3)) {
+          case 0:
+            bytes.resize(at);
+            break;
+          case 1:
+            if (at < bytes.size()) {
+              bytes[at] = static_cast<char>(rng.below(256));
+            }
+            break;
+          default:
+            bytes.insert(at, 1,
+                         rng.below(2) == 0
+                             ? kStructural[rng.below(sizeof(kStructural) - 1)]
+                             : static_cast<char>(rng.below(256)));
+        }
+      }
+      try {
+        (void)history::parseSegment(bytes);
+      } catch (const Error&) {
+        // Damage may be rejected; anything but rebench::Error fails.
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, HistorySegmentProperty, ::testing::Range(1, 5));
 
 // ---------------------------------------------------------------------------
 // Spec grammar: parse/print round-trips on randomly generated specs.

@@ -70,6 +70,16 @@ TEST(Pad, LeftAndRight) {
   EXPECT_EQ(padLeft("1234", 3), "1234");  // never truncates
 }
 
+TEST(PercentEscape, RoundTripsStructuralCharacters) {
+  const std::string raw = "a|b=c%d\ne";
+  EXPECT_EQ(percentEscape(raw), "a%7cb%3dc%25d%0ae");
+  EXPECT_EQ(percentUnescape(percentEscape(raw)), raw);
+  EXPECT_EQ(percentUnescape("%7C%3D"), "|=");
+  for (const char* bad : {"%", "%7", "x%7", "%zz", "%7g"}) {
+    EXPECT_THROW(percentUnescape(bad), ParseError) << bad;
+  }
+}
+
 TEST(ParseWhole, ReadsOnlyWholeTokens) {
   EXPECT_EQ(parseWhole<int>("8080", "port"), 8080);
   EXPECT_EQ(parseWhole<int>("-3", "n"), -3);
