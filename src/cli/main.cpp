@@ -1197,14 +1197,14 @@ void printFlightRecordSummary(const std::string& queueDir) {
     const obs::json::Value header = obs::json::parse(meta);
     std::cout << "flight record: "
               << fs::path(newest).filename().string() << " ("
-              << static_cast<long long>(header.numberOr("events", 0))
+              << header.integerOr<long long>("events", 0)
               << " event(s), "
-              << static_cast<long long>(header.numberOr("dropped", 0))
+              << header.integerOr<long long>("dropped", 0)
               << " dropped)\n";
     if (!last.empty()) {
       const obs::json::Value event = obs::json::parse(last);
       std::cout << "  last event: seq "
-                << static_cast<long long>(event.numberOr("seq", 0)) << " "
+                << event.integerOr<long long>("seq", 0) << " "
                 << event.stringOr("kind", "?") << "/"
                 << event.stringOr("stage", "?");
       const std::string submission = event.stringOr("submission", "");
@@ -1260,8 +1260,8 @@ int statusCommand(const Args& args) {
         std::cout << line << "\n" << std::flush;
         try {
           const obs::json::Value verdict = obs::json::parse(line);
-          since = std::max(
-              since, static_cast<std::uint64_t>(verdict.numberOr("seq", 0)));
+          since =
+              std::max(since, verdict.integerOr<std::uint64_t>("seq", 0));
         } catch (const Error&) {
         }
       }

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <vector>
 
 #include "core/util/error.hpp"
 #include "core/util/strings.hpp"
@@ -85,7 +84,10 @@ FileLock::~FileLock() {
 
 JsonlLog::JsonlLog(std::string path, std::string_view schema,
                    Durability durability, const Replay& replay)
-    : path_(std::move(path)), durability_(durability) {
+    : path_(std::move(path)),
+      meta_("{\"kind\":\"meta\",\"schema\":" + obs::json::quote(schema) +
+            "}"),
+      durability_(durability) {
   std::error_code ec;
   fs::create_directories(fs::path(path_).parent_path(), ec);
   if (ec) {
@@ -93,15 +95,15 @@ JsonlLog::JsonlLog(std::string path, std::string_view schema,
                 "': " + ec.message());
   }
   if (!fs::exists(path_)) {
-    append("{\"kind\":\"meta\",\"schema\":" + obs::json::quote(schema) + "}");
+    append(meta_);
     return;
   }
   std::ifstream in(path_, std::ios::binary);
   if (!in) throw Error("cannot read '" + path_ + "'");
   std::string line;
-  std::vector<std::size_t> corrupt;  // line numbers; empty when undamaged
+  std::string records;  // what a repair keeps: the replayed lines
   bool unterminated = false;
-  for (std::size_t number = 0; std::getline(in, line); ++number) {
+  while (std::getline(in, line)) {
     unterminated = in.eof();
     if (str::trim(line).empty()) continue;
     obs::json::Value record;
@@ -110,35 +112,23 @@ JsonlLog::JsonlLog(std::string path, std::string_view schema,
     } catch (const ParseError&) {
       // The torn tail a crash mid-append leaves behind: the record it
       // belonged to was never acknowledged.
-      corrupt.push_back(number);
+      ++corruptLines_;
       continue;
     }
     if (!record.isObject()) continue;
     if (record.stringOr("kind", "") != "meta") {
-      replay(record);
+      replay(record, line);
+      records += line;
+      records += '\n';
     } else if (const std::string found = record.stringOr("schema", "");
                found != schema) {
       throw Error("'" + path_ + "' has schema '" + found + "' (expected '" +
                   std::string(schema) + "')");
     }
   }
-  corruptLines_ = corrupt.size();
-  if (corrupt.empty() && !unterminated) return;
   // An append after a torn tail would glue onto the fragment and be lost
-  // on the next replay: rewrite the file holding only the parseable
-  // lines, each ending in '\n'.
-  in.clear();
-  in.seekg(0);
-  std::string kept;
-  for (std::size_t number = 0, next = 0; std::getline(in, line); ++number) {
-    if (next < corrupt.size() && corrupt[next] == number) {
-      ++next;
-    } else if (!str::trim(line).empty()) {
-      kept += line;
-      kept += '\n';
-    }
-  }
-  writeFileAtomic(path_, kept, durability_);
+  // on the next replay.
+  if (corruptLines_ > 0 || unterminated) rewrite(records);
 }
 
 void JsonlLog::append(std::string_view line) const {
@@ -157,6 +147,13 @@ void JsonlLog::append(std::string_view line) const {
   throw Error("cannot append to '" + path_ + "'");
 }
 
+void JsonlLog::rewrite(std::string_view records) const {
+  std::string bytes = meta_;
+  bytes += '\n';
+  bytes += records;
+  writeFileAtomic(path_, bytes, durability_);
+}
+
 std::string RunJournal::pathFor(const std::string& dir) {
   return (fs::path(dir) / "journal.jsonl").string();
 }
@@ -169,12 +166,11 @@ std::string RunJournal::key(std::string_view test, std::string_view target,
 
 RunJournal::RunJournal(const std::string& dir)
     : log_(pathFor(dir), kJournalSchema, Durability::kFsync,
-           [this](const obs::json::Value& record) {
+           [this](const obs::json::Value& record, std::string_view) {
              if (record.stringOr("kind", "") != "run") return;
-             keys_.insert(
-                 key(record.stringOr("test", ""),
-                     record.stringOr("target", ""),
-                     static_cast<int>(record.numberOr("repeat", 0))));
+             keys_.insert(key(record.stringOr("test", ""),
+                              record.stringOr("target", ""),
+                              record.integerOr("repeat", 0)));
            }) {}
 
 bool RunJournal::contains(std::string_view test, std::string_view target,

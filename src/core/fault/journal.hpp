@@ -1,12 +1,13 @@
 // Durable JSONL logs, atomic file publication and the run journal
 // (rebench::fault).
 //
-// JsonlLog is the one open/replay/repair/append implementation behind
-// the append-only JSONL files: the --resume run journal (below), serve's
-// write-ahead journal (service/journal.hpp) and the old store index that
-// store/object_store.hpp converts.  writeFileAtomic is the one way a
-// whole file is published: readers see the old file or the complete new
-// one.  FileLock is the one inter-process lock.
+// JsonlLog is the one open/replay/repair/append/rewrite implementation
+// behind the append-only JSONL files: the --resume run journal (below),
+// serve's write-ahead journal (service/journal.hpp), which it also
+// compacts, and the old store index that store/object_store.hpp
+// converts.  writeFileAtomic is the one way a whole file is published:
+// readers see the old file or the complete new one.  FileLock is the one
+// inter-process lock.
 //
 // Run journal: a suite run appends one record per completed (test,
 // target, repeat) tuple to DIR/journal.jsonl; --resume DIR executes only
@@ -74,15 +75,18 @@ class FileLock {
 /// JSON record per line.
 class JsonlLog {
  public:
-  using Replay = std::function<void(const obs::json::Value&)>;
+  /// One replayed record, parsed, and the text of its line (no '\n').
+  using Replay = std::function<void(const obs::json::Value& record,
+                                    std::string_view line)>;
 
   /// Opens `path`, creating its directory and the meta line when absent.
   /// An existing file is replayed: each line is parsed once and every
   /// object record other than meta goes to `replay`, in file order.  A
   /// meta line naming another schema throws rebench::Error.  Unparseable
   /// lines are counted in corruptLines(); when there is one, or the last
-  /// byte is not '\n' (a torn append), the file is rewritten atomically
-  /// holding the parseable lines, so the next append starts a fresh line.
+  /// byte is not '\n' (a torn append), the file is rewritten holding the
+  /// meta line and the replayed records, so the next append starts a
+  /// fresh line.
   JsonlLog(std::string path, std::string_view schema, Durability durability,
            const Replay& replay);
 
@@ -91,12 +95,18 @@ class JsonlLog {
   /// rebench::Error, leaving the file byte-identical.
   void append(std::string_view line) const;
 
+  /// Replaces the file with the meta line followed by `records` (whole
+  /// lines, each ending in '\n') through writeFileAtomic, fsynced when
+  /// the log is durable: a crash leaves the old file or the new one.
+  void rewrite(std::string_view records) const;
+
   /// Unparseable lines dropped while opening (e.g. a torn tail).
   std::size_t corruptLines() const { return corruptLines_; }
   const std::string& path() const { return path_; }
 
  private:
   std::string path_;
+  std::string meta_;  // the meta line, without its '\n'
   Durability durability_;
   std::size_t corruptLines_ = 0;
 };

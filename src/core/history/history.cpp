@@ -7,7 +7,6 @@
 #include <cmath>
 #include <ctime>
 #include <iomanip>
-#include <limits>
 #include <sstream>
 #include <type_traits>
 
@@ -238,18 +237,6 @@ std::vector<HistoryRecord> parseRows(std::string_view bytes,
   return records;
 }
 
-/// A rebench.history/1 integer: a JSON number, range-checked before the
-/// cast (an out-of-range cast is undefined).
-template <typename T>
-T jsonInteger(const obs::json::Value& value, std::string_view key) {
-  const double number = value.numberOr(key, 0);
-  if (!(number >= static_cast<double>(std::numeric_limits<T>::min()) &&
-        number < static_cast<double>(std::numeric_limits<T>::max()) + 1.0)) {
-    throw Error("history segment " + std::string(key) + " is out of range");
-  }
-  return static_cast<T>(number);
-}
-
 /// A rebench.history/1 segment: one JSON meta line, one JSON line per
 /// record.  Read for stores written before kSegmentSchema; never written.
 std::vector<HistoryRecord> parseJsonLines(std::string_view bytes,
@@ -270,11 +257,11 @@ std::vector<HistoryRecord> parseJsonLines(std::string_view bytes,
                     "' (expected '" + std::string(kHistorySchema) + "')");
       }
       if (prevHash != nullptr) *prevHash = value.stringOr("prev", "");
-      if (seq != nullptr) *seq = jsonInteger<std::uint64_t>(value, "seq");
+      if (seq != nullptr) *seq = value.integerOr<std::uint64_t>("seq", 0);
       sawMeta = true;
     } else if (kind == "record") {
       HistoryRecord record;
-      record.seq = jsonInteger<std::uint64_t>(value, "seq");
+      record.seq = value.integerOr<std::uint64_t>("seq", 0);
       record.test = value.stringOr("test", "");
       record.target = value.stringOr("target", "");
       record.fom = value.stringOr("fom", "");
@@ -286,7 +273,7 @@ std::vector<HistoryRecord> parseJsonLines(std::string_view bytes,
       record.max = value.numberOr("max", 0);
       record.ci = value.numberOr("ci", 0);
       record.ess = value.numberOr("ess", 0);
-      record.repeats = jsonInteger<int>(value, "repeats");
+      record.repeats = value.integerOr("repeats", 0);
       record.simTimestamp = value.numberOr("sim_timestamp", 0);
       records.push_back(std::move(record));
     }

@@ -43,6 +43,15 @@ double Value::numberOr(std::string_view key, double fallback) const {
   return v.number;
 }
 
+double Value::numberIn(std::string_view key, double min, double end) const {
+  const double found = numberOr(key, 0.0);
+  if (!(found >= min && found < end)) {
+    throw ParseError("json: member '" + std::string(key) +
+                     "' is out of range");
+  }
+  return found;
+}
+
 namespace {
 
 class Parser {

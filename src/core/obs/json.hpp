@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <string_view>
@@ -41,6 +42,20 @@ struct Value {
   std::string stringOr(std::string_view key, std::string_view fallback) const;
   /// Numeric member with a fallback for absent keys.
   double numberOr(std::string_view key, double fallback) const;
+  /// Integer member with a fallback for absent keys.  The number is
+  /// range-checked for T before the cast (an out-of-range cast is
+  /// undefined): outside T's range it throws ParseError naming the key.
+  template <typename T>
+  T integerOr(std::string_view key, T fallback) const {
+    if (!contains(key)) return fallback;
+    return static_cast<T>(
+        numberIn(key, static_cast<double>(std::numeric_limits<T>::min()),
+                 static_cast<double>(std::numeric_limits<T>::max()) + 1.0));
+  }
+
+ private:
+  /// The number member `key`, checked to lie in [min, end).
+  double numberIn(std::string_view key, double min, double end) const;
 };
 
 /// Parses one JSON document; throws rebench::ParseError on malformed

@@ -84,8 +84,7 @@ std::size_t expectedChunks(std::size_t rows) {
 
 bool decodeDoubleColumn(const obs::json::Value& meta, std::string_view blob,
                         std::size_t rows, DoubleColumn& out) {
-  const auto nullCount =
-      static_cast<std::size_t>(meta.numberOr("null_count", 0.0));
+  const auto nullCount = meta.integerOr<std::size_t>("null_count", 0);
   std::size_t expected = rows * sizeof(double);
   const std::size_t words = (rows + 63) / 64;
   if (nullCount > 0) expected += words * sizeof(std::uint64_t);
@@ -109,8 +108,8 @@ bool decodeDoubleColumn(const obs::json::Value& meta, std::string_view blob,
   loaded.reserve(zones.size());
   for (const obs::json::Value& z : zones) {
     NumericZone zone;
-    zone.count = static_cast<std::uint32_t>(z.numberOr("count", 0.0));
-    zone.nulls = static_cast<std::uint32_t>(z.numberOr("nulls", 0.0));
+    zone.count = z.integerOr<std::uint32_t>("count", 0);
+    zone.nulls = z.integerOr<std::uint32_t>("nulls", 0);
     zone.min = z.numberOr("min", 0.0);
     zone.max = z.numberOr("max", 0.0);
     loaded.push_back(zone);
@@ -121,8 +120,7 @@ bool decodeDoubleColumn(const obs::json::Value& meta, std::string_view blob,
 
 bool decodeStringColumn(const obs::json::Value& meta, std::string_view blob,
                         std::size_t rows, StringColumn& out) {
-  const auto nullCount =
-      static_cast<std::size_t>(meta.numberOr("null_count", 0.0));
+  const auto nullCount = meta.integerOr<std::size_t>("null_count", 0);
   std::size_t cursor = 0;
   std::uint64_t dictCount = 0;
   if (!getRaw(blob, cursor, dictCount)) return false;
@@ -160,10 +158,10 @@ bool decodeStringColumn(const obs::json::Value& meta, std::string_view blob,
   loaded.reserve(zones.size());
   for (const obs::json::Value& z : zones) {
     CodeZone zone;
-    zone.count = static_cast<std::uint32_t>(z.numberOr("count", 0.0));
-    zone.nulls = static_cast<std::uint32_t>(z.numberOr("nulls", 0.0));
-    zone.minCode = static_cast<std::uint32_t>(z.numberOr("min_code", 0.0));
-    zone.maxCode = static_cast<std::uint32_t>(z.numberOr("max_code", 0.0));
+    zone.count = z.integerOr<std::uint32_t>("count", 0);
+    zone.nulls = z.integerOr<std::uint32_t>("nulls", 0);
+    zone.minCode = z.integerOr<std::uint32_t>("min_code", 0);
+    zone.maxCode = z.integerOr<std::uint32_t>("max_code", 0);
     loaded.push_back(zone);
   }
   out.setZones(std::move(loaded));
@@ -218,21 +216,19 @@ std::optional<Table> readColFrame(store::ObjectStore& store,
   }
   if (!footer.isObject() ||
       footer.stringOr("schema", "") != kColFrameSchema ||
-      static_cast<std::uint32_t>(footer.numberOr("endian", 0.0)) !=
-          kEndianTag ||
+      footer.integerOr<std::uint32_t>("endian", 0) != kEndianTag ||
       !footer.contains("columns") || !footer.at("columns").isArray()) {
     return std::nullopt;
   }
   // Zone maps are chunked at write-time granularity; a frame written with
   // a different chunk size would mislabel chunks, so refuse it (the cache
   // then falls back to a re-parse and rewrite at the current size).
-  if (static_cast<std::size_t>(footer.numberOr("chunk_rows", 0.0)) !=
-      kChunkRows) {
+  if (footer.integerOr<std::size_t>("chunk_rows", 0) != kChunkRows) {
     return std::nullopt;
   }
 
   Table table;
-  table.rows = static_cast<std::size_t>(footer.numberOr("rows", 0.0));
+  table.rows = footer.integerOr<std::size_t>("rows", 0);
   for (const obs::json::Value& meta : footer.at("columns").array) {
     if (!meta.isObject() || !meta.contains("zones") ||
         !meta.at("zones").isArray()) {

@@ -3,6 +3,7 @@
 #include <charconv>
 #include <filesystem>
 #include <sstream>
+#include <utility>
 
 #include "core/obs/json.hpp"
 #include "core/util/error.hpp"
@@ -48,7 +49,7 @@ ExecutedRecord parseExecuted(const obs::json::Value& value) {
   record.key = value.stringOr("key", "");
   record.manifestHash = value.stringOr("manifest", "");
   record.perflogHash = value.stringOr("perflog", "");
-  record.runs = static_cast<int>(value.numberOr("runs", 0));
+  record.runs = value.integerOr("runs", 0);
   record.simSeconds = value.numberOr("sim_seconds", 0.0);
   if (value.contains("aggregates")) {
     for (const obs::json::Value& item : value.at("aggregates").array) {
@@ -62,7 +63,7 @@ ExecutedRecord parseExecuted(const obs::json::Value& value) {
       agg.max = item.numberOr("max", 0.0);
       agg.ci = item.numberOr("ci", 0.0);
       agg.ess = item.numberOr("ess", 0.0);
-      agg.repeats = static_cast<int>(item.numberOr("repeats", 0));
+      agg.repeats = item.integerOr("repeats", 0);
       record.aggregates.push_back(std::move(agg));
     }
   }
@@ -89,7 +90,9 @@ std::string ServiceJournal::pathFor(const std::string& queueDir) {
 
 ServiceJournal::ServiceJournal(const std::string& queueDir)
     : log_(pathFor(queueDir), kServiceJournalSchema, Durability::kFsync,
-           [this](const obs::json::Value& record) { replay(record); }) {
+           [this](const obs::json::Value& record, std::string_view line) {
+             replay(record, line);
+           }) {
   // A claim still pending at end-of-load is the same crash signature.
   for (auto& [id, entry] : entries_) {
     if (entry.pendingClaim) {
@@ -99,11 +102,14 @@ ServiceJournal::ServiceJournal(const std::string& queueDir)
   }
 }
 
-void ServiceJournal::replay(const obs::json::Value& record) {
+void ServiceJournal::replay(const obs::json::Value& record,
+                            std::string_view line) {
   const std::string kind = record.stringOr("kind", "");
   const std::string id = record.stringOr("submission", "");
   if (id.empty()) return;
   Entry& entry = entries_[id];
+  entry.lines += line;
+  entry.lines += '\n';
   if (kind == "claim") {
     // A claim while one is already pending means a previous daemon
     // died between claim and executed — a crash loop in the making.
@@ -126,9 +132,16 @@ void ServiceJournal::replay(const obs::json::Value& record) {
     verdict.detail = record.stringOr("detail", "");
     entry.verdict = verdict;
   } else if (kind == "done") {
-    entry.pendingClaim = false;
-    entry.state = State::kDone;
+    finish(entry);
   }
+}
+
+void ServiceJournal::finish(Entry& entry) {
+  // Swapped, not assigned: assigning Entry{} keeps the old lines' buffer
+  // (a moved-in empty string leaves the capacity), one per submission.
+  Entry finished;
+  finished.state = State::kDone;
+  std::swap(entry, finished);
 }
 
 ServiceJournal::State ServiceJournal::state(
@@ -156,31 +169,40 @@ int ServiceJournal::crashedClaims(const std::string& submission) const {
   return it == entries_.end() ? 0 : it->second.crashedClaims;
 }
 
+ServiceJournal::Entry& ServiceJournal::append(const std::string& submission,
+                                              std::string_view line) {
+  log_.append(line);
+  Entry& entry = entries_[submission];
+  entry.lines += line;
+  entry.lines += '\n';
+  return entry;
+}
+
 void ServiceJournal::recordClaim(const std::string& submission,
                                  const std::string& key) {
-  log_.append("{\"kind\":\"claim\",\"submission\":" + quote(submission) +
-              ",\"key\":" + quote(key) + "}");
-  Entry& entry = entries_[submission];
+  Entry& entry = append(submission, "{\"kind\":\"claim\",\"submission\":" +
+                                        quote(submission) +
+                                        ",\"key\":" + quote(key) + "}");
   entry.state = State::kClaimed;
 }
 
 void ServiceJournal::recordExecuted(const std::string& submission,
                                     const ExecutedRecord& record) {
-  log_.append(renderExecuted(submission, record));
-  Entry& entry = entries_[submission];
+  Entry& entry = append(submission, renderExecuted(submission, record));
   entry.state = State::kExecuted;
   entry.executed = record;
 }
 
 void ServiceJournal::recordVerdict(const std::string& submission,
                                    const VerdictRecord& record) {
-  log_.append("{\"kind\":\"verdict\",\"submission\":" + quote(submission) +
-              ",\"verdict\":" + quote(record.verdict) +
-              ",\"key\":" + quote(record.key) +
-              ",\"manifest\":" + quote(record.manifestHash) +
-              ",\"degraded\":" + (record.degraded ? "true" : "false") +
-              ",\"detail\":" + quote(record.detail) + "}");
-  Entry& entry = entries_[submission];
+  Entry& entry = append(
+      submission,
+      "{\"kind\":\"verdict\",\"submission\":" + quote(submission) +
+          ",\"verdict\":" + quote(record.verdict) +
+          ",\"key\":" + quote(record.key) +
+          ",\"manifest\":" + quote(record.manifestHash) +
+          ",\"degraded\":" + (record.degraded ? "true" : "false") +
+          ",\"detail\":" + quote(record.detail) + "}");
   entry.state = State::kVerdict;
   entry.verdict = record;
 }
@@ -188,7 +210,16 @@ void ServiceJournal::recordVerdict(const std::string& submission,
 void ServiceJournal::recordDone(const std::string& submission) {
   log_.append("{\"kind\":\"done\",\"submission\":" + quote(submission) +
               "}");
-  entries_[submission].state = State::kDone;
+  finish(entries_[submission]);
+}
+
+void ServiceJournal::compact() {
+  std::string records;
+  for (const auto& [id, entry] : entries_) records += entry.lines;
+  log_.rewrite(records);
+  std::erase_if(entries_, [](const auto& item) {
+    return item.second.state == State::kDone;
+  });
 }
 
 }  // namespace rebench::service

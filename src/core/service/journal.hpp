@@ -19,6 +19,10 @@
 // daemon feeds `crashedClaims` to its circuit breaker to quarantine
 // submissions that keep killing it.
 //
+// A `done` finishes a submission: its earlier records, crash count
+// included, no longer matter, and compact() drops them from the file,
+// so a restart replays only unfinished submissions.
+//
 // Doubles are serialized with shortest-round-trip formatting
 // (std::to_chars) so a resumed history append reproduces segment bytes
 // exactly.
@@ -106,6 +110,13 @@ class ServiceJournal {
                      const VerdictRecord& record);
   void recordDone(const std::string& submission);
 
+  /// Rewrites the file to hold only the records of unfinished
+  /// submissions (in submission-id order, each one's lines in their
+  /// original order) and forgets the finished ones, so the state in
+  /// memory is what a replay of the new file builds.  Atomic and
+  /// fsynced: a crash leaves the old file or the new one.
+  void compact();
+
   std::size_t corruptLines() const { return log_.corruptLines(); }
   const std::string& path() const { return log_.path(); }
 
@@ -116,10 +127,17 @@ class ServiceJournal {
     std::optional<VerdictRecord> verdict;
     int crashedClaims = 0;
     bool pendingClaim = false;  // replay-time: claim without progress
+    /// The entry's journal lines since its last `done`, each ending in
+    /// '\n': what compact() keeps of it.
+    std::string lines;
   };
 
   /// Applies one replayed record to entries_.
-  void replay(const obs::json::Value& record);
+  void replay(const obs::json::Value& record, std::string_view line);
+  /// What `done` leaves of an entry: its state alone.
+  static void finish(Entry& entry);
+  /// Appends `line` to the file and to the submission's entry.
+  Entry& append(const std::string& submission, std::string_view line);
 
   std::map<std::string, Entry> entries_;
   JsonlLog log_;  // after entries_: replaying it fills them

@@ -530,6 +530,9 @@ ServeReport Service::run() {
         return report;
       }
     }
+    // A pass that filed verdicts finished submissions the next start
+    // need not replay: the journal keeps only the unfinished ones.
+    if (progressed) journal.compact();
     if (stop) break;
     if (options_.once) break;
     if (drainRequested(options_.queueDir) || shutdownRequested()) {

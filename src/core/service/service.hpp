@@ -11,7 +11,9 @@
 //
 // Robustness envelope (ISSUE 7):
 //   * write-ahead service journal — a killed daemon resumes in-flight
-//     submissions exactly once (see service/journal.hpp)
+//     submissions exactly once (see service/journal.hpp); each pass
+//     compacts it to the unfinished submissions, so a restart replays
+//     only those
 //   * per-stage + per-submission watchdogs — hung work becomes a
 //     classified infrastructure failure, not a stuck daemon
 //   * circuit breaker — submissions that repeatedly crash the daemon
@@ -117,7 +119,8 @@ class Service {
   Service(const SystemRegistry& systems, const PackageRepository& repo,
           ServeOptions options, TestResolver resolver);
 
-  /// Drains the queue (once or until drained/shut down) and snapshots
+  /// Drains the queue (once or until drained/shut down), compacting the
+  /// service journal after each pass that filed a verdict, and snapshots
   /// QUEUE/health.json, holding an flock on QUEUE/lock throughout; when
   /// another daemon holds it, throws QueueBusyError having written
   /// nothing.  Otherwise throws rebench::Error only on unusable

@@ -87,7 +87,7 @@ std::optional<BuildRecord> BuildCache::parseRecord(const std::string& bytes) {
   record.planHash = value.stringOr("planHash", "");
   record.binaryId = value.stringOr("binaryId", "");
   record.buildSeconds = value.numberOr("buildSeconds", 0.0);
-  record.stepsExecuted = static_cast<int>(value.numberOr("stepsExecuted", 0));
+  record.stepsExecuted = value.integerOr("stepsExecuted", 0);
   return record;
 }
 

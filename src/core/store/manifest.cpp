@@ -52,9 +52,9 @@ CampaignInvocation parseInvocation(const obs::json::Value& value) {
   inv.mode = value.stringOr("mode", "");
   inv.system = value.stringOr("system", "local");
   inv.account = value.stringOr("account", "ec999");
-  inv.repeats = static_cast<int>(value.numberOr("repeats", 1));
+  inv.repeats = value.integerOr("repeats", 1);
   inv.benchmark = value.stringOr("benchmark", "");
-  inv.ntimes = static_cast<int>(value.numberOr("ntimes", -1));
+  inv.ntimes = value.integerOr("ntimes", -1);
   if (value.contains("settings")) {
     for (const obs::json::Value& pair : value.at("settings").array) {
       if (pair.array.size() == 2) {
@@ -66,17 +66,16 @@ CampaignInvocation parseInvocation(const obs::json::Value& value) {
   inv.namePattern = value.stringOr("n", "");
   inv.excludePattern = value.stringOr("x", "");
   inv.faults = value.stringOr("faults", "");
-  inv.retries = static_cast<int>(value.numberOr("retries", -1));
+  inv.retries = value.integerOr("retries", -1);
   inv.backoffBase = value.numberOr("backoffBase", -1.0);
   inv.backoffMultiplier = value.numberOr("backoffMultiplier", -1.0);
   inv.backoffMax = value.numberOr("backoffMax", -1.0);
-  inv.quarantineAfter =
-      static_cast<int>(value.numberOr("quarantineAfter", -1));
+  inv.quarantineAfter = value.integerOr("quarantineAfter", -1);
   inv.stageTimeout = value.numberOr("stageTimeout", -1.0);
-  inv.lanes = static_cast<int>(value.numberOr("lanes", -1));
+  inv.lanes = value.integerOr("lanes", -1);
   inv.ciHalfwidth = value.numberOr("ciHalfwidth", -1.0);
-  inv.minRepeats = static_cast<int>(value.numberOr("minRepeats", -1));
-  inv.maxRepeats = static_cast<int>(value.numberOr("maxRepeats", -1));
+  inv.minRepeats = value.integerOr("minRepeats", -1);
+  inv.maxRepeats = value.integerOr("maxRepeats", -1);
   inv.withStore =
       value.contains("withStore") && value.at("withStore").boolean;
   inv.cache = !value.contains("cache") || value.at("cache").boolean;
@@ -124,7 +123,7 @@ RunManifest parseRun(const obs::json::Value& value) {
   RunManifest run;
   run.test = value.stringOr("test", "");
   run.target = value.stringOr("target", "");
-  run.repeat = static_cast<int>(value.numberOr("repeat", 0));
+  run.repeat = value.integerOr("repeat", 0);
   run.environ = value.stringOr("environ", "");
   run.spec = value.stringOr("spec", "");
   run.specHash = value.stringOr("specHash", "");
@@ -139,7 +138,7 @@ RunManifest parseRun(const obs::json::Value& value) {
   run.jobId = value.stringOr("jobId", "");
   run.outcome = value.stringOr("outcome", "");
   run.failureStage = value.stringOr("failureStage", "");
-  run.attempts = static_cast<int>(value.numberOr("attempts", 1));
+  run.attempts = value.integerOr("attempts", 1);
   if (value.contains("facets")) {
     for (const auto& [key, facet] : value.at("facets").object) {
       run.facets[key] = facet.text;
@@ -209,7 +208,7 @@ CampaignManifest CampaignManifest::parse(const std::string& text) {
       record.ciHalfwidth = fom.numberOr("ci", 0);
       record.ess = fom.numberOr("ess", 0);
       record.autocorr = fom.numberOr("autocorr", 0);
-      record.repeats = static_cast<int>(fom.numberOr("repeats", 0));
+      record.repeats = fom.integerOr("repeats", 0);
       manifest.foms.push_back(std::move(record));
     }
   }
@@ -218,8 +217,7 @@ CampaignManifest CampaignManifest::parse(const std::string& text) {
       ArtifactRecord record;
       record.name = artifact.stringOr("name", "");
       record.hash = artifact.stringOr("hash", "");
-      record.bytes =
-          static_cast<std::uint64_t>(artifact.numberOr("bytes", 0));
+      record.bytes = artifact.integerOr<std::uint64_t>("bytes", 0);
       manifest.artifacts.push_back(std::move(record));
     }
   }

@@ -66,7 +66,7 @@ void ObjectStore::convertIndex() {
   if (!fs::exists(index)) return;
   std::map<std::string, std::string> refs;  // the last line for a name wins
   JsonlLog(index, "rebench.store/1", Durability::kBuffered,
-           [&refs](const obs::json::Value& record) {
+           [&refs](const obs::json::Value& record, std::string_view) {
              if (record.stringOr("kind", "") == "ref") {
                refs[record.stringOr("name", "")] = record.stringOr("hash", "");
              }

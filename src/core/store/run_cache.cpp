@@ -34,8 +34,8 @@ RunRecord RunRecord::parse(const std::string& text) {
   record.verdict = value.stringOr("verdict", "");
   record.manifestHash = value.stringOr("manifest", "");
   record.perflogHash = value.stringOr("perflog", "");
-  record.runs = static_cast<int>(value.numberOr("runs", 0));
-  record.regressions = static_cast<int>(value.numberOr("regressions", 0));
+  record.runs = value.integerOr("runs", 0);
+  record.regressions = value.integerOr("regressions", 0);
   return record;
 }
 

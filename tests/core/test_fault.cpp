@@ -380,7 +380,7 @@ class SharedLog : public ::testing::TestWithParam<LogOwner> {
   /// Corrupt lines a fresh open of the file counts.
   std::size_t corruptLinesOnOpen() const {
     return JsonlLog(path_, GetParam().schema, Durability::kBuffered,
-                    [](const obs::json::Value&) {})
+                    [](const obs::json::Value&, std::string_view) {})
         .corruptLines();
   }
 

@@ -5,7 +5,12 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <filesystem>
+#include <fstream>
 #include <functional>
+#include <map>
+#include <optional>
+#include <sstream>
 #include <string_view>
 
 #include "core/concretizer/concretizer.hpp"
@@ -15,9 +20,11 @@
 #include "core/history/history.hpp"
 #include "core/postproc/dataframe.hpp"
 #include "core/sched/scheduler.hpp"
+#include "core/service/journal.hpp"
 #include "core/sysconfig/system_config.hpp"
 #include "core/util/rng.hpp"
 #include "core/util/version.hpp"
+#include "journal_state.hpp"
 
 namespace rebench {
 namespace {
@@ -439,6 +446,271 @@ TEST_P(HistorySegmentProperty, DamagedSegmentsParseOrThrow) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, HistorySegmentProperty, ::testing::Range(1, 5));
+
+// ---------------------------------------------------------------------------
+// Service journal: any sequence of checkpoints, reopens and compactions
+// reads back as the replay rules say, and a damaged journal opens or
+// throws rebench::Error.
+// ---------------------------------------------------------------------------
+
+using service::describe;
+using service::ServiceJournal;
+
+class ServiceJournalProperty : public ::testing::TestWithParam<int> {
+ protected:
+  void SetUp() override {
+    // One directory per test and seed: ctest -j runs them concurrently.
+    std::string name =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::replace(name.begin(), name.end(), '/', '_');
+    queue_ = (std::filesystem::path(::testing::TempDir()) /
+              ("service_journal_" + name))
+                 .string();
+    std::filesystem::remove_all(queue_);
+    path_ = ServiceJournal::pathFor(queue_);
+  }
+  void TearDown() override { std::filesystem::remove_all(queue_); }
+
+  std::string contents() const {
+    std::ifstream in(path_, std::ios::binary);
+    std::ostringstream out;
+    out << in.rdbuf();
+    return out.str();
+  }
+
+  std::string queue_;
+  std::string path_;
+};
+
+/// A double at full precision, sometimes tiny or huge.
+double randomDouble(Rng& rng) {
+  return rng.uniform(-1e6, 1e6) * std::pow(10.0, rng.uniform(-300, 300));
+}
+
+service::ExecutedRecord randomExecuted(Rng& rng) {
+  service::ExecutedRecord record;
+  record.key = randomNasty(rng);
+  record.manifestHash = randomNasty(rng);
+  record.perflogHash = randomNasty(rng);
+  record.runs = static_cast<int>(rng.below(2001)) - 1000;
+  record.simSeconds = randomDouble(rng);
+  for (std::uint64_t i = rng.below(3); i > 0; --i) {
+    record.aggregates.push_back({randomNasty(rng), randomNasty(rng),
+                                 randomNasty(rng), randomNasty(rng),
+                                 randomDouble(rng), randomDouble(rng),
+                                 randomDouble(rng), randomDouble(rng),
+                                 randomDouble(rng),
+                                 static_cast<int>(rng.below(100))});
+  }
+  record.failedStage = randomNasty(rng);
+  record.failureClass = randomNasty(rng);
+  record.failureDetail = randomNasty(rng);
+  return record;
+}
+
+service::VerdictRecord randomVerdict(Rng& rng) {
+  return {randomNasty(rng), randomNasty(rng), randomNasty(rng),
+          rng.below(2) == 0, randomNasty(rng)};
+}
+
+/// The replay rules, restated over the journal file's lines.
+class JournalModel {
+ public:
+  struct Line {
+    std::string id;
+    ServiceJournal::State kind;  // kClaimed for a claim, ...
+    std::optional<service::ExecutedRecord> executed;
+    std::optional<service::VerdictRecord> verdict;
+    std::string text;
+  };
+
+  void append(Line line) {
+    // A done finishes the submission in memory at once.
+    if (line.kind == ServiceJournal::State::kDone) crashed_.erase(line.id);
+    lines_.push_back(std::move(line));
+  }
+
+  /// A fresh open counts, per submission, the claims since its last
+  /// done that were followed by another claim or by nothing.
+  void reopen() {
+    crashed_.clear();
+    std::map<std::string, bool> pending;
+    for (const Line& line : lines_) {
+      int& crashed = crashed_[line.id];
+      if (line.kind == ServiceJournal::State::kClaimed) {
+        if (pending[line.id]) ++crashed;
+        pending[line.id] = true;
+      } else if (line.kind == ServiceJournal::State::kDone) {
+        crashed = 0;
+        pending[line.id] = false;
+      } else {
+        pending[line.id] = false;
+      }
+    }
+    for (const auto& [id, claimed] : pending) {
+      if (claimed) ++crashed_[id];
+    }
+  }
+
+  /// The file compaction writes: each submission's lines since its last
+  /// done, submissions in id order.
+  std::string compact() {
+    std::map<std::string, std::vector<Line>> unfinished;
+    for (Line& line : lines_) {
+      std::vector<Line>& kept = unfinished[line.id];
+      if (line.kind == ServiceJournal::State::kDone) {
+        kept.clear();
+      } else {
+        kept.push_back(std::move(line));
+      }
+    }
+    lines_.clear();
+    std::string file =
+        "{\"kind\":\"meta\",\"schema\":\"rebench.service_journal/1\"}\n";
+    for (auto& [id, kept] : unfinished) {
+      for (Line& line : kept) {
+        file += line.text + "\n";
+        lines_.push_back(std::move(line));
+      }
+    }
+    return file;
+  }
+
+  std::string expected(const std::string& id) const {
+    ServiceJournal::State state = ServiceJournal::State::kNone;
+    const service::ExecutedRecord* executed = nullptr;
+    const service::VerdictRecord* verdict = nullptr;
+    for (const Line& line : lines_) {
+      if (line.id != id) continue;
+      state = line.kind;
+      if (line.kind == ServiceJournal::State::kDone) {
+        executed = nullptr;
+        verdict = nullptr;
+      }
+      if (line.executed) executed = &*line.executed;
+      if (line.verdict) verdict = &*line.verdict;
+    }
+    const auto crashed = crashed_.find(id);
+    return describe(state, crashed == crashed_.end() ? 0 : crashed->second,
+                    executed, verdict);
+  }
+
+ private:
+  std::vector<Line> lines_;
+  std::map<std::string, int> crashed_;
+};
+
+TEST_P(ServiceJournalProperty, CheckpointsReopensAndCompactionsMatchTheModel) {
+  static const std::array<std::string, 4> kIds = {"s0", "s1", "s2", "s3"};
+  Rng rng(GetParam() * 79);
+  JournalModel model;
+  std::optional<ServiceJournal> journal(std::in_place, queue_);
+  for (int step = 0; step < 200; ++step) {
+    const std::string& id = kIds[rng.below(kIds.size())];
+    JournalModel::Line line{id, ServiceJournal::State::kNone, {}, {}, {}};
+    switch (rng.below(6)) {
+      case 0:
+        line.kind = ServiceJournal::State::kClaimed;
+        journal->recordClaim(id, randomNasty(rng));
+        break;
+      case 1:
+        line.kind = ServiceJournal::State::kExecuted;
+        line.executed = randomExecuted(rng);
+        journal->recordExecuted(id, *line.executed);
+        break;
+      case 2:
+        line.kind = ServiceJournal::State::kVerdict;
+        line.verdict = randomVerdict(rng);
+        journal->recordVerdict(id, *line.verdict);
+        break;
+      case 3:
+        line.kind = ServiceJournal::State::kDone;
+        journal->recordDone(id);
+        break;
+      case 4:
+        journal.reset();
+        journal.emplace(queue_);
+        model.reopen();
+        break;
+      default:
+        journal->compact();
+        EXPECT_EQ(contents(), model.compact()) << "step " << step;
+    }
+    if (line.kind != ServiceJournal::State::kNone) {
+      // The text the append wrote: the file's last line.
+      const std::string file = contents();
+      const std::size_t start = file.rfind('\n', file.size() - 2) + 1;
+      line.text = file.substr(start, file.size() - 1 - start);
+      model.append(std::move(line));
+    }
+    for (const std::string& each : kIds) {
+      ASSERT_EQ(describe(*journal, each), model.expected(each))
+          << "step " << step << ", " << each;
+    }
+  }
+}
+
+TEST_P(ServiceJournalProperty, DamagedJournalsOpenOrThrow) {
+  static constexpr char kStructural[] = "{}[]\":,\\\n-.e09";
+  static const std::array<std::string, 4> kIds = {"s0", "s1", "s2", "s3"};
+  Rng rng(GetParam() * 83);
+  {
+    ServiceJournal journal(queue_);
+    journal.recordClaim("s0", "k0");
+    journal.recordClaim("s0", "k0");
+    for (const std::string& id : {kIds[1], kIds[2], kIds[3]}) {
+      journal.recordClaim(id, "k");
+      journal.recordExecuted(id, randomExecuted(rng));
+    }
+    journal.recordVerdict("s2", randomVerdict(rng));
+    journal.recordVerdict("s3", randomVerdict(rng));
+    journal.recordDone("s3");
+  }
+  const std::string original = contents();
+  for (int trial = 0; trial < 300; ++trial) {
+    std::string bytes = original;
+    for (std::uint64_t edits = 1 + rng.below(3); edits > 0; --edits) {
+      const std::size_t at = rng.below(bytes.size() + 1);
+      switch (rng.below(3)) {
+        case 0:
+          bytes.resize(at);
+          break;
+        case 1:
+          if (at < bytes.size()) bytes[at] = static_cast<char>(rng.below(256));
+          break;
+        default:
+          bytes.insert(at, 1,
+                       rng.below(2) == 0
+                           ? kStructural[rng.below(sizeof(kStructural) - 1)]
+                           : static_cast<char>(rng.below(256)));
+      }
+    }
+    std::ofstream(path_, std::ios::binary | std::ios::trunc) << bytes;
+    std::optional<ServiceJournal> journal;
+    try {
+      journal.emplace(queue_);
+    } catch (const Error&) {
+      continue;  // damage may be rejected; anything but rebench::Error fails
+    }
+    // Whatever opened compacts to a journal that replays the same.
+    std::vector<std::string> before;
+    for (const std::string& id : kIds) {
+      before.push_back(journal->state(id) == ServiceJournal::State::kDone
+                           ? describe(ServiceJournal::State::kNone, 0,
+                                      nullptr, nullptr)
+                           : describe(*journal, id));
+    }
+    journal->compact();
+    journal.reset();
+    const ServiceJournal reopened(queue_);
+    for (std::size_t i = 0; i < kIds.size(); ++i) {
+      EXPECT_EQ(describe(reopened, kIds[i]), before[i])
+          << "trial " << trial << ", " << kIds[i];
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ServiceJournalProperty, ::testing::Range(1, 5));
 
 // ---------------------------------------------------------------------------
 // Spec grammar: parse/print round-trips on randomly generated specs.

@@ -25,6 +25,8 @@
 #include "core/store/object_store.hpp"
 #include "core/store/run_cache.hpp"
 #include "core/util/error.hpp"
+#include "core/util/strings.hpp"
+#include "journal_state.hpp"
 
 namespace rebench::service {
 namespace {
@@ -50,6 +52,21 @@ RegressionTest syntheticTest(const std::string& name = "SyntheticTest") {
     return RunOutput{"RESULT OK\nrate 123.5 GB/s\n", 2.0};
   };
   return test;
+}
+
+/// The meta line alone: a journal with no unfinished submission.
+const std::string kEmptyJournal =
+    "{\"kind\":\"meta\",\"schema\":\"rebench.service_journal/1\"}\n";
+
+/// The "kind" of each record line of the journal in `queueDir`.
+std::vector<std::string> journalKinds(const std::string& queueDir) {
+  std::istringstream lines(readFile(ServiceJournal::pathFor(queueDir)));
+  std::vector<std::string> kinds;
+  for (std::string line; std::getline(lines, line);) {
+    const std::string kind = obs::json::parse(line).stringOr("kind", "");
+    if (kind != "meta") kinds.push_back(kind);
+  }
+  return kinds;
 }
 
 /// Submissions scanQueue lists that have no verdict file yet.
@@ -281,6 +298,66 @@ TEST_F(ServiceFixture, ServiceJournalTruncatesTornTail) {
   EXPECT_EQ(again.corruptLines(), 0u);
 }
 
+TEST_F(ServiceFixture, ServiceJournalCompactionKeepsOnlyUnfinishedSubmissions) {
+  fs::create_directories(queue_);
+  ExecutedRecord s2 = campaignOutcome(2, 100.0 / 3.0, 0.1 + 0.2);
+  s2.key = "k2";
+  s2.simSeconds = 1.0 / 7.0;
+  const VerdictRecord s3{"ran:regressed", "k3", "m3", true,
+                         "1 series regressed"};
+  { ServiceJournal(queue_).recordClaim("s1", "k1"); }
+  {
+    ServiceJournal journal(queue_);
+    journal.recordClaim("s4", "k4");
+    journal.recordClaim("s1", "k1");
+    journal.recordClaim("s2", "k2");
+    journal.recordExecuted("s4", campaignOutcome(4, 1.5, 2.5));
+    journal.recordExecuted("s2", s2);
+    journal.recordClaim("s3", "k3");
+    journal.recordExecuted("s3", campaignOutcome(3, 3.5, 4.5));
+    journal.recordVerdict("s4", {"ran:clean", "k4", "m4", false, ""});
+    journal.recordVerdict("s3", s3);
+    journal.recordDone("s4");
+  }
+  // What compaction must keep: each unfinished submission's lines in
+  // their order, submissions in id order.
+  std::map<std::string, std::string> linesOf;
+  {
+    std::istringstream lines(readFile(ServiceJournal::pathFor(queue_)));
+    for (std::string line; std::getline(lines, line);) {
+      linesOf[obs::json::parse(line).stringOr("submission", "")] +=
+          line + "\n";
+    }
+  }
+  const std::string kept = kEmptyJournal + linesOf["s1"] + linesOf["s2"] +
+                           linesOf["s3"];
+  std::vector<std::string> before;
+  {
+    ServiceJournal journal(queue_);
+    EXPECT_EQ(journal.state("s4"), ServiceJournal::State::kDone);
+    for (const char* id : {"s1", "s2", "s3"}) {
+      before.push_back(describe(journal, id));
+    }
+    journal.compact();
+    EXPECT_EQ(journal.state("s4"), ServiceJournal::State::kNone);
+  }
+  EXPECT_EQ(readFile(ServiceJournal::pathFor(queue_)), kept);
+
+  const ServiceJournal journal(queue_);
+  EXPECT_EQ(describe(journal, "s1"), before[0]);
+  EXPECT_EQ(describe(journal, "s2"), before[1]);
+  EXPECT_EQ(describe(journal, "s3"), before[2]);
+  EXPECT_EQ(journal.crashedClaims("s1"), 2);
+  EXPECT_EQ(journal.state("s2"), ServiceJournal::State::kExecuted);
+  ASSERT_NE(journal.executed("s2"), nullptr);
+  EXPECT_EQ(journal.executed("s2")->simSeconds, 1.0 / 7.0);
+  EXPECT_EQ(journal.executed("s2")->aggregates[0].mean, s2.aggregates[0].mean);
+  EXPECT_EQ(journal.state("s3"), ServiceJournal::State::kVerdict);
+  EXPECT_EQ(journal.state("s4"), ServiceJournal::State::kNone);
+  EXPECT_EQ(journal.executed("s4"), nullptr);
+  EXPECT_EQ(journal.verdictOf("s4"), nullptr);
+}
+
 TEST_F(ServiceFixture, FormatExactRoundtripsDoubles) {
   for (const double value : {0.1, 1.0 / 3.0, 123456.789012345, 2.5e-17}) {
     EXPECT_EQ(std::stod(formatExact(value)), value);
@@ -296,11 +373,14 @@ TEST_F(ServiceFixture, ServeExecutesThenAnswersFromRunCache) {
   EXPECT_EQ(first.executed, 1);
   EXPECT_EQ(first.clean, 1);
   EXPECT_EQ(first.cached, 0);
+  // The answered submission is finished: nothing is left to replay.
+  EXPECT_EQ(readFile(ServiceJournal::pathFor(queue_)), kEmptyJournal);
 
   const ServeReport second = serve(makeOptions());
   EXPECT_EQ(second.processed, 1);
   EXPECT_EQ(second.executed, 0);
   EXPECT_EQ(second.cached, 1);
+  EXPECT_EQ(readFile(ServiceJournal::pathFor(queue_)), kEmptyJournal);
 
   // The cached pass appended nothing: history still holds one campaign.
   store::ObjectStore objects(store_);
@@ -316,7 +396,9 @@ TEST_F(ServiceFixture, ServeExecutesThenAnswersFromRunCache) {
 }
 
 TEST_F(ServiceFixture, CrashResumeConvergesAtEveryCheckpoint) {
-  for (const std::string checkpoint : {"claim", "executed", "verdict"}) {
+  const std::vector<std::string> checkpoints{"claim", "executed", "verdict"};
+  for (std::size_t i = 0; i < checkpoints.size(); ++i) {
+    const std::string& checkpoint = checkpoints[i];
     SCOPED_TRACE(checkpoint);
     const std::string controlQueue = root_ + "/cq-" + checkpoint;
     const std::string controlStore = root_ + "/cs-" + checkpoint;
@@ -337,6 +419,10 @@ TEST_F(ServiceFixture, CrashResumeConvergesAtEveryCheckpoint) {
     crash.crashAfter = checkpoint;
     const ServeReport crashed = serve(crash);
     EXPECT_TRUE(crashed.crashed);
+    // A simulated crash compacts nothing: its checkpoints stay on disk.
+    EXPECT_EQ(journalKinds(crashQueue),
+              std::vector<std::string>(checkpoints.begin(),
+                                       checkpoints.begin() + i + 1));
 
     ServeOptions resume = makeOptions();
     resume.queueDir = crashQueue;
@@ -348,9 +434,11 @@ TEST_F(ServiceFixture, CrashResumeConvergesAtEveryCheckpoint) {
     EXPECT_EQ(resumed.executed, checkpoint == "claim" ? 1 : 0);
     EXPECT_EQ(resumed.clean, 1);
 
-    // Verdict bytes and history bytes converge on the control's.
+    // Verdict, journal and history bytes converge on the control's.
     EXPECT_EQ(readFile(verdictPath(crashQueue, sub.id)),
               readFile(verdictPath(controlQueue, sub.id)));
+    EXPECT_EQ(readFile(ServiceJournal::pathFor(crashQueue)),
+              readFile(ServiceJournal::pathFor(controlQueue)));
     store::ObjectStore controlObjects(controlStore);
     store::ObjectStore crashObjects(crashStore);
     const auto controlHistory =
@@ -372,12 +460,40 @@ TEST_F(ServiceFixture, RepeatedCrashLoopsQuarantineTheSubmission) {
   }
   ServeOptions options = makeOptions();
   options.quarantineAfter = 2;
-  const ServeReport report = serve(std::move(options));
-  EXPECT_EQ(report.quarantined, 1);
+  // The refusal finishes nothing, so compaction keeps the crashed claims
+  // and the next daemon refuses the submission too.
+  for (int i = 0; i < 2; ++i) {
+    SCOPED_TRACE(i);
+    fs::remove(verdictPath(queue_, sub.id));
+    const ServeReport report = serve(options);
+    EXPECT_EQ(report.quarantined, 1);
+    EXPECT_EQ(report.executed, 0);
+    const Verdict verdict =
+        Verdict::parse(readFile(verdictPath(queue_, sub.id)));
+    EXPECT_EQ(verdict.verdict, "failed:quarantined");
+    EXPECT_EQ(journalKinds(queue_),
+              (std::vector<std::string>{"claim", "claim"}));
+  }
+}
+
+TEST_F(ServiceFixture, OutOfRangeSubmissionIntegerFailsPermanently) {
+  // A submission named by its content hash, so only the value is wrong.
+  const Submission sub = enqueueSubmission(queue_, invocation());
+  const std::string body = readFile(sub.path);
+  ASSERT_NE(body.find("\"repeats\":2,"), std::string::npos);
+  fs::remove(sub.path);
+  const std::string crafted =
+      str::replaceAll(body, "\"repeats\":2,", "\"repeats\":1e300,");
+  const std::string id = store::ObjectStore::hashBytes(crafted);
+  std::ofstream(queue_ + "/sub-" + id + ".json", std::ios::binary) << crafted;
+
+  const ServeReport report = serve(makeOptions());
   EXPECT_EQ(report.executed, 0);
-  const Verdict verdict =
-      Verdict::parse(readFile(verdictPath(queue_, sub.id)));
-  EXPECT_EQ(verdict.verdict, "failed:quarantined");
+  EXPECT_EQ(report.malformed, 1);
+  const Verdict verdict = Verdict::parse(readFile(verdictPath(queue_, id)));
+  EXPECT_EQ(verdict.verdict, "failed:permanent");
+  EXPECT_NE(verdict.detail.find("repeats"), std::string::npos)
+      << verdict.detail;
 }
 
 TEST_F(ServiceFixture, MalformedSubmissionGetsPermanentFailureVerdict) {
