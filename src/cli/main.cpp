@@ -182,6 +182,22 @@ RegressionTest buildTest(const store::CampaignInvocation& inv) {
                    inv.benchmark + "')");
 }
 
+/// The tests an invocation runs: run mode's one benchmark test, or suite
+/// mode's selection from the builtin suite (a `suite.select` span when a
+/// tracer is given).  `run`, `suite`, `replay` and the serve daemon all
+/// select here, so a mode no campaign records (a hand-edited manifest or
+/// submission) is refused here too.
+std::vector<RegressionTest> selectTests(const store::CampaignInvocation& inv,
+                                        obs::Tracer* tracer,
+                                        obs::MetricsRegistry* metrics) {
+  if (inv.mode == "run") return {buildTest(inv)};
+  if (inv.mode != "suite") {
+    throw Error("campaign mode must be run or suite (got '" + inv.mode + "')");
+  }
+  return builtinSuite().select(inv.tag, inv.namePattern, inv.excludePattern,
+                               tracer, metrics);
+}
+
 int showEnv(const Args& args) {
   const SystemRegistry systems = builtinSystems();
   const auto [sys, part] =
@@ -221,7 +237,9 @@ struct TraceSession {
       : dir(args.text("trace")), metricsOut(args.text("metrics-out")) {}
   bool active() const { return dir.has_value(); }
 
-  void attach(PipelineOptions& options) {
+  /// Hooks the tracer and registry into PipelineOptions or ServeOptions.
+  template <typename Options>
+  void attach(Options& options) {
     if (active()) options.tracer = &tracer;
     if (active() || metricsOut.has_value()) options.metrics = &metrics;
   }
@@ -285,20 +303,6 @@ struct TraceSession {
     std::cout << "metrics written to " << *metricsOut << "\n";
   }
 };
-
-/// Prints the adaptive controller's per-(test, target, fom) decisions.
-void printInferenceDecisions(const infer::ControllerReport& inference) {
-  for (const infer::FomDecision& d : inference.decisions) {
-    std::cout << "infer: " << d.test << " @ " << d.target << " " << d.fom
-              << ": mean " << str::fixed(d.estimate.mean, 2) << " +/- "
-              << str::fixed(d.estimate.ciHalfwidth, 2) << " ("
-              << str::fixed(d.estimate.ciRelative * 100.0, 2)
-              << "% rel, ess " << str::fixed(d.estimate.ess, 1)
-              << ") after " << d.estimate.n << " repeat(s) in " << d.rounds
-              << " round(s)" << (d.converged ? "" : " [hit --max-repeats]")
-              << "\n";
-  }
-}
 
 /// Checks an option's value with `parse`: its ParseError becomes a
 /// command-line error naming the option, so a malformed value exits 2.
@@ -426,117 +430,37 @@ struct StoreSession {
   }
 };
 
-int runBenchmark(const Args& args) {
-  const store::CampaignInvocation invocation = invocationFromArgs(args, "run");
-  // Before any store or perflog is opened: a bad -S touches no file.
-  const RegressionTest test = buildTest(invocation);
-  const SystemRegistry systems = builtinSystems();
-  const PackageRepository repo = builtinRepository();
-  PipelineOptions options = service::pipelineOptionsFor(invocation);
-  TraceSession trace(args);
-  trace.attach(options);
-  StoreSession storeSession(args);
-  storeSession.attach(options);
-  Pipeline pipeline(systems, repo, options);
-
-  PerfLog perflog(args.text("perflog").value_or(""));
-  const std::string target = invocation.system;
-
-  std::vector<TestRunResult> results;
-  bool anyFailed = false;
-  std::optional<infer::ControllerReport> inference;
-  if (invocation.ciHalfwidth > 0.0) {
-    // Adaptive run-length control (rebench::infer): the controller
-    // decides the repeat count per FOM series; the campaign runs through
-    // the same service::executeCampaign path as suite/serve/replay.
-    const std::vector<RegressionTest> tests{test};
-    const std::vector<std::string> targets{target};
-    service::CampaignExecution execution = service::executeCampaign(
-        pipeline, tests, targets, invocation, &perflog, nullptr, nullptr);
-    results = std::move(execution.results);
-    inference = std::move(execution.inference);
-    for (const TestRunResult& result : results) {
-      std::cout << "[" << (result.passed ? " OK " : "FAIL") << "] "
-                << result.testName << " @ " << result.system << ":"
-                << result.partition << " (" << result.environ << ")\n";
-      if (!result.passed) {
-        std::cout << "  " << result.failure.stage << " ["
-                  << failureClassName(result.failure.klass)
-                  << "]: " << result.failure.detail << "\n";
-        anyFailed = true;
-      }
-    }
-    printInferenceDecisions(*inference);
-  } else {
-    for (int repeat = 0; repeat < options.numRepeats; ++repeat) {
-      const TestRunResult result =
-          pipeline.runOne(test, target, &perflog, repeat);
-      results.push_back(result);
-      std::cout << "[" << (result.passed ? " OK " : "FAIL") << "] "
-                << result.testName << " @ " << result.system << ":"
-                << result.partition << " (" << result.environ << ")\n";
-      if (args.flag("verbose")) {
-        std::cout << "  spec:   " << result.concreteSpec->shortForm() << "\n";
-        std::cout << "  launch: " << result.launchCommand << "\n";
-      }
-      if (!result.passed) {
-        std::cout << "  " << result.failure.stage << " ["
-                  << failureClassName(result.failure.klass)
-                  << "]: " << result.failure.detail;
-        if (result.attempts > 1) {
-          std::cout << " (after " << result.attempts << " attempts)";
-        }
-        std::cout << "\n";
-        anyFailed = true;
-        continue;
-      }
-      for (const auto& [fom, value] : result.foms) {
-        std::cout << "  " << str::padRight(fom, 8) << " = "
-                  << str::fixed(value, 2) << "\n";
-      }
-      if (!result.telemetry.empty()) {
-        std::cout << "  energy   = "
-                  << str::fixed(result.telemetry.energyJoules(), 0) << " J ("
-                  << str::fixed(result.telemetry.meanPowerWatts(), 0)
-                  << " W mean, " << result.contentionFlags.size()
-                  << " contended samples)\n";
-      }
-    }
-  }
-  if (perflog.size() > 0 && args.text("perflog")) {
-    std::cout << perflog.size() << " perflog entries appended to "
-              << *args.text("perflog") << "\n";
-  }
-  const std::string traceBytes = trace.active() ? trace.serialize() : "";
-  const auto fomAggregates = history::aggregateFoms(results);
-  storeSession.writeManifest(invocation, results, perflog,
-                             trace.active() ? &traceBytes : nullptr);
-  storeSession.appendHistory(fomAggregates, results, systems);
-  storeSession.printSummary(pipeline);
-  trace.write(traceBytes);
-  trace.writeMetrics(fomAggregates);
-  return anyFailed ? 1 : 0;
-}
-
-int runSuite(const Args& args) {
-  const SystemRegistry systems = builtinSystems();
-  const PackageRepository repo = builtinRepository();
-  const store::CampaignInvocation invocation =
-      invocationFromArgs(args, "suite");
+/// `rebench run` and `rebench suite`: one campaign through
+/// service::executeCampaign, the path `serve` and `replay` take, so the
+/// manifest replays byte-exact whichever process wrote it.
+int runCampaign(const Args& args) {
+  const std::string mode(args.subcommand());
+  const bool suite = mode == "suite";
+  const store::CampaignInvocation invocation = invocationFromArgs(args, mode);
   PipelineOptions options = service::pipelineOptionsFor(invocation);
   // Deliberately not part of the invocation/manifest: output bytes are
   // identical for every job count, so the manifest stays jobs-invariant
   // (and replay may use any worker count).
-  options.jobs = args.integer("jobs").value_or(1);
+  if (suite) options.jobs = args.integer("jobs").value_or(1);
   TraceSession trace(args);
   trace.attach(options);
+  // Before any store, journal or perflog is opened: a bad -S or an empty
+  // selection touches no file.
+  const std::vector<RegressionTest> tests =
+      selectTests(invocation, options.tracer, options.metrics);
+  if (tests.empty()) {
+    std::cerr << "suite: no tests match the selection\n";
+    return 2;
+  }
   StoreSession storeSession(args);
   storeSession.attach(options);
+  const SystemRegistry systems = builtinSystems();
+  const PackageRepository repo = builtinRepository();
   Pipeline pipeline(systems, repo, options);
   PerfLog perflog(args.text("perflog").value_or(""));
 
   std::optional<RunJournal> journal;
-  if (auto resumeDir = args.text("resume")) {
+  if (auto resumeDir = suite ? args.text("resume") : std::nullopt) {
     journal.emplace(*resumeDir);
     if (journal->corruptLines() > 0) {
       std::cerr << "suite: journal had " << journal->corruptLines()
@@ -544,33 +468,47 @@ int runSuite(const Args& args) {
     }
   }
 
-  const TestSuite suite = builtinSuite();
-  const std::vector<RegressionTest> selected =
-      suite.select(invocation.tag, invocation.namePattern,
-                   invocation.excludePattern, options.tracer,
-                   options.metrics);
-  if (selected.empty()) {
-    std::cerr << "suite: no tests match the selection\n";
-    return 2;
-  }
   const std::vector<std::string> targets{invocation.system};
   CampaignReport report;
-  service::CampaignExecution execution = service::executeCampaign(
-      pipeline, selected, targets, invocation, &perflog,
+  const service::CampaignExecution execution = service::executeCampaign(
+      pipeline, tests, targets, invocation, &perflog,
       journal ? &*journal : nullptr, &report);
   const std::vector<TestRunResult>& results = execution.results;
+  const bool verbose = !suite && args.flag("verbose");
   for (const TestRunResult& result : results) {
     const char* marker = result.passed       ? " OK "
                          : result.quarantined ? "QUAR"
                                               : "FAIL";
     std::cout << "[" << marker << "] " << result.testName << " @ "
               << result.system << ":" << result.partition;
-    if (!result.passed) {
-      std::cout << "  (" << result.failure.stage << " ["
-                << failureClassName(result.failure.klass)
-                << "]: " << result.failure.detail << ")";
-    }
+    // Quarantined runs and concretize failures have no environment.
+    if (!result.environ.empty()) std::cout << " (" << result.environ << ")";
     std::cout << "\n";
+    if (verbose && result.concreteSpec != nullptr) {
+      std::cout << "  spec:   " << result.concreteSpec->shortForm() << "\n";
+      std::cout << "  launch: " << result.launchCommand << "\n";
+    }
+    if (!result.passed) {
+      std::cout << "  " << result.failure.stage << " ["
+                << failureClassName(result.failure.klass)
+                << "]: " << result.failure.detail;
+      if (result.attempts > 1) {
+        std::cout << " (after " << result.attempts << " attempts)";
+      }
+      std::cout << "\n";
+      continue;
+    }
+    for (const auto& [fom, value] : result.foms) {
+      std::cout << "  " << str::padRight(fom, 8) << " = "
+                << str::fixed(value, 2) << "\n";
+    }
+    if (!result.telemetry.empty()) {
+      std::cout << "  energy   = "
+                << str::fixed(result.telemetry.energyJoules(), 0) << " J ("
+                << str::fixed(result.telemetry.meanPowerWatts(), 0)
+                << " W mean, " << result.contentionFlags.size()
+                << " contended samples)\n";
+    }
   }
   const CampaignSummary summary = summarizeCampaign(results);
   std::cout << renderCampaignSummary(summary, &report);
@@ -585,7 +523,20 @@ int runSuite(const Args& args) {
               << "s makespan (" << report.workerLanesTouched
               << " worker lane(s) touched)\n";
   }
-  if (execution.adaptive) printInferenceDecisions(execution.inference);
+  for (const infer::FomDecision& d : execution.inference.decisions) {
+    std::cout << "infer: " << d.test << " @ " << d.target << " " << d.fom
+              << ": mean " << str::fixed(d.estimate.mean, 2) << " +/- "
+              << str::fixed(d.estimate.ciHalfwidth, 2) << " ("
+              << str::fixed(d.estimate.ciRelative * 100.0, 2)
+              << "% rel, ess " << str::fixed(d.estimate.ess, 1)
+              << ") after " << d.estimate.n << " repeat(s) in " << d.rounds
+              << " round(s)" << (d.converged ? "" : " [hit --max-repeats]")
+              << "\n";
+  }
+  if (perflog.size() > 0 && args.text("perflog")) {
+    std::cout << perflog.size() << " perflog entries appended to "
+              << *args.text("perflog") << "\n";
+  }
   const std::string traceBytes = trace.active() ? trace.serialize() : "";
   const auto fomAggregates = history::aggregateFoms(results);
   storeSession.writeManifest(invocation, results, perflog,
@@ -607,11 +558,6 @@ int replay(const Args& args) {
   const store::CampaignManifest manifest =
       store::CampaignManifest::read(manifestPath);
   const store::CampaignInvocation& invocation = manifest.invocation;
-  if (invocation.mode != "run" && invocation.mode != "suite") {
-    std::cerr << "replay: manifest records no replayable invocation (mode '"
-              << invocation.mode << "')\n";
-    return 2;
-  }
   bool wantTrace = false;
   for (const store::ArtifactRecord& artifact : manifest.artifacts) {
     if (artifact.name == "trace") wantTrace = true;
@@ -626,6 +572,8 @@ int replay(const Args& args) {
     options.tracer = &tracer;
     options.metrics = &metrics;
   }
+  const std::vector<RegressionTest> tests =
+      selectTests(invocation, options.tracer, options.metrics);
   // The original campaign only pinned its trace when it started cache-
   // cold, so a fresh throwaway store reproduces the same store.* spans;
   // replay never reuses prior state (that would let a stale artifact
@@ -642,28 +590,9 @@ int replay(const Args& args) {
 
   Pipeline pipeline(systems, repo, options);
   PerfLog perflog;
-  if (invocation.mode == "run" && invocation.ciHalfwidth <= 0.0) {
-    // Fixed-repeat run mode replays through runOne so the regenerated
-    // trace reproduces the original's span structure exactly.
-    const RegressionTest test = buildTest(invocation);
-    for (int repeat = 0; repeat < options.numRepeats; ++repeat) {
-      pipeline.runOne(test, invocation.system, &perflog, repeat);
-    }
-  } else if (invocation.mode == "run") {
-    const std::vector<RegressionTest> tests{buildTest(invocation)};
-    const std::vector<std::string> targets{invocation.system};
-    service::executeCampaign(pipeline, tests, targets, invocation, &perflog,
-                             nullptr, nullptr);
-  } else {
-    const TestSuite suite = builtinSuite();
-    const std::vector<RegressionTest> selected =
-        suite.select(invocation.tag, invocation.namePattern,
-                     invocation.excludePattern, options.tracer,
-                     options.metrics);
-    const std::vector<std::string> targets{invocation.system};
-    service::executeCampaign(pipeline, selected, targets, invocation,
-                             &perflog, nullptr, nullptr);
-  }
+  const std::vector<std::string> targets{invocation.system};
+  service::executeCampaign(pipeline, tests, targets, invocation, &perflog,
+                           nullptr, nullptr);
 
   std::map<std::string, std::string> replayed;
   replayed["perflog"] = service::perflogBytes(perflog);
@@ -1001,16 +930,6 @@ int history(const Args& args) {
   return 0;
 }
 
-/// Maps a queued invocation to its tests — injected into the service
-/// layer so core stays free of benchmark dependencies.
-std::vector<RegressionTest> resolveSubmissionTests(
-    const store::CampaignInvocation& inv) {
-  if (inv.mode == "run") return {buildTest(inv)};
-  const TestSuite suite = builtinSuite();
-  return suite.select(inv.tag, inv.namePattern, inv.excludePattern, nullptr,
-                      nullptr);
-}
-
 /// `rebench submit` — drops one campaign invocation into a serve queue
 /// (tmp + atomic rename; idempotent by content hash).
 int submitCommand(const Args& args) {
@@ -1062,18 +981,18 @@ int serveCommand(const Args& args) {
       args.number("submission-timeout").value_or(-1.0);
   options.crashAfter = args.text("crash-after").value_or("");
   options.listen = listen;
-  if (trace.active()) options.tracer = &trace.tracer;
-  if (trace.active() || trace.metricsOut.has_value()) {
-    options.metrics = &trace.metrics;
-  }
+  trace.attach(options);
   options.log = &std::cout;
 
   // SIGTERM/SIGINT = graceful drain: finish the submission in flight,
   // snapshot health, exit.
   std::signal(SIGTERM, [](int) { service::Service::requestShutdown(); });
   std::signal(SIGINT, [](int) { service::Service::requestShutdown(); });
-  service::Service daemon(systems, repo, std::move(options),
-                          resolveSubmissionTests);
+  service::Service daemon(
+      systems, repo, std::move(options),
+      [](const store::CampaignInvocation& inv) {
+        return selectTests(inv, nullptr, nullptr);
+      });
   service::ServeReport report;
   try {
     report = daemon.run();
@@ -1308,8 +1227,8 @@ int dispatch(const Args& args) {
   if (args.subcommand() == "spec") return showSpec(args);
   if (args.subcommand() == "env") return showEnv(args);
   if (args.subcommand() == "audit") return audit(args);
-  if (args.subcommand() == "run") return runBenchmark(args);
-  if (args.subcommand() == "suite") return runSuite(args);
+  if (args.subcommand() == "run") return runCampaign(args);
+  if (args.subcommand() == "suite") return runCampaign(args);
   if (args.subcommand() == "replay") return replay(args);
   if (args.subcommand() == "report") return report(args);
   if (args.subcommand() == "trace-report") return traceReport(args);

@@ -102,8 +102,7 @@ void CampaignExecutor::classifyBuildKeys() {
       std::optional<BuildPlan> plan;
       try {
         const Spec abstract = Spec::parse(unit.test->spackSpec);
-        Concretizer concretizer(pipeline_.repo_, system->environment,
-                                {pipeline_.options_.reuse});
+        Concretizer concretizer(pipeline_.repo_, system->environment);
         plan = makeBuildPlan(*concretizer.concretize(abstract).root);
       } catch (const Error&) {
         // The campaign itself will fail at its concretize stage; leave

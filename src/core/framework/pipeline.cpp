@@ -32,7 +32,7 @@ Pipeline::Pipeline(const SystemRegistry& systems,
     : systems_(systems),
       repo_(repo),
       options_(std::move(options)),
-      builder_(options_.rebuildEveryRun) {
+      builder_(/*rebuildEveryRun=*/true) {
   if (options_.store != nullptr) {
     options_.store->setObservability(options_.metrics);
     if (options_.cacheBuilds) {
@@ -279,7 +279,7 @@ TestRunResult Pipeline::runOnce(const RegressionTest& test,
     try {
       const Spec abstract = Spec::parse(test.spackSpec);
       Concretizer concretizer(repo_, system->environment,
-                              {options_.reuse, tracer, metrics});
+                              {.tracer = tracer, .metrics = metrics});
       ConcretizationResult cres = concretizer.concretize(abstract);
       concrete = cres.root;
       result.concretizationTrace = std::move(cres.trace);
@@ -504,8 +504,8 @@ TestRunResult Pipeline::runOnce(const RegressionTest& test,
     telemetryDropped = true;
     noteInjected("telemetry_dropout");
   }
-  if (options_.captureTelemetry && !telemetryDropped &&
-      !partition->machineModel.empty() && job->startTime >= 0.0) {
+  if (!telemetryDropped && !partition->machineModel.empty() &&
+      job->startTime >= 0.0) {
     obs::ScopedSpan span(tracer, "telemetry", stageHistogram("telemetry"));
     const MachineModel& machine =
         builtinMachines().get(partition->machineModel);

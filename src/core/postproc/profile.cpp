@@ -44,6 +44,11 @@ double followerBlockedSeconds(const obs::TraceFile& trace,
 
 TraceProfile profileTrace(const obs::TraceFile& trace) {
   TraceProfile profile;
+  // The executor's greedy schedule fills lanes in order, so no stamp
+  // names a lane at or beyond the number of exec.worker spans.
+  const auto workers = std::count_if(
+      trace.spans.begin(), trace.spans.end(),
+      [](const obs::SpanRecord& span) { return span.name == "exec.worker"; });
   for (const obs::SpanRecord& span : trace.spans) {
     if (span.name != "exec.worker") continue;
     const auto lane = span.attrs.find("lane");
@@ -53,11 +58,25 @@ TraceProfile profileTrace(const obs::TraceFile& trace) {
                   "' lacks the lane/sim_seconds stamps - the trace "
                   "predates the profiling contract; re-run the campaign");
     }
+    const std::string where = "profile: exec.worker span '" + span.id + "'";
     ProfiledUnit unit;
     unit.spanId = span.id;
     unit.label = unitLabel(span);
-    unit.lane = std::stoi(lane->second);
-    unit.simSeconds = std::stod(sim->second);
+    try {
+      unit.lane = str::parseWhole<int>(lane->second, "lane");
+      unit.simSeconds = str::parseWhole<double>(sim->second, "sim_seconds");
+    } catch (const ParseError& e) {
+      throw Error(where + ": " + e.what());
+    }
+    if (unit.lane < 0 || unit.lane >= workers) {
+      throw Error(where + " stamps lane " + lane->second +
+                  ", but the trace has " + std::to_string(workers) +
+                  " exec.worker span(s)");
+    }
+    if (!std::isfinite(unit.simSeconds) || unit.simSeconds < 0.0) {
+      throw Error(where + " stamps sim_seconds " + sim->second +
+                  ", not a finite non-negative duration");
+    }
     unit.blockedSeconds = followerBlockedSeconds(trace, span.id);
     profile.units.push_back(std::move(unit));
   }

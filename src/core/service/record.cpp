@@ -62,7 +62,6 @@ CampaignExecution executeCampaign(Pipeline& pipeline,
   CampaignExecution execution;
   const infer::InferenceOptions inference = inferenceOptionsFor(inv);
   if (inference.active()) {
-    execution.adaptive = true;
     execution.results =
         infer::runAdaptive(pipeline, tests, targets, inference, perflog,
                            journal, report, &execution.inference);

@@ -41,14 +41,13 @@ infer::InferenceOptions inferenceOptionsFor(const store::CampaignInvocation& inv
 struct CampaignExecution {
   std::vector<TestRunResult> results;
   infer::ControllerReport inference;  // empty unless adaptive
-  bool adaptive = false;
 };
 
 /// Dispatches the campaign: adaptive invocations run the rebench::infer
 /// controller (sample-until-converged, summary perflog rows,
 /// infer.controller spans), fixed-repeat ones run Pipeline::runAll.
-/// The CLI suite/replay tails and the serve daemon all execute through
-/// here so their bytes agree.
+/// The CLI's run, suite and replay and the serve daemon all execute
+/// through here so their bytes agree.
 CampaignExecution executeCampaign(Pipeline& pipeline,
                                   std::span<const RegressionTest> tests,
                                   std::span<const std::string> targets,

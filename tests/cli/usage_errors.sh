@@ -74,6 +74,15 @@ for flag in --ntimes --verbose --backoff-mult --crash-after; do
   grep -q -- "$flag" usage.txt || fail "usage omits $flag"
 done
 
+# A run that fails before it has a spec exits 1, even under --verbose.
+"$rebench" $babel -S model=bogus --verbose > out.txt 2> err.txt
+test $? -eq 1 || fail "a concretize failure under --verbose did not exit 1"
+grep -q 'concretize \[permanent\]' out.txt || fail "concretize failure not reported"
+# A manifest naming a campaign mode other than run or suite is refused.
+"$rebench" $babel --store mst > /dev/null || fail "run --store failed"
+sed 's/"mode":"run"/"mode":"bogus"/' mst/manifests/latest.json > bogus.json
+expect_exit 1 "mode must be run or suite (got 'bogus')" replay bogus.json
+
 # Filesystem errors exit 1 with a message, never abort.
 touch file
 expect_exit 1 'rebench: ' $babel --trace file

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/framework/pipeline.hpp"
@@ -201,6 +202,30 @@ TEST(Profile, RejectsWorkerSpansWithoutStampsAndEmptyTraces) {
   empty.beginSpan("concretize");
   empty.endSpan();
   EXPECT_THROW(profileTrace(obs::parseTraceJsonl(empty.toJsonl())), Error);
+
+  // Malformed stamps on the second of two worker spans: each is an Error
+  // naming that span, never an abort or a numeric prefix read as valid.
+  const std::vector<std::pair<std::string, std::string>> stamps = {
+      {"-1", "4.0"},      {"0x", "4.0"},  {"abc", "4.0"}, {"2", "4.0"},
+      {"1", "12.5junk"}, {"1", "-4.0"}, {"1", "nan"},   {"1", "inf"}};
+  for (const auto& [lane, sim] : stamps) {
+    obs::Tracer tracer;
+    addWorkerSpan(tracer, "A", 0, 10.0);
+    const std::string id = tracer.beginSpan("exec.worker");
+    tracer.endSpan();
+    tracer.annotateCompleted(id, "lane", lane);
+    tracer.annotateCompleted(id, "sim_seconds", sim);
+    const obs::TraceFile trace = obs::parseTraceJsonl(tracer.toJsonl());
+    try {
+      profileTrace(trace);
+      ADD_FAILURE() << "lane '" << lane << "', sim_seconds '" << sim
+                    << "' was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("span '" + id + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // ---- chrome export -------------------------------------------------------
