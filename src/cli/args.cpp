@@ -82,8 +82,10 @@ const std::vector<Command>& table() {
        withCampaign({kPerflog, kTrace, kMetricsOut, kJobs,
                      {"resume", kText, "DIR",
                       "journal finished runs in DIR; reruns skip them"}})},
-      {"replay", "<manifest>", 1, 1,
-       "re-execute a manifest; exit 1 unless byte-exact", {}},
+      {"replay", "<manifest>|<hash>", 0, 1,
+       "re-execute a manifest; exit 1 unless byte-exact",
+       {{"store", kText, "DIR",
+         "replay the manifest object <hash> of DIR (default: latest)"}}},
       {"trace-report", "<trace>", 1, 1,
        "per-stage timing and metrics of a trace",
        {{"tree", kFlag, "", "also print the span tree"}, kJson, kChrome}},

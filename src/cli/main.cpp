@@ -355,8 +355,8 @@ store::CampaignInvocation invocationFromArgs(const Args& args,
 }
 
 /// Store state for one CLI invocation; active when --store DIR was given.
-/// Owns the object store, writes the campaign manifest under
-/// DIR/manifests/ and prints the cache-hit summary.
+/// Owns the object store, writes the campaign manifest into it and
+/// prints the cache-hit summary.
 struct StoreSession {
   std::optional<store::ObjectStore> store;
   bool cache = true;
@@ -378,9 +378,9 @@ struct StoreSession {
     options.cacheBuilds = cache;
   }
 
-  /// Records the finished campaign: artifacts go into the object store,
-  /// the manifest lands in DIR/manifests/campaign-<hash>.json (plus a
-  /// latest.json convenience copy).  The trace artifact is only pinned
+  /// Records the finished campaign: artifacts and the manifest go into
+  /// the object store, and refs/manifests/latest names the manifest.
+  /// The trace artifact is only pinned
   /// when this campaign started cache-cold (or caching was off): warm
   /// cache state changes the store.* spans, so those trace bytes would
   /// not be reproducible by a from-scratch replay.
@@ -510,7 +510,7 @@ int runCampaign(const Args& args) {
                 << " contended samples)\n";
     }
   }
-  const CampaignSummary summary = summarizeCampaign(results);
+  const CampaignSummary summary = summarizeCampaign(results, &report);
   std::cout << renderCampaignSummary(summary, &report);
   if (options.jobs > 1) {
     std::cout << "executor: " << report.executed << " campaign(s) on "
@@ -548,15 +548,54 @@ int runCampaign(const Args& args) {
   return summary.failed == 0 && summary.quarantined == 0 ? 0 : 1;
 }
 
-/// `rebench replay <manifest>` — re-executes the recorded invocation
-/// from scratch and diffs the regenerated artifact bytes against the
-/// hashes the manifest pinned.  Exit 0 only when every artifact is
-/// byte-exact; any divergence means the campaign is not reproducible
-/// from its manifest (code, environment or configuration drifted).
+/// Whether `dir` holds a store.  Read-only commands check this first, so
+/// a mistyped DIR does not turn into a new store.
+bool isStore(const std::string& dir) {
+  return std::filesystem::exists(std::filesystem::path(dir) / "objects");
+}
+
+/// The manifest `replay` re-executes, and where it was read from: a
+/// store's object (a verified read, by hash or through
+/// refs/manifests/latest) or a file (named by its hash, it must hash to
+/// that name).
+std::pair<store::CampaignManifest, std::string> replayedManifest(
+    const Args& args) {
+  const auto storeDir = args.text("store");
+  if (!storeDir) {
+    if (args.positionals().empty()) {
+      throw UsageError("missing <manifest> (or --store DIR)");
+    }
+    const std::string& path = args.positionals().front();
+    return {store::CampaignManifest::read(path), path};
+  }
+  if (!isStore(*storeDir)) throw UsageError("no store at " + *storeDir);
+  store::ObjectStore store(*storeDir);
+  std::string hash;
+  if (!args.positionals().empty()) {
+    hash = args.positionals().front();
+    if (!store::ObjectStore::isHash(hash)) {
+      throw UsageError("<hash> must be 16 lowercase hex digits, got '" +
+                       hash + "'");
+    }
+  } else if (auto latest = store.ref(store::kLatestManifestRef)) {
+    hash = *latest;
+  } else {
+    throw Error("no manifest in the store at '" + *storeDir + "': refs/" +
+                std::string(store::kLatestManifestRef) +
+                " is unset or names a missing object");
+  }
+  return {store::CampaignManifest::load(store, hash), store.objectPath(hash)};
+}
+
+/// `rebench replay <manifest>` or `replay --store DIR [<hash>]` —
+/// re-executes the recorded invocation from scratch and diffs the
+/// regenerated artifact bytes against the hashes the manifest pinned.
+/// Exit 0 only when every artifact is byte-exact; any divergence means
+/// the campaign is not reproducible from its manifest (code, environment
+/// or configuration drifted), and a manifest that fails verification
+/// exits 1 before anything runs.
 int replay(const Args& args) {
-  const std::string manifestPath = args.positionals().front();
-  const store::CampaignManifest manifest =
-      store::CampaignManifest::read(manifestPath);
+  const auto [manifest, manifestPath] = replayedManifest(args);
   const store::CampaignInvocation& invocation = manifest.invocation;
   bool wantTrace = false;
   for (const store::ArtifactRecord& artifact : manifest.artifacts) {
@@ -833,9 +872,7 @@ int history(const Args& args) {
       args.positionals().size() < 2 ? "" : args.positionals()[1];
   std::vector<history::HistoryRecord> records;
   if (const auto storeDir = args.text("store")) {
-    // A read-only command: a mistyped DIR must not turn into a new store.
-    if (!std::filesystem::exists(std::filesystem::path(*storeDir) /
-                                 "objects")) {
+    if (!isStore(*storeDir)) {
       std::cerr << "history: no store at " << *storeDir << "\n";
       return 2;
     }

@@ -64,6 +64,21 @@ void durableWriteFile(const std::string& path, std::string_view bytes) {
   writeFileAtomic(path, bytes, Durability::kFsync);
 }
 
+void appendToFile(const std::string& path, std::string_view bytes,
+                  Durability durability) {
+  const int fd =
+      ::open(path.c_str(), O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC, 0644);
+  if (fd < 0) throw Error("cannot open '" + path + "' for append");
+  const off_t before = ::lseek(fd, 0, SEEK_END);
+  const bool written = before >= 0 && writeAll(fd, bytes, durability);
+  if (::close(fd) == 0 && written) return;
+  // Cut a torn line back off so the file stays byte-identical and the
+  // next append starts a fresh line.
+  std::error_code ec;
+  if (before >= 0) fs::resize_file(path, before, ec);
+  throw Error("cannot append to '" + path + "'");
+}
+
 FileLock::FileLock(const std::string& path, Mode mode)
     : fd_(::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644)) {
   if (fd_ < 0) throw Error("cannot open lock file '" + path + "'");
@@ -134,17 +149,7 @@ JsonlLog::JsonlLog(std::string path, std::string_view schema,
 void JsonlLog::append(std::string_view line) const {
   std::string bytes(line);
   bytes += '\n';
-  const int fd =
-      ::open(path_.c_str(), O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC, 0644);
-  if (fd < 0) throw Error("cannot open '" + path_ + "' for append");
-  const off_t before = ::lseek(fd, 0, SEEK_END);
-  const bool written = before >= 0 && writeAll(fd, bytes, durability_);
-  if (::close(fd) == 0 && written) return;
-  // Cut a torn line back off so the file stays byte-identical and the
-  // next append starts a fresh line.
-  std::error_code ec;
-  if (before >= 0) fs::resize_file(path_, before, ec);
-  throw Error("cannot append to '" + path_ + "'");
+  appendToFile(path_, bytes, durability_);
 }
 
 void JsonlLog::rewrite(std::string_view records) const {
@@ -168,14 +173,17 @@ RunJournal::RunJournal(const std::string& dir)
     : log_(pathFor(dir), kJournalSchema, Durability::kFsync,
            [this](const obs::json::Value& record, std::string_view) {
              if (record.stringOr("kind", "") != "run") return;
-             keys_.insert(key(record.stringOr("test", ""),
-                              record.stringOr("target", ""),
-                              record.integerOr("repeat", 0)));
+             outcomes_[key(record.stringOr("test", ""),
+                           record.stringOr("target", ""),
+                           record.integerOr("repeat", 0))] =
+                 record.stringOr("outcome", "");
            }) {}
 
-bool RunJournal::contains(std::string_view test, std::string_view target,
-                          int repeat) const {
-  return keys_.count(key(test, target, repeat)) > 0;
+const std::string* RunJournal::outcome(std::string_view test,
+                                       std::string_view target,
+                                       int repeat) const {
+  const auto it = outcomes_.find(key(test, target, repeat));
+  return it == outcomes_.end() ? nullptr : &it->second;
 }
 
 void RunJournal::record(std::string_view test, std::string_view target,
@@ -187,7 +195,7 @@ void RunJournal::record(std::string_view test, std::string_view target,
               ",\"outcome\":" + obs::json::quote(outcome) +
               ",\"stage\":" + obs::json::quote(stage) +
               ",\"attempts\":" + std::to_string(attempts) + "}");
-  keys_.insert(key(test, target, repeat));
+  outcomes_[key(test, target, repeat)] = outcome;
 }
 
 }  // namespace rebench

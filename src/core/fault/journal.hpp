@@ -6,12 +6,14 @@
 // serve's write-ahead journal (service/journal.hpp), which it also
 // compacts, and the old store index that store/object_store.hpp
 // converts.  writeFileAtomic is the one way a whole file is published:
-// readers see the old file or the complete new one.  FileLock is the one
-// inter-process lock.
+// readers see the old file or the complete new one.  appendToFile is the
+// one way bytes are appended (JsonlLog and the perflog): whole or not at
+// all.  FileLock is the one inter-process lock.
 //
 // Run journal: a suite run appends one record per completed (test,
 // target, repeat) tuple to DIR/journal.jsonl; --resume DIR executes only
-// the tuples not yet recorded.  Each line is fsynced before record()
+// the tuples not yet recorded, and the campaign summary counts the
+// recorded ones by their outcome.  Each line is fsynced before record()
 // returns, so a crash loses at most the line being written, never an
 // acknowledged one (which would double-execute it on resume).
 //
@@ -23,7 +25,7 @@
 
 #include <cstddef>
 #include <functional>
-#include <set>
+#include <map>
 #include <string>
 #include <string_view>
 
@@ -50,6 +52,13 @@ void writeFileAtomic(const std::string& path, std::string_view bytes,
 
 /// writeFileAtomic with fsync and the default tmp name.
 void durableWriteFile(const std::string& path, std::string_view bytes);
+
+/// Appends `bytes` to `path` (created when absent) in one checked
+/// O_APPEND write, fsynced when `durability` asks for it.  A failed or
+/// short write is cut back off and throws rebench::Error naming `path`,
+/// leaving the file byte-identical.
+void appendToFile(const std::string& path, std::string_view bytes,
+                  Durability durability);
 
 /// An exclusive flock(2) on `path` (created when absent), held until the
 /// FileLock is destroyed or the process exits, however it exits.  Two
@@ -90,9 +99,8 @@ class JsonlLog {
   JsonlLog(std::string path, std::string_view schema, Durability durability,
            const Replay& replay);
 
-  /// Appends `line` and a '\n' in one checked write, fsynced when the
-  /// log is durable.  A failed or short write is cut back off and throws
-  /// rebench::Error, leaving the file byte-identical.
+  /// Appends `line` and a '\n' through appendToFile, fsynced when the
+  /// log is durable.
   void append(std::string_view line) const;
 
   /// Replaces the file with the meta line followed by `records` (whole
@@ -119,8 +127,10 @@ class RunJournal {
 
   static std::string pathFor(const std::string& dir);
 
-  bool contains(std::string_view test, std::string_view target,
-                int repeat) const;
+  /// The recorded outcome of a journaled tuple ("pass", "fail" or
+  /// "quarantined"); nullptr when the tuple is not journaled.
+  const std::string* outcome(std::string_view test, std::string_view target,
+                             int repeat) const;
 
   /// Appends one completed tuple durably (write + fsync per line).
   void record(std::string_view test, std::string_view target, int repeat,
@@ -128,7 +138,7 @@ class RunJournal {
               int attempts);
 
   /// Number of completed tuples currently journaled.
-  std::size_t size() const { return keys_.size(); }
+  std::size_t size() const { return outcomes_.size(); }
 
   /// Unparseable lines dropped while loading (e.g. a truncated tail).
   std::size_t corruptLines() const { return log_.corruptLines(); }
@@ -139,8 +149,8 @@ class RunJournal {
   static std::string key(std::string_view test, std::string_view target,
                          int repeat);
 
-  std::set<std::string> keys_;
-  JsonlLog log_;  // after keys_: replaying it fills them
+  std::map<std::string, std::string> outcomes_;  // key -> outcome
+  JsonlLog log_;  // after outcomes_: replaying it fills them
 };
 
 }  // namespace rebench

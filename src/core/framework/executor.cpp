@@ -66,9 +66,11 @@ void CampaignExecutor::enumerate(std::span<const RegressionTest> tests,
         }
       }
       for (int repeat = repeatBegin; repeat < repeatEnd; ++repeat) {
-        if (journal_ != nullptr &&
-            journal_->contains(test.name, target, repeat)) {
-          ++report_->skippedJournaled;
+        if (const std::string* outcome =
+                journal_ != nullptr
+                    ? journal_->outcome(test.name, target, repeat)
+                    : nullptr) {
+          ++report_->journaledOutcomes[*outcome];
           continue;
         }
         Unit unit;

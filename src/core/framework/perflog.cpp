@@ -2,6 +2,7 @@
 
 #include <fstream>
 
+#include "core/fault/journal.hpp"
 #include "core/util/error.hpp"
 #include "core/util/strings.hpp"
 
@@ -92,9 +93,7 @@ PerfLog::PerfLog(std::string path) : path_(std::move(path)) {}
 void PerfLog::append(const PerfLogEntry& entry) {
   lines_.push_back(entry.serialize());
   if (!path_.empty()) {
-    std::ofstream out(path_, std::ios::app);
-    if (!out) throw Error("cannot open perflog file '" + path_ + "'");
-    out << lines_.back() << '\n';
+    appendToFile(path_, lines_.back() + '\n', Durability::kBuffered);
   }
 }
 

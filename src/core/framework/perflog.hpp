@@ -48,6 +48,8 @@ class PerfLog {
   /// When `path` is non-empty every append is also written to the file.
   explicit PerfLog(std::string path);
 
+  /// Throws rebench::Error naming the file when the line cannot be
+  /// appended whole (appendToFile); the file keeps only whole lines.
   void append(const PerfLogEntry& entry);
   const std::vector<std::string>& lines() const { return lines_; }
   std::size_t size() const { return lines_.size(); }

@@ -187,8 +187,15 @@ struct TestRunResult {
 /// the returned results; quarantined entries also appear as results).
 struct CampaignReport {
   std::size_t executed = 0;
-  /// Tuples skipped because the run journal already contains them.
-  std::size_t skippedJournaled = 0;
+  /// Tuples skipped because the run journal already contains them, by
+  /// journaled outcome ("pass", "fail", "quarantined"); summarizeCampaign
+  /// adds them to the results' counts.
+  std::map<std::string, std::size_t> journaledOutcomes;
+  std::size_t skippedJournaled() const {
+    std::size_t tuples = 0;
+    for (const auto& [outcome, count] : journaledOutcomes) tuples += count;
+    return tuples;
+  }
   /// Tuples skipped by the circuit breaker.
   std::size_t quarantined = 0;
   /// Breaker keys ("test@system:partition" or "system:partition") whose

@@ -50,7 +50,8 @@ std::vector<std::string> TestSuite::testNames() const {
   return out;
 }
 
-CampaignSummary summarizeCampaign(std::span<const TestRunResult> results) {
+CampaignSummary summarizeCampaign(std::span<const TestRunResult> results,
+                                  const CampaignReport* report) {
   CampaignSummary summary;
   summary.total = results.size();
   for (const TestRunResult& result : results) {
@@ -60,6 +61,17 @@ CampaignSummary summarizeCampaign(std::span<const TestRunResult> results) {
       ++summary.passed;
     } else {
       ++summary.failed;
+    }
+  }
+  if (report == nullptr) return summary;
+  for (const auto& [outcome, tuples] : report->journaledOutcomes) {
+    summary.total += tuples;
+    if (outcome == "quarantined") {
+      summary.quarantined += tuples;
+    } else if (outcome == "pass") {
+      summary.passed += tuples;
+    } else {
+      summary.failed += tuples;
     }
   }
   return summary;
@@ -82,8 +94,8 @@ std::string renderCampaignSummary(const CampaignSummary& summary,
     }
     out += "\n";
   }
-  if (report != nullptr && report->skippedJournaled > 0) {
-    out += "resume: " + std::to_string(report->skippedJournaled) +
+  if (report != nullptr && report->skippedJournaled() > 0) {
+    out += "resume: " + std::to_string(report->skippedJournaled()) +
            " tuple(s) already journaled, " +
            std::to_string(report->executed) + " executed\n";
   }

@@ -55,7 +55,11 @@ struct CampaignSummary {
   std::size_t quarantined = 0;  // skipped by the circuit breaker
 };
 
-CampaignSummary summarizeCampaign(std::span<const TestRunResult> results);
+/// Counts `results` and, when `report` is given, the tuples a resumed
+/// campaign skipped, by their journaled outcome: a failure recorded
+/// before the resume still fails the campaign.
+CampaignSummary summarizeCampaign(std::span<const TestRunResult> results,
+                                  const CampaignReport* report = nullptr);
 
 /// One-paragraph human summary; includes resume/quarantine lines when a
 /// CampaignReport is given and they apply.

@@ -37,7 +37,9 @@ bool seriesConverged(const SeriesEstimate& est, double target) {
 void foldReport(CampaignReport* into, const CampaignReport& round) {
   if (into == nullptr) return;
   into->executed += round.executed;
-  into->skippedJournaled += round.skippedJournaled;
+  for (const auto& [outcome, tuples] : round.journaledOutcomes) {
+    into->journaledOutcomes[outcome] += tuples;
+  }
   into->quarantined += round.quarantined;
   for (const std::string& key : round.quarantinedKeys) {
     into->quarantinedKeys.push_back(key);

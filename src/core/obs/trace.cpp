@@ -1,8 +1,8 @@
 #include "core/obs/trace.hpp"
 
-#include <fstream>
 #include <sstream>
 
+#include "core/fault/journal.hpp"
 #include "core/obs/json.hpp"
 #include "core/util/error.hpp"
 #include "core/util/strings.hpp"
@@ -113,7 +113,9 @@ void Tracer::absorb(const Tracer& shard) {
     if (id.empty()) return id;
     const std::size_t dot = id.find('.');
     const std::string head = id.substr(0, dot);
-    const int root = std::stoi(head) + rootBase;
+    const int root =
+        str::parseWhole<int>(head, "root of shard span '" + id + "'") +
+        rootBase;
     if (dot == std::string::npos) return std::to_string(root);
     return std::to_string(root) + id.substr(dot);
   };
@@ -201,10 +203,7 @@ std::string Tracer::toJsonl(const MetricsRegistry* metrics) const {
 
 void Tracer::writeFile(const std::string& path,
                        const MetricsRegistry* metrics) const {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) throw Error("cannot open trace file '" + path + "'");
-  writeJsonl(out, metrics);
-  if (!out) throw Error("failed writing trace file '" + path + "'");
+  writeFileAtomic(path, toJsonl(metrics), Durability::kBuffered);
 }
 
 ScopedSpan::ScopedSpan(Tracer* tracer, std::string name,

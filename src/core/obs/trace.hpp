@@ -108,7 +108,8 @@ class Tracer {
   void writeJsonl(std::ostream& out,
                   const MetricsRegistry* metrics = nullptr) const;
   std::string toJsonl(const MetricsRegistry* metrics = nullptr) const;
-  /// Writes to `path`, truncating; throws rebench::Error on I/O failure.
+  /// Publishes the trace at `path` whole (writeFileAtomic): readers see
+  /// the old file or the new one.  Throws rebench::Error on I/O failure.
   void writeFile(const std::string& path,
                  const MetricsRegistry* metrics = nullptr) const;
 

@@ -1,7 +1,6 @@
 #include "core/obs/trace_reader.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -337,12 +336,13 @@ std::vector<std::string> lintTrace(const TraceFile& trace) {
       if (const auto status = span.attrs.find("status");
           status != span.attrs.end()) {
         const std::string& text = status->second;
-        const bool numeric =
-            !text.empty() &&
-            text.find_first_not_of("0123456789") == std::string::npos;
         int code = 0;
-        if (numeric) code = std::atoi(text.c_str());
-        if (!numeric || code < 100 || code > 599) {
+        try {
+          code = str::parseWhole<int>(text, "status");
+        } catch (const ParseError&) {
+          // Not a whole number, or too long for one: invalid below.
+        }
+        if (code < 100 || code > 599) {
           issues.push_back("serve.endpoint span '" + span.id +
                            "' has invalid status '" + text + "'");
         }
@@ -428,15 +428,7 @@ std::vector<std::string> lintTrace(const TraceFile& trace) {
   // the host tracer's, so in file order the leading root number of every
   // span and event is non-decreasing (and span ids stay unique — checked
   // above).  A violation means a merge scrambled or duplicated shards.
-  auto rootNumber = [](const std::string& id) -> long {
-    const std::string head = id.substr(0, id.find('.'));
-    if (head.empty() ||
-        head.find_first_not_of("0123456789") != std::string::npos) {
-      return -1;  // malformed; reported by the parent checks
-    }
-    return std::stol(head);
-  };
-  long previousRoot = 0;
+  unsigned long long previousRoot = 0;
   std::size_t spanIdx = 0, eventIdx = 0;
   for (const TraceFile::TimelineEntry& entry : trace.timeline) {
     std::string owner;
@@ -446,8 +438,19 @@ std::vector<std::string> lintTrace(const TraceFile& trace) {
       owner = trace.events[eventIdx++].span;
       if (owner.empty()) continue;  // unowned events carry no root
     }
-    const long root = rootNumber(owner);
-    if (root < 0) continue;
+    const std::string head = owner.substr(0, owner.find('.'));
+    if (head.empty() ||
+        head.find_first_not_of("0123456789") != std::string::npos) {
+      continue;  // malformed; reported by the parent checks
+    }
+    unsigned long long root = 0;
+    try {
+      root = str::parseWhole<unsigned long long>(head, "root id");
+    } catch (const ParseError&) {
+      issues.push_back((entry.kind == "span" ? "span '" : "event of span '") +
+                       owner + "' has a root id too large to number");
+      continue;
+    }
     if (root < previousRoot) {
       issues.push_back("non-monotone root ids after merge: record of root " +
                        std::to_string(root) + " follows root " +

@@ -1,11 +1,9 @@
 #include "core/service/record.hpp"
 
 #include <algorithm>
-#include <filesystem>
 
 #include "core/concretizer/concretizer.hpp"
 #include "core/fault/fault.hpp"
-#include "core/fault/journal.hpp"
 #include "core/obs/metrics.hpp"
 #include "core/obs/trace.hpp"
 #include "core/store/build_cache.hpp"
@@ -156,17 +154,11 @@ ManifestWrite writeCampaignManifest(store::ObjectStore& store,
   if (traceBytes != nullptr && pinTrace) {
     addArtifact("trace", *traceBytes);
   }
-  const std::filesystem::path dir =
-      std::filesystem::path(store.dir()) / "manifests";
-  std::filesystem::create_directories(dir);
-  // Rendered once: contentHash() is the hash of these bytes.
-  const std::string rendered = manifest.render();
+  // An object named by the hash of its bytes, as contentHash() is.
   ManifestWrite write;
-  write.hash = Hasher{}.update(rendered).hex();
-  write.path = (dir / ("campaign-" + write.hash + ".json")).string();
-  writeFileAtomic(write.path, rendered, Durability::kBuffered);
-  writeFileAtomic((dir / "latest.json").string(), rendered,
-                  Durability::kBuffered);
+  write.hash = store.put(manifest.render());
+  write.path = store.objectPath(write.hash);
+  store.setRef(store::kLatestManifestRef, write.hash);
   return write;
 }
 

@@ -66,12 +66,12 @@ store::RunManifest runManifestFor(const TestRunResult& result, int repeat);
 /// Outcome of writing a campaign manifest into a store.
 struct ManifestWrite {
   std::string hash;  // manifest contentHash
-  std::string path;  // DIR/manifests/campaign-<hash>.json
+  std::string path;  // DIR/objects/<hash>
 };
 
-/// Stores campaign artifacts and writes the manifest (plus the
-/// latest.json convenience copy).  `traceBytes` may be null; when given
-/// it is recorded only if `pinTrace` (cache-cold or caching-off
+/// Stores campaign artifacts and the manifest as objects, and points the
+/// manifests/latest ref at the manifest.  `traceBytes` may be null; when
+/// given it is recorded only if `pinTrace` (cache-cold or caching-off
 /// campaigns — warm store.* spans are not replayable).
 ManifestWrite writeCampaignManifest(store::ObjectStore& store,
                                     const store::CampaignInvocation& inv,

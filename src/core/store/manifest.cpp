@@ -1,9 +1,11 @@
 #include "core/store/manifest.hpp"
 
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include "core/obs/json.hpp"
+#include "core/store/object_store.hpp"
 #include "core/util/error.hpp"
 #include "core/util/hash.hpp"
 #include "core/util/strings.hpp"
@@ -224,12 +226,44 @@ CampaignManifest CampaignManifest::parse(const std::string& text) {
   return manifest;
 }
 
+std::string hashNamedBy(const std::string& filename) {
+  std::string named = filename;
+  if (named.starts_with("campaign-") && named.ends_with(".json")) {
+    named = named.substr(9, named.size() - 14);
+  }
+  return ObjectStore::isHash(named) ? named : "";
+}
+
 CampaignManifest CampaignManifest::read(const std::string& path) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   if (!in) throw Error("cannot read manifest '" + path + "'");
   std::ostringstream text;
   text << in.rdbuf();
+  const std::string named =
+      hashNamedBy(std::filesystem::path(path).filename().string());
+  if (!named.empty()) {
+    const std::string actual = ObjectStore::hashBytes(text.str());
+    if (actual != named) {
+      throw Error("manifest '" + path + "' hashes to " + actual +
+                  ", not to " + named + " as its name says");
+    }
+  }
   return parse(text.str());
+}
+
+CampaignManifest CampaignManifest::load(ObjectStore& store,
+                                        const std::string& hash) {
+  if (!store.contains(hash)) {
+    throw Error("manifest " + hash + " is not in the store at '" +
+                store.dir() + "'");
+  }
+  const std::optional<std::string> bytes = store.get(hash);
+  if (!bytes) {
+    throw Error("manifest " + hash +
+                " failed verification: its bytes no longer hash to " + hash +
+                ", so the store deleted it");
+  }
+  return parse(*bytes);
 }
 
 std::string CampaignManifest::contentHash() const {

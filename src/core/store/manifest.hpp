@@ -6,10 +6,13 @@
 // (concretized spec + hashes, environment, build-plan steps, launcher
 // command, scheduler/fault/retry configuration, outcome), and the
 // content hashes of every artifact the campaign produced (perflog,
-// trace).  Together with the object store this makes a finished campaign
-// a *verifiable* object: `rebench replay <manifest>` re-executes the
-// invocation from scratch and diffs the regenerated artifact bytes
-// against the recorded hashes, reporting exact/divergent per artifact.
+// trace).  A store keeps each manifest as an object, named by the hash
+// of its bytes, and points the manifests/latest ref at the newest one;
+// history records, RunCache records and verdicts cite that hash.  Every
+// read is verified, so a finished campaign is a *verifiable* object:
+// `rebench replay` re-executes the invocation from scratch and diffs the
+// regenerated artifact bytes against the recorded hashes, reporting
+// exact/divergent per artifact.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +29,16 @@ struct Value;
 namespace rebench::store {
 
 inline constexpr std::string_view kManifestSchema = "rebench.manifest/1";
+
+/// The store ref naming the newest campaign manifest object.
+inline constexpr std::string_view kLatestManifestRef = "manifests/latest";
+
+class ObjectStore;
+
+/// The hash a manifest file's name records: `<hash>` (a store object) or
+/// `campaign-<hash>.json` (the layout before manifests were objects);
+/// "" for any other name.
+std::string hashNamedBy(const std::string& filename);
 
 /// The normalized CLI invocation a manifest can re-execute.  Numeric
 /// fields default to "unset" sentinels (-1) so replay applies the same
@@ -149,10 +162,18 @@ struct CampaignManifest {
   /// JSON and rebench::Error on a schema-version mismatch.
   static CampaignManifest parse(const std::string& text);
 
-  /// Reads and parses `path`; throws rebench::Error when unreadable.
+  /// Reads and parses `path`; throws rebench::Error when unreadable.  A
+  /// file named as a store names manifests (`<hash>`, or the older
+  /// `campaign-<hash>.json`) must hash to that name, or this throws an
+  /// Error naming both hashes.
   static CampaignManifest read(const std::string& path);
 
-  /// Stable fingerprint of the manifest contents (used to name the file).
+  /// Verified read of the manifest object `hash` in `store`
+  /// (ObjectStore::get, which deletes a corrupt object).  Throws
+  /// rebench::Error naming the hash when it is missing or corrupt.
+  static CampaignManifest load(ObjectStore& store, const std::string& hash);
+
+  /// Stable fingerprint of the manifest contents (its object's name).
   std::string contentHash() const;
 };
 

@@ -4,11 +4,14 @@
 #include <fstream>
 #include <iterator>
 #include <map>
+#include <optional>
 #include <sstream>
+#include <vector>
 
 #include "core/fault/journal.hpp"
 #include "core/obs/json.hpp"
 #include "core/obs/metrics.hpp"
+#include "core/store/manifest.hpp"
 #include "core/util/error.hpp"
 #include "core/util/hash.hpp"
 
@@ -20,9 +23,13 @@ namespace {
 
 constexpr std::size_t kHashLength = 16;
 
-bool isHash(std::string_view text) {
-  return text.size() == kHashLength &&
-         text.find_first_not_of("0123456789abcdef") == text.npos;
+/// The bytes of the file at `path`, or nullopt when it cannot be read.
+std::optional<std::string> readBytes(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  if (!in) return std::nullopt;
+  return bytes.str();
 }
 
 /// Creates the directory of the ref file at `path`; a failure surfaces
@@ -36,6 +43,11 @@ void makeRefDir(const std::string& path) {
 
 std::string ObjectStore::hashBytes(std::string_view bytes) {
   return Hasher{}.update(bytes).hex();
+}
+
+bool ObjectStore::isHash(std::string_view text) {
+  return text.size() == kHashLength &&
+         text.find_first_not_of("0123456789abcdef") == text.npos;
 }
 
 std::string ObjectStore::objectPath(const std::string& hash) const {
@@ -54,6 +66,7 @@ ObjectStore::ObjectStore(std::string dir) : dir_(std::move(dir)) {
                 "': " + ec.message());
   }
   convertIndex();
+  convertManifests();
 }
 
 void ObjectStore::convertIndex() {
@@ -80,6 +93,44 @@ void ObjectStore::convertIndex() {
     throw Error("cannot retire the store index '" + index +
                 "': " + ec.message());
   }
+}
+
+void ObjectStore::convertManifests() {
+  const fs::path manifests = fs::path(dir_) / "manifests";
+  if (!fs::exists(manifests)) return;
+  // Converters take turns; one that waited finds the directory gone.
+  const FileLock lock((fs::path(dir_) / "manifests.lock").string());
+  if (!fs::exists(manifests)) return;
+  std::vector<fs::path> files;
+  std::error_code ec;
+  for (const auto& entry : fs::directory_iterator(manifests, ec)) {
+    files.push_back(entry.path());
+  }
+  std::optional<std::string> latest;
+  for (const fs::path& file : files) {
+    const std::string name = file.filename().string();
+    const std::optional<std::string> bytes = readBytes(file);
+    if (!bytes) continue;
+    if (name == "latest.json") {
+      latest = hashBytes(*bytes);
+    } else if (const std::string named = hashNamedBy(name);
+               !named.empty() && hashBytes(*bytes) == named) {
+      put(*bytes);
+    }
+  }
+  if (latest && contains(*latest)) setRef(kLatestManifestRef, *latest);
+  // File by file, so a directory left by an interrupted conversion (or
+  // an older rebench writing here again) merges into manifests.v1.
+  const fs::path retired = fs::path(dir_) / "manifests.v1";
+  fs::create_directories(retired, ec);
+  for (const fs::path& file : files) {
+    fs::rename(file, retired / file.filename(), ec);
+    if (ec) {
+      throw Error("cannot retire '" + file.string() + "' to '" +
+                  retired.string() + "': " + ec.message());
+    }
+  }
+  fs::remove(manifests, ec);
 }
 
 void ObjectStore::setObservability(obs::MetricsRegistry* metrics) {
@@ -109,7 +160,9 @@ std::optional<std::string> ObjectStore::get(const std::string& hash) {
   // Truncated or tampered blob: drop it so the caller rebuilds rather
   // than trusting bytes that no longer match their address.
   std::error_code ec;
-  if (content || !fs::remove(objectPath(hash), ec)) return content;
+  if (content || !isHash(hash) || !fs::remove(objectPath(hash), ec)) {
+    return content;
+  }
   std::lock_guard lock(mutex_);
   ++stats_.corrupt;
   if (metrics_ != nullptr) metrics_->counter("store.corrupt").inc();
@@ -117,16 +170,13 @@ std::optional<std::string> ObjectStore::get(const std::string& hash) {
 }
 
 std::optional<std::string> ObjectStore::peek(const std::string& hash) const {
-  std::ifstream in(objectPath(hash), std::ios::binary);
-  std::ostringstream bytes;
-  bytes << in.rdbuf();
-  std::string content = bytes.str();
-  if (!in || hashBytes(content) != hash) return std::nullopt;
+  std::optional<std::string> content = readBytes(objectPath(hash));
+  if (!content || hashBytes(*content) != hash) return std::nullopt;
   return content;
 }
 
 bool ObjectStore::contains(const std::string& hash) const {
-  return fs::exists(objectPath(hash));
+  return isHash(hash) && fs::exists(objectPath(hash));
 }
 
 std::size_t ObjectStore::objectCount() const {

@@ -1,6 +1,6 @@
 // Content-addressed artifact store (rebench::store layer 1), in git's
 // layout.  It backs the build cache, the run cache, the history chain
-// and campaign artifacts (perflogs, traces):
+// and campaign artifacts (manifests, perflogs, traces):
 //
 //   DIR/objects/<hash>   one immutable blob per content hash
 //   DIR/refs/<name>      the hash a named ref points at, and a '\n'
@@ -10,10 +10,13 @@
 // re-hashes the blob and deletes a mismatch (a truncated or tampered
 // file), so a corrupt cache degrades to a rebuild instead of a wrong
 // result; that delete is the only write a read makes.  Nothing is
-// evicted, so disk use is unbounded (DESIGN.md §10).  A rebench.store/1
-// directory (an index.jsonl of puts, touches, refs, pins and evictions)
-// is converted on first open: its live refs become ref files and the
-// index is kept as index.jsonl.v1.
+// evicted, so disk use is unbounded (DESIGN.md §10).  Two older layouts
+// are converted on first open.  A rebench.store/1 index.jsonl (puts,
+// touches, refs, pins and evictions): its live refs become ref files and
+// the index is kept as index.jsonl.v1.  A manifests/ directory of
+// campaign-<hash>.json files and a latest.json copy: each file whose
+// bytes hash to its name becomes an object, latest.json's hash becomes
+// the manifests/latest ref, and the directory is kept as manifests.v1.
 #pragma once
 
 #include <cstdint>
@@ -30,13 +33,15 @@ namespace rebench::store {
 
 class ObjectStore {
  public:
-  /// Opens (creating when absent) the store at `dir`, converting a
-  /// rebench.store/1 index on first open.  Throws rebench::Error when the
+  /// Opens (creating when absent) the store at `dir`, converting the
+  /// older layouts on first open.  Throws rebench::Error when the
   /// directory is unusable.
   explicit ObjectStore(std::string dir);
 
   /// Content hash used for addressing (FNV-1a hex, 16 chars).
   static std::string hashBytes(std::string_view bytes);
+  /// Whether `text` has the shape hashBytes returns.
+  static bool isHash(std::string_view text);
 
   /// Stores `bytes`, returning their hash.  Idempotent: a blob already
   /// present is not rewritten (the put is counted as deduplicated).
@@ -51,6 +56,7 @@ class ObjectStore {
   /// handling.  Used by the parallel executor's pre-pass to classify keys.
   std::optional<std::string> peek(const std::string& hash) const;
 
+  /// Whether a blob is stored under `hash`: one stat, no verification.
   bool contains(const std::string& hash) const;
 
   /// Optional hook (nullable, not owned): corrupt blobs bump
@@ -91,8 +97,10 @@ class ObjectStore {
 
  private:
   std::string refPath(std::string_view name) const;
-  /// Turns a rebench.store/1 index into ref files (see the file comment).
+  /// Turn a rebench.store/1 index into ref files and a manifests/
+  /// directory into objects and a ref (see the file comment).
   void convertIndex();
+  void convertManifests();
 
   std::string dir_;
   // Guards metrics_ and stats_: the store is shared by concurrent

@@ -1,6 +1,5 @@
 #include "core/store/run_cache.hpp"
 
-#include <filesystem>
 #include <sstream>
 
 #include "core/obs/json.hpp"
@@ -79,17 +78,14 @@ RunCache::Lookup RunCache::lookup(const std::string& key) {
     }
     if (!parsed || record.key != key) {
       result.outcome = Outcome::kCorrupt;
+    } else if (!store_.contains(record.manifestHash)) {
+      // The record survived but its evidence did not; re-execute.  A
+      // stat, not a verified read: readers that consume the manifest
+      // verify it, and delete it when corrupt, which makes this stale.
+      result.outcome = Outcome::kStale;
     } else {
-      const std::filesystem::path manifestPath =
-          std::filesystem::path(store_.dir()) / "manifests" /
-          ("campaign-" + record.manifestHash + ".json");
-      if (!std::filesystem::exists(manifestPath)) {
-        // The record survived but its evidence did not; re-execute.
-        result.outcome = Outcome::kStale;
-      } else {
-        result.outcome = Outcome::kHit;
-        result.record = std::move(record);
-      }
+      result.outcome = Outcome::kHit;
+      result.record = std::move(record);
     }
   }
 

@@ -12,9 +12,12 @@
 //
 // Lookups are *verified* like every other store read: a record blob that
 // fails hash verification is reported kCorrupt (the store already
-// deleted it), and a record whose cited manifest no longer exists on
-// disk is kStale — both degrade to a re-execution, never a wrong
-// verdict.
+// deleted it), and a record whose cited manifest object is gone is
+// kStale — both degrade to a re-execution, never a wrong verdict.  The
+// manifest check is a stat, not a verified read, so a hit reads only
+// the record: the readers that consume a manifest (replay, trace_lint)
+// verify it and delete it when corrupt, after which its records read
+// kStale (DESIGN.md §14).
 #pragma once
 
 #include <cstdint>
@@ -72,8 +75,8 @@ class RunCache {
 
   /// Verified lookup of `key`.  kCorrupt when the record blob failed
   /// verification; kStale when the record parses but its cited manifest
-  /// file is gone (treated as a miss by callers, but distinguishable for
-  /// degraded-mode accounting).
+  /// object is gone (treated as a miss by callers, but distinguishable
+  /// for degraded-mode accounting).
   Lookup lookup(const std::string& key);
 
   /// Memoizes `record` under its key: blob put + named ref.

@@ -23,10 +23,10 @@ faulty="--benchmark babelstream --system archer2:compute --faults seed=3,node=0.
 grep -q 'manifest written' run.txt || fail "run wrote no manifest"
 "$rebench" submit --queue q $faulty > /dev/null || fail "submit failed"
 "$rebench" serve --queue q --store B --once > serve.txt || fail "serve --once failed"
-cmp A/manifests/latest.json B/manifests/latest.json ||
+cmp A/objects/$(cat A/refs/manifests/latest) B/objects/$(cat B/refs/manifests/latest) ||
   fail "run and serve wrote different manifests"
 for store in A B; do
-  "$rebench" replay $store/manifests/latest.json > replay.txt ||
+  "$rebench" replay --store $store > replay.txt ||
     fail "replay of $store's manifest diverged: $(cat replay.txt)"
   grep -q '1/1 artifact(s) byte-exact' replay.txt ||
     fail "replay of $store's manifest: $(cat replay.txt)"

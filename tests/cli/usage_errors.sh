@@ -80,7 +80,7 @@ test $? -eq 1 || fail "a concretize failure under --verbose did not exit 1"
 grep -q 'concretize \[permanent\]' out.txt || fail "concretize failure not reported"
 # A manifest naming a campaign mode other than run or suite is refused.
 "$rebench" $babel --store mst > /dev/null || fail "run --store failed"
-sed 's/"mode":"run"/"mode":"bogus"/' mst/manifests/latest.json > bogus.json
+sed 's/"mode":"run"/"mode":"bogus"/' mst/objects/$(cat mst/refs/manifests/latest) > bogus.json
 expect_exit 1 "mode must be run or suite (got 'bogus')" replay bogus.json
 
 # Filesystem errors exit 1 with a message, never abort.

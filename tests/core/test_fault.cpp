@@ -258,19 +258,19 @@ TEST(RunJournal, RecordsAndReloads) {
   {
     RunJournal journal(dir);
     EXPECT_EQ(journal.size(), 0u);
-    EXPECT_FALSE(journal.contains("T", "sys", 0));
+    EXPECT_EQ(journal.outcome("T", "sys", 0), nullptr);
     journal.record("T", "sys", 0, "pass", "", 1);
     journal.record("T", "sys", 1, "fail", "sanity", 3);
-    EXPECT_TRUE(journal.contains("T", "sys", 0));
-    EXPECT_TRUE(journal.contains("T", "sys", 1));
-    EXPECT_FALSE(journal.contains("T", "sys", 2));
+    EXPECT_EQ(*journal.outcome("T", "sys", 0), "pass");
+    EXPECT_EQ(*journal.outcome("T", "sys", 1), "fail");
+    EXPECT_EQ(journal.outcome("T", "sys", 2), nullptr);
   }
-  // A fresh instance loads the same tuples back.
+  // A fresh instance loads the same tuples and outcomes back.
   RunJournal reloaded(dir);
   EXPECT_EQ(reloaded.size(), 2u);
-  EXPECT_TRUE(reloaded.contains("T", "sys", 0));
-  EXPECT_TRUE(reloaded.contains("T", "sys", 1));
-  EXPECT_FALSE(reloaded.contains("Other", "sys", 0));
+  EXPECT_EQ(*reloaded.outcome("T", "sys", 0), "pass");
+  EXPECT_EQ(*reloaded.outcome("T", "sys", 1), "fail");
+  EXPECT_EQ(reloaded.outcome("Other", "sys", 0), nullptr);
   EXPECT_EQ(reloaded.corruptLines(), 0u);
   std::filesystem::remove_all(dir);
 }
@@ -292,7 +292,7 @@ TEST(RunJournal, ToleratesTruncatedTailLine) {
   RunJournal journal(dir);
   EXPECT_EQ(journal.size(), 1u);
   EXPECT_EQ(journal.corruptLines(), 1u);
-  EXPECT_TRUE(journal.contains("T", "sys", 0));
+  EXPECT_NE(journal.outcome("T", "sys", 0), nullptr);
   std::filesystem::remove_all(dir);
 }
 
@@ -319,7 +319,7 @@ TEST(RunJournal, TruncatesCorruptTailOnDisk) {
   RunJournal clean(dir);
   EXPECT_EQ(clean.corruptLines(), 0u);
   EXPECT_EQ(clean.size(), 1u);
-  EXPECT_TRUE(clean.contains("T", "sys", 0));
+  EXPECT_NE(clean.outcome("T", "sys", 0), nullptr);
   std::filesystem::remove_all(dir);
 }
 
@@ -343,7 +343,7 @@ const LogOwner kLogOwners[] = {
        RunJournal(dir).record(id, "sys", 0, "pass", "", 1);
      },
      [](const std::string& dir, const std::string& id) {
-       return RunJournal(dir).contains(id, "sys", 0);
+       return RunJournal(dir).outcome(id, "sys", 0) != nullptr;
      }},
     {"service_journal", &service::ServiceJournal::pathFor,
      service::kServiceJournalSchema,
@@ -450,7 +450,7 @@ TEST(FileLock, TryFailsWhileAnotherHolderHasTheLock) {
 }
 
 // Concurrent publishers of one path (two `run --store` writing
-// manifests/latest.json) each write their own temp file: every call
+// refs/manifests/latest) each write their own temp file: every call
 // returns, one writer's bytes win whole, and no temp file is left.
 TEST(WriteFileAtomic, ConcurrentWritersEachPublishWhole) {
   const std::filesystem::path dir =

@@ -395,6 +395,24 @@ TEST(TraceLint, FlagsStructuralViolations) {
   EXPECT_TRUE(str::contains(all, "42"));
 }
 
+// Ids too long for any integer are lint issues naming their span, not
+// aborts: a 23-digit root span id and a 20-digit endpoint status.
+TEST(TraceLint, OutOfRangeIdsAreIssuesNotAborts) {
+  const std::string root = "12345678901234567890123";
+  const std::string text =
+      "{\"schema\":\"rebench.trace/1\",\"kind\":\"meta\",\"tool\":"
+      "\"rebench\",\"clock\":\"sim\"}\n"
+      "{\"kind\":\"span\",\"id\":\"" + root +
+      "\",\"parent\":\"\",\"name\":\"serve.endpoint\",\"start\":0,"
+      "\"end\":1,\"attrs\":{\"route\":\"/health\",\"status\":"
+      "\"20000000000000000000\"}}\n";
+  const std::vector<std::string> issues = lintTrace(parseTraceJsonl(text));
+  const std::string all = str::join(issues, "\n");
+  EXPECT_TRUE(str::contains(all, "span '" + root + "' has a root id")) << all;
+  EXPECT_TRUE(str::contains(all, "invalid status '20000000000000000000'"))
+      << all;
+}
+
 TEST(TraceLint, CleanTracePasses) {
   Tracer tracer;
   {

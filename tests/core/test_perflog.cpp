@@ -6,6 +6,7 @@
 #include <filesystem>
 
 #include "core/util/error.hpp"
+#include "file_size_limit.hpp"
 
 namespace rebench {
 namespace {
@@ -113,6 +114,31 @@ TEST(PerfLog, FileRoundTrip) {
   ASSERT_EQ(entries.size(), 2u);
   EXPECT_EQ(entries[1].fomName, "l1");
   EXPECT_NEAR(entries[1].value, 83.43, 1e-6);
+  std::remove(path.c_str());
+}
+
+// An append the file-size limit cuts short throws, naming the perflog,
+// and the file keeps only the whole rows written before it.
+TEST(PerfLog, FailedAppendThrowsAndLeavesOnlyWholeRows) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "rebench_perflog_limit.log")
+          .string();
+  std::remove(path.c_str());
+  const std::string row = sampleEntry().serialize() + "\n";
+  {
+    PerfLog log(path);
+    const FileSizeLimit limit(row.size() * 2 + row.size() / 2);
+    log.append(sampleEntry());
+    log.append(sampleEntry());
+    try {
+      log.append(sampleEntry());
+      ADD_FAILURE() << "a torn append succeeded";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(path), std::string::npos);
+    }
+  }
+  EXPECT_EQ(std::filesystem::file_size(path), row.size() * 2);
+  EXPECT_EQ(PerfLog::readFile(path).size(), 2u);
   std::remove(path.c_str());
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
 
 #include "core/framework/pipeline.hpp"
 #include "core/framework/suite.hpp"
@@ -244,7 +245,7 @@ TEST_F(ResilienceFixture, ResumeSkipsEverythingAlreadyJournaled) {
         pipeline.runAll(tests, targets, nullptr, &journal, &report);
     EXPECT_EQ(results.size(), 6u);
     EXPECT_EQ(report.executed, 6u);
-    EXPECT_EQ(report.skippedJournaled, 0u);
+    EXPECT_EQ(report.skippedJournaled(), 0u);
     EXPECT_EQ(journal.size(), 6u);
   }
   {
@@ -256,11 +257,54 @@ TEST_F(ResilienceFixture, ResumeSkipsEverythingAlreadyJournaled) {
         pipeline.runAll(tests, targets, nullptr, &journal, &report);
     EXPECT_TRUE(results.empty());
     EXPECT_EQ(report.executed, 0u);
-    EXPECT_EQ(report.skippedJournaled, 6u);
+    EXPECT_EQ(report.skippedJournaled(), 6u);
     const std::string summary =
         renderCampaignSummary(summarizeCampaign(results), &report);
     EXPECT_TRUE(str::contains(summary, "6 tuple(s) already journaled"));
   }
+  std::filesystem::remove_all(dir);
+}
+
+// A resumed campaign's summary counts the tuples it skipped by their
+// journaled outcome, so a failure recorded before the resume still
+// fails the campaign.
+TEST_F(ResilienceFixture, ResumeCountsJournaledOutcomes) {
+  const std::string dir =
+      (std::filesystem::path(::testing::TempDir()) / "resume_outcomes")
+          .string();
+  std::filesystem::remove_all(dir);
+  {
+    RunJournal journal(dir);
+    journal.record("ResilienceStream", "archer2", 0, "fail", "run", 1);
+    journal.record("ResilienceStream", "archer2", 1, "pass", "", 1);
+    journal.record("ResilienceStream", "archer2", 2, "quarantined",
+                   "quarantine", 0);
+  }
+  PipelineOptions options;
+  options.numRepeats = 4;
+  Pipeline pipeline(systems_, repo_, options);
+  RunJournal journal(dir);
+  EXPECT_EQ(*journal.outcome("ResilienceStream", "archer2", 0), "fail");
+  EXPECT_EQ(journal.outcome("ResilienceStream", "archer2", 3), nullptr);
+  CampaignReport report;
+  const std::vector<RegressionTest> tests{streamTest()};
+  const std::vector<std::string> targets{"archer2"};
+  const auto results =
+      pipeline.runAll(tests, targets, nullptr, &journal, &report);
+  ASSERT_EQ(results.size(), 1u);  // only repeat 3 ran
+  EXPECT_EQ(report.skippedJournaled(), 3u);
+  EXPECT_EQ(report.journaledOutcomes,
+            (std::map<std::string, std::size_t>{
+                {"fail", 1}, {"pass", 1}, {"quarantined", 1}}));
+  const CampaignSummary summary = summarizeCampaign(results, &report);
+  EXPECT_EQ(summary.total, 4u);
+  EXPECT_EQ(summary.passed, results[0].passed ? 2u : 1u);
+  EXPECT_EQ(summary.failed, results[0].passed ? 1u : 2u);
+  EXPECT_EQ(summary.quarantined, 1u);
+  const std::string rendered = renderCampaignSummary(summary, &report);
+  EXPECT_TRUE(str::startsWith(
+      rendered, std::to_string(summary.passed) + "/4 passed\n"));
+  EXPECT_TRUE(str::contains(rendered, "3 tuple(s) already journaled"));
   std::filesystem::remove_all(dir);
 }
 
@@ -286,7 +330,7 @@ TEST_F(ResilienceFixture, PartialCampaignResumesWhereItStopped) {
       pipeline.runAll(tests, targets, nullptr, &journal, &report);
   EXPECT_EQ(results.size(), 2u);  // only repeats 2 and 3 ran
   EXPECT_EQ(report.executed, 2u);
-  EXPECT_EQ(report.skippedJournaled, 2u);
+  EXPECT_EQ(report.skippedJournaled(), 2u);
   EXPECT_EQ(journal.size(), 4u);  // now complete
   std::filesystem::remove_all(dir);
 }

@@ -222,20 +222,18 @@ TEST_F(ServiceFixture, RunCacheDistinguishesMissHitAndStale) {
   store::RunCache cache(objects);
   EXPECT_EQ(cache.lookup("nope").outcome, store::RunCache::Outcome::kMiss);
 
-  // A record citing a manifest that exists on disk is a hit...
+  // A record citing a manifest object in the store is a hit...
   store::RunRecord record;
   record.key = "k1";
   record.verdict = "ran:clean";
-  record.manifestHash = "feedface";
-  fs::create_directories(objects.dir() + "/manifests");
-  std::ofstream(objects.dir() + "/manifests/campaign-feedface.json") << "{}";
+  record.manifestHash = objects.put("{}");
   cache.insert(record);
   const auto hit = cache.lookup("k1");
   ASSERT_TRUE(hit.hit());
-  EXPECT_EQ(hit.record->manifestHash, "feedface");
+  EXPECT_EQ(hit.record->manifestHash, record.manifestHash);
 
   // ...and turns stale once the cited manifest disappears.
-  fs::remove(objects.dir() + "/manifests/campaign-feedface.json");
+  fs::remove(objects.objectPath(record.manifestHash));
   EXPECT_EQ(cache.lookup("k1").outcome, store::RunCache::Outcome::kStale);
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.stats().misses, 1u);

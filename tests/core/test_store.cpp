@@ -1,6 +1,7 @@
 // Layer-1/3 store tests: content addressing, verified
 // (corruption-rejecting) reads, ref files (publication, the unset rules,
-// compare-and-swap), conversion of a rebench.store/1 index, and the
+// compare-and-swap), conversion of a rebench.store/1 index and of a
+// manifests/ directory, verified manifest reads, and the
 // provenance-keyed build cache's hit/drift behaviour.
 #include <gtest/gtest.h>
 
@@ -16,7 +17,9 @@
 #include "core/obs/trace.hpp"
 #include "core/pkg/build_plan.hpp"
 #include "core/store/build_cache.hpp"
+#include "core/store/manifest.hpp"
 #include "core/store/object_store.hpp"
+#include "core/store/run_cache.hpp"
 #include "core/sysconfig/system_config.hpp"
 #include "core/util/error.hpp"
 #include "dir_snapshot.hpp"
@@ -80,6 +83,74 @@ void expectConvertedRefs(const std::string& dir) {
   }
   EXPECT_EQ(refFiles, (std::set<std::string>{"history/head", "latest"}));
 }
+
+/// A rendered manifest whose one FOM mean is 343758.52.
+std::string renderedManifest(const std::string& test) {
+  CampaignManifest manifest;
+  manifest.invocation.mode = "run";
+  manifest.invocation.benchmark = "babelstream";
+  FomManifest fom;
+  fom.test = test;
+  fom.target = "noctua2:normal";
+  fom.fom = "Add";
+  fom.mean = 343758.52;
+  fom.repeats = 1;
+  manifest.foms.push_back(fom);
+  return manifest.render();
+}
+
+/// `rendered` with its mean edited, at the same length.
+std::string editedMean(std::string rendered) {
+  const std::size_t at = rendered.find("343758.52");
+  rendered[at] = '9';
+  return rendered;
+}
+
+void writeFile(const fs::path& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+/// A store in the layout before manifests became objects: manifests/
+/// holds an intact campaign-<h>.json, one whose bytes were edited after
+/// it was named, and latest.json, a copy of the intact one.
+struct ManifestsV1 {
+  std::string intact = renderedManifest("Intact");
+  std::string edited = renderedManifest("Edited");
+  std::string intactHash = ObjectStore::hashBytes(intact);
+  std::string editedHash = ObjectStore::hashBytes(edited);
+
+  void write(const std::string& dir) const {
+    const fs::path manifests = fs::path(dir) / "manifests";
+    fs::create_directories(fs::path(dir) / "objects");
+    fs::create_directories(manifests);
+    writeFile(manifests / ("campaign-" + intactHash + ".json"), intact);
+    writeFile(manifests / ("campaign-" + editedHash + ".json"),
+              editedMean(edited));
+    writeFile(manifests / "latest.json", intact);
+  }
+
+  /// What the conversion leaves: the intact manifest as an object named
+  /// by the latest ref, nothing of the edited one, and every old file in
+  /// manifests.v1.
+  void expectConverted(const std::string& dir) const {
+    const ObjectStore store(dir);
+    EXPECT_EQ(store.peek(intactHash), intact);
+    EXPECT_FALSE(store.contains(editedHash));
+    EXPECT_FALSE(store.contains(ObjectStore::hashBytes(editedMean(edited))));
+    EXPECT_EQ(store.objectCount(), 1u);
+    EXPECT_EQ(store.ref(kLatestManifestRef), intactHash);
+    EXPECT_FALSE(fs::exists(fs::path(dir) / "manifests"));
+    std::set<std::string> retired;
+    for (const auto& entry :
+         fs::directory_iterator(fs::path(dir) / "manifests.v1")) {
+      retired.insert(entry.path().filename().string());
+    }
+    EXPECT_EQ(retired, (std::set<std::string>{
+                           "campaign-" + intactHash + ".json",
+                           "campaign-" + editedHash + ".json",
+                           "latest.json"}));
+  }
+};
 
 class StoreTest : public ::testing::Test {
  protected:
@@ -270,6 +341,104 @@ TEST_F(StoreTest, ConcurrentConversionsLeaveTheSameRefs) {
     second.join();
     expectConvertedRefs(dir_);
   }
+}
+
+// The first open of a store with a manifests/ directory imports each
+// campaign-<h>.json whose bytes hash to h, points the latest ref at
+// latest.json's manifest and keeps the files in manifests.v1; a reopen
+// converts nothing and changes no byte.
+TEST_F(StoreTest, ManifestsDirectoryConvertsToObjectsAndARef) {
+  const ManifestsV1 v1;
+  v1.write(dir_);
+  v1.expectConverted(dir_);
+  const auto before = snapshotDir(dir_);
+  ObjectStore reopened(dir_);
+  EXPECT_EQ(snapshotDir(dir_), before);
+}
+
+// A latest.json whose manifest was not imported (its bytes were edited)
+// leaves the latest ref unset rather than naming a missing object.
+TEST_F(StoreTest, EditedLatestManifestLeavesTheRefUnset) {
+  const ManifestsV1 v1;
+  v1.write(dir_);
+  writeFile(fs::path(dir_) / "manifests" / "latest.json",
+            editedMean(v1.intact));
+  const ObjectStore store(dir_);
+  EXPECT_TRUE(store.contains(v1.intactHash));
+  EXPECT_FALSE(store.ref(kLatestManifestRef).has_value());
+  EXPECT_FALSE(fs::exists(fs::path(dir_) / "refs" / kLatestManifestRef));
+}
+
+// Two handles opening one old-layout store at once convert it once
+// between them and leave what a lone conversion leaves.
+TEST_F(StoreTest, ConcurrentManifestConversionsConvertOnce) {
+  const ManifestsV1 v1;
+  for (int round = 0; round < 20; ++round) {
+    fs::remove_all(dir_);
+    v1.write(dir_);
+    std::thread first([&] { ObjectStore{dir_}; });
+    std::thread second([&] { ObjectStore{dir_}; });
+    first.join();
+    second.join();
+    v1.expectConverted(dir_);
+  }
+}
+
+// A manifest file named as a store names manifests must hash to that
+// name: an edited mean is refused with both hashes named.  A file with
+// any other name is read as it is.
+TEST_F(StoreTest, ManifestReadChecksTheHashItsNameRecords) {
+  fs::create_directories(dir_);
+  const std::string rendered = renderedManifest("Named");
+  const std::string hash = ObjectStore::hashBytes(rendered);
+  const std::string edited = editedMean(rendered);
+  for (const std::string& name : {hash, "campaign-" + hash + ".json"}) {
+    const std::string path = (fs::path(dir_) / name).string();
+    writeFile(path, rendered);
+    EXPECT_EQ(CampaignManifest::read(path).foms.at(0).mean, 343758.52);
+    writeFile(path, edited);
+    try {
+      CampaignManifest::read(path);
+      ADD_FAILURE() << name << ": an edited manifest was read";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(hash), std::string::npos) << what;
+      EXPECT_NE(what.find(ObjectStore::hashBytes(edited)), std::string::npos)
+          << what;
+    }
+  }
+  const std::string other = (fs::path(dir_) / "edited.json").string();
+  writeFile(other, edited);
+  EXPECT_EQ(CampaignManifest::read(other).foms.at(0).mean, 943758.52);
+}
+
+// replay --store reads through CampaignManifest::load: a manifest object
+// whose mean was edited is refused naming its hash, and the verified
+// read deletes it, so a RunCache record citing it turns stale.
+TEST_F(StoreTest, CorruptManifestObjectIsRefusedAndItsRecordsGoStale) {
+  ObjectStore store(dir_);
+  const std::string rendered = renderedManifest("Cached");
+  const std::string hash = store.put(rendered);
+  EXPECT_EQ(CampaignManifest::load(store, hash).foms.at(0).mean, 343758.52);
+  RunCache cache(store);
+  RunRecord record;
+  record.key = "key";
+  record.verdict = "ran:clean";
+  record.manifestHash = hash;
+  cache.insert(record);
+  writeFile(store.objectPath(hash), editedMean(rendered));
+  // A hit is a stat: the edit is not seen until a reader verifies.
+  EXPECT_TRUE(cache.lookup("key").hit());
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    try {
+      CampaignManifest::load(store, hash);
+      ADD_FAILURE() << "a corrupt manifest object was loaded";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(hash), std::string::npos);
+    }
+  }
+  EXPECT_FALSE(store.contains(hash));
+  EXPECT_EQ(cache.lookup("key").outcome, RunCache::Outcome::kStale);
 }
 
 // A read writes nothing: get, peek and ref (set or unset) leave every
