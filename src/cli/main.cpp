@@ -11,8 +11,11 @@
 //   rebench history --perflog perf.log --check
 #include <algorithm>
 #include <array>
+#include <cerrno>
 #include <chrono>
 #include <csignal>
+#include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <initializer_list>
@@ -587,6 +590,35 @@ std::pair<store::CampaignManifest, std::string> replayedManifest(
   return {store::CampaignManifest::load(store, hash), store.objectPath(hash)};
 }
 
+/// A new directory of this process's own under temp_directory_path()
+/// (mkdtemp), removed with its contents when the guard goes out of scope,
+/// however `replay` exits.  Concurrent replays of one manifest each get
+/// their own.
+class ReplayScratch {
+ public:
+  ReplayScratch() {
+    std::string path =
+        (std::filesystem::temp_directory_path() / "rebench-replay-XXXXXX")
+            .string();
+    if (::mkdtemp(path.data()) == nullptr) {
+      throw Error("cannot create a replay scratch directory '" + path +
+                  "': " + std::strerror(errno));
+    }
+    path_ = std::move(path);
+  }
+  ~ReplayScratch() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+  ReplayScratch(const ReplayScratch&) = delete;
+  ReplayScratch& operator=(const ReplayScratch&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
 /// `rebench replay <manifest>` or `replay --store DIR [<hash>]` —
 /// re-executes the recorded invocation from scratch and diffs the
 /// regenerated artifact bytes against the hashes the manifest pinned.
@@ -617,13 +649,11 @@ int replay(const Args& args) {
   // cold, so a fresh throwaway store reproduces the same store.* spans;
   // replay never reuses prior state (that would let a stale artifact
   // masquerade as a reproduction).
-  std::filesystem::path scratch;
+  std::optional<ReplayScratch> scratch;
   std::optional<store::ObjectStore> scratchStore;
   if (invocation.withStore && invocation.cache) {
-    scratch = std::filesystem::temp_directory_path() /
-              ("rebench-replay-" + manifest.contentHash());
-    std::filesystem::remove_all(scratch);
-    scratchStore.emplace(scratch.string());
+    scratch.emplace();
+    scratchStore.emplace(scratch->path());
     options.store = &*scratchStore;
   }
 
@@ -634,9 +664,8 @@ int replay(const Args& args) {
                            nullptr, nullptr);
 
   std::map<std::string, std::string> replayed;
-  replayed["perflog"] = service::perflogBytes(perflog);
+  replayed["perflog"] = service::replayedPerflogArtifact(manifest, perflog);
   if (wantTrace) replayed["trace"] = tracer.toJsonl(&metrics);
-  if (!scratch.empty()) std::filesystem::remove_all(scratch);
 
   const store::ReplayComparison comparison =
       store::compareArtifacts(manifest, replayed);

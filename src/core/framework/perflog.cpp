@@ -1,5 +1,7 @@
 #include "core/framework/perflog.hpp"
 
+#include <algorithm>
+#include <cstdint>
 #include <fstream>
 
 #include "core/fault/journal.hpp"
@@ -26,6 +28,12 @@ void put(std::string& line, std::string_view key, std::string_view value) {
   line += '=';
   line += str::percentEscape(value);
 }
+
+/// What every perflog object schema starts with.
+constexpr std::string_view kObjectPrefix = "rebench.perflog/";
+/// Marks a field equal to the same field of the line above.  A perflog
+/// field is `key=value` with a non-empty key, so it is never a lone '='.
+constexpr std::string_view kDitto = "=";
 
 }  // namespace
 
@@ -140,6 +148,82 @@ PerfLog::LenientParse PerfLog::parseLinesLenient(
       // The line is damaged, not the file.
       ++out.corruptLines;
     }
+  }
+  return out;
+}
+
+std::string encodePerflogObject(std::span<const std::string> lines) {
+  std::string out = std::string(kPerflogObjectSchema) + "|" +
+                    std::to_string(lines.size()) + "\n";
+  std::vector<std::string> above;
+  for (const std::string& line : lines) {
+    std::vector<std::string> fields = str::split(line, '|');
+    for (std::size_t i = 0; i < fields.size(); ++i) {
+      if (fields[i].empty() || fields[i] == kDitto ||
+          fields[i].find('\n') != std::string::npos) {
+        throw Error("perflog line cannot be stored ditto-coded: '" + line +
+                    "'");
+      }
+      if (i != 0) out += '|';
+      out += i < above.size() && fields[i] == above[i] ? kDitto : fields[i];
+    }
+    out += '\n';
+    above = std::move(fields);
+  }
+  return out;
+}
+
+std::string decodePerflogObject(std::string_view bytes) {
+  if (!str::startsWith(bytes, kObjectPrefix)) return std::string(bytes);
+  const std::string_view schema = bytes.substr(0, bytes.find_first_of("|\n"));
+  if (schema != kPerflogObjectSchema) {
+    throw Error("perflog object has schema '" + std::string(schema) +
+                "' (this build reads " + std::string(kPerflogObjectSchema) +
+                " and raw perflogs)");
+  }
+  if (bytes.back() != '\n') {
+    throw Error("perflog object does not end in a newline");
+  }
+  std::string_view rest = bytes;
+  const auto nextLine = [&] {
+    const std::string_view line = rest.substr(0, rest.find('\n'));
+    rest.remove_prefix(line.size() + 1);
+    return line;
+  };
+  // The schema ends at the header's first '|' or at its end.
+  const std::string_view header = nextLine();
+  if (header.size() == schema.size()) {
+    throw Error("perflog object header '" + std::string(header) +
+                "' has no line count");
+  }
+  const auto count = str::parseWhole<std::uint64_t>(
+      header.substr(schema.size() + 1), "perflog object line count");
+  const auto lines =
+      static_cast<std::uint64_t>(std::count(rest.begin(), rest.end(), '\n'));
+  if (lines != count) {
+    throw Error("perflog object holds " + std::to_string(lines) +
+                " lines, its header says " + std::to_string(count));
+  }
+  std::string out;
+  std::vector<std::string> above;
+  while (!rest.empty()) {
+    std::vector<std::string> fields = str::split(nextLine(), '|');
+    for (std::size_t i = 0; i < fields.size(); ++i) {
+      if (fields[i] == kDitto) {
+        if (above.empty()) {
+          throw Error("perflog object's first line has a ditto field");
+        }
+        if (i >= above.size()) {
+          throw Error("perflog object line has a ditto past the end of the "
+                      "line above");
+        }
+        fields[i] = above[i];
+      }
+      if (i != 0) out += '|';
+      out += fields[i];
+    }
+    out += '\n';
+    above = std::move(fields);
   }
   return out;
 }

@@ -2,24 +2,17 @@
 
 #include <cmath>
 #include <limits>
-#include <stdexcept>
+
+#include "core/util/error.hpp"
+#include "core/util/strings.hpp"
 
 namespace rebench::columnar {
 
 void TaggedColumnBuilder::add(std::string cell) {
   if (allNumeric_) {
-    bool parsed = false;
     try {
-      std::size_t used = 0;
-      const double v = std::stod(cell, &used);
-      if (used == cell.size()) {
-        nums_.push_back(v);
-        parsed = true;
-      }
-    } catch (const std::exception&) {
-      // falls through to the non-numeric commit below
-    }
-    if (!parsed) {
+      nums_.push_back(str::parseWhole<double>(cell, "cell"));
+    } catch (const ParseError&) {
       allNumeric_ = false;
       nums_.clear();
       nums_.shrink_to_fit();

@@ -72,7 +72,7 @@ class TaggedColumnBuilder {
   std::size_t size() const { return raw_.size(); }
   std::size_t nullCount() const { return nulls_; }
   /// Commit-time decision: numeric iff non-empty and every non-null cell
-  /// parsed fully as double (matches the row engine's rule).
+  /// is one whole number token (str::parseWhole, the row engine's rule).
   bool numeric() const { return allNumeric_ && !raw_.empty(); }
 
   /// Destructive extraction; call exactly one of these per builder.

@@ -372,14 +372,8 @@ RowFrame RowFrame::fromCsv(const std::string& text) {
     nums.reserve(raw[c].size());
     for (const std::string& cell : raw[c]) {
       try {
-        std::size_t used = 0;
-        const double v = std::stod(cell, &used);
-        if (used != cell.size()) {
-          allNumeric = false;
-          break;
-        }
-        nums.push_back(v);
-      } catch (const std::exception&) {
+        nums.push_back(str::parseWhole<double>(cell, "cell"));
+      } catch (const ParseError&) {
         allNumeric = false;
         break;
       }

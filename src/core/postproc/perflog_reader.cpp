@@ -363,12 +363,10 @@ struct TsKey {
 
 TsKey tsKey(const std::string& ts) {
   try {
-    std::size_t used = 0;
-    const double v = std::stod(ts, &used);
-    if (used == ts.size()) return {true, v, {}};
-  } catch (const std::exception&) {
+    return {true, str::parseWhole<double>(ts, "ts"), {}};
+  } catch (const ParseError&) {
+    return {false, 0.0, ts};
   }
-  return {false, 0.0, ts};
 }
 
 bool keyBefore(const TsKey& a, std::size_t inputA, const TsKey& b,

@@ -33,8 +33,9 @@ namespace rebench {
 
 struct PerflogFrameOptions {
   /// Adds one column per extras key (sorted), named `x_<key>`.  A column
-  /// is numeric iff the key is present on every row and every value
-  /// parses fully as double; otherwise strings, "" where absent.
+  /// is numeric iff the key is present on every row and every value is
+  /// one whole number token (str::parseWhole: " 12", "+5" and "0x1A" are
+  /// text); otherwise strings, "" where absent.
   bool includeExtras = false;
 };
 
@@ -90,8 +91,9 @@ struct MergeStats {
   std::size_t peakBufferedRows = 0;  // max parsed rows buffered at once
 };
 
-/// K-way merge of perflog files ordered by timestamp (numeric stamps
-/// compare as numbers and sort before non-numeric ones, which compare
+/// K-way merge of perflog files ordered by timestamp (numeric stamps,
+/// one whole number token each as str::parseWhole reads them, compare
+/// as numbers and sort before non-numeric ones, which compare
 /// lexicographically; ties keep input order, then file order).  Holds at
 /// most one `chunkRows` slice of parsed rows per input — merging N shards
 /// of R rows each buffers O(N * chunkRows), not O(N * R).  Returns the

@@ -71,12 +71,23 @@ CampaignExecution executeCampaign(Pipeline& pipeline,
 }
 
 std::string perflogBytes(const PerfLog& perflog) {
-  std::string out;
+  return encodePerflogObject(perflog.lines());
+}
+
+std::string replayedPerflogArtifact(const store::CampaignManifest& manifest,
+                                    const PerfLog& perflog) {
+  std::string raw;
   for (const std::string& line : perflog.lines()) {
-    out += line;
-    out += "\n";
+    raw += line;
+    raw += '\n';
   }
-  return out;
+  for (const store::ArtifactRecord& artifact : manifest.artifacts) {
+    if (artifact.name == "perflog" &&
+        artifact.hash == store::ObjectStore::hashBytes(raw)) {
+      return raw;
+    }
+  }
+  return perflogBytes(perflog);
 }
 
 store::RunManifest runManifestFor(const TestRunResult& result, int repeat) {
@@ -149,13 +160,14 @@ ManifestWrite writeCampaignManifest(store::ObjectStore& store,
     record.hash = store.put(bytes);
     record.bytes = bytes.size();
     manifest.artifacts.push_back(std::move(record));
+    return manifest.artifacts.back().hash;
   };
-  addArtifact("perflog", perflogBytes(perflog));
+  ManifestWrite write;
+  write.perflogHash = addArtifact("perflog", perflogBytes(perflog));
   if (traceBytes != nullptr && pinTrace) {
     addArtifact("trace", *traceBytes);
   }
   // An object named by the hash of its bytes, as contentHash() is.
-  ManifestWrite write;
   write.hash = store.put(manifest.render());
   write.path = store.objectPath(write.hash);
   store.setRef(store::kLatestManifestRef, write.hash);

@@ -55,8 +55,15 @@ CampaignExecution executeCampaign(Pipeline& pipeline,
                                   PerfLog* perflog, RunJournal* journal,
                                   CampaignReport* report);
 
-/// Serializes perflog lines to the byte stream a manifest hashes.
+/// The perflog artifact a manifest records and a store holds: the
+/// perflog's lines as a rebench.perflog/2 object (encodePerflogObject).
 std::string perflogBytes(const PerfLog& perflog);
+
+/// The bytes `replay` compares with `manifest`'s perflog artifact: the
+/// raw perflog bytes when the artifact cites their hash, as every
+/// manifest written before rebench.perflog/2 does, else perflogBytes.
+std::string replayedPerflogArtifact(const store::CampaignManifest& manifest,
+                                    const PerfLog& perflog);
 
 /// Provenance record for one executed pipeline run; the build plan is
 /// re-derived from the concretized spec so the manifest lists the exact
@@ -65,8 +72,9 @@ store::RunManifest runManifestFor(const TestRunResult& result, int repeat);
 
 /// Outcome of writing a campaign manifest into a store.
 struct ManifestWrite {
-  std::string hash;  // manifest contentHash
-  std::string path;  // DIR/objects/<hash>
+  std::string hash;         // manifest contentHash
+  std::string path;         // DIR/objects/<hash>
+  std::string perflogHash;  // the perflog artifact's object
 };
 
 /// Stores campaign artifacts and the manifest as objects, and points the

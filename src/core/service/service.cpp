@@ -300,12 +300,10 @@ void processSubmission(const RunContextState& ctx,
 
     const std::vector<history::FomAggregate> foms =
         history::aggregateFoms(results);
-    const std::string perflog_bytes = perflogBytes(perflog);
     const ManifestWrite manifest = writeCampaignManifest(
         ctx.store, inv, results, perflog, nullptr, false);
-    outcome = summarizeCampaignOutcome(
-        results, foms, manifest.hash,
-        store::ObjectStore::hashBytes(perflog_bytes));
+    outcome = summarizeCampaignOutcome(results, foms, manifest.hash,
+                                       manifest.perflogHash);
     outcome.key = verdict.key;
     ctx.journal.recordExecuted(sub.id, outcome);
     ctx.plane.noteStage(sub.id, "journal", "executed",
@@ -432,8 +430,10 @@ void writeHealthSnapshot(const ServeOptions& options,
     out << obs::json::quote(open[i]);
   }
   out << "]}\n";
-  durableWriteFile(
-      (fs::path(options.queueDir) / "health.json").string(), out.str());
+  // An observer snapshot that the next verdict rewrites: the rename keeps
+  // it whole, and no record cites it, so it is not fsync'd.
+  writeFileAtomic((fs::path(options.queueDir) / "health.json").string(),
+                  out.str(), Durability::kBuffered);
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 # Gate: campaign manifests are verified store objects.
 #  1. After `run --store S`, `suite --store S` and `serve --store S` the
 #     store holds only objects/<hash>, refs/** and *.lock files, and
-#     refs/manifests/latest names the newest manifest.
+#     refs/manifests/latest names the newest manifest.  The run's
+#     perflog artifact is a rebench.perflog/2 object of its perflog's
+#     line count.
 #  2. An edited manifest object is refused by `replay FILE`, `replay
 #     --store` and `trace_lint --store` (exit 1, naming the hash or the
 #     record); the verified read deletes it, and the next `serve` pass
@@ -41,10 +43,16 @@ edit_mean() {
 babel="--benchmark babelstream --system noctua2 -S model=omp --ntimes 10"
 
 # 1. Layout.
-"$rebench" run $babel --store S > run.txt || fail "run --store failed"
+"$rebench" run $babel --perflog p.log --store S > run.txt ||
+  fail "run --store failed"
 latest=$(cat S/refs/manifests/latest) || fail "run set no manifests/latest ref"
 grep -q "^manifest written to S/objects/$latest\$" run.txt ||
   fail "run printed: $(grep manifest run.txt)"
+perflog=$(sed -n 's/.*"name":"perflog","hash":"\([0-9a-f]*\)".*/\1/p' \
+  "S/objects/$latest")
+header=$(head -n 1 "S/objects/$perflog")
+test "$header" = "rebench.perflog/2|$(wc -l < p.log | tr -d ' ')" ||
+  fail "the perflog artifact begins '$header'"
 "$rebench" suite --system noctua2 --tag std-ranges --store S > /dev/null ||
   fail "suite --store failed"
 test "$(cat S/refs/manifests/latest)" != "$latest" ||

@@ -99,6 +99,14 @@ TEST(TaggedColumnBuilder, CommitsNumericOnlyWhenEveryCellParses) {
   mixed.add("1.5 seconds");  // partial parse is not numeric
   EXPECT_FALSE(mixed.numeric());
 
+  // Neither is a leading space or '+', nor hex.
+  for (const char* cell : {" 12", "+5", "0x1A"}) {
+    columnar::TaggedColumnBuilder near;
+    near.add("1.5");
+    near.add(cell);
+    EXPECT_FALSE(near.numeric()) << cell;
+  }
+
   columnar::TaggedColumnBuilder empty;
   EXPECT_FALSE(empty.numeric());  // no evidence -> strings
 }
@@ -548,20 +556,27 @@ TEST(MergePerflogs, OrdersNumericStampsNumerically) {
 }
 
 TEST(MergePerflogs, TiesKeepInputOrderAndTextStampsSortLast) {
+  // " 12", "+5" and "0x1A" are not whole number tokens, so they are text.
   const std::string a = writePerflog(
       "merge_tie_a.log",
-      {simpleEntry("5", "archer2", 1.0), simpleEntry("T2", "archer2", 9.0)});
+      {simpleEntry("5", "archer2", 1.0), simpleEntry(" 12", "archer2", 3.0),
+       simpleEntry("0x1A", "archer2", 5.0), simpleEntry("T2", "archer2", 9.0)});
   const std::string b = writePerflog(
       "merge_tie_b.log",
-      {simpleEntry("5", "csd3", 2.0), simpleEntry("T1", "csd3", 8.0)});
+      {simpleEntry("5", "csd3", 2.0), simpleEntry("+5", "csd3", 4.0),
+       simpleEntry("T1", "csd3", 8.0)});
   const std::vector<std::string> paths = {a, b};
   const std::vector<PerfLogEntry> rows =
       tableToPerflogEntries(mergePerflogsByTime(paths));
-  ASSERT_EQ(rows.size(), 4u);
+  ASSERT_EQ(rows.size(), 7u);
   EXPECT_EQ(rows[0].system, "archer2");  // tie at "5": input 0 first
   EXPECT_EQ(rows[1].system, "csd3");
-  EXPECT_EQ(rows[2].timestamp, "T1");  // non-numeric: lexicographic, last
-  EXPECT_EQ(rows[3].timestamp, "T2");
+  // Non-numeric: lexicographic, last.
+  EXPECT_EQ(rows[2].timestamp, " 12");
+  EXPECT_EQ(rows[3].timestamp, "+5");
+  EXPECT_EQ(rows[4].timestamp, "0x1A");
+  EXPECT_EQ(rows[5].timestamp, "T1");
+  EXPECT_EQ(rows[6].timestamp, "T2");
 }
 
 TEST(MergePerflogs, BuffersAtMostOneChunkPerInput) {

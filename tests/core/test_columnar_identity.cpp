@@ -146,10 +146,15 @@ TEST(ColumnarIdentity, CsvRoundTripMatchesIncludingQuoting) {
       "plain", "with,comma", "with\"quote", " leading space", "123abc"};
   const std::vector<std::string> numericText = {"1", "2.5", "-3e2", "0",
                                                 "7"};
+  // Numbers only in part: a leading space or '+', or hex digits.
+  const std::vector<std::string> nearNumeric = {"1", " 12", "+5", "0x1A",
+                                                "7"};
   columnar.addStrings("label", awkward);
   columnar.addStrings("reading", numericText);
+  columnar.addStrings("near", nearNumeric);
   rows.addStrings("label", awkward);
   rows.addStrings("reading", numericText);
+  rows.addStrings("near", nearNumeric);
 
   const std::string csvA = columnar.toCsv();
   const std::string csvB = rows.toCsv();
@@ -161,6 +166,16 @@ TEST(ColumnarIdentity, CsvRoundTripMatchesIncludingQuoting) {
   EXPECT_TRUE(reparsedA.isNumeric("reading"));
   EXPECT_TRUE(reparsedB.isNumeric("reading"));
   EXPECT_EQ(reparsedA.toCsv(), reparsedB.toCsv());
+  // ...and "near" as text, each cell on its own as well.
+  EXPECT_FALSE(reparsedA.isNumeric("near"));
+  EXPECT_FALSE(reparsedB.isNumeric("near"));
+  for (const char* cell : {" 12", "+5", "0x1A"}) {
+    SCOPED_TRACE(cell);
+    DataFrame one;
+    one.addStrings("near", {cell});
+    EXPECT_FALSE(DataFrame::fromCsv(one.toCsv()).isNumeric("near"));
+    EXPECT_FALSE(legacy::RowFrame::fromCsv(one.toCsv()).isNumeric("near"));
+  }
 }
 
 TEST(ColumnarIdentity, PerflogBridgeBytesMatch) {

@@ -4,6 +4,8 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <string>
+#include <vector>
 
 #include "core/util/error.hpp"
 #include "file_size_limit.hpp"
@@ -144,6 +146,69 @@ TEST(PerfLog, FailedAppendThrowsAndLeavesOnlyWholeRows) {
 
 TEST(PerfLog, ReadMissingFileThrows) {
   EXPECT_THROW(PerfLog::readFile("/nonexistent/rebench.log"), Error);
+}
+
+TEST(PerfLogObject, DittoCodesFieldsEqualToTheLineAbove) {
+  const std::vector<std::string> lines = {"ts=T0|fom=Copy|value=1|x:a=1",
+                                          "ts=T1|fom=Copy|value=1",
+                                          "ts=T1|fom=Mul|value=1|x:a=1|x:b=2"};
+  const std::string object = encodePerflogObject(lines);
+  EXPECT_EQ(object,
+            "rebench.perflog/2|3\n"
+            "ts=T0|fom=Copy|value=1|x:a=1\n"
+            "ts=T1|=|=\n"
+            "=|fom=Mul|=|x:a=1|x:b=2\n");
+  EXPECT_EQ(decodePerflogObject(object),
+            "ts=T0|fom=Copy|value=1|x:a=1\n"
+            "ts=T1|fom=Copy|value=1\n"
+            "ts=T1|fom=Mul|value=1|x:a=1|x:b=2\n");
+  EXPECT_EQ(encodePerflogObject({}), "rebench.perflog/2|0\n");
+  EXPECT_EQ(decodePerflogObject("rebench.perflog/2|0\n"), "");
+}
+
+TEST(PerfLogObject, EncoderRefusesLinesItCannotRoundTrip) {
+  for (const std::string line : {"", "ts=T0||fom=Copy", "ts=T0|=", "=",
+                                 "ts=T0|fom=Co\npy"}) {
+    SCOPED_TRACE(line);
+    const std::vector<std::string> lines = {"ts=T0|fom=Copy", line};
+    EXPECT_THROW(encodePerflogObject(lines), Error);
+  }
+}
+
+TEST(PerfLogObject, RawObjectsDecodeToThemselves) {
+  const std::string raw = sampleEntry().serialize() + "\n";
+  EXPECT_EQ(decodePerflogObject(raw), raw);
+  EXPECT_EQ(decodePerflogObject(""), "");
+}
+
+TEST(PerfLogObject, DecoderRejectsDamagedObjects) {
+  const auto message = [](const std::string& bytes) -> std::string {
+    try {
+      decodePerflogObject(bytes);
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "decoded";
+  };
+  EXPECT_EQ(message("rebench.perflog/3|1\nts=T0\n"),
+            "perflog object has schema 'rebench.perflog/3' (this build reads "
+            "rebench.perflog/2 and raw perflogs)");
+  EXPECT_NE(message("rebench.perflog/2\nts=T0\n").find("no line count"),
+            std::string::npos);
+  EXPECT_NE(message("rebench.perflog/2|1x\nts=T0\n").find("line count"),
+            std::string::npos);
+  EXPECT_EQ(message("rebench.perflog/2|2\nts=T0\n"),
+            "perflog object holds 1 lines, its header says 2");
+  EXPECT_EQ(message("rebench.perflog/2|1\nts=T0\nts=T1\n"),
+            "perflog object holds 2 lines, its header says 1");
+  EXPECT_EQ(message("rebench.perflog/2|1\nts=T0"),
+            "perflog object does not end in a newline");
+  EXPECT_EQ(message("rebench.perflog/2|1\nts=T0|=\n"),
+            "perflog object's first line has a ditto field");
+  EXPECT_EQ(message("rebench.perflog/2|2\nts=T0\nts=T1|=\n"),
+            "perflog object line has a ditto past the end of the line above");
+  EXPECT_EQ(message("rebench.perflog/2|2\nts=T0|fom=A\nts=T1|=\n"),
+            "decoded");
 }
 
 }  // namespace

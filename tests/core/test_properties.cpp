@@ -263,7 +263,9 @@ TEST_P(DataFrameProperty, FilterPartitionsRows) {
 INSTANTIATE_TEST_SUITE_P(Seeds, DataFrameProperty, ::testing::Range(1, 7));
 
 // ---------------------------------------------------------------------------
-// Perflog serialization is injective and total over nasty strings.
+// Perflog serialization is injective and total over nasty strings, a
+// stored perflog object decodes to the perflog's bytes, and damaged lines
+// and objects parse or throw rebench::Error.
 // ---------------------------------------------------------------------------
 
 class PerflogProperty : public ::testing::TestWithParam<int> {};
@@ -279,29 +281,128 @@ std::string randomNasty(Rng& rng) {
   return out;
 }
 
+/// An entry whose every text field, extras key and extras value is nasty
+/// text (empty included) or, with `above`, often the above entry's.
+PerfLogEntry randomEntry(Rng& rng, const PerfLogEntry* above = nullptr) {
+  const auto text = [&](const std::string& previous) {
+    return above != nullptr && rng.below(2) == 0 ? previous
+                                                 : randomNasty(rng);
+  };
+  PerfLogEntry entry;
+  entry.timestamp = text(above ? above->timestamp : "");
+  entry.frameworkVersion = text(above ? above->frameworkVersion : "");
+  entry.system = text(above ? above->system : "");
+  entry.partition = text(above ? above->partition : "");
+  entry.environ = text(above ? above->environ : "");
+  entry.testName = text(above ? above->testName : "");
+  entry.spec = text(above ? above->spec : "");
+  entry.specHash = text(above ? above->specHash : "");
+  entry.binaryId = text(above ? above->binaryId : "");
+  entry.jobId = text(above ? above->jobId : "");
+  entry.fomName = text(above ? above->fomName : "");
+  entry.value = above != nullptr && rng.below(2) == 0
+                    ? above->value
+                    : std::round(rng.uniform(-1e6, 1e6) * 1e6) / 1e6;
+  entry.unit = rng.below(2) == 0 ? Unit::kGBperSec : Unit::kSeconds;
+  if (rng.below(2) == 0) {
+    entry.reference = std::round(rng.uniform(-1e6, 1e6) * 1e6) / 1e6;
+    entry.lowerThresh = -0.05;
+    entry.upperThresh = 0.1;
+  }
+  entry.result = text(above ? above->result : "");
+  if (above != nullptr && rng.below(2) == 0) entry.extras = above->extras;
+  for (std::uint64_t n = rng.below(4); n > 0; --n) {
+    entry.extras[randomNasty(rng)] = randomNasty(rng);
+  }
+  return entry;
+}
+
 TEST_P(PerflogProperty, RoundTripArbitraryContent) {
   Rng rng(GetParam() * 53);
   for (int i = 0; i < 20; ++i) {
-    PerfLogEntry entry;
-    entry.timestamp = randomNasty(rng);
-    entry.system = randomNasty(rng);
-    entry.partition = randomNasty(rng);
-    entry.testName = randomNasty(rng);
-    entry.spec = randomNasty(rng);
-    entry.fomName = randomNasty(rng);
-    entry.value = rng.uniform(-1e6, 1e6);
-    entry.unit = Unit::kGBperSec;
-    entry.result = "pass";
-    entry.extras[ "k" + std::to_string(i)] = randomNasty(rng);
-
+    const PerfLogEntry entry = randomEntry(rng);
     const std::string line = entry.serialize();
     EXPECT_EQ(line.find('\n'), std::string::npos);
     const PerfLogEntry parsed = PerfLogEntry::parse(line);
+    EXPECT_EQ(parsed.timestamp, entry.timestamp);
     EXPECT_EQ(parsed.system, entry.system);
     EXPECT_EQ(parsed.testName, entry.testName);
     EXPECT_EQ(parsed.spec, entry.spec);
+    EXPECT_EQ(parsed.result, entry.result);
     EXPECT_EQ(parsed.extras, entry.extras);
-    EXPECT_NEAR(parsed.value, entry.value, 1e-4);
+    EXPECT_EQ(parsed.value, entry.value);
+    EXPECT_EQ(parsed.reference, entry.reference);
+    EXPECT_EQ(parsed.serialize(), line);
+  }
+}
+
+/// A campaign-like perflog: serialized random entries, each line sharing
+/// many fields with the line above.
+std::vector<std::string> randomPerflog(Rng& rng) {
+  std::vector<std::string> lines;
+  PerfLogEntry above;
+  for (std::uint64_t n = rng.below(41); n > 0; --n) {
+    above = randomEntry(rng, lines.empty() ? nullptr : &above);
+    lines.push_back(above.serialize());
+  }
+  return lines;
+}
+
+TEST_P(PerflogProperty, ObjectsDecodeToThePerflogBytes) {
+  Rng rng(GetParam() * 59);
+  for (int i = 0; i < 20; ++i) {
+    const std::vector<std::string> lines = randomPerflog(rng);
+    std::string raw;
+    for (const std::string& line : lines) raw += line + "\n";
+    const std::string object = encodePerflogObject(lines);
+    EXPECT_EQ(object.rfind("rebench.perflog/2|" +
+                               std::to_string(lines.size()) + "\n",
+                           0),
+              0u);
+    EXPECT_EQ(decodePerflogObject(object), raw) << object;
+    EXPECT_EQ(encodePerflogObject(lines), object);
+  }
+}
+
+/// Applies 1-3 random truncations, byte flips and insertions.
+std::string damage(Rng& rng, std::string_view original,
+                   std::string_view structural) {
+  std::string bytes(original);
+  for (std::uint64_t edits = 1 + rng.below(3); edits > 0; --edits) {
+    const std::size_t at = rng.below(bytes.size() + 1);
+    switch (rng.below(3)) {
+      case 0:
+        bytes.resize(at);
+        break;
+      case 1:
+        if (at < bytes.size()) bytes[at] = static_cast<char>(rng.below(256));
+        break;
+      default:
+        bytes.insert(at, 1,
+                     rng.below(2) == 0
+                         ? structural[rng.below(structural.size())]
+                         : static_cast<char>(rng.below(256)));
+    }
+  }
+  return bytes;
+}
+
+TEST_P(PerflogProperty, DamagedLinesAndObjectsParseOrThrow) {
+  static constexpr std::string_view kStructural = "|=%\n:x0129.-e";
+  Rng rng(GetParam() * 61);
+  std::vector<std::string> lines;
+  while (lines.size() < 2) lines = randomPerflog(rng);
+  const std::string object = encodePerflogObject(lines);
+  for (int trial = 0; trial < 300; ++trial) {
+    try {
+      (void)PerfLogEntry::parse(damage(rng, lines[0], kStructural));
+    } catch (const Error&) {
+      // Damage may be rejected; anything but rebench::Error fails.
+    }
+    try {
+      (void)decodePerflogObject(damage(rng, object, kStructural));
+    } catch (const Error&) {
+    }
   }
 }
 
@@ -409,7 +510,7 @@ constexpr std::string_view kJsonLinesSegment =
     "\"ess\":0.000,\"repeats\":3,\"sim_timestamp\":12.500000}\n";
 
 TEST_P(HistorySegmentProperty, DamagedSegmentsParseOrThrow) {
-  static constexpr char kStructural[] = "|=%\n\"{}[]:,-.e09";
+  static constexpr std::string_view kStructural = "|=%\n\"{}[]:,-.e09";
   Rng rng(GetParam() * 73);
   const std::string rows = history::serializeSegment(
       randomRecords(rng), "cafecafecafecafe", 4, 9);
@@ -417,27 +518,8 @@ TEST_P(HistorySegmentProperty, DamagedSegmentsParseOrThrow) {
        {std::string_view(rows), kJsonLinesSegment}) {
     ASSERT_FALSE(history::parseSegment(original).empty());
     for (int trial = 0; trial < 300; ++trial) {
-      std::string bytes(original);
-      for (std::uint64_t edits = 1 + rng.below(3); edits > 0; --edits) {
-        const std::size_t at = rng.below(bytes.size() + 1);
-        switch (rng.below(3)) {
-          case 0:
-            bytes.resize(at);
-            break;
-          case 1:
-            if (at < bytes.size()) {
-              bytes[at] = static_cast<char>(rng.below(256));
-            }
-            break;
-          default:
-            bytes.insert(at, 1,
-                         rng.below(2) == 0
-                             ? kStructural[rng.below(sizeof(kStructural) - 1)]
-                             : static_cast<char>(rng.below(256)));
-        }
-      }
       try {
-        (void)history::parseSegment(bytes);
+        (void)history::parseSegment(damage(rng, original, kStructural));
       } catch (const Error&) {
         // Damage may be rejected; anything but rebench::Error fails.
       }
@@ -651,7 +733,7 @@ TEST_P(ServiceJournalProperty, CheckpointsReopensAndCompactionsMatchTheModel) {
 }
 
 TEST_P(ServiceJournalProperty, DamagedJournalsOpenOrThrow) {
-  static constexpr char kStructural[] = "{}[]\":,\\\n-.e09";
+  static constexpr std::string_view kStructural = "{}[]\":,\\\n-.e09";
   static const std::array<std::string, 4> kIds = {"s0", "s1", "s2", "s3"};
   Rng rng(GetParam() * 83);
   {
@@ -668,24 +750,8 @@ TEST_P(ServiceJournalProperty, DamagedJournalsOpenOrThrow) {
   }
   const std::string original = contents();
   for (int trial = 0; trial < 300; ++trial) {
-    std::string bytes = original;
-    for (std::uint64_t edits = 1 + rng.below(3); edits > 0; --edits) {
-      const std::size_t at = rng.below(bytes.size() + 1);
-      switch (rng.below(3)) {
-        case 0:
-          bytes.resize(at);
-          break;
-        case 1:
-          if (at < bytes.size()) bytes[at] = static_cast<char>(rng.below(256));
-          break;
-        default:
-          bytes.insert(at, 1,
-                       rng.below(2) == 0
-                           ? kStructural[rng.below(sizeof(kStructural) - 1)]
-                           : static_cast<char>(rng.below(256)));
-      }
-    }
-    std::ofstream(path_, std::ios::binary | std::ios::trunc) << bytes;
+    std::ofstream(path_, std::ios::binary | std::ios::trunc)
+        << damage(rng, original, kStructural);
     std::optional<ServiceJournal> journal;
     try {
       journal.emplace(queue_);

@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -391,6 +392,114 @@ TEST_F(ServiceFixture, ServeExecutesThenAnswersFromRunCache) {
       Verdict::parse(readFile(verdictPath(queue_, scanned[0].id)));
   EXPECT_EQ(verdict.verdict, "cached");
   EXPECT_FALSE(verdict.degraded);
+}
+
+// Every campaign stores its perflog as a rebench.perflog/2 object that
+// decodes to the perflog's bytes, and the manifest, the journal's
+// executed record and the RunCache record all cite that object.
+TEST_F(ServiceFixture, StoredPerflogObjectDecodesToTheCampaignPerflog) {
+  store::ObjectStore cli(root_ + "/cli-store");
+  std::string runModeBytes;
+  std::string runModeManifest;
+  for (const std::string mode : {"run", "suite"}) {
+    SCOPED_TRACE(mode);
+    store::CampaignInvocation inv = invocation();
+    inv.mode = mode;
+    PipelineOptions options = pipelineOptionsFor(inv);
+    options.store = &cli;
+    Pipeline pipeline(systems_, repo_, options);
+    const std::string path = root_ + "/" + mode + ".log";
+    PerfLog perflog(path);
+    const std::vector<RegressionTest> tests =
+        mode == "run" ? std::vector{syntheticTest()}
+                      : std::vector{syntheticTest(), syntheticTest("Other")};
+    const std::vector<std::string> targets{inv.system};
+    const CampaignExecution execution = executeCampaign(
+        pipeline, tests, targets, inv, &perflog, nullptr, nullptr);
+    const ManifestWrite written = writeCampaignManifest(
+        cli, inv, execution.results, perflog, nullptr, false);
+    const std::optional<std::string> object = cli.get(written.perflogHash);
+    ASSERT_TRUE(object);
+    EXPECT_EQ(object->rfind("rebench.perflog/2|", 0), 0u) << *object;
+    EXPECT_EQ(*object, perflogBytes(perflog));
+    EXPECT_EQ(decodePerflogObject(*object), readFile(path));
+    const store::CampaignManifest manifest =
+        store::CampaignManifest::load(cli, written.hash);
+    ASSERT_EQ(manifest.artifacts.size(), 1u);
+    EXPECT_EQ(manifest.artifacts[0].hash, written.perflogHash);
+    EXPECT_EQ(manifest.artifacts[0].bytes, object->size());
+    if (mode == "run") {
+      runModeBytes = readFile(path);
+      runModeManifest = written.hash;
+    }
+  }
+
+  // A serve drain of the same run-mode invocation stores the same object.
+  // It stops after journaling `executed`, so that record can be read.
+  enqueueSubmission(queue_, invocation());
+  const auto scanned = scanQueue(queue_);
+  ASSERT_EQ(scanned.size(), 1u);
+  ServeOptions crashing = makeOptions();
+  crashing.crashAfter = "executed";
+  serve(crashing);
+  std::optional<ExecutedRecord> executed;
+  {
+    const ServiceJournal journal(queue_);
+    if (const ExecutedRecord* record = journal.executed(scanned[0].id)) {
+      executed = *record;
+    }
+  }
+  serve(makeOptions());
+  const Verdict verdict =
+      Verdict::parse(readFile(verdictPath(queue_, scanned[0].id)));
+  EXPECT_EQ(verdict.manifestHash, runModeManifest);
+  store::ObjectStore served(store_);
+  const store::CampaignManifest manifest =
+      store::CampaignManifest::load(served, verdict.manifestHash);
+  const std::string perflogHash = manifest.artifacts.at(0).hash;
+  const std::optional<std::string> object = served.get(perflogHash);
+  ASSERT_TRUE(object);
+  EXPECT_EQ(decodePerflogObject(*object), runModeBytes);
+  ASSERT_TRUE(executed);
+  EXPECT_EQ(executed->perflogHash, perflogHash);
+  store::RunCache cache(served);
+  const store::RunCache::Lookup lookup = cache.lookup(verdict.key);
+  ASSERT_TRUE(lookup.hit());
+  EXPECT_EQ(lookup.record->perflogHash, perflogHash);
+}
+
+// replay compares a new manifest's perflog by its rebench.perflog/2
+// object and an older manifest's by the raw perflog bytes it hashed.
+TEST(ReplayedPerflogArtifact, ReadsBothEncodings) {
+  PerfLog perflog;
+  PerfLogEntry entry;
+  entry.timestamp = "T0";
+  entry.system = "archer2";
+  entry.fomName = "Copy";
+  perflog.append(entry);
+  entry.timestamp = "T1";
+  entry.fomName = "Triad";
+  perflog.append(entry);
+  const std::string raw = perflog.lines()[0] + "\n" + perflog.lines()[1] + "\n";
+  const std::string v2 = perflogBytes(perflog);
+  ASSERT_NE(raw, v2);
+  const auto compare = [&](const std::string& recordedHash) {
+    store::CampaignManifest manifest;
+    manifest.artifacts.push_back({"perflog", recordedHash, 0});
+    return store::compareArtifacts(
+        manifest, {{"perflog", replayedPerflogArtifact(manifest, perflog)}});
+  };
+  EXPECT_TRUE(compare(store::ObjectStore::hashBytes(raw)).allExact());
+  EXPECT_TRUE(compare(store::ObjectStore::hashBytes(v2)).allExact());
+  const store::ReplayComparison neither = compare("0123456789abcdef");
+  ASSERT_EQ(neither.artifacts.size(), 1u);
+  EXPECT_FALSE(neither.artifacts[0].exact);
+  EXPECT_EQ(neither.artifacts[0].replayedHash,
+            store::ObjectStore::hashBytes(v2));
+  EXPECT_NE(store::renderReplayReport(neither).find(
+                "DIVERGENT (recorded 0123456789abcdef, replayed " +
+                store::ObjectStore::hashBytes(v2) + ")"),
+            std::string::npos);
 }
 
 TEST_F(ServiceFixture, CrashResumeConvergesAtEveryCheckpoint) {
