@@ -252,7 +252,7 @@ struct TraceSession {
   std::string serialize() { return tracer.toJsonl(&metrics); }
   void write(const std::string& bytes) {
     if (!active()) return;
-    std::filesystem::create_directories(*dir);
+    createDirectories(*dir);
     const std::string path =
         (std::filesystem::path(*dir) / "trace.jsonl").string();
     writeFileAtomic(path, bytes, Durability::kBuffered);

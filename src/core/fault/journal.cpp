@@ -19,19 +19,59 @@ namespace {
 
 namespace fs = std::filesystem;
 
+std::atomic<std::uint64_t> g_writes{0};
+std::atomic<std::uint64_t> g_bytes{0};
+std::atomic<std::uint64_t> g_fsyncs{0};
+std::atomic<std::uint64_t> g_renames{0};
+std::atomic<std::uint64_t> g_directories{0};
+
+void count(std::atomic<std::uint64_t>& counter, std::uint64_t n = 1) {
+  counter.fetch_add(n, std::memory_order_relaxed);
+}
+
 /// Writes all of `bytes` to `fd`, retrying short writes and EINTR, then
 /// fsyncs when `durability` asks for it.  False on any failure.
 bool writeAll(int fd, std::string_view bytes, Durability durability) {
   while (!bytes.empty()) {
     const ssize_t n = ::write(fd, bytes.data(), bytes.size());
+    count(g_writes);
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) return false;
+    count(g_bytes, static_cast<std::uint64_t>(n));
     bytes.remove_prefix(static_cast<std::size_t>(n));
   }
-  return durability == Durability::kBuffered || ::fsync(fd) == 0;
+  if (durability == Durability::kBuffered) return true;
+  count(g_fsyncs);
+  return ::fsync(fd) == 0;
 }
 
 }  // namespace
+
+SeamCounts seamCounts() {
+  return {g_writes.load(std::memory_order_relaxed),
+          g_bytes.load(std::memory_order_relaxed),
+          g_fsyncs.load(std::memory_order_relaxed),
+          g_renames.load(std::memory_order_relaxed),
+          g_directories.load(std::memory_order_relaxed)};
+}
+
+void renameFile(const fs::path& from, const fs::path& to,
+                std::error_code& ec) {
+  count(g_renames);
+  fs::rename(from, to, ec);
+}
+
+bool createDirectories(const fs::path& dir) {
+  const bool created = fs::create_directories(dir);
+  if (created) count(g_directories);
+  return created;
+}
+
+bool createDirectories(const fs::path& dir, std::error_code& ec) {
+  const bool created = fs::create_directories(dir, ec);
+  if (created) count(g_directories);
+  return created;
+}
 
 void writeFileAtomic(const std::string& path, std::string_view bytes,
                      Durability durability, std::string_view tmp) {
@@ -51,7 +91,7 @@ void writeFileAtomic(const std::string& path, std::string_view bytes,
     fs::remove(tmpPath, ec);
     throw Error("cannot write '" + tmpPath + "'");
   }
-  fs::rename(tmpPath, path, ec);
+  renameFile(tmpPath, path, ec);
   if (ec) {
     std::error_code ignored;
     fs::remove(tmpPath, ignored);
@@ -104,7 +144,7 @@ JsonlLog::JsonlLog(std::string path, std::string_view schema,
             "}"),
       durability_(durability) {
   std::error_code ec;
-  fs::create_directories(fs::path(path_).parent_path(), ec);
+  createDirectories(fs::path(path_).parent_path(), ec);
   if (ec) {
     throw Error("cannot create the directory of '" + path_ +
                 "': " + ec.message());

@@ -8,7 +8,12 @@
 // converts.  writeFileAtomic is the one way a whole file is published:
 // readers see the old file or the complete new one.  appendToFile is the
 // one way bytes are appended (JsonlLog and the perflog): whole or not at
-// all.  FileLock is the one inter-process lock.
+// all.  renameFile and createDirectories move files and make
+// directories.  FileLock is the one inter-process lock.
+//
+// These functions are the write seam: seamCounts() counts, process-wide,
+// the writes, bytes, fsyncs, renames and directory creations they make,
+// so a test or a benchmark can price a step in calls.
 //
 // Run journal: a suite run appends one record per completed (test,
 // target, repeat) tuple to DIR/journal.jsonl; --resume DIR executes only
@@ -24,10 +29,13 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <filesystem>
 #include <functional>
 #include <map>
 #include <string>
 #include <string_view>
+#include <system_error>
 
 #include "core/obs/json.hpp"
 
@@ -39,6 +47,28 @@ inline constexpr std::string_view kJournalSchema = "rebench.journal/1";
 /// journals need it: an acknowledged checkpoint must survive a crash.
 /// Store, manifest and flight-record writes are published without it.
 enum class Durability { kBuffered, kFsync };
+
+/// What the write seam has done in this process, across all threads.
+/// Each count only grows; subtract two snapshots to price a step.
+struct SeamCounts {
+  std::uint64_t writes = 0;       // write(2) calls
+  std::uint64_t bytes = 0;        // bytes those calls wrote
+  std::uint64_t fsyncs = 0;       // fsync(2) calls
+  std::uint64_t renames = 0;      // renames, publications' included
+  std::uint64_t directories = 0;  // createDirectories calls that made one
+};
+
+SeamCounts seamCounts();
+
+/// std::filesystem::rename through the seam.
+void renameFile(const std::filesystem::path& from,
+                const std::filesystem::path& to, std::error_code& ec);
+
+/// std::filesystem::create_directories through the seam, in its throwing
+/// and its error_code form.
+bool createDirectories(const std::filesystem::path& dir);
+bool createDirectories(const std::filesystem::path& dir,
+                       std::error_code& ec);
 
 /// Publishes `bytes` at `path` atomically: they are written in full to a
 /// temp file, fsynced when `durability` asks for it, and renamed over

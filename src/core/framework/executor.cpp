@@ -301,9 +301,11 @@ void CampaignExecutor::stampProfileLanes() {
   // canonical order, lands on the virtual lane that frees up first.
   // The stamped attributes let `rebench profile` reconstruct the
   // schedule (lane chaining), its utilization and its critical path
-  // from the trace alone.
-  const std::size_t lanes = static_cast<std::size_t>(
-      std::max(1, pipeline_.options_.profileLanes));
+  // from the trace alone.  The k-th unit lands on a lane at or below k,
+  // so lanes past the unit count would never be picked.
+  const std::size_t lanes = std::min(
+      static_cast<std::size_t>(std::max(1, pipeline_.options_.profileLanes)),
+      std::max<std::size_t>(1, units_.size()));
   std::vector<double> laneFree(lanes, 0.0);
   for (Unit& unit : units_) {
     if (unit.status != Unit::Status::kDone || unit.quarantined) continue;

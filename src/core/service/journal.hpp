@@ -1,7 +1,7 @@
 // Write-ahead service journal (rebench::service).
 //
 // The daemon's crash-safety spine.  Before any externally visible step
-// of processing a submission, the daemon durably appends a checkpoint:
+// of executing a submission, the daemon durably appends a checkpoint:
 //
 //   claim     we are about to execute submission S under run key K
 //   executed  the campaign ran; here is everything the verdict and the
@@ -28,6 +28,7 @@
 // exactly.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <map>
 #include <optional>
@@ -116,6 +117,14 @@ class ServiceJournal {
   /// memory is what a replay of the new file builds.  Atomic and
   /// fsynced: a crash leaves the old file or the new one.
   void compact();
+
+  /// Whether compact() would drop anything: a submission finished since
+  /// the file was opened or last compacted.
+  bool compactable() const {
+    return std::ranges::any_of(entries_, [](const auto& item) {
+      return item.second.state == State::kDone;
+    });
+  }
 
   std::size_t corruptLines() const { return log_.corruptLines(); }
   const std::string& path() const { return log_.path(); }

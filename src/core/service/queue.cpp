@@ -33,7 +33,7 @@ std::string readFile(const std::string& path) {
 
 Submission enqueueSubmission(const std::string& queueDir,
                              const store::CampaignInvocation& inv) {
-  fs::create_directories(queueDir);
+  createDirectories(queueDir);
   const std::string body = submissionBody(inv);
   Submission sub;
   sub.id = store::ObjectStore::hashBytes(body);
@@ -139,7 +139,7 @@ std::string verdictPath(const std::string& queueDir, const std::string& id) {
 }
 
 void writeVerdict(const std::string& queueDir, const Verdict& verdict) {
-  fs::create_directories(fs::path(queueDir) / "verdicts");
+  createDirectories(fs::path(queueDir) / "verdicts");
   durableWriteFile(verdictPath(queueDir, verdict.submission),
                    verdict.serialize());
 }
@@ -149,7 +149,7 @@ bool drainRequested(const std::string& queueDir) {
 }
 
 void requestDrain(const std::string& queueDir) {
-  fs::create_directories(queueDir);
+  createDirectories(queueDir);
   durableWriteFile((fs::path(queueDir) / "drain").string(), "drain\n");
 }
 

@@ -81,16 +81,6 @@ void simulateCrash(const RunContextState& ctx) {
   telemetry::dumpFlightRecord(ctx.options.queueDir, ctx.plane.bus());
 }
 
-VerdictRecord toRecord(const Verdict& verdict) {
-  VerdictRecord record;
-  record.verdict = verdict.verdict;
-  record.key = verdict.key;
-  record.manifestHash = verdict.manifestHash;
-  record.degraded = verdict.degraded;
-  record.detail = verdict.detail;
-  return record;
-}
-
 /// Tallies a filed verdict into the report.
 void countVerdict(ServeReport& report, const Verdict& verdict) {
   if (verdict.verdict == "cached") {
@@ -138,8 +128,8 @@ void noteVerdict(const RunContextState& ctx, const Verdict& verdict) {
 }
 
 /// Files a verdict that bypasses the journal (malformed submissions,
-/// quarantine refusals): re-deriving it is trivially deterministic, so
-/// checkpoints would buy nothing.
+/// quarantine refusals, RunCache hits): a restart re-derives the same
+/// bytes from the same inputs, so checkpoints would buy nothing.
 void fileDirectVerdict(const RunContextState& ctx, Verdict verdict) {
   writeVerdict(ctx.options.queueDir, verdict);
   countVerdict(ctx.report, verdict);
@@ -240,20 +230,18 @@ void processSubmission(const RunContextState& ctx,
       verdict.verdict = "cached";
       verdict.manifestHash = lookup.record->manifestHash;
       verdict.detail = "first ran " + lookup.record->verdict;
-      ctx.journal.recordVerdict(sub.id, toRecord(verdict));
-      ctx.plane.noteStage(sub.id, "journal", "verdict",
-                          {{"verdict", verdict.verdict}});
       if (ctx.options.crashAfter == "verdict") {
         simulateCrash(ctx);
         return;
       }
-      writeVerdict(ctx.options.queueDir, verdict);
-      ctx.journal.recordDone(sub.id);
       if (ctx.options.metrics != nullptr) {
         ctx.options.metrics->counter("serve.cache_hit").inc();
       }
-      countVerdict(ctx.report, verdict);
-      noteVerdict(ctx, verdict);
+      fileDirectVerdict(ctx, std::move(verdict));
+      // Claims that crashed before the key was cached are answered too.
+      if (ctx.journal.state(sub.id) == ServiceJournal::State::kClaimed) {
+        ctx.journal.recordDone(sub.id);
+      }
       ctx.breaker.recordSuccess(sub.id);
       return;
     }
@@ -392,7 +380,9 @@ void processSubmission(const RunContextState& ctx,
     ctx.runCache.insert(record);
   }
 
-  ctx.journal.recordVerdict(sub.id, toRecord(verdict));
+  ctx.journal.recordVerdict(sub.id,
+                            {verdict.verdict, verdict.key, verdict.manifestHash,
+                             verdict.degraded, verdict.detail});
   ctx.plane.noteStage(sub.id, "journal", "verdict",
                       {{"verdict", verdict.verdict}});
   if (ctx.options.crashAfter == "verdict") {
@@ -457,7 +447,7 @@ ServeReport Service::run() {
   g_shutdownRequested.store(false, std::memory_order_relaxed);
   if (options_.queueDir.empty()) throw Error("serve: queue directory unset");
   if (options_.storeDir.empty()) throw Error("serve: store directory unset");
-  fs::create_directories(options_.queueDir);
+  createDirectories(options_.queueDir);
   // One daemon per queue, or a second would execute every submission
   // again.  A crash releases the lease with the process.
   const FileLock lease((fs::path(options_.queueDir) / "lock").string(),
@@ -530,9 +520,9 @@ ServeReport Service::run() {
         return report;
       }
     }
-    // A pass that filed verdicts finished submissions the next start
-    // need not replay: the journal keeps only the unfinished ones.
-    if (progressed) journal.compact();
+    // The journal keeps only unfinished submissions, so the next start
+    // replays nothing finished; a pass that finished none leaves it alone.
+    if (journal.compactable()) journal.compact();
     if (stop) break;
     if (options_.once) break;
     if (drainRequested(options_.queueDir) || shutdownRequested()) {

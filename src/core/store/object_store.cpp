@@ -36,7 +36,7 @@ std::optional<std::string> readBytes(const fs::path& path) {
 /// as the publish's own error.
 void makeRefDir(const std::string& path) {
   std::error_code ec;
-  fs::create_directories(fs::path(path).parent_path(), ec);
+  createDirectories(fs::path(path).parent_path(), ec);
 }
 
 }  // namespace
@@ -60,7 +60,7 @@ std::string ObjectStore::refPath(std::string_view name) const {
 
 ObjectStore::ObjectStore(std::string dir) : dir_(std::move(dir)) {
   std::error_code ec;
-  fs::create_directories(fs::path(dir_) / "objects", ec);
+  createDirectories(fs::path(dir_) / "objects", ec);
   if (ec) {
     throw Error("cannot create object store at '" + dir_ +
                 "': " + ec.message());
@@ -88,7 +88,7 @@ void ObjectStore::convertIndex() {
     if (!name.empty() && isHash(hash) && contains(hash)) setRef(name, hash);
   }
   std::error_code ec;
-  fs::rename(index, index + ".v1", ec);
+  renameFile(index, index + ".v1", ec);
   if (ec) {
     throw Error("cannot retire the store index '" + index +
                 "': " + ec.message());
@@ -122,9 +122,9 @@ void ObjectStore::convertManifests() {
   // File by file, so a directory left by an interrupted conversion (or
   // an older rebench writing here again) merges into manifests.v1.
   const fs::path retired = fs::path(dir_) / "manifests.v1";
-  fs::create_directories(retired, ec);
+  createDirectories(retired, ec);
   for (const fs::path& file : files) {
-    fs::rename(file, retired / file.filename(), ec);
+    renameFile(file, retired / file.filename(), ec);
     if (ec) {
       throw Error("cannot retire '" + file.string() + "' to '" +
                   retired.string() + "': " + ec.message());

@@ -94,7 +94,7 @@ std::string dumpFlightRecord(const std::string& queueDir,
   for (const TelemetryEvent& event : events) {
     body << renderEvent(event) << "\n";
   }
-  fs::create_directories(queueDir);
+  createDirectories(queueDir);
   const fs::path path =
       fs::path(queueDir) /
       ("flightrec-" + std::to_string(events.back().seq) + ".jsonl");

@@ -96,6 +96,22 @@ TEST(Profile, ProfileIsIdenticalAcrossJobCounts) {
   EXPECT_EQ(renderCriticalPath(c1), renderCriticalPath(c8));
 }
 
+// The k-th unit lands on a lane at or below k, so a lane count past the
+// campaign's six units stamps what 64 lanes stamp, and costs no more.
+TEST(Profile, HugeLaneCountsStampWhatSixtyFourLanesStamp) {
+  const auto laneStamps = [](int lanes) {
+    std::vector<std::string> stamps;
+    for (const obs::SpanRecord& span :
+         campaignTrace(/*jobs=*/2, lanes, nullptr).spans) {
+      if (span.name == "exec.worker") stamps.push_back(span.attrs.at("lane"));
+    }
+    return stamps;
+  };
+  const std::vector<std::string> stamps = laneStamps(64);
+  EXPECT_EQ(stamps.size(), 6u);
+  EXPECT_EQ(laneStamps(2147483647), stamps);
+}
+
 TEST(CriticalPath, LengthEqualsMakespanAndAttributionIsConsistent) {
   CampaignReport report;
   const obs::TraceFile trace = campaignTrace(/*jobs=*/2, /*lanes=*/2,

@@ -21,6 +21,8 @@
 #include "core/postproc/dataframe.hpp"
 #include "core/sched/scheduler.hpp"
 #include "core/service/journal.hpp"
+#include "core/service/queue.hpp"
+#include "core/store/object_store.hpp"
 #include "core/sysconfig/system_config.hpp"
 #include "core/util/rng.hpp"
 #include "core/util/version.hpp"
@@ -777,6 +779,50 @@ TEST_P(ServiceJournalProperty, DamagedJournalsOpenOrThrow) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ServiceJournalProperty, ::testing::Range(1, 5));
+
+// ---------------------------------------------------------------------------
+// Submissions: a damaged body filed under its own hash, so the content
+// check passes and the parser sees it, reads back valid or invalid with
+// an error, and never throws.
+// ---------------------------------------------------------------------------
+
+// The journal property's fixture, for its private queue directory.
+class SubmissionProperty : public ServiceJournalProperty {};
+
+TEST_P(SubmissionProperty, DamagedBodiesReadValidOrNameTheirError) {
+  static constexpr std::string_view kStructural = "{}[]\":,\\\n-.e09tfn";
+  Rng rng(GetParam() * 89);
+  store::CampaignInvocation inv;
+  inv.mode = "suite";
+  inv.system = "archer2:compute";
+  inv.tag = "babelstream";
+  inv.settings = {{"model", "omp"}, {"n", "1"}};
+  inv.ciHalfwidth = 0.05;
+  inv.lanes = 4;
+  inv.withStore = true;
+  const service::Submission valid = service::enqueueSubmission(queue_, inv);
+  std::string original;
+  {
+    std::ifstream in(valid.path, std::ios::binary);
+    std::ostringstream out;
+    out << in.rdbuf();
+    original = out.str();
+  }
+  std::filesystem::remove(valid.path);
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::string body = damage(rng, original, kStructural);
+    const std::string id = store::ObjectStore::hashBytes(body);
+    const std::string path = queue_ + "/sub-" + id + ".json";
+    std::ofstream(path, std::ios::binary) << body;
+    service::Submission sub;
+    EXPECT_NO_THROW(sub = service::readSubmission(queue_, id)) << body;
+    EXPECT_EQ(sub.id, id);
+    EXPECT_TRUE(sub.valid || !sub.error.empty()) << body;
+    std::filesystem::remove(path);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SubmissionProperty, ::testing::Range(1, 5));
 
 // ---------------------------------------------------------------------------
 // Spec grammar: parse/print round-trips on randomly generated specs.

@@ -3,6 +3,7 @@
 // crash-resume at every journal checkpoint, watchdogs, quarantine and
 // degraded mode — all in-process via an injected synthetic TestResolver.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <algorithm>
 #include <filesystem>
@@ -13,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "core/fault/journal.hpp"
 #include "core/fault/watchdog.hpp"
 #include "core/framework/pipeline.hpp"
 #include "core/history/history.hpp"
@@ -556,6 +558,113 @@ TEST_F(ServiceFixture, CrashResumeConvergesAtEveryCheckpoint) {
     EXPECT_EQ(crashHistory[0].mean, controlHistory[0].mean);
     EXPECT_EQ(crashHistory[0].manifestHash, controlHistory[0].manifestHash);
   }
+}
+
+/// What the write seam did since `before`.
+SeamCounts seamCostSince(const SeamCounts& before) {
+  const SeamCounts now = seamCounts();
+  return {now.writes - before.writes, now.bytes - before.bytes,
+          now.fsyncs - before.fsyncs, now.renames - before.renames,
+          now.directories - before.directories};
+}
+
+ino_t inodeOf(const std::string& path) {
+  struct stat info {};
+  EXPECT_EQ(::stat(path.c_str(), &info), 0) << path;
+  return info.st_ino;
+}
+
+// Every publication is one write and one rename, so the writes no rename
+// accounts for are appends; in a serve pass, only the journal appends.
+TEST_F(ServiceFixture, SeamCountsPriceEachVerdictKind) {
+  serve(makeOptions());  // an empty queue: the journal gets its meta line
+  enqueueSubmission(queue_, invocation());
+  SeamCounts before = seamCounts();
+  EXPECT_EQ(serve(makeOptions()).executed, 1);
+  const SeamCounts executed = seamCostSince(before);
+  // claim, executed, verdict and done, each fsync'd; then the verdict
+  // file and the pass's compaction.
+  EXPECT_EQ(executed.writes - executed.renames, 4u);
+  EXPECT_EQ(executed.fsyncs, 4u + 1u + 1u);
+
+  for (const char* benchmark : {"second", "third"}) {
+    enqueueSubmission(queue_, invocation(benchmark));
+  }
+  EXPECT_EQ(serve(makeOptions()).executed, 2);
+  const std::string journal = ServiceJournal::pathFor(queue_);
+  ASSERT_EQ(readFile(journal), kEmptyJournal);
+  const ino_t inode = inodeOf(journal);
+  before = seamCounts();
+  EXPECT_EQ(serve(makeOptions()).cached, 3);
+  const SeamCounts cached = seamCostSince(before);
+  // One fsync per cached verdict, its file's; no append, no rewrite.
+  EXPECT_EQ(cached.fsyncs, 3u);
+  EXPECT_EQ(cached.writes, cached.renames);
+  EXPECT_EQ(readFile(journal), kEmptyJournal);
+  EXPECT_EQ(inodeOf(journal), inode);
+}
+
+// A cached verdict carries no checkpoint: a pass cut after deciding it
+// re-derives the same bytes from the same RunCache record.
+TEST_F(ServiceFixture, CachedPassCutAtVerdictRefilesTheControlBytes) {
+  const Submission sub = enqueueSubmission(queue_, invocation());
+  EXPECT_EQ(serve(makeOptions()).executed, 1);
+  EXPECT_EQ(serve(makeOptions()).cached, 1);
+  const std::string control = readFile(verdictPath(queue_, sub.id));
+
+  ServeOptions cut = makeOptions();
+  cut.queueDir = root_ + "/cut";
+  enqueueSubmission(cut.queueDir, invocation());
+  cut.crashAfter = "verdict";
+  EXPECT_TRUE(serve(cut).crashed);
+  EXPECT_FALSE(fs::exists(verdictPath(cut.queueDir, sub.id)));
+  EXPECT_EQ(readFile(ServiceJournal::pathFor(cut.queueDir)), kEmptyJournal);
+
+  cut.crashAfter.clear();
+  const ServeReport resumed = serve(cut);
+  EXPECT_EQ(resumed.cached, 1);
+  EXPECT_EQ(resumed.executed, 0);
+  EXPECT_EQ(readFile(verdictPath(cut.queueDir, sub.id)), control);
+  EXPECT_EQ(readFile(ServiceJournal::pathFor(cut.queueDir)), kEmptyJournal);
+}
+
+// Claims that crashed before the key was cached stay unfinished until a
+// verdict answers them; a hit does, with `done`, and compaction drops them.
+TEST_F(ServiceFixture, HitAfterCrashedClaimsFinishesTheSubmission) {
+  const Submission sub = enqueueSubmission(queue_, invocation());
+  for (int i = 0; i < 2; ++i) {
+    ServeOptions options = makeOptions();
+    options.crashAfter = "claim";
+    EXPECT_TRUE(serve(std::move(options)).crashed);
+  }
+  ASSERT_EQ(journalKinds(queue_),
+            (std::vector<std::string>{"claim", "claim"}));
+  ServeOptions other = makeOptions();
+  other.queueDir = root_ + "/other";
+  enqueueSubmission(other.queueDir, invocation());
+  EXPECT_EQ(serve(other).executed, 1);  // caches the key in the shared store
+
+  const ServeReport report = serve(makeOptions());
+  EXPECT_EQ(report.cached, 1);
+  EXPECT_EQ(report.quarantined, 0);
+  EXPECT_EQ(report.executed, 0);
+  EXPECT_EQ(Verdict::parse(readFile(verdictPath(queue_, sub.id))).verdict,
+            "cached");
+  EXPECT_EQ(readFile(ServiceJournal::pathFor(queue_)), kEmptyJournal);
+}
+
+// The profile-lane schedule needs no more lanes than the campaign has
+// units, so a hostile --lanes neither allocates per lane nor stalls the
+// queue behind it.
+TEST_F(ServiceFixture, HugeLaneCountIsAnsweredAndTheQueueMovesOn) {
+  store::CampaignInvocation huge = invocation("huge");
+  huge.lanes = 2147483647;
+  enqueueSubmission(queue_, huge);
+  enqueueSubmission(queue_, invocation());
+  const ServeReport report = serve(makeOptions());
+  EXPECT_EQ(report.executed, 2);
+  EXPECT_EQ(report.clean, 2);
+  EXPECT_EQ(unansweredByScan(queue_), 0);
 }
 
 TEST_F(ServiceFixture, RepeatedCrashLoopsQuarantineTheSubmission) {
