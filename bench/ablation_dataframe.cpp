@@ -321,7 +321,7 @@ int reproduceAblation() {
   MergeStats mergeStats;
   const auto mergeStart = Clock::now();
   const columnar::Table merged =
-      mergePerflogsByTime(shardPaths, 4096, nullptr, &mergeStats);
+      mergePerflogsByTime(shardPaths, 4096, &mergeStats);
   const double mergeSeconds = seconds(mergeStart);
   bool ordered = merged.rows == kShards * kShardRows;
   const auto& stamps = merged.find("ts")->strs().materialize();

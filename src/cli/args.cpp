@@ -92,7 +92,8 @@ const std::vector<Command>& table() {
       {"profile", "<trace>", 1, 1, "lane schedule and critical path of a trace",
        {kJson, kChrome,
         {"diff", kText, "A", "diff A against <trace>; exit 1 on regression"},
-        {"threshold", kNumber, "X", "regression threshold (default 0.05)"}}},
+        {"threshold", kNumber, "X", "regression threshold (default 0.05)",
+         kZero}}},
       {"audit", "", 0, 0, "hygiene audit of a perflog; exit 1 on findings",
        {{"perflog", kText, "F", "perflog to audit"},
         {"manifest", kText, "M", "also flag results from stale artifacts"},
@@ -108,13 +109,14 @@ const std::vector<Command>& table() {
         {"perflog", kText, "F", "history of a perflog, one record a row"},
         kJson, {"window", kInt, "N", "rolling window (default 5)", kOne},
         {"threshold", kNumber, "X",
-         "--check regression threshold (default 0.05)"},
+         "--check regression threshold (default 0.05)", kZero},
         {"check", kFlag, "", "gate the newest record; exit 1 on regression"},
         kFrameCache}},
       {"compare", "", 0, 0, "before/after perflogs; exit 1 on regression",
        {{"before", kText, "F", "baseline perflog"},
         {"after", kText, "F", "candidate perflog"},
-        {"threshold", kNumber, "X", "regression threshold (default 0.05)"},
+        {"threshold", kNumber, "X", "regression threshold (default 0.05)",
+         kZero},
         kFrameCache}},
       {"submit", "", 0, 0, "queue a run (--benchmark) or a suite for serve",
        withCampaign({kQueue})},

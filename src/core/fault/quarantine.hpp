@@ -18,12 +18,13 @@ namespace rebench {
 
 struct BreakerOptions {
   /// Consecutive infrastructure failures before a (test, target) pair is
-  /// quarantined.
+  /// quarantined.  (--quarantine-after)
   int pairThreshold = 3;
-  /// Consecutive infrastructure failures (across all tests) before a
-  /// whole system:partition is quarantined.
-  int partitionThreshold = 8;
 };
+
+/// Consecutive infrastructure failures (across all tests) before a whole
+/// system:partition is quarantined.
+inline constexpr int kPartitionBreakerThreshold = 8;
 
 /// Generic consecutive-failure breaker over string keys.
 class CircuitBreaker {

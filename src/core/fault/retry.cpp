@@ -2,26 +2,22 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "core/util/rng.hpp"
 
 namespace rebench {
-
-int RetryPolicy::budgetFor(std::string_view stage) const {
-  auto it = stageBudgets.find(std::string(stage));
-  return it != stageBudgets.end() ? it->second : maxRetries;
-}
 
 double RetryPolicy::backoffSeconds(std::string_view key,
                                    int retryIndex) const {
   const int exponent = std::max(0, retryIndex - 1);
   double wait = backoffBase * std::pow(backoffMultiplier, exponent);
   wait = std::min(wait, backoffMax);
-  if (jitterFrac > 0.0 && wait > 0.0) {
+  if (wait > 0.0) {
     Rng rng = Rng::fromKey("backoff:" + std::to_string(seed) + ":" +
                            std::string(key) + ":" +
                            std::to_string(retryIndex));
-    wait *= 1.0 + jitterFrac * (2.0 * rng.uniform() - 1.0);
+    wait *= 1.0 + kRetryJitterFrac * (2.0 * rng.uniform() - 1.0);
   }
   return std::max(0.0, wait);
 }

@@ -4,21 +4,6 @@
 
 namespace rebench {
 
-bool WatchdogPolicy::enabled() const {
-  if (stageTimeoutSeconds > 0.0) return true;
-  for (const auto& [stage, limit] : stageOverrides) {
-    if (limit > 0.0) return true;
-  }
-  return false;
-}
-
-double WatchdogPolicy::limitFor(std::string_view stage) const {
-  if (auto it = stageOverrides.find(stage); it != stageOverrides.end()) {
-    return it->second;
-  }
-  return stageTimeoutSeconds;
-}
-
 FailureInfo WatchdogFire::failure() const {
   FailureInfo info;
   info.stage = stage;
@@ -32,20 +17,13 @@ FailureInfo WatchdogFire::failure() const {
 std::optional<WatchdogFire> checkStageDeadline(const WatchdogPolicy& policy,
                                                std::string_view stage,
                                                double elapsedSeconds) {
-  const double limit = policy.limitFor(stage);
+  const double limit = policy.stageTimeoutSeconds;
   if (limit <= 0.0 || elapsedSeconds <= limit) return std::nullopt;
   WatchdogFire fire;
   fire.stage = std::string(stage);
   fire.limitSeconds = limit;
   fire.elapsedSeconds = elapsedSeconds;
   return fire;
-}
-
-std::optional<WatchdogFire> StageWatchdog::check(std::string_view stage,
-                                                 double elapsedSeconds) {
-  auto fired = checkStageDeadline(policy_, stage, elapsedSeconds);
-  if (fired) ++fires_;
-  return fired;
 }
 
 }  // namespace rebench

@@ -4,20 +4,19 @@
 // that spins forever — must not block an executor lane (or the serve
 // daemon) indefinitely, and it must not be *retried*: retrying a hang
 // just hangs again.  The watchdog therefore turns a stage that exceeds
-// its (simulated) wall-clock deadline into a classified
-// FailureClass::kInfrastructure failure, which the retry ladder refuses
-// to retry and the circuit breaker counts toward quarantine.  The same
-// policy caps the retry ladder itself: when the cumulative backoff for a
-// stage would blow its deadline, the transient failure is promoted to
-// infrastructure instead of backing off forever.
+// its (simulated) wall-clock deadline — one --stage-timeout covers every
+// stage — into a classified FailureClass::kInfrastructure failure, which
+// the retry ladder refuses to retry and the circuit breaker counts
+// toward quarantine.  The same policy caps the retry ladder itself: when
+// the cumulative backoff for a stage would blow its deadline, the
+// transient failure is promoted to infrastructure instead of backing off
+// forever.
 //
 // Deadlines are expressed in simulated seconds (the only clock modelled
 // runs have), so watchdog decisions are byte-deterministic like every
 // other pipeline outcome.
 #pragma once
 
-#include <cstddef>
-#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -27,15 +26,9 @@
 namespace rebench {
 
 struct WatchdogPolicy {
-  /// Default simulated-seconds deadline per pipeline stage; <= 0 means no
+  /// Simulated-seconds deadline of every pipeline stage; <= 0 means no
   /// deadline.  (--stage-timeout)
   double stageTimeoutSeconds = -1.0;
-  /// Per-stage overrides keyed by stage name ("build", "run", ...).
-  std::map<std::string, double, std::less<>> stageOverrides;
-
-  bool enabled() const;
-  /// Deadline for `stage` (override, else default); <= 0 = none.
-  double limitFor(std::string_view stage) const;
 };
 
 /// One deadline violation.
@@ -55,22 +48,5 @@ struct WatchdogFire {
 std::optional<WatchdogFire> checkStageDeadline(const WatchdogPolicy& policy,
                                                std::string_view stage,
                                                double elapsedSeconds);
-
-/// Stateful wrapper counting fires — the serve daemon's health snapshot
-/// reports how often its watchdogs tripped.
-class StageWatchdog {
- public:
-  explicit StageWatchdog(WatchdogPolicy policy) : policy_(std::move(policy)) {}
-
-  std::optional<WatchdogFire> check(std::string_view stage,
-                                    double elapsedSeconds);
-
-  std::size_t fires() const { return fires_; }
-  const WatchdogPolicy& policy() const { return policy_; }
-
- private:
-  WatchdogPolicy policy_;
-  std::size_t fires_ = 0;
-};
 
 }  // namespace rebench

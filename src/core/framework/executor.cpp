@@ -42,7 +42,7 @@ CampaignExecutor::CampaignExecutor(Pipeline& pipeline, int jobs)
     : pipeline_(pipeline),
       jobs_(std::max(1, jobs)),
       pairBreaker_(pipeline.options_.breaker.pairThreshold),
-      partitionBreaker_(pipeline.options_.breaker.partitionThreshold) {}
+      partitionBreaker_(kPartitionBreakerThreshold) {}
 
 void CampaignExecutor::enumerate(std::span<const RegressionTest> tests,
                                  std::span<const std::string> targets) {

@@ -1,6 +1,7 @@
 #include "core/framework/perflog.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 
@@ -12,14 +13,16 @@ namespace rebench {
 
 namespace {
 
-/// A numeric field must be one whole number token: a numeric prefix
-/// ("1.5abc") or an out-of-range value ("1e999") makes the line malformed.
+/// A numeric field must be one whole, finite number token: a numeric
+/// prefix ("1.5abc"), an out-of-range value ("1e999"), "nan" or "inf"
+/// makes the line malformed.
 double parseNumber(const std::string& key, const std::string& value) {
   try {
-    return str::parseWhole<double>(value, key);
+    const double number = str::parseWhole<double>(value, key);
+    if (std::isfinite(number)) return number;
   } catch (const ParseError&) {
-    throw ParseError("malformed perflog number: " + key + "='" + value + "'");
   }
+  throw ParseError("malformed perflog number: " + key + "='" + value + "'");
 }
 
 void put(std::string& line, std::string_view key, std::string_view value) {

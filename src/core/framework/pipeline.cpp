@@ -92,7 +92,7 @@ TestRunResult Pipeline::runCampaign(const RegressionTest& test,
          result.failure.klass == FailureClass::kTransient) {
     const std::string stage = result.failure.stage;
     int& used = retriesPerStage[stage];
-    if (used >= options_.retry.budgetFor(stage)) break;
+    if (used >= options_.retry.maxRetries) break;
     ++used;
     const std::string backoffKey = test.name + "|" + std::string(target) +
                                    "|" + std::to_string(repeatIndex) + "|" +
@@ -102,7 +102,7 @@ TestRunResult Pipeline::runCampaign(const RegressionTest& test,
     // this stage would blow its deadline, the stage is effectively hung —
     // promote the transient failure to infrastructure instead of backing
     // off forever.
-    const double stageLimit = options_.watchdog.limitFor(stage);
+    const double stageLimit = options_.watchdog.stageTimeoutSeconds;
     if (stageLimit > 0.0 && backoffPerStage[stage] + wait > stageLimit) {
       const double elapsed = backoffPerStage[stage] + wait;
       if (ctx.tracer != nullptr) {

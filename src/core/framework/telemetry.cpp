@@ -71,7 +71,7 @@ TelemetrySeries sampleTelemetry(const MachineModel& machine,
     // Background traffic: bursty, shared-system character.  A slow swell
     // plus occasional spikes.
     const double swell =
-        options.backgroundLoad *
+        kTelemetryBackgroundLoad *
         (1.0 + 0.5 * std::sin(0.37 * i + rng.uniform() * 0.2));
     const bool spike = rng.uniform() < 0.05;
     s.networkMBs = profile.networkMBs +

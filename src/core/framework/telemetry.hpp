@@ -54,10 +54,11 @@ struct WorkloadProfile {
   double networkMBs = 0.0;
 };
 
+/// Background (other users') load level, 0..1; models a shared system.
+inline constexpr double kTelemetryBackgroundLoad = 0.1;
+
 struct TelemetryOptions {
   double intervalSeconds = 1.0;
-  /// Background (other users') load level, 0..1; models a shared system.
-  double backgroundLoad = 0.1;
 };
 
 /// Samples `durationSeconds` of simulated node state for a job on

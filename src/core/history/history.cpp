@@ -16,7 +16,6 @@
 #include "core/infer/estimator.hpp"
 #include "core/obs/json.hpp"
 #include "core/obs/metrics.hpp"
-#include "core/obs/trace.hpp"
 #include "core/store/object_store.hpp"
 #include "core/util/error.hpp"
 #include "core/util/strings.hpp"
@@ -368,12 +367,6 @@ bool sameFile(const SegmentStamp& a, const SegmentStamp& b) {
 
 HistoryIndex::HistoryIndex(store::ObjectStore& store) : store_(store) {}
 
-void HistoryIndex::setObservability(obs::Tracer* tracer,
-                                    obs::MetricsRegistry* metrics) {
-  tracer_ = tracer;
-  metrics_ = metrics;
-}
-
 ChainTip HistoryIndex::headTip() const {
   const auto head = store_.ref(kHeadRef);
   if (!head) return {};
@@ -401,20 +394,6 @@ std::string HistoryIndex::appendSegment(
     }
     hash = store_.put(serializeSegment(stamped, at.head, at.seq, at.base));
     if (store_.compareAndSetRef(kHeadRef, at.head, hash)) break;
-  }
-  if (tracer_ != nullptr) {
-    const std::string count = std::to_string(stamped.size());
-    for (const HistoryRecord& record : stamped) {
-      tracer_->beginSpan("history.append");
-      tracer_->setAttr("test", record.test);
-      tracer_->setAttr("target", record.target);
-      tracer_->setAttr("fom", record.fom);
-      tracer_->setAttr("records", count);
-      tracer_->endSpan();
-    }
-  }
-  if (metrics_ != nullptr) {
-    metrics_->counter("history.append").inc(stamped.size());
   }
   return hash;
 }
@@ -529,17 +508,7 @@ std::vector<HistoryRecord> HistoryIndex::readAll() const {
 std::vector<HistoryRecord> HistoryIndex::query(std::string_view test,
                                                std::string_view target,
                                                std::string_view fom) const {
-  std::vector<HistoryRecord> out = selectRecords(readAll(), test, target, fom);
-  if (tracer_ != nullptr) {
-    tracer_->beginSpan("history.query");
-    tracer_->setAttr("test", test.empty() ? "*" : std::string(test));
-    tracer_->setAttr("target", target.empty() ? "*" : std::string(target));
-    tracer_->setAttr("fom", fom.empty() ? "*" : std::string(fom));
-    tracer_->setAttr("records", std::to_string(out.size()));
-    tracer_->endSpan();
-  }
-  if (metrics_ != nullptr) metrics_->counter("history.query").inc();
-  return out;
+  return selectRecords(readAll(), test, target, fom);
 }
 
 std::size_t HistoryIndex::segmentCount() const {

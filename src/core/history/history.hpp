@@ -44,11 +44,6 @@
 #include <string_view>
 #include <vector>
 
-namespace rebench::obs {
-class Tracer;
-class MetricsRegistry;
-}  // namespace rebench::obs
-
 namespace rebench::store {
 class ObjectStore;
 }  // namespace rebench::store
@@ -156,12 +151,6 @@ class HistoryIndex {
  public:
   explicit HistoryIndex(store::ObjectStore& store);
 
-  /// Optional hooks (nullable, not owned): appends emit one
-  /// `history.append` span per record, queries one `history.query` span,
-  /// both carrying test/target/fom/records attributes (the trace_lint
-  /// contract); counters `history.append` / `history.query` tick.
-  void setObservability(obs::Tracer* tracer, obs::MetricsRegistry* metrics);
-
   /// Appends `records` as one new segment and advances the head ref.
   /// Sequence numbers are assigned here (input order preserved).  Returns
   /// the segment hash; empty input appends nothing and returns "".  Reads
@@ -225,8 +214,6 @@ class HistoryIndex {
   bool readNewer(Chain& chain, const std::string& head) const;
 
   store::ObjectStore& store_;
-  obs::Tracer* tracer_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
   mutable std::uint64_t segmentReads_ = 0;
 };
 

@@ -64,10 +64,9 @@ class MedianDeviation {
 };
 
 void segment(std::span<const double> values, std::size_t offset,
-             const EdmOptions& options, std::vector<EdmChangepoint>* out) {
+             std::vector<EdmChangepoint>* out) {
   const std::size_t n = values.size();
-  const std::size_t minSegment = std::max<std::size_t>(options.minSegment, 1);
-  if (n < 2 * minSegment) return;
+  if (n < 2 * kEdmMinSegment) return;
 
   // Place the split where each side sits closest to its own median:
   // prefix and suffix costs from one pass each way.
@@ -83,8 +82,8 @@ void segment(std::span<const double> values, std::size_t offset,
     suffix.push(values[t]);
     suffixCost[t] = suffix.deviation();
   }
-  std::size_t split = minSegment;
-  for (std::size_t t = split + 1; t + minSegment <= n; ++t) {
+  std::size_t split = kEdmMinSegment;
+  for (std::size_t t = split + 1; t + kEdmMinSegment <= n; ++t) {
     if (prefixCost[t] + suffixCost[t] <
         prefixCost[split] + suffixCost[split]) {
       split = t;
@@ -107,13 +106,13 @@ void segment(std::span<const double> values, std::size_t offset,
                         static_cast<double>(n - split) /
                         static_cast<double>(n);
   const double stat = weight * std::fabs(after - before) / scale;
-  if (stat < options.threshold) return;
-  const double floor = options.relFloor * std::max(std::fabs(before), 1e-300);
+  if (stat < kEdmThreshold) return;
+  const double floor = kEdmRelFloor * std::max(std::fabs(before), 1e-300);
   if (std::fabs(after - before) < floor) return;
 
-  segment(values.subspan(0, split), offset, options, out);
+  segment(values.subspan(0, split), offset, out);
   out->push_back({offset + split, before, after, stat});
-  segment(values.subspan(split), offset + split, options, out);
+  segment(values.subspan(split), offset + split, out);
 }
 
 }  // namespace
@@ -128,9 +127,9 @@ double medianOf(std::span<const double> values) {
 }
 
 std::vector<EdmChangepoint> detectChangepointsEdm(
-    std::span<const double> values, const EdmOptions& options) {
+    std::span<const double> values) {
   std::vector<EdmChangepoint> flags;
-  segment(values, 0, options, &flags);
+  segment(values, 0, &flags);
   return flags;
 }
 

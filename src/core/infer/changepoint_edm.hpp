@@ -10,10 +10,11 @@
 //
 //   stat(t) = (t * (n - t) / n) * |median(left) - median(right)| / scale
 //
-// (scale: the segment's MAD) clears `threshold` AND the raw median shift
-// clears a relative floor, so flat-but-noisy series yield no
-// changepoints; the scan then recurses on both sides.  Medians make it
-// blind to the occasional outlier repeat that wrecks mean-based tests.
+// (scale: the segment's MAD) clears kEdmThreshold AND the raw median
+// shift clears the relative floor kEdmRelFloor, so flat-but-noisy series
+// yield no changepoints; the scan then recurses on both sides.  Medians
+// make it blind to the occasional outlier repeat that wrecks mean-based
+// tests.
 // Deterministic: no permutation test — plain arithmetic in input order,
 // same series, same flags.
 #pragma once
@@ -24,11 +25,9 @@
 
 namespace rebench::infer {
 
-struct EdmOptions {
-  std::size_t minSegment = 3;  // min points on each side of a split
-  double threshold = 2.0;      // min scaled statistic to accept a split
-  double relFloor = 0.02;      // min |shift| as a fraction of |medianBefore|
-};
+inline constexpr std::size_t kEdmMinSegment = 3;  // min points each side
+inline constexpr double kEdmThreshold = 2.0;  // min stat to accept a split
+inline constexpr double kEdmRelFloor = 0.02;  // min |shift| / |medianBefore|
 
 struct EdmChangepoint {
   std::size_t index = 0;  // first point of the new regime
@@ -39,7 +38,7 @@ struct EdmChangepoint {
 
 /// All accepted changepoints, ascending by index.
 std::vector<EdmChangepoint> detectChangepointsEdm(
-    std::span<const double> values, const EdmOptions& options = {});
+    std::span<const double> values);
 
 /// Median of `values` (empty input reports 0).  Exposed for tests.
 double medianOf(std::span<const double> values);

@@ -246,27 +246,6 @@ std::vector<std::string> lintTrace(const TraceFile& trace) {
                            "' has non-numeric lane '" + text + "'");
         }
       }
-    } else if (span.name == "history.append" ||
-               span.name == "history.query") {
-      // History spans identify the series they touched and how many
-      // records were involved; `records` must count.
-      for (const char* required : {"test", "target", "fom", "records"}) {
-        if (span.attrs.find(required) == span.attrs.end()) {
-          issues.push_back(span.name + " span '" + span.id + "' without a '" +
-                           required + "' attribute");
-        }
-      }
-      if (const auto records = span.attrs.find("records");
-          records != span.attrs.end()) {
-        const std::string& text = records->second;
-        const bool numeric =
-            !text.empty() &&
-            text.find_first_not_of("0123456789") == std::string::npos;
-        if (!numeric) {
-          issues.push_back(span.name + " span '" + span.id +
-                           "' has non-numeric records '" + text + "'");
-        }
-      }
     } else if (span.name == "serve.submission") {
       // The daemon's per-submission record names the submission it
       // answered and the verdict it filed.
@@ -384,42 +363,6 @@ std::vector<std::string> lintTrace(const TraceFile& trace) {
           issues.push_back(span.name + " span '" + span.id +
                            "' has non-numeric repeats '" + text + "'");
         }
-      }
-    } else if (str::startsWith(span.name, "postproc.columnar.")) {
-      // Columnar-engine spans account for the work they did: every record
-      // counts rows; convert and merge count chunks (merge also names its
-      // input count); kernel spans say which kernel ran and how many
-      // chunks the zone maps let it skip.
-      const auto requireCount = [&issues, &span](const char* key) {
-        const auto it = span.attrs.find(key);
-        if (it == span.attrs.end()) {
-          issues.push_back(span.name + " span '" + span.id + "' without a '" +
-                           key + "' attribute");
-          return;
-        }
-        const std::string& text = it->second;
-        const bool numeric =
-            !text.empty() &&
-            text.find_first_not_of("0123456789") == std::string::npos;
-        if (!numeric) {
-          issues.push_back(span.name + " span '" + span.id +
-                           "' has non-numeric " + key + " '" + text + "'");
-        }
-      };
-      requireCount("rows");
-      if (span.name == "postproc.columnar.convert" ||
-          span.name == "postproc.columnar.merge") {
-        requireCount("chunks");
-      }
-      if (span.name == "postproc.columnar.merge") {
-        requireCount("inputs");
-      }
-      if (span.name == "postproc.columnar.kernel") {
-        if (span.attrs.find("kernel") == span.attrs.end()) {
-          issues.push_back("postproc.columnar.kernel span '" + span.id +
-                           "' without a 'kernel' attribute");
-        }
-        requireCount("skipped_chunks");
       }
     }
   }

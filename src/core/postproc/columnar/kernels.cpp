@@ -126,12 +126,6 @@ void emitKeyColumns(Table& out, std::span<const std::string> keyNames,
   }
 }
 
-void fillStats(KernelStats* stats, std::size_t rows) {
-  if (stats == nullptr) return;
-  stats->rows = rows;
-  stats->chunks = (rows + kChunkRows - 1) / kChunkRows;
-}
-
 }  // namespace
 
 std::span<const std::uint32_t> selectEquals(const StringColumn& col,
@@ -326,9 +320,7 @@ struct Accumulator {
 }  // namespace
 
 Table groupAggregate(const Table& in, std::span<const std::string> keys,
-                     std::string_view valueColumn, Agg agg,
-                     KernelStats* stats) {
-  fillStats(stats, in.rows);
+                     std::string_view valueColumn, Agg agg) {
   const DoubleColumn& values = in.find(valueColumn)->doubles();
   std::vector<const StringColumn*> keyCols;
   keyCols.reserve(keys.size());
@@ -395,10 +387,8 @@ Table groupPercentilesKernel(const Table& in,
                              std::span<const std::string> keys,
                              std::string_view valueColumn,
                              std::span<const double> percentiles,
-                             std::span<const std::string> labels,
-                             KernelStats* stats) {
+                             std::span<const std::string> labels) {
   REBENCH_REQUIRE(percentiles.size() == labels.size());
-  fillStats(stats, in.rows);
   const DoubleColumn& values = in.find(valueColumn)->doubles();
   std::vector<const StringColumn*> keyCols;
   keyCols.reserve(keys.size());
@@ -449,10 +439,8 @@ Table groupPercentilesKernel(const Table& in,
 
 PivotCells pivotAggregate(const StringColumn& rowCol,
                           const StringColumn& colCol,
-                          const DoubleColumn& values, Agg agg,
-                          KernelStats* stats) {
+                          const DoubleColumn& values, Agg agg) {
   const std::size_t rows = rowCol.codes.size();
-  fillStats(stats, rows);
   PivotCells out;
   // code -> label index maps (extra slot for the null sentinel), filled
   // in first-seen row order like the row engine's linear indexOf.
@@ -504,8 +492,7 @@ PivotCells pivotAggregate(const StringColumn& rowCol,
   return out;
 }
 
-Table describeTable(const Table& in, KernelStats* stats) {
-  fillStats(stats, in.rows);
+Table describeTable(const Table& in) {
   StringColumn names;
   DoubleColumn count, mean, stddev, minimum, median, maximum;
   std::vector<double> scratch;

@@ -33,7 +33,8 @@ namespace rebench::columnar {
 
 enum class Agg { kMean, kMin, kMax, kSum, kCount, kFirst };
 
-/// Work accounting a kernel reports into its observability span.
+/// Work accounting a selection kernel reports: how many chunks its zone
+/// maps let it skip.
 struct KernelStats {
   std::size_t rows = 0;           // input rows processed
   std::size_t chunks = 0;         // zone chunks covering the input
@@ -80,8 +81,7 @@ std::vector<std::uint32_t> sortOrder(const Column& col, std::size_t rows,
 /// column's name.  Null values are excluded from the aggregate; a group
 /// with no valid value aggregates to NaN (0 for kSum / kCount).
 Table groupAggregate(const Table& in, std::span<const std::string> keys,
-                     std::string_view valueColumn, Agg agg,
-                     KernelStats* stats = nullptr);
+                     std::string_view valueColumn, Agg agg);
 
 /// Per-group percentiles by O(n) selection (nth_element, never a full
 /// sort) — bit-identical to sorting first, since the selected order
@@ -92,8 +92,7 @@ Table groupPercentilesKernel(const Table& in,
                              std::span<const std::string> keys,
                              std::string_view valueColumn,
                              std::span<const double> percentiles,
-                             std::span<const std::string> labels,
-                             KernelStats* stats = nullptr);
+                             std::span<const std::string> labels);
 
 struct PivotCells {
   std::vector<std::string> rowLabels;
@@ -105,13 +104,12 @@ struct PivotCells {
 /// no data (or only nulls) are nullopt.
 PivotCells pivotAggregate(const StringColumn& rowCol,
                           const StringColumn& colCol,
-                          const DoubleColumn& values, Agg agg,
-                          KernelStats* stats = nullptr);
+                          const DoubleColumn& values, Agg agg);
 
 /// describe(): one row per numeric column with at least one valid value —
 /// column/count/mean/std/min/median/max, matching stats::summarize
 /// bit-for-bit (single sort instead of three).
-Table describeTable(const Table& in, KernelStats* stats = nullptr);
+Table describeTable(const Table& in);
 
 /// Linear-interpolated percentile over an already-sorted sample; the same
 /// formula as stats::percentile after its sort.

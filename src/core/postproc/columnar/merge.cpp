@@ -1,7 +1,5 @@
 #include "core/postproc/columnar/merge.hpp"
 
-#include <algorithm>
-
 #include "core/util/error.hpp"
 
 namespace rebench::columnar {
@@ -72,11 +70,7 @@ void requireSameSchema(const Table& first, const Table& other,
 }
 
 void TableAppender::append(const Table& chunk) {
-  ++stats_.inputs;
-  ++stats_.chunks;
-  stats_.rows += chunk.rows;
-  stats_.peakBufferedRows = std::max(stats_.peakBufferedRows, chunk.rows);
-  if (first_) {
+  if (++inputs_ == 1) {
     out_ = chunk;  // deep copy of codes/values; dictionaries shared
     for (Column& col : out_.columns) {
       if (col.isNumeric()) {
@@ -85,10 +79,9 @@ void TableAppender::append(const Table& chunk) {
         col.strs().invalidate();
       }
     }
-    first_ = false;
     return;
   }
-  requireSameSchema(out_, chunk, stats_.inputs);
+  requireSameSchema(out_, chunk, inputs_);
   for (std::size_t c = 0; c < out_.columns.size(); ++c) {
     if (out_.columns[c].isNumeric()) {
       appendDoubleChunk(out_.columns[c].doubles(), chunk.columns[c].doubles());
@@ -102,11 +95,11 @@ void TableAppender::append(const Table& chunk) {
 Table TableAppender::take() {
   Table out = std::move(out_);
   out_ = Table{};
-  first_ = true;
+  inputs_ = 0;
   return out;
 }
 
-Table concatTables(std::span<const Table* const> tables, ConcatStats* stats) {
+Table concatTables(std::span<const Table* const> tables) {
   if (tables.empty()) return {};
   // Row-engine error precedence: every frame's column names are validated
   // before any type is, so a name mismatch in frame 3 outranks a type
@@ -125,7 +118,6 @@ Table concatTables(std::span<const Table* const> tables, ConcatStats* stats) {
   }
   TableAppender appender;
   for (const Table* table : tables) appender.append(*table);
-  if (stats != nullptr) *stats = appender.stats();
   return appender.take();
 }
 

@@ -17,13 +17,6 @@
 
 namespace rebench::columnar {
 
-struct ConcatStats {
-  std::size_t inputs = 0;           // chunks appended
-  std::size_t rows = 0;             // total rows folded in
-  std::size_t chunks = 0;           // == inputs (naming for span attrs)
-  std::size_t peakBufferedRows = 0; // largest single appended chunk
-};
-
 class TableAppender {
  public:
   /// Folds `chunk` into the output.  The first chunk fixes the schema;
@@ -34,12 +27,9 @@ class TableAppender {
   /// Finalizes and returns the accumulated table (appender resets).
   Table take();
 
-  const ConcatStats& stats() const { return stats_; }
-
  private:
   Table out_;
-  bool first_ = true;
-  ConcatStats stats_;
+  std::size_t inputs_ = 0;  // chunks appended since the last take()
 };
 
 /// Throws rebench::Error describing the first mismatch between the
@@ -50,7 +40,6 @@ void requireSameSchema(const Table& first, const Table& other,
 
 /// Row-wise concatenation with the row engine's error precedence (all
 /// name mismatches reported before type mismatches).
-Table concatTables(std::span<const Table* const> tables,
-                   ConcatStats* stats = nullptr);
+Table concatTables(std::span<const Table* const> tables);
 
 }  // namespace rebench::columnar

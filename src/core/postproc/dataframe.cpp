@@ -4,27 +4,12 @@
 #include <limits>
 #include <utility>
 
-#include "core/obs/trace.hpp"
 #include "core/postproc/columnar/merge.hpp"
 #include "core/service/journal.hpp"
 #include "core/util/error.hpp"
 #include "core/util/strings.hpp"
 
 namespace rebench {
-
-namespace {
-
-void emitKernelSpan(obs::Tracer* tracer, std::string_view kernel,
-                    const columnar::KernelStats& stats) {
-  if (tracer == nullptr) return;
-  obs::ScopedSpan span(tracer, "postproc.columnar.kernel");
-  span.attr("kernel", std::string(kernel));
-  span.attr("rows", std::to_string(stats.rows));
-  span.attr("chunks", std::to_string(stats.chunks));
-  span.attr("skipped_chunks", std::to_string(stats.skippedChunks));
-}
-
-}  // namespace
 
 void DataFrame::addNumeric(std::string name, NumericColumn values) {
   if (!table_.columns.empty() && values.size() != table_.rows) {
@@ -131,41 +116,28 @@ std::string DataFrame::cellText(std::string_view name,
                                      : col.strs().dict->at(code);
 }
 
-DataFrame DataFrame::wrap(columnar::Table table) const {
-  DataFrame out;
-  out.table_ = std::move(table);
-  out.tracer_ = tracer_;
-  return out;
-}
-
 DataFrame DataFrame::filter(
     const std::function<bool(std::size_t)>& rowPredicate) const {
   columnar::Arena arena;
   const auto selection =
       columnar::selectPredicate(table_.rows, rowPredicate, arena);
-  return wrap(columnar::gather(table_, selection));
+  return fromTable(columnar::gather(table_, selection));
 }
 
 DataFrame DataFrame::filterEquals(std::string_view column,
                                   std::string_view value) const {
   const columnar::StringColumn& col = stringCol(column);
   columnar::Arena arena;
-  columnar::KernelStats stats;
-  const auto selection = columnar::selectEquals(col, value, arena, &stats);
-  DataFrame out = wrap(columnar::gather(table_, selection));
-  emitKernelSpan(tracer_, "filter_equals", stats);
-  return out;
+  const auto selection = columnar::selectEquals(col, value, arena);
+  return fromTable(columnar::gather(table_, selection));
 }
 
 DataFrame DataFrame::filterRange(std::string_view column, double lo,
                                  double hi) const {
   const columnar::DoubleColumn& col = numericCol(column);
   columnar::Arena arena;
-  columnar::KernelStats stats;
-  const auto selection = columnar::selectRange(col, lo, hi, arena, &stats);
-  DataFrame out = wrap(columnar::gather(table_, selection));
-  emitKernelSpan(tracer_, "filter_range", stats);
-  return out;
+  const auto selection = columnar::selectRange(col, lo, hi, arena);
+  return fromTable(columnar::gather(table_, selection));
 }
 
 DataFrame DataFrame::selectColumns(std::span<const std::string> names) const {
@@ -174,44 +146,22 @@ DataFrame DataFrame::selectColumns(std::span<const std::string> names) const {
     out.columns.push_back(columnRef(name));
   }
   out.rows = table_.rows;
-  return wrap(std::move(out));
+  return fromTable(std::move(out));
 }
 
 DataFrame DataFrame::sortBy(std::string_view column, bool ascending) const {
   const columnar::Column& col = columnRef(column);
-  columnar::KernelStats stats;
-  stats.rows = table_.rows;
-  stats.chunks =
-      (table_.rows + columnar::kChunkRows - 1) / columnar::kChunkRows;
   const std::vector<std::uint32_t> order =
       columnar::sortOrder(col, table_.rows, ascending);
-  DataFrame out = wrap(columnar::gather(table_, order));
-  emitKernelSpan(tracer_, "sort", stats);
-  return out;
+  return fromTable(columnar::gather(table_, order));
 }
 
 DataFrame DataFrame::concat(std::span<const DataFrame> frames) {
   if (frames.empty()) return {};
   std::vector<const columnar::Table*> tables;
   tables.reserve(frames.size());
-  obs::Tracer* tracer = nullptr;
-  for (const DataFrame& frame : frames) {
-    tables.push_back(&frame.table_);
-    if (tracer == nullptr) tracer = frame.tracer_;
-  }
-  columnar::ConcatStats stats;
-  columnar::Table merged = columnar::concatTables(tables, &stats);
-  if (tracer != nullptr) {
-    obs::ScopedSpan span(tracer, "postproc.columnar.merge");
-    span.attr("inputs", std::to_string(stats.inputs));
-    span.attr("rows", std::to_string(stats.rows));
-    span.attr("chunks", std::to_string(stats.chunks));
-    span.attr("peak_buffered_rows", std::to_string(stats.peakBufferedRows));
-  }
-  DataFrame out;
-  out.table_ = std::move(merged);
-  out.tracer_ = tracer;
-  return out;
+  for (const DataFrame& frame : frames) tables.push_back(&frame.table_);
+  return fromTable(columnar::concatTables(tables));
 }
 
 DataFrame DataFrame::groupBy(std::span<const std::string> keyColumns,
@@ -219,12 +169,8 @@ DataFrame DataFrame::groupBy(std::span<const std::string> keyColumns,
   // Validate in the row engine's order: value column first, then keys.
   (void)numericCol(valueColumn);
   for (const std::string& key : keyColumns) (void)stringCol(key);
-  columnar::KernelStats stats;
-  columnar::Table out =
-      columnar::groupAggregate(table_, keyColumns, valueColumn, agg, &stats);
-  DataFrame result = wrap(std::move(out));
-  emitKernelSpan(tracer_, "group_by", stats);
-  return result;
+  return fromTable(
+      columnar::groupAggregate(table_, keyColumns, valueColumn, agg));
 }
 
 DataFrame DataFrame::groupPercentiles(
@@ -237,12 +183,8 @@ DataFrame DataFrame::groupPercentiles(
   for (const double p : percentiles) {
     labels.push_back("p" + service::formatExact(p));
   }
-  columnar::KernelStats stats;
-  columnar::Table out = columnar::groupPercentilesKernel(
-      table_, keyColumns, valueColumn, percentiles, labels, &stats);
-  DataFrame result = wrap(std::move(out));
-  emitKernelSpan(tracer_, "group_percentiles", stats);
-  return result;
+  return fromTable(columnar::groupPercentilesKernel(
+      table_, keyColumns, valueColumn, percentiles, labels));
 }
 
 PivotTable DataFrame::pivot(std::string_view rowKey, std::string_view colKey,
@@ -250,10 +192,8 @@ PivotTable DataFrame::pivot(std::string_view rowKey, std::string_view colKey,
   const columnar::StringColumn& rows = stringCol(rowKey);
   const columnar::StringColumn& cols = stringCol(colKey);
   const columnar::DoubleColumn& values = numericCol(valueColumn);
-  columnar::KernelStats stats;
   columnar::PivotCells cells =
-      columnar::pivotAggregate(rows, cols, values, agg, &stats);
-  emitKernelSpan(tracer_, "pivot", stats);
+      columnar::pivotAggregate(rows, cols, values, agg);
   PivotTable table;
   table.rowLabels = std::move(cells.rowLabels);
   table.colLabels = std::move(cells.colLabels);
@@ -262,11 +202,7 @@ PivotTable DataFrame::pivot(std::string_view rowKey, std::string_view colKey,
 }
 
 DataFrame DataFrame::describe() const {
-  columnar::KernelStats stats;
-  columnar::Table out = columnar::describeTable(table_, &stats);
-  DataFrame result = wrap(std::move(out));
-  emitKernelSpan(tracer_, "describe", stats);
-  return result;
+  return fromTable(columnar::describeTable(table_));
 }
 
 std::string DataFrame::toCsv() const {

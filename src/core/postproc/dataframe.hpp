@@ -25,10 +25,6 @@
 #include "core/postproc/columnar/kernels.hpp"
 #include "core/postproc/columnar/table.hpp"
 
-namespace rebench::obs {
-class Tracer;
-}  // namespace rebench::obs
-
 namespace rebench {
 
 using Agg = columnar::Agg;
@@ -118,21 +114,12 @@ class DataFrame {
   static DataFrame fromTable(columnar::Table table);
   const columnar::Table& table() const { return table_; }
 
-  /// Optional observability: when set, kernels emit
-  /// `postproc.columnar.kernel` spans (rows / chunks / skipped_chunks)
-  /// and concat emits `postproc.columnar.merge`.  The tracer is borrowed,
-  /// not owned, and propagates to derived frames.
-  void setTracer(obs::Tracer* tracer) { tracer_ = tracer; }
-  obs::Tracer* tracer() const { return tracer_; }
-
  private:
   const columnar::Column& columnRef(std::string_view name) const;
   const columnar::DoubleColumn& numericCol(std::string_view name) const;
   const columnar::StringColumn& stringCol(std::string_view name) const;
-  DataFrame wrap(columnar::Table table) const;  // keeps the tracer
 
   columnar::Table table_;
-  obs::Tracer* tracer_ = nullptr;
 };
 
 }  // namespace rebench

@@ -79,11 +79,11 @@ std::vector<HygieneFinding> auditPerflog(
                         "figure of merit recorded without a unit"});
   }
   for (const auto& [series, count] : sampleCounts) {
-    if (count < options.minSamples) {
+    if (count < kHygieneMinSamples) {
       findings.push_back(
           {HygieneRule::kSingleSample, series,
            std::to_string(count) + " sample(s); need >= " +
-               std::to_string(options.minSamples) +
+               std::to_string(kHygieneMinSamples) +
                " to quantify run-to-run variability"});
     }
   }
@@ -113,7 +113,7 @@ std::vector<HygieneFinding> auditPerflog(
   if (!entries.empty()) {
     const double failureFraction =
         static_cast<double>(errors) / static_cast<double>(entries.size());
-    if (failureFraction > options.maxFailureFraction) {
+    if (failureFraction > kHygieneMaxFailureFraction) {
       findings.push_back(
           {HygieneRule::kHighFailureRate, "(whole perflog)",
            std::to_string(errors) + "/" + std::to_string(entries.size()) +

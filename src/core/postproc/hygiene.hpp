@@ -45,13 +45,15 @@ struct HygieneFinding {
   std::string detail;
 };
 
+/// Minimum samples per (system, test, fom) series before kSingleSample
+/// stops firing.
+inline constexpr std::size_t kHygieneMinSamples = 3;
+/// kHighFailureRate fires above this fraction of error entries.
+inline constexpr double kHygieneMaxFailureFraction = 0.25;
+
 struct HygieneOptions {
-  /// Minimum samples per (system, test, fom) series before kSingleSample
-  /// stops firing.
-  std::size_t minSamples = 3;
-  /// kHighFailureRate fires above this fraction of error entries.
-  double maxFailureFraction = 0.25;
-  /// Suppress kNoReference (reference-free exploratory studies).
+  /// Report kNoReference (`audit --strict`); off for reference-free
+  /// exploratory studies.
   bool requireReferences = false;
 };
 

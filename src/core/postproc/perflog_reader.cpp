@@ -6,7 +6,6 @@
 #include <queue>
 #include <utility>
 
-#include "core/obs/trace.hpp"
 #include "core/postproc/columnar/colfile.hpp"
 #include "core/postproc/columnar/merge.hpp"
 #include "core/util/error.hpp"
@@ -104,16 +103,6 @@ std::size_t chunksOf(std::size_t rows) {
   return (rows + columnar::kChunkRows - 1) / columnar::kChunkRows;
 }
 
-void emitConvertSpan(obs::Tracer* tracer, const columnar::Table& table,
-                     std::string_view outcome) {
-  if (tracer == nullptr) return;
-  obs::ScopedSpan span(tracer, "postproc.columnar.convert");
-  span.attr("rows", std::to_string(table.rows));
-  span.attr("chunks", std::to_string(chunksOf(table.rows)));
-  span.attr("columns", std::to_string(table.columns.size()));
-  span.attr("outcome", std::string(outcome));
-}
-
 const columnar::StringColumn& requireStrings(const columnar::Table& table,
                                              std::string_view name) {
   const columnar::Column* col = table.find(name);
@@ -163,50 +152,7 @@ DataFrame perflogToDataFrame(std::span<const PerfLogEntry> entries) {
   return frame;
 }
 
-DataFrame perflogToDataFrame(std::span<const PerfLogEntry> entries,
-                             const PerflogFrameOptions& options) {
-  DataFrame base = perflogToDataFrame(entries);
-  if (!options.includeExtras) return base;
-
-  // Tagged single-pass sniffing per key: each present value attempts its
-  // numeric parse on arrival; the type commits once all rows are seen.
-  std::map<std::string, columnar::TaggedColumnBuilder> builders;
-  std::size_t row = 0;
-  for (const PerfLogEntry& entry : entries) {
-    for (auto& [key, builder] : builders) {
-      const auto it = entry.extras.find(key);
-      if (it != entry.extras.end()) {
-        builder.add(it->second);
-      } else {
-        builder.addNull();
-      }
-    }
-    for (const auto& [key, val] : entry.extras) {
-      if (builders.find(key) != builders.end()) continue;
-      columnar::TaggedColumnBuilder builder;
-      for (std::size_t i = 0; i < row; ++i) builder.addNull();
-      builder.add(val);
-      builders.emplace(key, std::move(builder));
-    }
-    ++row;
-  }
-
-  columnar::Table table = base.table();
-  for (auto& [key, builder] : builders) {
-    columnar::Column col;
-    col.name = "x_" + key;
-    if (builder.numeric() && builder.nullCount() == 0) {
-      col.data = builder.takeNumeric();
-    } else {
-      col.data = builder.takeStrings();
-    }
-    table.columns.push_back(std::move(col));
-  }
-  return DataFrame::fromTable(std::move(table));
-}
-
-DataFrame assimilatePerflogs(std::span<const std::string> paths,
-                             obs::Tracer* tracer) {
+DataFrame assimilatePerflogs(std::span<const std::string> paths) {
   columnar::TableAppender appender;
   for (const std::string& path : paths) {
     std::ifstream in(path);
@@ -230,16 +176,7 @@ DataFrame assimilatePerflogs(std::span<const std::string> paths,
       appender.append(perflogToDataFrame(batch).table());
     }
   }
-  const columnar::ConcatStats stats = appender.stats();
-  columnar::Table merged = appender.take();
-  if (tracer != nullptr) {
-    obs::ScopedSpan span(tracer, "postproc.columnar.merge");
-    span.attr("inputs", std::to_string(stats.inputs));
-    span.attr("rows", std::to_string(stats.rows));
-    span.attr("chunks", std::to_string(stats.chunks));
-    span.attr("peak_buffered_rows", std::to_string(stats.peakBufferedRows));
-  }
-  return DataFrame::fromTable(std::move(merged));
+  return DataFrame::fromTable(appender.take());
 }
 
 columnar::Table entriesToTable(std::span<const PerfLogEntry> entries) {
@@ -321,8 +258,7 @@ DataFrame analysisFrameFromTable(const columnar::Table& table) {
 }
 
 FrameCacheResult loadOrConvertPerflog(store::ObjectStore& store,
-                                      const std::string& path,
-                                      obs::Tracer* tracer) {
+                                      const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw Error("cannot read perflog file '" + path + "'");
   const std::string bytes{std::istreambuf_iterator<char>(in),
@@ -336,7 +272,6 @@ FrameCacheResult loadOrConvertPerflog(store::ObjectStore& store,
             columnar::readColFrame(store, *footer)) {
       out.table = std::move(*cached);
       out.cacheHit = true;
-      emitConvertSpan(tracer, out.table, "hit");
       return out;
     }
   }
@@ -347,7 +282,6 @@ FrameCacheResult loadOrConvertPerflog(store::ObjectStore& store,
   }
   out.table = entriesToTable(PerfLog::parseLines(lines));
   store.setRef(refName, columnar::writeColFrame(store, out.table));
-  emitConvertSpan(tracer, out.table, "converted");
   return out;
 }
 
@@ -402,8 +336,7 @@ std::size_t refill(MergeInput& input, std::size_t chunkRows) {
 }  // namespace
 
 columnar::Table mergePerflogsByTime(std::span<const std::string> paths,
-                                    std::size_t chunkRows,
-                                    obs::Tracer* tracer, MergeStats* stats) {
+                                    std::size_t chunkRows, MergeStats* stats) {
   REBENCH_REQUIRE(chunkRows > 0);
   MergeStats local;
   local.inputs = paths.size();
@@ -453,16 +386,8 @@ columnar::Table mergePerflogsByTime(std::span<const std::string> paths,
 
   local.rows = builder.rows();
   local.chunks = chunksOf(local.rows);
-  columnar::Table out = builder.take();
-  if (tracer != nullptr) {
-    obs::ScopedSpan span(tracer, "postproc.columnar.merge");
-    span.attr("inputs", std::to_string(local.inputs));
-    span.attr("rows", std::to_string(local.rows));
-    span.attr("chunks", std::to_string(local.chunks));
-    span.attr("peak_buffered_rows", std::to_string(local.peakBufferedRows));
-  }
   if (stats != nullptr) *stats = local;
-  return out;
+  return builder.take();
 }
 
 }  // namespace rebench

@@ -2,9 +2,7 @@
 //
 // Three layers:
 //   * perflogToDataFrame — entries to the 9-column analysis frame
-//     (system/partition/environ/test/spec/fom/unit/result strings + value);
-//     extras are ragged across rows, so they are opt-in via
-//     PerflogFrameOptions and appear as `x_<key>` columns.
+//     (system/partition/environ/test/spec/fom/unit/result strings + value).
 //   * assimilatePerflogs — streams each file in kChunkRows slices through
 //     a TableAppender, so a million-row shard never holds more than one
 //     chunk of parsed rows in memory; output is byte-identical to the old
@@ -25,33 +23,17 @@
 #include "core/postproc/dataframe.hpp"
 #include "core/store/object_store.hpp"
 
-namespace rebench::obs {
-class Tracer;
-}  // namespace rebench::obs
-
 namespace rebench {
-
-struct PerflogFrameOptions {
-  /// Adds one column per extras key (sorted), named `x_<key>`.  A column
-  /// is numeric iff the key is present on every row and every value is
-  /// one whole number token (str::parseWhole: " 12", "+5" and "0x1A" are
-  /// text); otherwise strings, "" where absent.
-  bool includeExtras = false;
-};
 
 /// Converts parsed perflog entries into a frame with columns:
 ///   system, partition, environ, test, spec, fom, unit, result (strings)
 ///   and value (numeric).
 DataFrame perflogToDataFrame(std::span<const PerfLogEntry> entries);
-DataFrame perflogToDataFrame(std::span<const PerfLogEntry> entries,
-                             const PerflogFrameOptions& options);
 
 /// Reads several perflog files (one per system, as generated on isolated
 /// machines) and concatenates them into one analysis frame.  Streaming:
 /// at most one kChunkRows slice of parsed rows is buffered per file.
-/// With a tracer, emits a `postproc.columnar.merge` span.
-DataFrame assimilatePerflogs(std::span<const std::string> paths,
-                             obs::Tracer* tracer = nullptr);
+DataFrame assimilatePerflogs(std::span<const std::string> paths);
 
 // ---- lossless columnar form (the colframe cache) ------------------------
 
@@ -77,12 +59,9 @@ struct FrameCacheResult {
 /// Content-hash-keyed colframe cache: hashes the perflog file's bytes,
 /// looks up ref `colframe/<hash>` in the store and verifies the cached
 /// frame; on miss (or corruption, which reads as a miss) parses the file,
-/// writes the columnar form back and installs the ref.  With a tracer,
-/// emits a `postproc.columnar.convert` span (rows, chunks, columns,
-/// outcome=hit|converted).
+/// writes the columnar form back and installs the ref.
 FrameCacheResult loadOrConvertPerflog(store::ObjectStore& store,
-                                      const std::string& path,
-                                      obs::Tracer* tracer = nullptr);
+                                      const std::string& path);
 
 struct MergeStats {
   std::size_t inputs = 0;
@@ -97,10 +76,9 @@ struct MergeStats {
 /// lexicographically; ties keep input order, then file order).  Holds at
 /// most one `chunkRows` slice of parsed rows per input — merging N shards
 /// of R rows each buffers O(N * chunkRows), not O(N * R).  Returns the
-/// lossless table form.  With a tracer, emits `postproc.columnar.merge`.
+/// lossless table form.
 columnar::Table mergePerflogsByTime(std::span<const std::string> paths,
                                     std::size_t chunkRows = columnar::kChunkRows,
-                                    obs::Tracer* tracer = nullptr,
                                     MergeStats* stats = nullptr);
 
 }  // namespace rebench

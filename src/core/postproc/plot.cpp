@@ -8,6 +8,13 @@
 
 namespace rebench {
 
+namespace {
+
+/// Heatmap cell with no data: a combination that does not run.
+constexpr const char* kMissingMarker = "*";
+
+}  // namespace
+
 std::string renderBarChart(const std::vector<std::string>& labels,
                            const std::vector<double>& values,
                            const BarChartOptions& options) {
@@ -16,8 +23,7 @@ std::string renderBarChart(const std::vector<std::string>& labels,
   if (!options.title.empty()) out += options.title + "\n";
   if (labels.empty()) return out + "(no data)\n";
 
-  double maxValue = options.maxValue.value_or(
-      *std::max_element(values.begin(), values.end()));
+  double maxValue = *std::max_element(values.begin(), values.end());
   if (maxValue <= 0.0) maxValue = 1.0;
   std::size_t labelWidth = 0;
   for (const std::string& label : labels) {
@@ -58,11 +64,9 @@ std::string renderHeatmap(const PivotTable& table,
   for (std::size_t r = 0; r < table.rowLabels.size(); ++r) {
     out += str::padRight(table.rowLabels[r], rowWidth);
     for (std::size_t c = 0; c < table.colLabels.size(); ++c) {
-      std::string cell = options.missingMarker;
+      std::string cell = kMissingMarker;
       if (table.cells[r][c]) {
-        cell = options.asPercent
-                   ? str::fixed(*table.cells[r][c] * 100.0, 1) + "%"
-                   : str::fixed(*table.cells[r][c], 2);
+        cell = str::fixed(*table.cells[r][c] * 100.0, 1) + "%";
       }
       out += "  " + str::padLeft(cell, cellWidth);
     }
@@ -129,9 +133,7 @@ std::string renderHeatmapSvg(const PivotTable& table,
              "\" height=\"" + std::to_string(kCell - 2) +
              "\" fill=\"" + fill + "\" stroke=\"#999\"/>\n";
       const std::string label =
-          cell ? (options.asPercent ? str::fixed(*cell * 100.0, 0) + "%"
-                                    : str::fixed(*cell, 2))
-               : options.missingMarker;
+          cell ? str::fixed(*cell * 100.0, 0) + "%" : kMissingMarker;
       const std::string textFill = (cell && *cell > 0.55) ? "#fff" : "#333";
       svg += "<text x=\"" + std::to_string(x + kCell / 2 - 1) + "\" y=\"" +
              std::to_string(yy + kCell / 2 + 4) +
@@ -153,8 +155,8 @@ std::string renderBarChartSvg(const std::vector<std::string>& labels,
   constexpr int kBarMax = 420;
   const int width = kLeft + kBarMax + 120;
   const int height = kTop + kRow * static_cast<int>(labels.size()) + 16;
-  double maxValue = options.maxValue.value_or(
-      values.empty() ? 1.0 : *std::max_element(values.begin(), values.end()));
+  double maxValue =
+      values.empty() ? 1.0 : *std::max_element(values.begin(), values.end());
   if (maxValue <= 0.0) maxValue = 1.0;
 
   std::string svg = "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"" +

@@ -5,7 +5,6 @@
 // proof-of-concept), and CSV (for external tooling).
 #pragma once
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -17,23 +16,21 @@ struct BarChartOptions {
   std::string title;
   int width = 50;            // characters for the longest bar
   std::string valueSuffix;   // e.g. " GB/s"
-  std::optional<double> maxValue;  // default: data max
 };
 
-/// Horizontal ASCII bar chart from (label, value) pairs.
+/// Horizontal ASCII bar chart from (label, value) pairs; the largest
+/// value gets the longest bar.
 std::string renderBarChart(const std::vector<std::string>& labels,
                            const std::vector<double>& values,
                            const BarChartOptions& options = {});
 
 struct HeatmapOptions {
   std::string title;
-  /// Values are fractions in [0,1] (efficiencies); cells print as percent.
-  bool asPercent = true;
-  /// Marker for missing cells (Fig. 2 uses "*" for unsupported combos).
-  std::string missingMarker = "*";
 };
 
-/// ASCII heatmap of a PivotTable; missing cells render the marker.
+/// ASCII heatmap of a PivotTable.  Values are fractions in [0,1]
+/// (efficiencies) and print as percent; missing cells print "*" (Fig. 2's
+/// mark for unsupported combinations).
 std::string renderHeatmap(const PivotTable& table,
                           const HeatmapOptions& options = {});
 

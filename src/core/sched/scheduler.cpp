@@ -272,7 +272,7 @@ void SchedulerSim::scheduleLoop() {
     progressed = false;
     for (auto it = pendingQueue_.begin(); it != pendingQueue_.end();) {
       JobInfo& job = jobs_[*it - 1];
-      if (now_ - job.submitTime < options_.schedulingLatency) {
+      if (now_ - job.submitTime < kSchedulingLatencySeconds) {
         ++it;
         continue;
       }
@@ -297,7 +297,7 @@ std::optional<double> SchedulerSim::nextEventTime() const {
   }
   for (JobId id : pendingQueue_) {
     const double eligible =
-        jobs_[id - 1].submitTime + options_.schedulingLatency;
+        jobs_[id - 1].submitTime + kSchedulingLatencySeconds;
     if (eligible > now_ && (!next || eligible < *next)) next = eligible;
   }
   return next;

@@ -98,14 +98,15 @@ struct JobInfo {
   int requeues = 0;
 };
 
+/// Seconds of scheduler latency between submission and earliest start.
+inline constexpr double kSchedulingLatencySeconds = 1.0;
+
 /// Simulated-cluster shape and policy.
 struct ClusterOptions {
   int numNodes = 4;
   int coresPerNode = 16;
   bool requireAccount = false;
   std::vector<std::string> validQos = {"standard"};
-  /// Seconds of scheduler latency between submission and earliest start.
-  double schedulingLatency = 1.0;
 };
 
 /// FIFO + conservative backfill scheduler over a homogeneous cluster.

@@ -108,9 +108,15 @@ TEST(CliArgs, MalformedSettings) {
 }
 
 TEST(CliArgs, NegativeNumbersAreOptionValues) {
-  // A value option takes the next token even when it starts with '-'.
-  EXPECT_EQ(parse({"history", "--threshold", "-0.5"}).number("threshold"),
-            -0.5);
+  // A value option takes the next token even when it starts with '-':
+  // "-0.5" reaches --threshold's bound, not the unknown-option check.
+  try {
+    parse({"history", "--threshold", "-0.5"});
+    FAIL() << "--threshold -0.5 parsed";
+  } catch (const UsageError& e) {
+    EXPECT_STREQ(e.what(), "--threshold must be >= 0 (got -0.5)");
+  }
+  EXPECT_EQ(parse({"history", "--threshold", "0"}).number("threshold"), 0.0);
   EXPECT_EQ(parse({"suite", "-n", "-omp"}).text("n"), "-omp");
   EXPECT_THROW(parse({"history", "--window", "-5"}), UsageError);
   EXPECT_THROW(parse({"run", "--repeats", "-S", "a=b"}), UsageError);

@@ -10,8 +10,6 @@
 #include <gtest/gtest.h>
 
 #include "core/framework/perflog.hpp"
-#include "core/obs/trace.hpp"
-#include "core/obs/trace_reader.hpp"
 #include "core/postproc/columnar/arena.hpp"
 #include "core/postproc/columnar/colfile.hpp"
 #include "core/postproc/columnar/column.hpp"
@@ -275,23 +273,6 @@ TEST(TableAppender, ReportsColumnCountMismatch) {
     EXPECT_EQ(std::string(e.what()),
               "cannot concat frames: frame 2 has 1 column(s), frame 1 has 2");
   }
-}
-
-TEST(TableAppender, TracksPeakBufferedRowsAcrossChunks) {
-  columnar::TableAppender appender;
-  for (int chunk = 0; chunk < 3; ++chunk) {
-    columnar::Table t;
-    columnar::DoubleColumn d;
-    for (int i = 0; i <= chunk; ++i) columnar::appendDouble(d, i);
-    t.columns.push_back({"v", std::move(d)});
-    t.rows = static_cast<std::size_t>(chunk + 1);
-    appender.append(t);
-  }
-  EXPECT_EQ(appender.stats().inputs, 3u);
-  EXPECT_EQ(appender.stats().rows, 6u);
-  EXPECT_EQ(appender.stats().peakBufferedRows, 3u);
-  const columnar::Table out = appender.take();
-  EXPECT_EQ(out.rows, 6u);
 }
 
 TEST(ConcatTables, TranslatesDictionaryCodesAcrossInputs) {
@@ -589,7 +570,7 @@ TEST(MergePerflogs, BuffersAtMostOneChunkPerInput) {
                                           writePerflog("merge_mem_b.log", b)};
   MergeStats stats;
   const columnar::Table merged =
-      mergePerflogsByTime(paths, /*chunkRows=*/4, nullptr, &stats);
+      mergePerflogsByTime(paths, /*chunkRows=*/4, &stats);
   EXPECT_EQ(merged.rows, 40u);
   EXPECT_EQ(stats.inputs, 2u);
   EXPECT_EQ(stats.rows, 40u);
@@ -605,67 +586,6 @@ TEST(MergePerflogs, BuffersAtMostOneChunkPerInput) {
 TEST(MergePerflogs, UnreadableInputThrows) {
   const std::vector<std::string> paths = {tempPath("merge_nope.log")};
   EXPECT_THROW(mergePerflogsByTime(paths), Error);
-}
-
-// ---- observability spans ------------------------------------------------
-
-TEST(ColumnarSpans, KernelSpansCarryTheLintContract) {
-  DataFrame frame;
-  frame.addStrings("system", {"a", "a", "b"});
-  frame.addNumeric("value", {1.0, 2.0, 3.0});
-  obs::Tracer tracer;
-  frame.setTracer(&tracer);
-
-  const std::vector<std::string> keys = {"system"};
-  (void)frame.groupBy(keys, "value", Agg::kMean);
-  (void)frame.filterEquals("system", "a");
-  (void)frame.sortBy("value", false);
-  (void)frame.describe();
-
-  const obs::TraceFile trace = obs::parseTraceJsonl(tracer.toJsonl());
-  EXPECT_TRUE(obs::lintTrace(trace).empty());
-  std::size_t kernelSpans = 0;
-  for (const auto& span : trace.spans) {
-    if (span.name != "postproc.columnar.kernel") continue;
-    ++kernelSpans;
-    EXPECT_NE(span.attrs.find("kernel"), span.attrs.end());
-    EXPECT_NE(span.attrs.find("rows"), span.attrs.end());
-    EXPECT_NE(span.attrs.find("skipped_chunks"), span.attrs.end());
-  }
-  EXPECT_EQ(kernelSpans, 4u);
-}
-
-TEST(ColumnarSpans, AssimilateAndConvertSpansLintClean) {
-  const std::string a =
-      writePerflog("span_a.log", {simpleEntry("1", "archer2", 1.0)});
-  const std::string b =
-      writePerflog("span_b.log", {simpleEntry("2", "csd3", 2.0)});
-  obs::Tracer tracer;
-  const std::vector<std::string> paths = {a, b};
-  const DataFrame merged = assimilatePerflogs(paths, &tracer);
-  EXPECT_EQ(merged.rowCount(), 2u);
-
-  store::ObjectStore store(tempPath("span_store"));
-  (void)loadOrConvertPerflog(store, a, &tracer);  // converted
-  (void)loadOrConvertPerflog(store, a, &tracer);  // hit
-
-  const obs::TraceFile trace = obs::parseTraceJsonl(tracer.toJsonl());
-  EXPECT_TRUE(obs::lintTrace(trace).empty());
-  std::size_t mergeSpans = 0, convertSpans = 0;
-  std::vector<std::string> outcomes;
-  for (const auto& span : trace.spans) {
-    if (span.name == "postproc.columnar.merge") {
-      ++mergeSpans;
-      EXPECT_EQ(span.attrs.at("inputs"), "2");
-      EXPECT_EQ(span.attrs.at("rows"), "2");
-    } else if (span.name == "postproc.columnar.convert") {
-      ++convertSpans;
-      outcomes.push_back(span.attrs.at("outcome"));
-    }
-  }
-  EXPECT_EQ(mergeSpans, 1u);
-  EXPECT_EQ(convertSpans, 2u);
-  EXPECT_EQ(outcomes, (std::vector<std::string>{"converted", "hit"}));
 }
 
 }  // namespace

@@ -23,9 +23,6 @@
 #include "core/framework/pipeline.hpp"
 #include "core/history/history.hpp"
 #include "core/obs/json.hpp"
-#include "core/obs/metrics.hpp"
-#include "core/obs/trace.hpp"
-#include "core/obs/trace_reader.hpp"
 #include "core/store/object_store.hpp"
 #include "core/util/error.hpp"
 #include "core/util/rng.hpp"
@@ -430,31 +427,6 @@ TEST_F(HistoryIndexTest, ConcurrentAppendsFromTwoHandlesKeepEverySegment) {
   }
 }
 
-TEST_F(HistoryIndexTest, AppendAndQueryEmitContractCompliantSpans) {
-  store::ObjectStore store(dir_);
-  HistoryIndex index(store);
-  obs::Tracer tracer;
-  obs::MetricsRegistry metrics;
-  index.setObservability(&tracer, &metrics);
-  index.appendSegment({{makeRecord("A", "Triad", 1.0),
-                        makeRecord("B", "Copy", 2.0)}});
-  index.query("A", "archer2:compute");
-
-  ASSERT_EQ(tracer.spans().size(), 3u);
-  EXPECT_EQ(tracer.spans()[0].name, "history.append");
-  EXPECT_EQ(tracer.spans()[0].attrs.at("test"), "A");
-  EXPECT_EQ(tracer.spans()[0].attrs.at("records"), "2");
-  EXPECT_EQ(tracer.spans()[2].name, "history.query");
-  EXPECT_EQ(tracer.spans()[2].attrs.at("fom"), "*");
-  EXPECT_EQ(tracer.spans()[2].attrs.at("records"), "1");
-  EXPECT_EQ(metrics.counter("history.append").value(), 2u);
-  EXPECT_EQ(metrics.counter("history.query").value(), 1u);
-
-  // The emitted trace satisfies the trace_lint span contract.
-  const obs::TraceFile trace = obs::parseTraceJsonl(tracer.toJsonl(&metrics));
-  EXPECT_TRUE(obs::lintTrace(trace).empty());
-}
-
 // ------------------------------------------------- long-lived chains
 
 std::int64_t nanoseconds(const timespec& time) {
@@ -727,15 +699,6 @@ TEST_F(HistoryIndexTest, ExtendAfterAnotherWriterPicksUpItsSegment) {
   EXPECT_EQ(recordBytes(chain), recordBytes(daemon.readChain()));
 }
 
-TEST(HistoryLintTest, HistorySpanMissingAttributesIsFlagged) {
-  obs::Tracer tracer;
-  tracer.beginSpan("history.append");
-  tracer.setAttr("test", "A");  // target/fom/records missing
-  tracer.endSpan();
-  const obs::TraceFile trace = obs::parseTraceJsonl(tracer.toJsonl());
-  EXPECT_FALSE(obs::lintTrace(trace).empty());
-}
-
 TEST(HistoryAggregateTest, AggregatesPerTestTargetFomInCanonicalOrder) {
   std::vector<TestRunResult> results(4);
   results[0].testName = "StreamTest";
@@ -828,7 +791,7 @@ TEST(ChangepointTest, RollingStatsAndSparkline) {
 }
 
 TEST(ChangepointTest, SeriesShorterThanTwoWindowsYieldsNoFlags) {
-  // A split needs EdmOptions::minSegment (3) points on each side, so a
+  // A split needs infer::kEdmMinSegment (3) points on each side, so a
   // series shorter than 6 has no candidate split — even with a clear
   // regime shift inside it.
   for (const auto& means :
@@ -1091,7 +1054,7 @@ TEST(Detector, SuspiciousImprovementAlsoFlagged) {
 
 TEST(Detector, MinHistoryRespected) {
   // The gate compares from two records on; a changepoint needs
-  // EdmOptions::minSegment records on each side of it.
+  // infer::kEdmMinSegment records on each side of it.
   auto records = recordsFromPerflog(std::vector<PerfLogEntry>{
       perflogRow("archer2", 100.0)});
   auto verdicts = checkRegression(records, {});

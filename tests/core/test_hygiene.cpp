@@ -57,10 +57,17 @@ TEST(Hygiene, SingleSampleFlagged) {
 }
 
 TEST(Hygiene, MinSamplesConfigurable) {
-  std::vector<PerfLogEntry> entries{entry("archer2", "t", "Triad", 1.0)};
-  HygieneOptions lax;
-  lax.minSamples = 1;
-  EXPECT_TRUE(auditPerflog(entries, lax).empty());
+  // kHygieneMinSamples samples of a series pass; one fewer is flagged.
+  std::vector<PerfLogEntry> entries;
+  for (std::size_t i = 1; i < kHygieneMinSamples; ++i) {
+    entries.push_back(entry("archer2", "t", "Triad", 1.0));
+  }
+  const auto findings = auditPerflog(entries);
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, HygieneRule::kSingleSample);
+  EXPECT_TRUE(str::contains(findings[0].detail, "2 sample(s); need >= 3"));
+  entries.push_back(entry("archer2", "t", "Triad", 1.0));
+  EXPECT_TRUE(auditPerflog(entries).empty());
 }
 
 TEST(Hygiene, MixedBinariesFlagged) {

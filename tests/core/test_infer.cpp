@@ -149,7 +149,7 @@ TEST(EdmTest, SeededStepIsLocatedExactly) {
     EXPECT_EQ(flags[0].index, at);
     EXPECT_DOUBLE_EQ(flags[0].medianBefore, before);
     EXPECT_DOUBLE_EQ(flags[0].medianAfter, after);
-    EXPECT_GT(flags[0].statistic, EdmOptions{}.threshold);
+    EXPECT_GT(flags[0].statistic, kEdmThreshold);
   }
 }
 

@@ -587,70 +587,6 @@ TEST(TraceLint, ExecWorkerSpansRequireLaneAndSimSecondsStamps) {
   EXPECT_TRUE(lintTrace(parseTraceJsonl(tracer.toJsonl())).empty());
 }
 
-TEST(TraceLint, ColumnarKernelSpansMustAccountForTheirWork) {
-  Tracer tracer;
-  const std::string id = tracer.beginSpan("postproc.columnar.kernel");
-  tracer.endSpan();
-
-  // Bare span: kernel name, row count and skip count all missing.
-  {
-    const std::vector<std::string> issues =
-        lintTrace(parseTraceJsonl(tracer.toJsonl()));
-    const std::string all = str::join(issues, "\n");
-    EXPECT_TRUE(str::contains(all, "'kernel'"));
-    EXPECT_TRUE(str::contains(all, "'rows'"));
-    EXPECT_TRUE(str::contains(all, "'skipped_chunks'"));
-  }
-  // Non-numeric counts are rejected...
-  tracer.annotateCompleted(id, "kernel", "group_by");
-  tracer.annotateCompleted(id, "rows", "lots");
-  tracer.annotateCompleted(id, "skipped_chunks", "0");
-  {
-    const std::vector<std::string> issues =
-        lintTrace(parseTraceJsonl(tracer.toJsonl()));
-    ASSERT_EQ(issues.size(), 1u);
-    EXPECT_TRUE(str::contains(issues[0], "non-numeric rows 'lots'"));
-  }
-  // ...and a fully stamped kernel span passes.
-  tracer.annotateCompleted(id, "rows", "1000000");
-  EXPECT_TRUE(lintTrace(parseTraceJsonl(tracer.toJsonl())).empty());
-}
-
-TEST(TraceLint, ColumnarMergeSpansRequireInputsAndChunks) {
-  Tracer tracer;
-  const std::string id = tracer.beginSpan("postproc.columnar.merge");
-  tracer.setAttr("rows", "128");
-  tracer.endSpan();
-  {
-    const std::vector<std::string> issues =
-        lintTrace(parseTraceJsonl(tracer.toJsonl()));
-    const std::string all = str::join(issues, "\n");
-    EXPECT_TRUE(str::contains(all, "'inputs'"));
-    EXPECT_TRUE(str::contains(all, "'chunks'"));
-  }
-  tracer.annotateCompleted(id, "inputs", "4");
-  tracer.annotateCompleted(id, "chunks", "4");
-  EXPECT_TRUE(lintTrace(parseTraceJsonl(tracer.toJsonl())).empty());
-}
-
-TEST(TraceLint, ColumnarConvertSpansRequireRowsAndChunks) {
-  Tracer tracer;
-  tracer.beginSpan("postproc.columnar.convert");
-  tracer.setAttr("rows", "64");
-  tracer.setAttr("chunks", "1");
-  tracer.endSpan();
-  EXPECT_TRUE(lintTrace(parseTraceJsonl(tracer.toJsonl())).empty());
-
-  Tracer bare;
-  bare.beginSpan("postproc.columnar.convert");
-  bare.endSpan();
-  const std::vector<std::string> issues =
-      lintTrace(parseTraceJsonl(bare.toJsonl()));
-  const std::string all = str::join(issues, "\n");
-  EXPECT_TRUE(str::contains(all, "'rows'"));
-  EXPECT_TRUE(str::contains(all, "'chunks'"));
-}
-
 TEST(TraceLint, FlagsNonMonotoneRootIdsAfterMerge) {
   // Hand-build a trace whose roots appear out of order — what a broken
   // absorb (or a hand-edited file) would produce.

@@ -79,6 +79,14 @@ TEST(PerfLogEntry, MalformedLineThrows) {
         "ref=1.5x", "lower=-0.1 ", "upper=0x10"}) {
     EXPECT_THROW(PerfLogEntry::parse(bad), ParseError) << bad;
   }
+  // ...and are finite.
+  for (const char* key : {"value", "ref", "lower", "upper"}) {
+    for (const char* token : {"nan", "inf", "-inf", "INF", "infinity",
+                              "nan(1)"}) {
+      const std::string line = std::string(key) + "=" + token;
+      EXPECT_THROW(PerfLogEntry::parse(line), ParseError) << line;
+    }
+  }
   try {
     PerfLogEntry::parse("test=T|value=12.5abc");
     FAIL() << "expected ParseError";

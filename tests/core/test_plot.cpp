@@ -51,13 +51,6 @@ TEST(Heatmap, MissingCellsShowMarker) {
   EXPECT_TRUE(str::contains(out, "v100"));
 }
 
-TEST(Heatmap, NonPercentMode) {
-  const std::string out =
-      renderHeatmap(samplePivot(), {.asPercent = false});
-  EXPECT_TRUE(str::contains(out, "0.75"));
-  EXPECT_FALSE(str::contains(out, "%"));
-}
-
 TEST(HeatmapSvg, WellFormedAndComplete) {
   const std::string svg =
       renderHeatmapSvg(samplePivot(), {.title = "Figure 2"});

@@ -16,15 +16,22 @@
 #include "core/concretizer/concretizer.hpp"
 #include "core/spec/spec.hpp"
 #include "core/util/error.hpp"
+#include "core/fault/fault.hpp"
 #include "core/framework/perflog.hpp"
+#include "core/framework/pipeline.hpp"
 #include "core/history/history.hpp"
+#include "core/obs/metrics.hpp"
+#include "core/obs/trace.hpp"
+#include "core/obs/trace_reader.hpp"
 #include "core/postproc/dataframe.hpp"
+#include "core/postproc/profile.hpp"
 #include "core/sched/scheduler.hpp"
 #include "core/service/journal.hpp"
 #include "core/service/queue.hpp"
 #include "core/store/object_store.hpp"
 #include "core/sysconfig/system_config.hpp"
 #include "core/util/rng.hpp"
+#include "core/util/strings.hpp"
 #include "core/util/version.hpp"
 #include "journal_state.hpp"
 
@@ -395,14 +402,27 @@ TEST_P(PerflogProperty, DamagedLinesAndObjectsParseOrThrow) {
   std::vector<std::string> lines;
   while (lines.size() < 2) lines = randomPerflog(rng);
   const std::string object = encodePerflogObject(lines);
+  // Whatever parses holds finite numbers.
+  const auto expectFinite = [](const PerfLogEntry& entry) {
+    EXPECT_TRUE(std::isfinite(entry.value)) << entry.serialize();
+    EXPECT_TRUE(!entry.reference || std::isfinite(*entry.reference))
+        << entry.serialize();
+    EXPECT_TRUE(std::isfinite(entry.lowerThresh)) << entry.serialize();
+    EXPECT_TRUE(std::isfinite(entry.upperThresh)) << entry.serialize();
+  };
   for (int trial = 0; trial < 300; ++trial) {
     try {
-      (void)PerfLogEntry::parse(damage(rng, lines[0], kStructural));
+      expectFinite(PerfLogEntry::parse(damage(rng, lines[0], kStructural)));
     } catch (const Error&) {
       // Damage may be rejected; anything but rebench::Error fails.
     }
     try {
-      (void)decodePerflogObject(damage(rng, object, kStructural));
+      const std::string raw =
+          decodePerflogObject(damage(rng, object, kStructural));
+      for (const PerfLogEntry& entry :
+           PerfLog::parseLinesLenient(str::split(raw, '\n')).entries) {
+        expectFinite(entry);
+      }
     } catch (const Error&) {
     }
   }
@@ -823,6 +843,76 @@ TEST_P(SubmissionProperty, DamagedBodiesReadValidOrNameTheirError) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SubmissionProperty, ::testing::Range(1, 5));
+
+// ---------------------------------------------------------------------------
+// Traces: a damaged campaign trace parses or throws rebench::Error, and
+// whatever parses lints and profiles without an abort.
+// ---------------------------------------------------------------------------
+
+class TraceReaderProperty : public ::testing::TestWithParam<int> {};
+
+/// Tracer::toJsonl of a fault-injected synthetic campaign: retries,
+/// backoffs, watchdog events and quarantined runs.
+const std::string& faultedCampaignTrace() {
+  static const std::string trace = [] {
+    const SystemRegistry systems = builtinSystems();
+    const PackageRepository repo = builtinRepository();
+    obs::Tracer tracer;
+    obs::MetricsRegistry metrics;
+    PipelineOptions options;
+    options.faults =
+        FaultConfig::parse("seed=13,crash=0.3,build=0.3,corrupt=0.3");
+    options.retry.maxRetries = 3;
+    options.retry.seed = options.faults.seed;
+    options.watchdog.stageTimeoutSeconds = 30.0;
+    options.breaker.pairThreshold = 1;
+    options.numRepeats = 2;
+    options.tracer = &tracer;
+    options.metrics = &metrics;
+    RegressionTest test;
+    test.name = "TraceDamage";
+    test.spackSpec = "stream%gcc";
+    test.numTasks = 1;
+    test.numTasksPerNode = 1;
+    test.sanityPattern = "Solution Validates";
+    test.perfPatterns = {{"Triad", R"(Triad:\s+([0-9.]+))", Unit::kMBperSec}};
+    test.run = [](const RunContext&) {
+      return RunOutput{"Triad: 1000.0 MB/s\nSolution Validates\n", 12.0,
+                       false, ""};
+    };
+    Pipeline pipeline(systems, repo, options);
+    const std::vector<RegressionTest> tests{test};
+    const std::vector<std::string> targets{"archer2", "noctua2"};
+    (void)pipeline.runAll(tests, targets);
+    return tracer.toJsonl(&metrics);
+  }();
+  return trace;
+}
+
+TEST_P(TraceReaderProperty, DamagedTracesParseOrThrow) {
+  static constexpr std::string_view kStructural = "{}[]\":,\\\n-.e09";
+  const std::string& original = faultedCampaignTrace();
+  ASSERT_TRUE(obs::lintTrace(obs::parseTraceJsonl(original)).empty());
+  ASSERT_NE(original.find("fault.watchdog"), std::string::npos);
+  ASSERT_NE(original.find("\"backoff\""), std::string::npos);
+  Rng rng(GetParam() * 97);
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::string text = damage(rng, original, kStructural);
+    obs::TraceFile trace;
+    try {
+      trace = obs::parseTraceJsonl(text);
+    } catch (const Error&) {
+      continue;  // damage may be rejected; anything but rebench::Error fails
+    }
+    EXPECT_NO_THROW((void)obs::lintTrace(trace)) << text;
+    try {
+      (void)postproc::profileTrace(trace);
+    } catch (const Error&) {
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TraceReaderProperty, ::testing::Range(1, 5));
 
 // ---------------------------------------------------------------------------
 // Spec grammar: parse/print round-trips on randomly generated specs.

@@ -173,12 +173,16 @@ TEST(Scheduler, PackingDefaultsUsesWholeNode) {
 }
 
 TEST(Scheduler, SchedulingLatencyDelaysStart) {
-  ClusterOptions opts{.numNodes = 1, .coresPerNode = 4};
-  opts.schedulingLatency = 7.5;
-  SchedulerSim sim(opts);
-  const JobId id = sim.submit(simpleJob("delayed", 1.0));
+  // Even on an idle cluster each job waits out the scheduler latency,
+  // counted from its own submission.
+  SchedulerSim sim({.numNodes = 1, .coresPerNode = 4});
+  const JobId first = sim.submit(simpleJob("first", 1.0));
+  sim.advance(5.0);
+  const JobId later = sim.submit(simpleJob("later", 1.0));
   sim.drain();
-  EXPECT_GE(sim.query(id).startTime, 7.5);
+  EXPECT_DOUBLE_EQ(sim.query(first).startTime, kSchedulingLatencySeconds);
+  EXPECT_DOUBLE_EQ(sim.query(later).startTime,
+                   5.0 + kSchedulingLatencySeconds);
 }
 
 TEST(Scheduler, PaperGeometryEightTasksTwoPerNode) {

@@ -1008,12 +1008,16 @@ TEST_F(ServiceFixture, ServeTraceLintsClean) {
 // ------------------------------------------------- pipeline watchdog
 
 TEST_F(ServiceFixture, PipelineStageTimeoutIsInfrastructureFailure) {
+  // One deadline covers every stage: 10^3 simulated seconds clear the
+  // build, not a run of 10^4.
+  RegressionTest test = syntheticTest();
+  test.run = [](const RunContext&) {
+    return RunOutput{"RESULT OK\nrate 123.5 GB/s\n", 1.0e4, false, ""};
+  };
   PipelineOptions options;
-  // Deadline on the run stage only (the synthetic run takes 2 simulated
-  // seconds); the build stage keeps its own budget.
-  options.watchdog.stageOverrides["run"] = 1.0;
+  options.watchdog.stageTimeoutSeconds = 1.0e3;
   Pipeline pipeline(systems_, repo_, options);
-  const TestRunResult result = pipeline.runOne(syntheticTest(), "archer2");
+  const TestRunResult result = pipeline.runOne(test, "archer2");
   EXPECT_FALSE(result.passed);
   EXPECT_EQ(result.failure.stage, "run");
   EXPECT_EQ(result.failure.klass, FailureClass::kInfrastructure);

@@ -11,11 +11,8 @@
 //
 // Exit 0 when the trace satisfies every structural invariant the writer
 // guarantees (known schema version, monotone timestamps, parented spans,
-// no orphan events, span attribute contracts incl. history.append /
-// history.query and the postproc.columnar.* engine spans, which must
-// account for their work: rows always, chunks for convert/merge, inputs
-// for merge, kernel + skipped_chunks for kernels); exit 1 with one
-// message per violation otherwise.
+// no orphan events, span attribute contracts); exit 1 with one message
+// per violation otherwise.
 // With --store DIR (the trace is then optional) the store's history
 // chain is also checked: every record must cite a campaign manifest
 // object that reads back verified and parses.  A corrupt manifest is
