@@ -44,12 +44,14 @@ double Value::numberOr(std::string_view key, double fallback) const {
 }
 
 double Value::numberIn(std::string_view key, double min, double end) const {
-  const double found = numberOr(key, 0.0);
-  if (!(found >= min && found < end)) {
+  if (!isNumber()) {
+    throw ParseError("json: member '" + std::string(key) + "' is not a number");
+  }
+  if (!(number >= min && number < end)) {
     throw ParseError("json: member '" + std::string(key) +
                      "' is out of range");
   }
-  return found;
+  return number;
 }
 
 namespace {

@@ -47,14 +47,19 @@ struct Value {
   /// undefined): outside T's range it throws ParseError naming the key.
   template <typename T>
   T integerOr(std::string_view key, T fallback) const {
-    if (!contains(key)) return fallback;
+    return contains(key) ? at(key).integer<T>(key) : fallback;
+  }
+  /// This number as a T, range-checked as integerOr's members are: throws
+  /// ParseError naming `key` when it is not a number or outside T's range.
+  template <typename T>
+  T integer(std::string_view key) const {
     return static_cast<T>(
         numberIn(key, static_cast<double>(std::numeric_limits<T>::min()),
                  static_cast<double>(std::numeric_limits<T>::max()) + 1.0));
   }
 
  private:
-  /// The number member `key`, checked to lie in [min, end).
+  /// This number, checked to lie in [min, end).
   double numberIn(std::string_view key, double min, double end) const;
 };
 

@@ -27,6 +27,54 @@ AttrMap readAttrs(const json::Value& record) {
   return attrs;
 }
 
+/// Adds one trace line's record to `trace`.  Counts are range-checked
+/// before their cast: a negative or huge one throws ParseError.
+void readRecord(const json::Value& record, TraceFile& trace) {
+  if (!record.isObject()) throw ParseError("not a JSON object");
+  const std::string kind = record.stringOr("kind", "");
+  if (kind == "meta") {
+    trace.schema = record.stringOr("schema", "");
+    trace.clockKind = record.stringOr("clock", "");
+  } else if (kind == "span") {
+    SpanRecord span;
+    span.id = record.at("id").text;
+    span.parent = record.stringOr("parent", "");
+    span.name = record.at("name").text;
+    span.start = record.at("start").number;
+    span.end = record.at("end").number;
+    span.attrs = readAttrs(record);
+    trace.timeline.push_back({"span", span.end});
+    trace.spans.push_back(std::move(span));
+  } else if (kind == "event") {
+    EventRecord event;
+    event.span = record.stringOr("span", "");
+    event.name = record.at("name").text;
+    event.time = record.at("time").number;
+    event.attrs = readAttrs(record);
+    trace.timeline.push_back({"event", event.time});
+    trace.events.push_back(std::move(event));
+  } else if (kind == "counter") {
+    trace.counters[record.at("name").text] =
+        record.at("value").integer<std::uint64_t>("value");
+  } else if (kind == "gauge") {
+    trace.gauges[record.at("name").text] = {record.at("value").number,
+                                            record.numberOr("max", 0.0)};
+  } else if (kind == "histogram") {
+    TraceFile::HistogramDump dump;
+    for (const json::Value& bound : record.at("bounds").array) {
+      dump.bounds.push_back(bound.number);
+    }
+    for (const json::Value& count : record.at("counts").array) {
+      dump.counts.push_back(count.integer<std::uint64_t>("counts"));
+    }
+    dump.count = record.at("count").integer<std::uint64_t>("count");
+    dump.sum = record.at("sum").number;
+    trace.histograms[record.at("name").text] = std::move(dump);
+  } else {
+    throw ParseError("unknown record kind '" + kind + "'");
+  }
+}
+
 }  // namespace
 
 TraceFile parseTraceJsonl(const std::string& text) {
@@ -37,59 +85,11 @@ TraceFile parseTraceJsonl(const std::string& text) {
   while (std::getline(in, line)) {
     ++lineNo;
     if (str::trim(line).empty()) continue;
-    json::Value record;
     try {
-      record = json::parse(line);
+      readRecord(json::parse(line), trace);
     } catch (const ParseError& e) {
       throw ParseError("trace line " + std::to_string(lineNo) + ": " +
                        e.what());
-    }
-    if (!record.isObject()) {
-      throw ParseError("trace line " + std::to_string(lineNo) +
-                       ": not a JSON object");
-    }
-    const std::string kind = record.stringOr("kind", "");
-    if (kind == "meta") {
-      trace.schema = record.stringOr("schema", "");
-      trace.clockKind = record.stringOr("clock", "");
-    } else if (kind == "span") {
-      SpanRecord span;
-      span.id = record.at("id").text;
-      span.parent = record.stringOr("parent", "");
-      span.name = record.at("name").text;
-      span.start = record.at("start").number;
-      span.end = record.at("end").number;
-      span.attrs = readAttrs(record);
-      trace.timeline.push_back({"span", span.end});
-      trace.spans.push_back(std::move(span));
-    } else if (kind == "event") {
-      EventRecord event;
-      event.span = record.stringOr("span", "");
-      event.name = record.at("name").text;
-      event.time = record.at("time").number;
-      event.attrs = readAttrs(record);
-      trace.timeline.push_back({"event", event.time});
-      trace.events.push_back(std::move(event));
-    } else if (kind == "counter") {
-      trace.counters[record.at("name").text] =
-          static_cast<std::uint64_t>(record.at("value").number);
-    } else if (kind == "gauge") {
-      trace.gauges[record.at("name").text] = {record.at("value").number,
-                                              record.numberOr("max", 0.0)};
-    } else if (kind == "histogram") {
-      TraceFile::HistogramDump dump;
-      for (const json::Value& bound : record.at("bounds").array) {
-        dump.bounds.push_back(bound.number);
-      }
-      for (const json::Value& count : record.at("counts").array) {
-        dump.counts.push_back(static_cast<std::uint64_t>(count.number));
-      }
-      dump.count = static_cast<std::uint64_t>(record.at("count").number);
-      dump.sum = record.at("sum").number;
-      trace.histograms[record.at("name").text] = std::move(dump);
-    } else {
-      throw ParseError("trace line " + std::to_string(lineNo) +
-                       ": unknown record kind '" + kind + "'");
     }
   }
   return trace;

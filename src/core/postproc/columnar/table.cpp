@@ -19,34 +19,21 @@ void TaggedColumnBuilder::add(std::string cell) {
     }
   }
   raw_.push_back(std::move(cell));
-  isNull_.push_back(false);
-}
-
-void TaggedColumnBuilder::addNull() {
-  if (allNumeric_) nums_.push_back(std::numeric_limits<double>::quiet_NaN());
-  raw_.emplace_back();
-  isNull_.push_back(true);
-  ++nulls_;
 }
 
 DoubleColumn TaggedColumnBuilder::takeNumeric() {
   DoubleColumn col;
   col.values = std::move(nums_);
-  for (const bool null : isNull_) col.validity.append(!null);
+  col.validity.appendRun(col.values.size(), true);
   return col;
 }
 
 StringColumn TaggedColumnBuilder::takeStrings() {
   StringColumn col;
   col.codes.reserve(raw_.size());
-  for (std::size_t i = 0; i < raw_.size(); ++i) {
-    if (isNull_[i]) {
-      col.codes.push_back(kNullCode);
-    } else {
-      col.codes.push_back(col.dict->encode(raw_[i]));
-    }
+  for (const std::string& cell : raw_) {
+    col.codes.push_back(col.dict->encode(cell));
   }
-  col.setNullCount(nulls_);
   return col;
 }
 

@@ -66,13 +66,10 @@ class TaggedColumnBuilder {
   /// Buffers one cell, attempting the numeric parse immediately (skipped
   /// once the column is known non-numeric).
   void add(std::string cell);
-  /// Buffers a null cell; the column stays eligible for numeric commit.
-  void addNull();
 
   std::size_t size() const { return raw_.size(); }
-  std::size_t nullCount() const { return nulls_; }
-  /// Commit-time decision: numeric iff non-empty and every non-null cell
-  /// is one whole number token (str::parseWhole, the row engine's rule).
+  /// Commit-time decision: numeric iff non-empty and every cell is one
+  /// whole number token (str::parseWhole, the row engine's rule).
   bool numeric() const { return allNumeric_ && !raw_.empty(); }
 
   /// Destructive extraction; call exactly one of these per builder.
@@ -82,8 +79,6 @@ class TaggedColumnBuilder {
  private:
   std::vector<std::string> raw_;
   std::vector<double> nums_;
-  std::vector<bool> isNull_;
-  std::size_t nulls_ = 0;
   bool allNumeric_ = true;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 
 #include "core/fault/journal.hpp"
@@ -97,9 +98,18 @@ std::vector<Submission> scanQueue(const std::string& queueDir) {
 }
 
 int queueDepth(const std::string& queueDir) {
+  // One listing of verdicts/, not a stat per submission: health.json is
+  // refreshed after every verdict, so per-submission stats grow with the
+  // square of a drain.
+  std::set<std::string> answered;
+  std::error_code ec;
+  for (const auto& entry :
+       fs::directory_iterator(fs::path(queueDir) / "verdicts", ec)) {
+    answered.insert(entry.path().filename().string());
+  }
   int depth = 0;
   for (const std::string& id : listSubmissions(queueDir)) {
-    if (!fs::exists(verdictPath(queueDir, id))) ++depth;
+    if (answered.count(id + ".json") == 0) ++depth;
   }
   return depth;
 }

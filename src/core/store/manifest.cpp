@@ -87,61 +87,94 @@ CampaignInvocation parseInvocation(const obs::json::Value& value) {
 
 namespace {
 
-std::string renderRun(const RunManifest& run) {
-  std::ostringstream out;
-  out << "{\"test\":" << quote(run.test)
-      << ",\"target\":" << quote(run.target)
-      << ",\"repeat\":" << run.repeat
-      << ",\"environ\":" << quote(run.environ)
-      << ",\"spec\":" << quote(run.spec)
-      << ",\"specHash\":" << quote(run.specHash)
-      << ",\"planHash\":" << quote(run.planHash)
-      << ",\"binaryId\":" << quote(run.binaryId) << ",\"buildSteps\":[";
-  for (std::size_t i = 0; i < run.buildSteps.size(); ++i) {
-    if (i > 0) out << ",";
-    out << quote(run.buildSteps[i]);
+/// One runs/foms entry rendered as (key, JSON text) pairs in schema order.
+using Fields = std::vector<std::pair<std::string_view, std::string>>;
+
+Fields runFields(const RunManifest& run) {
+  std::string steps = "[";
+  for (const std::string& step : run.buildSteps) {
+    if (steps.size() > 1) steps += ",";
+    steps += quote(step);
   }
-  out << "],\"launch\":" << quote(run.launchCommand)
-      << ",\"jobId\":" << quote(run.jobId)
-      << ",\"outcome\":" << quote(run.outcome)
-      << ",\"failureStage\":" << quote(run.failureStage)
-      << ",\"attempts\":" << run.attempts;
-  // Rendered only when present so unprobed manifests keep their bytes.
-  if (!run.facets.empty()) {
-    out << ",\"facets\":{";
-    bool first = true;
-    for (const auto& [key, value] : run.facets) {
-      if (!first) out << ",";
-      first = false;
-      out << quote(key) << ":" << quote(value);
-    }
-    out << "}";
+  std::string facets = "{";
+  for (const auto& [key, value] : run.facets) {
+    if (facets.size() > 1) facets += ",";
+    facets += quote(key) + ":" + quote(value);
   }
-  out << "}";
-  return out.str();
+  return {{"test", quote(run.test)},
+          {"target", quote(run.target)},
+          {"repeat", std::to_string(run.repeat)},
+          {"environ", quote(run.environ)},
+          {"spec", quote(run.spec)},
+          {"specHash", quote(run.specHash)},
+          {"planHash", quote(run.planHash)},
+          {"binaryId", quote(run.binaryId)},
+          {"buildSteps", steps + "]"},
+          {"launch", quote(run.launchCommand)},
+          {"jobId", quote(run.jobId)},
+          {"outcome", quote(run.outcome)},
+          {"failureStage", quote(run.failureStage)},
+          {"attempts", std::to_string(run.attempts)},
+          {"facets", facets + "}"}};
 }
 
-RunManifest parseRun(const obs::json::Value& value) {
-  RunManifest run;
-  run.test = value.stringOr("test", "");
-  run.target = value.stringOr("target", "");
-  run.repeat = value.integerOr("repeat", 0);
-  run.environ = value.stringOr("environ", "");
-  run.spec = value.stringOr("spec", "");
-  run.specHash = value.stringOr("specHash", "");
-  run.planHash = value.stringOr("planHash", "");
-  run.binaryId = value.stringOr("binaryId", "");
+Fields fomFields(const FomManifest& fom) {
+  return {{"test", quote(fom.test)},
+          {"target", quote(fom.target)},
+          {"fom", quote(fom.fom)},
+          {"mean", str::fixed(fom.mean, 6)},
+          {"ci", str::fixed(fom.ciHalfwidth, 6)},
+          {"ess", str::fixed(fom.ess, 3)},
+          {"autocorr", str::fixed(fom.autocorr, 6)},
+          {"repeats", std::to_string(fom.repeats)}};
+}
+
+/// Renders `entries` as a JSON array whose objects omit every key whose
+/// text equals the entry before's; the first is compared with Entry{}.
+template <typename Entry>
+void renderOmitEqual(std::ostream& out, const std::vector<Entry>& entries,
+                     Fields (*fields)(const Entry&)) {
+  Fields before = fields(Entry{});
+  out << "[";
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    Fields now = fields(entries[i]);
+    out << (i > 0 ? ",{" : "{");
+    const char* separator = "";
+    for (std::size_t k = 0; k < now.size(); ++k) {
+      if (now[k].second == before[k].second) continue;
+      out << separator << '"' << now[k].first << "\":" << now[k].second;
+      separator = ",";
+    }
+    out << "}";
+    before = std::move(now);
+  }
+  out << "]";
+}
+
+/// The run `value` records over `run`: the entry before it in a
+/// rebench.manifest/2, RunManifest{} in a /1.
+RunManifest parseRun(const obs::json::Value& value, RunManifest run) {
+  run.test = value.stringOr("test", run.test);
+  run.target = value.stringOr("target", run.target);
+  run.repeat = value.integerOr("repeat", run.repeat);
+  run.environ = value.stringOr("environ", run.environ);
+  run.spec = value.stringOr("spec", run.spec);
+  run.specHash = value.stringOr("specHash", run.specHash);
+  run.planHash = value.stringOr("planHash", run.planHash);
+  run.binaryId = value.stringOr("binaryId", run.binaryId);
   if (value.contains("buildSteps")) {
+    run.buildSteps.clear();
     for (const obs::json::Value& step : value.at("buildSteps").array) {
       run.buildSteps.push_back(step.text);
     }
   }
-  run.launchCommand = value.stringOr("launch", "");
-  run.jobId = value.stringOr("jobId", "");
-  run.outcome = value.stringOr("outcome", "");
-  run.failureStage = value.stringOr("failureStage", "");
-  run.attempts = value.integerOr("attempts", 1);
+  run.launchCommand = value.stringOr("launch", run.launchCommand);
+  run.jobId = value.stringOr("jobId", run.jobId);
+  run.outcome = value.stringOr("outcome", run.outcome);
+  run.failureStage = value.stringOr("failureStage", run.failureStage);
+  run.attempts = value.integerOr("attempts", run.attempts);
   if (value.contains("facets")) {
+    run.facets.clear();
     for (const auto& [key, facet] : value.at("facets").object) {
       run.facets[key] = facet.text;
     }
@@ -149,29 +182,42 @@ RunManifest parseRun(const obs::json::Value& value) {
   return run;
 }
 
+FomManifest parseFom(const obs::json::Value& value, FomManifest fom) {
+  fom.test = value.stringOr("test", fom.test);
+  fom.target = value.stringOr("target", fom.target);
+  fom.fom = value.stringOr("fom", fom.fom);
+  fom.mean = value.numberOr("mean", fom.mean);
+  fom.ciHalfwidth = value.numberOr("ci", fom.ciHalfwidth);
+  fom.ess = value.numberOr("ess", fom.ess);
+  fom.autocorr = value.numberOr("autocorr", fom.autocorr);
+  fom.repeats = value.integerOr("repeats", fom.repeats);
+  return fom;
+}
+
+/// Parses the entries of `array`, each over the entry before it (`ditto`,
+/// rebench.manifest/2) or over Entry{} (/1).
+template <typename Entry>
+std::vector<Entry> parseEntries(
+    const obs::json::Value& array, bool ditto,
+    Entry (*parseEntry)(const obs::json::Value&, Entry)) {
+  std::vector<Entry> entries;
+  for (const obs::json::Value& value : array.array) {
+    entries.push_back(parseEntry(
+        value, ditto && !entries.empty() ? entries.back() : Entry{}));
+  }
+  return entries;
+}
+
 }  // namespace
 
 std::string CampaignManifest::render() const {
   std::ostringstream out;
-  out << "{\"schema\":" << quote(schema)
-      << ",\"invocation\":" << renderInvocation(invocation) << ",\"runs\":[";
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    if (i > 0) out << ",";
-    out << renderRun(runs[i]);
-  }
-  out << "],\"foms\":[";
-  for (std::size_t i = 0; i < foms.size(); ++i) {
-    if (i > 0) out << ",";
-    out << "{\"test\":" << quote(foms[i].test)
-        << ",\"target\":" << quote(foms[i].target)
-        << ",\"fom\":" << quote(foms[i].fom)
-        << ",\"mean\":" << str::fixed(foms[i].mean, 6)
-        << ",\"ci\":" << str::fixed(foms[i].ciHalfwidth, 6)
-        << ",\"ess\":" << str::fixed(foms[i].ess, 3)
-        << ",\"autocorr\":" << str::fixed(foms[i].autocorr, 6)
-        << ",\"repeats\":" << foms[i].repeats << "}";
-  }
-  out << "],\"artifacts\":[";
+  out << "{\"schema\":" << quote(kManifestSchema)
+      << ",\"invocation\":" << renderInvocation(invocation) << ",\"runs\":";
+  renderOmitEqual(out, runs, runFields);
+  out << ",\"foms\":";
+  renderOmitEqual(out, foms, fomFields);
+  out << ",\"artifacts\":[";
   for (std::size_t i = 0; i < artifacts.size(); ++i) {
     if (i > 0) out << ",";
     out << "{\"name\":" << quote(artifacts[i].name)
@@ -185,34 +231,23 @@ std::string CampaignManifest::render() const {
 CampaignManifest CampaignManifest::parse(const std::string& text) {
   const obs::json::Value value = obs::json::parse(str::trim(text));
   if (!value.isObject()) throw ParseError("manifest: not a JSON object");
-  CampaignManifest manifest;
-  manifest.schema = value.stringOr("schema", "");
-  if (manifest.schema != kManifestSchema) {
-    throw Error("manifest schema '" + manifest.schema +
+  const std::string schema = value.stringOr("schema", "");
+  if (schema != kManifestSchema && schema != kManifestSchemaV1) {
+    throw Error("manifest schema '" + schema +
                 "' is not supported (expected '" +
-                std::string(kManifestSchema) + "')");
+                std::string(kManifestSchema) + "' or '" +
+                std::string(kManifestSchemaV1) + "')");
   }
+  const bool ditto = schema == kManifestSchema;
+  CampaignManifest manifest;
   if (value.contains("invocation")) {
     manifest.invocation = parseInvocation(value.at("invocation"));
   }
   if (value.contains("runs")) {
-    for (const obs::json::Value& run : value.at("runs").array) {
-      manifest.runs.push_back(parseRun(run));
-    }
+    manifest.runs = parseEntries(value.at("runs"), ditto, parseRun);
   }
   if (value.contains("foms")) {
-    for (const obs::json::Value& fom : value.at("foms").array) {
-      FomManifest record;
-      record.test = fom.stringOr("test", "");
-      record.target = fom.stringOr("target", "");
-      record.fom = fom.stringOr("fom", "");
-      record.mean = fom.numberOr("mean", 0);
-      record.ciHalfwidth = fom.numberOr("ci", 0);
-      record.ess = fom.numberOr("ess", 0);
-      record.autocorr = fom.numberOr("autocorr", 0);
-      record.repeats = fom.integerOr("repeats", 0);
-      manifest.foms.push_back(std::move(record));
-    }
+    manifest.foms = parseEntries(value.at("foms"), ditto, parseFom);
   }
   if (value.contains("artifacts")) {
     for (const obs::json::Value& artifact : value.at("artifacts").array) {

@@ -6,13 +6,16 @@
 // (concretized spec + hashes, environment, build-plan steps, launcher
 // command, scheduler/fault/retry configuration, outcome), and the
 // content hashes of every artifact the campaign produced (perflog,
-// trace).  A store keeps each manifest as an object, named by the hash
-// of its bytes, and points the manifests/latest ref at the newest one;
-// history records, RunCache records and verdicts cite that hash.  Every
-// read is verified, so a finished campaign is a *verifiable* object:
-// `rebench replay` re-executes the invocation from scratch and diffs the
-// regenerated artifact bytes against the recorded hashes, reporting
-// exact/divergent per artifact.
+// trace).  In the `runs` and `foms` arrays each entry omits the keys
+// whose text equals the entry before's (rebench.manifest/2), since the
+// repeats of one test share all but a few.  A store keeps each manifest
+// as an object, named by the hash of its bytes, and points the
+// manifests/latest ref at the newest one; history records, RunCache
+// records and verdicts cite that hash.  Every read is verified, so a
+// finished campaign is a *verifiable* object: `rebench replay`
+// re-executes the invocation from scratch and diffs the regenerated
+// artifact bytes against the recorded hashes, reporting exact/divergent
+// per artifact.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +31,10 @@ struct Value;
 
 namespace rebench::store {
 
-inline constexpr std::string_view kManifestSchema = "rebench.manifest/1";
+/// The schema render() writes: /1 with omit-equal `runs` and `foms`.
+inline constexpr std::string_view kManifestSchema = "rebench.manifest/2";
+/// The schema before omit-equal entries; parse() still reads it.
+inline constexpr std::string_view kManifestSchemaV1 = "rebench.manifest/1";
 
 /// The store ref naming the newest campaign manifest object.
 inline constexpr std::string_view kLatestManifestRef = "manifests/latest";
@@ -95,6 +101,8 @@ struct CampaignInvocation {
   /// spans and manifest facets — bytes the run-memoization key (which
   /// hashes this rendering) must separate from unprobed campaigns.
   std::string probe;
+
+  bool operator==(const CampaignInvocation&) const = default;
 };
 
 /// Deterministic JSON rendering of an invocation (stable key order).
@@ -121,10 +129,11 @@ struct RunManifest {
   std::string outcome;  // "pass" | "fail" | "quarantined"
   std::string failureStage;
   int attempts = 1;
-  /// Resource-accounting facets (probed campaigns only; empty maps are
-  /// not rendered, so unprobed manifest bytes are untouched).  Keys like
+  /// Resource-accounting facets (probed campaigns only).  Keys like
   /// "rusage_build_user_ms"; values pre-formatted decimal strings.
   std::map<std::string, std::string> facets;
+
+  bool operator==(const RunManifest&) const = default;
 };
 
 /// A campaign artifact pinned by content hash (perflog, trace, ...).
@@ -132,6 +141,8 @@ struct ArtifactRecord {
   std::string name;
   std::string hash;
   std::uint64_t bytes = 0;
+
+  bool operator==(const ArtifactRecord&) const = default;
 };
 
 /// Statistical summary of one (test, target, fom) series across the
@@ -146,20 +157,28 @@ struct FomManifest {
   double ess = 0.0;
   double autocorr = 0.0;
   int repeats = 0;
+
+  bool operator==(const FomManifest&) const = default;
 };
 
 struct CampaignManifest {
-  std::string schema = std::string(kManifestSchema);
   CampaignInvocation invocation;
   std::vector<RunManifest> runs;
   std::vector<FomManifest> foms;  // canonical (test, target, fom) order
   std::vector<ArtifactRecord> artifacts;
 
-  /// Deterministic JSON rendering (stable key order).
+  /// Field by field; render() equality also tells -0.0 from 0.0.
+  bool operator==(const CampaignManifest&) const = default;
+
+  /// Deterministic rebench.manifest/2 JSON (stable key order).  Each
+  /// `runs`/`foms` entry omits every key whose rendered text equals that
+  /// key's text in the entry before it; the first entry is compared with
+  /// RunManifest{} / FomManifest{}.
   std::string render() const;
 
-  /// Parses a rendered manifest.  Throws rebench::ParseError on malformed
-  /// JSON and rebench::Error on a schema-version mismatch.
+  /// Parses a rendered manifest: a /2 entry starts from the entry before
+  /// it, a /1 entry from the defaults.  Throws rebench::ParseError on
+  /// malformed JSON and rebench::Error on any other schema.
   static CampaignManifest parse(const std::string& text);
 
   /// Reads and parses `path`; throws rebench::Error when unreadable.  A
@@ -173,7 +192,8 @@ struct CampaignManifest {
   /// rebench::Error naming the hash when it is missing or corrupt.
   static CampaignManifest load(ObjectStore& store, const std::string& hash);
 
-  /// Stable fingerprint of the manifest contents (its object's name).
+  /// Stable fingerprint of the manifest contents: the name of the object
+  /// render() writes (a /1 object read back is named by its /1 bytes).
   std::string contentHash() const;
 };
 

@@ -109,35 +109,29 @@ TEST(TaggedColumnBuilder, CommitsNumericOnlyWhenEveryCellParses) {
   EXPECT_FALSE(empty.numeric());  // no evidence -> strings
 }
 
-TEST(TaggedColumnBuilder, NullsKeepNumericEligibility) {
-  columnar::TaggedColumnBuilder builder;
-  builder.add("4.0");
-  builder.addNull();
-  builder.add("8.0");
-  EXPECT_TRUE(builder.numeric());
-  EXPECT_EQ(builder.nullCount(), 1u);
-  columnar::DoubleColumn col = builder.takeNumeric();
-  ASSERT_EQ(col.values.size(), 3u);
-  EXPECT_DOUBLE_EQ(col.values[0], 4.0);
-  EXPECT_DOUBLE_EQ(col.values[2], 8.0);
-  EXPECT_FALSE(col.validity.valid(1));
-  EXPECT_EQ(col.nullCount(), 1u);
-}
+// fromCsv's cells are never null: a numeric commit tracks no bitmap, and
+// a string commit dictionary-codes every cell.
+TEST(TaggedColumnBuilder, CommitsCellsWithoutNulls) {
+  columnar::TaggedColumnBuilder numbers;
+  numbers.add("4.0");
+  numbers.add("8.0");
+  ASSERT_TRUE(numbers.numeric());
+  const columnar::DoubleColumn nums = numbers.takeNumeric();
+  ASSERT_EQ(nums.values.size(), 2u);
+  EXPECT_DOUBLE_EQ(nums.values[1], 8.0);
+  EXPECT_EQ(nums.validity.size(), 2u);
+  EXPECT_TRUE(nums.validity.empty());
+  EXPECT_EQ(nums.nullCount(), 0u);
 
-TEST(TaggedColumnBuilder, TakeStringsEncodesNullsAsSentinel) {
-  columnar::TaggedColumnBuilder builder;
-  builder.add("alpha");
-  builder.addNull();
-  builder.add("alpha");
-  EXPECT_FALSE(builder.numeric());
-  columnar::StringColumn col = builder.takeStrings();
-  ASSERT_EQ(col.codes.size(), 3u);
-  EXPECT_EQ(col.codes[0], 0u);
-  EXPECT_EQ(col.codes[1], kNullCode);
-  EXPECT_EQ(col.codes[2], 0u);
-  EXPECT_EQ(col.nullCount(), 1u);
-  const auto& decoded = col.materialize();
-  EXPECT_EQ(decoded[1], "");  // nulls decode to ""
+  columnar::TaggedColumnBuilder words;
+  words.add("alpha");
+  words.add("");
+  words.add("alpha");
+  EXPECT_FALSE(words.numeric());
+  const columnar::StringColumn col = words.takeStrings();
+  EXPECT_EQ(col.codes, (std::vector<std::uint32_t>{0, 1, 0}));
+  EXPECT_EQ(col.nullCount(), 0u);
+  EXPECT_EQ(col.materialize()[1], "");
 }
 
 // ---- layer 2: zone-map skipping -----------------------------------------

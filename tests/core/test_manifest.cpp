@@ -6,6 +6,8 @@
 #include "core/store/manifest.hpp"
 #include "core/store/object_store.hpp"
 #include "core/util/error.hpp"
+#include "core/util/strings.hpp"
+#include "manifest_v1.hpp"
 
 namespace rebench::store {
 namespace {
@@ -48,8 +50,9 @@ CampaignManifest sampleManifest() {
 
 TEST(ManifestTest, RenderParseRoundtrip) {
   const CampaignManifest manifest = sampleManifest();
-  const CampaignManifest parsed = CampaignManifest::parse(manifest.render());
-  EXPECT_EQ(parsed.schema, kManifestSchema);
+  const std::string text = manifest.render();
+  EXPECT_EQ(text.rfind("{\"schema\":\"rebench.manifest/2\",", 0), 0u);
+  const CampaignManifest parsed = CampaignManifest::parse(text);
   EXPECT_EQ(parsed.invocation.mode, "run");
   EXPECT_EQ(parsed.invocation.system, "noctua2");
   EXPECT_EQ(parsed.invocation.repeats, 2);
@@ -85,9 +88,66 @@ TEST(ManifestTest, RenderParseRoundtrip) {
 }
 
 TEST(ManifestTest, SchemaMismatchThrows) {
-  CampaignManifest manifest = sampleManifest();
-  manifest.schema = "rebench.manifest/999";
-  EXPECT_THROW(CampaignManifest::parse(manifest.render()), Error);
+  std::string text = sampleManifest().render();
+  const std::string schema(kManifestSchema);
+  text.replace(text.find(schema), schema.size(), "rebench.manifest/999");
+  EXPECT_THROW(CampaignManifest::parse(text), Error);
+}
+
+// A /1 manifest reads as it always did: an absent key takes the default,
+// so the ocl runs after the faceted omp runs have no facets.  Its /2
+// rendering omits each key equal to the entry before's (the first run's
+// `repeat`, `failureStage` and `attempts` equal RunManifest{}'s), writes
+// the emptied facets, spec and build steps out, and parses back to the
+// same manifest.
+TEST(ManifestTest, ReadsVersion1) {
+  const CampaignManifest v1 =
+      CampaignManifest::parse(std::string(kVersion1Manifest));
+  ASSERT_EQ(v1.runs.size(), 4u);
+  EXPECT_EQ(v1.runs[1].repeat, 1);
+  EXPECT_EQ(v1.runs[1].facets.at("rusage_run_maxrss_kb"), "41111");
+  EXPECT_EQ(v1.runs[2].test, "BabelstreamTest_ocl");
+  EXPECT_TRUE(v1.runs[2].facets.empty());
+  EXPECT_TRUE(v1.runs[3].facets.empty());
+  EXPECT_TRUE(v1.runs[3].buildSteps.empty());
+  EXPECT_EQ(v1.runs[3].failureStage, "concretize");
+  ASSERT_EQ(v1.foms.size(), 2u);
+  EXPECT_EQ(v1.foms[1].mean, 344687.902);
+
+  const std::string v2 = v1.render();
+  const std::size_t runs = v2.find(",\"runs\":");
+  // The schema and invocation keep their bytes, the version aside.
+  EXPECT_EQ(v2.substr(0, runs),
+            str::replaceAll(kVersion1Manifest.substr(
+                                0, kVersion1Manifest.find(",\"runs\":")),
+                            "manifest/1", "manifest/2"));
+  EXPECT_EQ(
+      v2.substr(runs),
+      ",\"runs\":[{\"test\":\"BabelstreamTest_omp\","
+      "\"target\":\"archer2:compute\",\"environ\":\"gcc@11.2.0\","
+      "\"spec\":\"babelstream@4.0%gcc@11.2.0 model=omp+omp\","
+      "\"specHash\":\"osl7u7v\",\"planHash\":\"87d19a90c145e131\","
+      "\"binaryId\":\"f786198a5339bff6\","
+      "\"buildSteps\":[\"module load cmake/3.25.1\","
+      "\"spack install --reuse babelstream@4.0%gcc@11.2.0 model=omp+omp\"],"
+      "\"launch\":\"srun --ntasks=1 --ntasks-per-node=1"
+      " --cpus-per-task=128 BabelstreamTest_omp\",\"jobId\":\"1\","
+      "\"outcome\":\"pass\",\"facets\":{\"rusage_run_maxrss_kb\":\"22895\","
+      "\"rusage_run_user_ms\":\"12393.034\"}},"
+      "{\"repeat\":1,\"facets\":{\"rusage_run_maxrss_kb\":\"41111\","
+      "\"rusage_run_user_ms\":\"12271.048\"}},"
+      "{\"test\":\"BabelstreamTest_ocl\",\"repeat\":0,\"environ\":\"\","
+      "\"spec\":\"\",\"specHash\":\"\",\"planHash\":\"\",\"binaryId\":\"\","
+      "\"buildSteps\":[],\"launch\":\"\",\"jobId\":\"0\","
+      "\"outcome\":\"fail\",\"failureStage\":\"concretize\","
+      "\"facets\":{}},{\"repeat\":1}],"
+      "\"foms\":[{\"test\":\"BabelstreamTest_omp\","
+      "\"target\":\"archer2:compute\",\"fom\":\"Add\","
+      "\"mean\":342021.581000,\"ci\":19427.283410,\"ess\":2.000,"
+      "\"repeats\":2},{\"fom\":\"Copy\",\"mean\":344687.902000,"
+      "\"ci\":19043.053970}],\"artifacts\":[{\"name\":\"perflog\","
+      "\"hash\":\"9aa84fafd072a563\",\"bytes\":1338}]}\n");
+  EXPECT_TRUE(CampaignManifest::parse(v2) == v1) << v2;
 }
 
 TEST(ManifestTest, MalformedJsonThrows) {

@@ -413,6 +413,59 @@ TEST(TraceLint, OutOfRangeIdsAreIssuesNotAborts) {
       << all;
 }
 
+// A counter's value, a histogram's count and each of its bucket counts
+// are range-checked before their cast to std::uint64_t: -1 or 1e30 is a
+// ParseError naming the trace line, not 18446744073709551615 or 0.
+std::string traceWithMetric(const std::string& record) {
+  return "{\"schema\":\"rebench.trace/1\",\"kind\":\"meta\",\"tool\":"
+         "\"rebench\",\"clock\":\"sim\"}\n" +
+         record + "\n";
+}
+
+void expectLineTwoRejected(const std::string& record) {
+  try {
+    (void)parseTraceJsonl(traceWithMetric(record));
+    ADD_FAILURE() << "parsed: " << record;
+  } catch (const ParseError& e) {
+    EXPECT_TRUE(str::contains(e.what(), "trace line 2: ")) << e.what();
+    EXPECT_TRUE(str::contains(e.what(), "out of range")) << e.what();
+  }
+}
+
+TEST(TraceJsonl, OutOfRangeCounterValueThrows) {
+  const std::string counter =
+      "{\"kind\":\"counter\",\"name\":\"pipeline.runs\",\"value\":";
+  EXPECT_EQ(parseTraceJsonl(traceWithMetric(counter + "7}"))
+                .counters.at("pipeline.runs"),
+            7u);
+  expectLineTwoRejected(counter + "-1}");
+  expectLineTwoRejected(counter + "1e30}");
+}
+
+std::string histogram(const std::string& count, const std::string& bucket) {
+  return "{\"kind\":\"histogram\",\"name\":\"stage\",\"count\":" + count +
+         ",\"sum\":1.000000,\"bounds\":[1.000000],\"counts\":[" + bucket +
+         ",0]}";
+}
+
+TEST(TraceJsonl, OutOfRangeHistogramCountThrows) {
+  EXPECT_EQ(parseTraceJsonl(traceWithMetric(histogram("3", "3")))
+                .histograms.at("stage")
+                .count,
+            3u);
+  expectLineTwoRejected(histogram("-1", "3"));
+  expectLineTwoRejected(histogram("1e30", "3"));
+}
+
+TEST(TraceJsonl, OutOfRangeHistogramBucketCountThrows) {
+  EXPECT_EQ(parseTraceJsonl(traceWithMetric(histogram("3", "3")))
+                .histograms.at("stage")
+                .counts,
+            (std::vector<std::uint64_t>{3, 0}));
+  expectLineTwoRejected(histogram("3", "-1"));
+  expectLineTwoRejected(histogram("3", "1e30"));
+}
+
 TEST(TraceLint, CleanTracePasses) {
   Tracer tracer;
   {

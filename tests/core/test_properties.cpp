@@ -28,12 +28,14 @@
 #include "core/sched/scheduler.hpp"
 #include "core/service/journal.hpp"
 #include "core/service/queue.hpp"
+#include "core/store/manifest.hpp"
 #include "core/store/object_store.hpp"
 #include "core/sysconfig/system_config.hpp"
 #include "core/util/rng.hpp"
 #include "core/util/strings.hpp"
 #include "core/util/version.hpp"
 #include "journal_state.hpp"
+#include "manifest_v1.hpp"
 
 namespace rebench {
 namespace {
@@ -843,6 +845,120 @@ TEST_P(SubmissionProperty, DamagedBodiesReadValidOrNameTheirError) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SubmissionProperty, ::testing::Range(1, 5));
+
+// ---------------------------------------------------------------------------
+// Campaign manifests: random manifests round-trip rebench.manifest/2 field
+// by field with render a fixed point, and damaged /1 and /2 renderings
+// parse or throw rebench::Error.
+// ---------------------------------------------------------------------------
+
+class ManifestProperty : public ::testing::TestWithParam<int> {};
+
+/// The entry before's number, 0, -0 (whose text differs from 0's), or a
+/// number `decimals` fixed decimals hold exactly.
+double manifestNumber(Rng& rng, double above, int decimals) {
+  switch (rng.below(4)) {
+    case 0: return 0.0;
+    case 1: return -0.0;
+    default: return randomNumber(rng, above, decimals);
+  }
+}
+
+/// A campaign-like manifest: each test's repeats restart at 0 and share
+/// its spec, runs that failed to concretize have no spec, build steps or
+/// facets, and facets, outcomes and attempts vary per repeat.
+store::CampaignManifest randomManifest(Rng& rng) {
+  store::CampaignManifest manifest;
+  manifest.invocation.mode = "suite";
+  manifest.invocation.system = randomNasty(rng);
+  manifest.invocation.repeats = static_cast<int>(rng.below(5));
+  manifest.invocation.probe = rng.below(2) == 0 ? "" : "sim";
+  for (std::uint64_t tests = rng.below(5); tests > 0; --tests) {
+    store::RunManifest run;
+    run.test = randomNasty(rng);
+    run.target = rng.below(2) == 0 ? "archer2:compute" : randomNasty(rng);
+    if (rng.below(4) != 0) {  // concretized
+      run.environ = randomNasty(rng);
+      run.spec = randomNasty(rng);
+      run.specHash = randomNasty(rng);
+      run.planHash = randomNasty(rng);
+      run.binaryId = randomNasty(rng);
+      for (std::uint64_t n = rng.below(4); n > 0; --n) {
+        run.buildSteps.push_back(randomNasty(rng));
+      }
+      run.launchCommand = randomNasty(rng);
+    }
+    for (int repeat = 0, n = 1 + static_cast<int>(rng.below(4)); repeat < n;
+         ++repeat) {
+      run.repeat = repeat;
+      run.jobId = std::to_string(rng.below(3));
+      static constexpr std::array<const char*, 3> kOutcomes{
+          "pass", "fail", "quarantined"};
+      run.outcome = kOutcomes[rng.below(kOutcomes.size())];
+      run.failureStage = run.outcome == "pass" ? "" : randomNasty(rng);
+      run.attempts = static_cast<int>(rng.below(4));
+      if (rng.below(3) == 0) {
+        run.facets.clear();
+        for (std::uint64_t k = rng.below(4); k > 0; --k) {
+          run.facets[randomNasty(rng)] = randomNasty(rng);
+        }
+      }
+      manifest.runs.push_back(run);
+    }
+  }
+  for (std::uint64_t n = rng.below(10); n > 0; --n) {
+    const store::FomManifest above =
+        manifest.foms.empty() ? store::FomManifest{} : manifest.foms.back();
+    store::FomManifest fom;
+    fom.test = randomField(rng, above.test);
+    fom.target = randomField(rng, above.target);
+    fom.fom = randomField(rng, above.fom);
+    fom.mean = manifestNumber(rng, above.mean, 6);
+    fom.ciHalfwidth = manifestNumber(rng, above.ciHalfwidth, 6);
+    fom.ess = manifestNumber(rng, above.ess, 3);
+    fom.autocorr = manifestNumber(rng, above.autocorr, 6);
+    fom.repeats = rng.below(2) == 0 ? above.repeats
+                                    : static_cast<int>(rng.below(20));
+    manifest.foms.push_back(std::move(fom));
+  }
+  manifest.artifacts.push_back(
+      {"perflog", store::ObjectStore::hashBytes(randomNasty(rng)),
+       rng.below(100000)});
+  return manifest;
+}
+
+TEST_P(ManifestProperty, RoundTripsFieldByField) {
+  Rng rng(GetParam() * 101);
+  for (int i = 0; i < 40; ++i) {
+    const store::CampaignManifest manifest = randomManifest(rng);
+    const std::string text = manifest.render();
+    const store::CampaignManifest parsed = store::CampaignManifest::parse(text);
+    EXPECT_TRUE(parsed == manifest) << text;
+    EXPECT_EQ(parsed.render(), text);
+  }
+}
+
+TEST_P(ManifestProperty, DamagedRenderingsParseOrThrow) {
+  static constexpr std::string_view kStructural = "{}[]\":,\\\n-.e09";
+  Rng rng(GetParam() * 103);
+  store::CampaignManifest manifest;
+  while (manifest.runs.size() < 2) manifest = randomManifest(rng);
+  const std::string v2 = manifest.render();
+  for (const std::string_view original :
+       {std::string_view(v2), store::kVersion1Manifest}) {
+    ASSERT_NO_THROW((void)store::CampaignManifest::parse(std::string(original)));
+    for (int trial = 0; trial < 300; ++trial) {
+      try {
+        (void)store::CampaignManifest::parse(
+            damage(rng, original, kStructural));
+      } catch (const Error&) {
+        // Damage may be rejected; anything but rebench::Error fails.
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ManifestProperty, ::testing::Range(1, 5));
 
 // ---------------------------------------------------------------------------
 // Traces: a damaged campaign trace parses or throws rebench::Error, and

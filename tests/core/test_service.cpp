@@ -182,6 +182,26 @@ TEST_F(ServiceFixture, ScanFlagsTamperedSubmissions) {
   EXPECT_NE(scanned[0].error.find("hash"), std::string::npos);
 }
 
+// queueDepth counts the listed submissions with no <id>.json verdict: a
+// temp fragment that a cut verdict write left behind answers nothing.
+TEST_F(ServiceFixture, QueueDepthCountsSubmissionsWithoutAVerdict) {
+  const Submission answered = enqueueSubmission(queue_, invocation("a"));
+  const Submission torn = enqueueSubmission(queue_, invocation("b"));
+  enqueueSubmission(queue_, invocation("c"));
+  EXPECT_EQ(queueDepth(queue_), 3);  // no verdicts/ directory yet
+  Verdict verdict;
+  verdict.submission = answered.id;
+  verdict.verdict = "ran:pass";
+  writeVerdict(queue_, verdict);
+  std::ofstream(verdictPath(queue_, torn.id) + ".tmp.4242.0") << "{\"sch";
+  EXPECT_EQ(queueDepth(queue_), 2);
+  EXPECT_EQ(queueDepth(queue_), unansweredByScan(queue_));
+  verdict.submission = torn.id;
+  writeVerdict(queue_, verdict);
+  EXPECT_EQ(queueDepth(queue_), 1);
+  EXPECT_EQ(queueDepth(queue_), unansweredByScan(queue_));
+}
+
 TEST_F(ServiceFixture, VerdictSerializationRoundtrips) {
   Verdict verdict;
   verdict.submission = "abc123";
