@@ -15,8 +15,8 @@ std::vector<TestRunResult> Pipeline::runAll(
     std::span<const RegressionTest> tests,
     std::span<const std::string> targets, PerfLog* perflog,
     RunJournal* journal, CampaignReport* report) {
-  CampaignExecutor executor(*this, options_.jobs);
-  return executor.run(tests, targets, perflog, journal, report);
+  return runWindows(tests, targets, {}, RepeatWindow{0, options_.numRepeats},
+                    perflog, journal, report);
 }
 
 std::vector<TestRunResult> Pipeline::runWindows(
@@ -25,22 +25,18 @@ std::vector<TestRunResult> Pipeline::runWindows(
     const std::map<std::string, RepeatWindow>& windows,
     std::optional<RepeatWindow> defaultWindow, PerfLog* perflog,
     RunJournal* journal, CampaignReport* report) {
-  CampaignExecutor executor(*this, options_.jobs);
-  executor.setWindows(&windows, defaultWindow);
+  CampaignExecutor executor(*this, options_.jobs, windows, defaultWindow);
   return executor.run(tests, targets, perflog, journal, report);
 }
 
-void CampaignExecutor::setWindows(
-    const std::map<std::string, RepeatWindow>* windows,
-    std::optional<RepeatWindow> defaultWindow) {
-  windows_ = windows;
-  defaultWindow_ = defaultWindow;
-  windowed_ = true;
-}
-
-CampaignExecutor::CampaignExecutor(Pipeline& pipeline, int jobs)
+CampaignExecutor::CampaignExecutor(
+    Pipeline& pipeline, int jobs,
+    const std::map<std::string, RepeatWindow>& windows,
+    std::optional<RepeatWindow> defaultWindow)
     : pipeline_(pipeline),
       jobs_(std::max(1, jobs)),
+      windows_(windows),
+      defaultWindow_(defaultWindow),
       pairBreaker_(pipeline.options_.breaker.pairThreshold),
       partitionBreaker_(kPartitionBreakerThreshold) {}
 
@@ -51,21 +47,11 @@ void CampaignExecutor::enumerate(std::span<const RegressionTest> tests,
     const std::string partitionKey = system->name + ":" + partition->name;
     for (const RegressionTest& test : tests) {
       if (!test.matchesTarget(system->name, partition->name)) continue;
-      int repeatBegin = 0;
-      int repeatEnd = pipeline_.options_.numRepeats;
-      if (windowed_) {
-        const auto window = windows_->find(test.name + "@" + partitionKey);
-        if (window != windows_->end()) {
-          repeatBegin = window->second.begin;
-          repeatEnd = window->second.end;
-        } else if (defaultWindow_) {
-          repeatBegin = defaultWindow_->begin;
-          repeatEnd = defaultWindow_->end;
-        } else {
-          continue;
-        }
-      }
-      for (int repeat = repeatBegin; repeat < repeatEnd; ++repeat) {
+      const auto found = windows_.find(test.name + "@" + partitionKey);
+      if (found == windows_.end() && !defaultWindow_) continue;
+      const RepeatWindow window =
+          found != windows_.end() ? found->second : *defaultWindow_;
+      for (int repeat = window.begin; repeat < window.end; ++repeat) {
         if (const std::string* outcome =
                 journal_ != nullptr
                     ? journal_->outcome(test.name, target, repeat)

@@ -2,7 +2,8 @@
 // (test, target, repeat) campaigns with deterministic, byte-identical
 // output.
 //
-// Pipeline::runAll delegates here for every job count.  Campaigns are
+// Pipeline::runWindows (and so runAll, one window of numRepeats repeats
+// per pair) delegates here for every job count.  Campaigns are
 // enumerated in canonical suite order (targets → matching tests →
 // repeats) and executed on up to `jobs` workers; each campaign records
 // into its *own* tracer/metrics/perflog shard, and the shards are merged
@@ -46,22 +47,18 @@ namespace rebench {
 
 class CampaignExecutor {
  public:
-  /// `pipeline` must outlive the executor; `jobs` < 1 reads as 1.
-  CampaignExecutor(Pipeline& pipeline, int jobs);
+  /// `pipeline` and `windows` must outlive the executor; `jobs` < 1
+  /// reads as 1.  The windows are Pipeline::runWindows's.
+  CampaignExecutor(Pipeline& pipeline, int jobs,
+                   const std::map<std::string, RepeatWindow>& windows,
+                   std::optional<RepeatWindow> defaultWindow);
 
-  /// Executes the full campaign; semantics and output bytes match
-  /// Pipeline::runAll's contract for every job count.
+  /// Executes the campaign; semantics and output bytes match
+  /// Pipeline::runWindows's contract for every job count.
   std::vector<TestRunResult> run(std::span<const RegressionTest> tests,
                                  std::span<const std::string> targets,
                                  PerfLog* perflog, RunJournal* journal,
                                  CampaignReport* report);
-
-  /// Restricts enumeration to per-pair repeat windows (see
-  /// Pipeline::runWindows).  Must be called before run(); `windows`
-  /// must outlive it.  Pairs without an entry use `defaultWindow` when
-  /// set and are skipped otherwise.
-  void setWindows(const std::map<std::string, RepeatWindow>* windows,
-                  std::optional<RepeatWindow> defaultWindow);
 
  private:
   struct Unit {
@@ -113,9 +110,8 @@ class CampaignExecutor {
 
   Pipeline& pipeline_;
   int jobs_;
-  const std::map<std::string, RepeatWindow>* windows_ = nullptr;
+  const std::map<std::string, RepeatWindow>& windows_;
   std::optional<RepeatWindow> defaultWindow_;
-  bool windowed_ = false;
 
   std::mutex mutex_;
   std::vector<Unit> units_;

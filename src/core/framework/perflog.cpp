@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <fstream>
 
 #include "core/fault/journal.hpp"
+#include "core/util/ditto.hpp"
 #include "core/util/error.hpp"
 #include "core/util/strings.hpp"
 
@@ -34,9 +34,18 @@ void put(std::string& line, std::string_view key, std::string_view value) {
 
 /// What every perflog object schema starts with.
 constexpr std::string_view kObjectPrefix = "rebench.perflog/";
-/// Marks a field equal to the same field of the line above.  A perflog
-/// field is `key=value` with a non-empty key, so it is never a lone '='.
-constexpr std::string_view kDitto = "=";
+
+/// The non-blank lines of the perflog file at `path`.
+std::vector<std::string> readLines(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) throw Error("cannot read perflog file '" + path + "'");
+  std::vector<std::string> lines;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (!str::trim(line).empty()) lines.push_back(line);
+  }
+  return lines;
+}
 
 }  // namespace
 
@@ -109,14 +118,7 @@ void PerfLog::append(const PerfLogEntry& entry) {
 }
 
 std::vector<PerfLogEntry> PerfLog::readFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw Error("cannot read perflog file '" + path + "'");
-  std::vector<std::string> lines;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (!str::trim(line).empty()) lines.push_back(line);
-  }
-  return parseLines(lines);
+  return parseLines(readLines(path));
 }
 
 std::vector<PerfLogEntry> PerfLog::parseLines(
@@ -130,14 +132,7 @@ std::vector<PerfLogEntry> PerfLog::parseLines(
 }
 
 PerfLog::LenientParse PerfLog::readFileLenient(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw Error("cannot read perflog file '" + path + "'");
-  std::vector<std::string> lines;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (!str::trim(line).empty()) lines.push_back(line);
-  }
-  return parseLinesLenient(lines);
+  return parseLinesLenient(readLines(path));
 }
 
 PerfLog::LenientParse PerfLog::parseLinesLenient(
@@ -156,24 +151,17 @@ PerfLog::LenientParse PerfLog::parseLinesLenient(
 }
 
 std::string encodePerflogObject(std::span<const std::string> lines) {
-  std::string out = std::string(kPerflogObjectSchema) + "|" +
-                    std::to_string(lines.size()) + "\n";
-  std::vector<std::string> above;
+  ditto::Writer writer(kPerflogObjectSchema, lines.size());
   for (const std::string& line : lines) {
-    std::vector<std::string> fields = str::split(line, '|');
-    for (std::size_t i = 0; i < fields.size(); ++i) {
-      if (fields[i].empty() || fields[i] == kDitto ||
-          fields[i].find('\n') != std::string::npos) {
-        throw Error("perflog line cannot be stored ditto-coded: '" + line +
-                    "'");
-      }
-      if (i != 0) out += '|';
-      out += i < above.size() && fields[i] == above[i] ? kDitto : fields[i];
+    const std::vector<std::string> fields = str::split(line, '|');
+    if (std::ranges::any_of(fields,
+                            [](const std::string& f) { return f.empty(); })) {
+      throw Error("perflog line cannot be stored ditto-coded: '" + line +
+                  "'");
     }
-    out += '\n';
-    above = std::move(fields);
+    writer.row(fields);
   }
-  return out;
+  return writer.take();
 }
 
 std::string decodePerflogObject(std::string_view bytes) {
@@ -184,49 +172,14 @@ std::string decodePerflogObject(std::string_view bytes) {
                 "' (this build reads " + std::string(kPerflogObjectSchema) +
                 " and raw perflogs)");
   }
-  if (bytes.back() != '\n') {
-    throw Error("perflog object does not end in a newline");
-  }
-  std::string_view rest = bytes;
-  const auto nextLine = [&] {
-    const std::string_view line = rest.substr(0, rest.find('\n'));
-    rest.remove_prefix(line.size() + 1);
-    return line;
-  };
-  // The schema ends at the header's first '|' or at its end.
-  const std::string_view header = nextLine();
-  if (header.size() == schema.size()) {
-    throw Error("perflog object header '" + std::string(header) +
-                "' has no line count");
-  }
-  const auto count = str::parseWhole<std::uint64_t>(
-      header.substr(schema.size() + 1), "perflog object line count");
-  const auto lines =
-      static_cast<std::uint64_t>(std::count(rest.begin(), rest.end(), '\n'));
-  if (lines != count) {
-    throw Error("perflog object holds " + std::to_string(lines) +
-                " lines, its header says " + std::to_string(count));
-  }
+  ditto::Reader reader(bytes, 2, "perflog object", "line");
   std::string out;
-  std::vector<std::string> above;
-  while (!rest.empty()) {
-    std::vector<std::string> fields = str::split(nextLine(), '|');
-    for (std::size_t i = 0; i < fields.size(); ++i) {
-      if (fields[i] == kDitto) {
-        if (above.empty()) {
-          throw Error("perflog object's first line has a ditto field");
-        }
-        if (i >= above.size()) {
-          throw Error("perflog object line has a ditto past the end of the "
-                      "line above");
-        }
-        fields[i] = above[i];
-      }
+  while (reader.next()) {
+    for (std::size_t i = 0; i < reader.fields().size(); ++i) {
       if (i != 0) out += '|';
-      out += fields[i];
+      out += reader.fields()[i];
     }
     out += '\n';
-    above = std::move(fields);
   }
   return out;
 }

@@ -81,20 +81,17 @@ class PerfLog {
   std::vector<std::string> lines_;
 };
 
-/// Encodes perflog `lines` as a kPerflogObjectSchema object: the header
-/// line `rebench.perflog/2|N`, then the N lines, each ending in '\n'.
-/// Within a line, a '|'-separated field equal to the same field of the
-/// line above is written as a lone '='; the first line never is.  Throws
-/// rebench::Error on a line that could not round-trip: one holding a
-/// newline, an empty field or a lone '=' field.
+/// Encodes perflog `lines` as a kPerflogObjectSchema object: the lines'
+/// '|'-separated fields ditto-coded (core/util/ditto.hpp) under the
+/// header `rebench.perflog/2|N`.  Throws rebench::Error on a line that
+/// could not round-trip: one holding a newline, an empty field or a lone
+/// '=' field.
 std::string encodePerflogObject(std::span<const std::string> lines);
 
 /// The perflog bytes (each line followed by '\n') that a stored perflog
 /// object holds; a raw (v1) object decodes to itself.  Throws
-/// rebench::Error on a damaged kPerflogObjectSchema object (a wrong
-/// header, a line count other than its header's, no final newline, a
-/// ditto in the first line or past the end of the line above) and on
-/// any other "rebench.perflog/" schema.
+/// rebench::Error on a damaged kPerflogObjectSchema object (whatever
+/// ditto::Reader refuses) and on any other "rebench.perflog/" schema.
 std::string decodePerflogObject(std::string_view bytes);
 
 }  // namespace rebench

@@ -25,6 +25,21 @@ std::regex compileRegex(const std::string& pattern) {
   return std::regex(pattern);
 }
 
+/// A fired watchdog's `fault.watchdog` event and counters.
+void noteWatchdog(obs::Tracer* tracer, obs::MetricsRegistry* metrics,
+                  const WatchdogFire& fire) {
+  if (tracer != nullptr) {
+    tracer->event("fault.watchdog",
+                  {{"stage", fire.stage},
+                   {"limit_seconds", str::fixed(fire.limitSeconds, 6)},
+                   {"elapsed_seconds", str::fixed(fire.elapsedSeconds, 6)}});
+  }
+  if (metrics != nullptr) {
+    metrics->counter("fault.watchdog_fired").inc();
+    metrics->counter("fault.watchdog_fired/" + fire.stage).inc();
+  }
+}
+
 }  // namespace
 
 Pipeline::Pipeline(const SystemRegistry& systems,
@@ -36,8 +51,7 @@ Pipeline::Pipeline(const SystemRegistry& systems,
   if (options_.store != nullptr) {
     options_.store->setObservability(options_.metrics);
     if (options_.cacheBuilds) {
-      buildCache_.emplace(*options_.store, options_.tracer,
-                          options_.metrics);
+      buildCache_.emplace(*options_.store);
     }
   }
   if (options_.faults.enabled()) injector_.emplace(options_.faults);
@@ -102,22 +116,13 @@ TestRunResult Pipeline::runCampaign(const RegressionTest& test,
     // this stage would blow its deadline, the stage is effectively hung —
     // promote the transient failure to infrastructure instead of backing
     // off forever.
-    const double stageLimit = options_.watchdog.stageTimeoutSeconds;
-    if (stageLimit > 0.0 && backoffPerStage[stage] + wait > stageLimit) {
-      const double elapsed = backoffPerStage[stage] + wait;
-      if (ctx.tracer != nullptr) {
-        ctx.tracer->event("fault.watchdog",
-                          {{"stage", stage},
-                           {"limit_seconds", str::fixed(stageLimit, 6)},
-                           {"elapsed_seconds", str::fixed(elapsed, 6)}});
-      }
-      if (ctx.metrics != nullptr) {
-        ctx.metrics->counter("fault.watchdog_fired").inc();
-        ctx.metrics->counter("fault.watchdog_fired/" + stage).inc();
-      }
+    if (const auto fired = checkStageDeadline(
+            options_.watchdog, stage, backoffPerStage[stage] + wait)) {
+      noteWatchdog(ctx.tracer, ctx.metrics, *fired);
       result.failure.klass = FailureClass::kInfrastructure;
       result.failure.detail = "watchdog: retry backoff for stage '" + stage +
-                              "' exceeded its " + str::fixed(stageLimit, 1) +
+                              "' exceeded its " +
+                              str::fixed(fired->limitSeconds, 1) +
                               "s deadline";
       break;
     }
@@ -201,37 +206,57 @@ TestRunResult Pipeline::runOnce(const RegressionTest& test,
     }
   };
 
-  auto noteWatchdog = [tracer, metrics](const WatchdogFire& fire) {
-    if (tracer != nullptr) {
-      tracer->event("fault.watchdog",
-                    {{"stage", fire.stage},
-                     {"limit_seconds", str::fixed(fire.limitSeconds, 6)},
-                     {"elapsed_seconds", str::fixed(fire.elapsedSeconds, 6)}});
-    }
-    if (metrics != nullptr) {
-      metrics->counter("fault.watchdog_fired").inc();
-      metrics->counter("fault.watchdog_fired/" + fire.stage).inc();
-    }
-  };
-
-  auto fail = [&result, &attemptSpan](
-                  std::string stage, std::string detail,
-                  std::optional<FailureClass> klass = std::nullopt) {
-    attemptSpan.attr("result", "fail");
-    attemptSpan.attr("failure_stage", stage);
-    result.failure.klass = klass ? *klass : classifyFailure(stage, detail);
-    attemptSpan.attr("failure_class",
-                     std::string(failureClassName(result.failure.klass)));
-    result.failure.stage = std::move(stage);
-    result.failure.detail = std::move(detail);
-    result.passed = false;
-    return result;
-  };
   auto appendPerflog = [&ctx, metrics](const PerfLogEntry& entry) {
     ctx.perfBuffer->push_back(entry);
     if (metrics != nullptr) {
       metrics->counter("pipeline.perflog_lines").inc();
     }
+  };
+
+  std::shared_ptr<const ConcreteSpec> concrete;
+  JobId jobId = 0;
+  // Shared provenance for every perflog record of this attempt, as far as
+  // the attempt got.  The timestamp stays empty here: records are stamped
+  // in canonical order when the buffer is flushed, which keeps the
+  // numbering identical however campaigns were scheduled.
+  auto provenancedEntry = [&]() {
+    PerfLogEntry entry;
+    entry.system = result.system;
+    entry.partition = result.partition;
+    entry.environ = result.environ;
+    entry.testName = test.name;
+    if (concrete != nullptr) {
+      entry.spec = concrete->shortForm();
+      entry.specHash = concrete->dagHash();
+    }
+    entry.binaryId = result.build.binaryId;
+    entry.jobId = std::to_string(jobId);
+    entry.extras["attempt"] = std::to_string(attempt);
+    return entry;
+  };
+  // Failed attempts are data, not gaps: every failure writes one
+  // result=error perflog record naming its stage, class, reason and
+  // attempt, so retries are auditable and failed combinations are the
+  // white "*" boxes of Figure 2.
+  auto fail = [&](std::string stage, std::string detail,
+                  std::optional<FailureClass> klass = std::nullopt) {
+    attemptSpan.attr("result", "fail");
+    attemptSpan.attr("failure_stage", stage);
+    result.failure.klass = klass ? *klass : classifyFailure(stage, detail);
+    const std::string className(failureClassName(result.failure.klass));
+    attemptSpan.attr("failure_class", className);
+    if (ctx.perfBuffer != nullptr) {
+      PerfLogEntry entry = provenancedEntry();
+      entry.fomName = stage;
+      entry.result = "error";
+      entry.extras["error"] = detail;
+      entry.extras["failure_class"] = className;
+      appendPerflog(entry);
+    }
+    result.failure.stage = std::move(stage);
+    result.failure.detail = std::move(detail);
+    result.passed = false;
+    return result;
   };
 
   // Per-stage resource accounting (--probe): a sample around build/run,
@@ -273,7 +298,6 @@ TestRunResult Pipeline::runOnce(const RegressionTest& test,
   };
 
   // --- Stage 1: concretize (Principle 4) -------------------------------
-  std::shared_ptr<const ConcreteSpec> concrete;
   {
     obs::ScopedSpan span(tracer, "concretize", stageHistogram("concretize"));
     try {
@@ -324,7 +348,7 @@ TestRunResult Pipeline::runOnce(const RegressionTest& test,
     }
     if (auto fired = checkStageDeadline(options_.watchdog, "build",
                                         result.build.buildSeconds)) {
-      noteWatchdog(*fired);
+      noteWatchdog(tracer, metrics, *fired);
       span.attr("result", "error");
       return fail("build", fired->failure().detail,
                   FailureClass::kInfrastructure);
@@ -396,7 +420,6 @@ TestRunResult Pipeline::runOnce(const RegressionTest& test,
     return outcome;
   };
 
-  JobId jobId = 0;
   {
     obs::ScopedSpan span(tracer, "submit", stageHistogram("submit"));
     try {
@@ -457,45 +480,12 @@ TestRunResult Pipeline::runOnce(const RegressionTest& test,
     result.jobScript = renderJobScript(*partition, script);
   }
 
-  // Shared provenance for every perflog record of this attempt.  The
-  // timestamp stays empty here: records are stamped in canonical order
-  // when the buffer is flushed, which keeps the numbering identical
-  // however campaigns were scheduled.
-  auto provenancedEntry = [&]() {
-    PerfLogEntry entry;
-    entry.system = result.system;
-    entry.partition = result.partition;
-    entry.environ = result.environ;
-    entry.testName = test.name;
-    entry.spec = concrete->shortForm();
-    entry.specHash = concrete->dagHash();
-    entry.binaryId = result.build.binaryId;
-    entry.jobId = std::to_string(jobId);
-    entry.extras["attempt"] = std::to_string(attempt);
-    return entry;
-  };
-  // Failed attempts are data, not gaps: the failure stage, class, reason
-  // and attempt number all land in the perflog so retries are auditable.
-  auto logFailure = [&](const std::string& stage, const std::string& detail,
-                        FailureClass klass) {
-    if (ctx.perfBuffer == nullptr) return;
-    PerfLogEntry entry = provenancedEntry();
-    entry.fomName = stage;
-    entry.value = 0.0;
-    entry.unit = Unit::kNone;
-    entry.result = "error";
-    entry.extras["error"] = detail;
-    entry.extras["failure_class"] = std::string(failureClassName(klass));
-    appendPerflog(entry);
-  };
-
   // A hung simulated stage: queue wait + execution blew the run deadline.
   if (auto fired = checkStageDeadline(options_.watchdog, "run",
                                       job->endTime - job->submitTime)) {
-    noteWatchdog(*fired);
-    const std::string detail = fired->failure().detail;
-    logFailure("run", detail, FailureClass::kInfrastructure);
-    return fail("run", detail, FailureClass::kInfrastructure);
+    noteWatchdog(tracer, metrics, *fired);
+    return fail("run", fired->failure().detail,
+                FailureClass::kInfrastructure);
   }
 
   // --- Telemetry capture (paper §4 future work) ---------------------------
@@ -535,9 +525,6 @@ TestRunResult Pipeline::runOnce(const RegressionTest& test,
     const FailureClass klass = output.launchFailed
                                    ? FailureClass::kPermanent
                                    : classifyFailure("run", detail);
-    // Record the failure in the perflog too: failed combinations are data
-    // (the white "*" boxes of Figure 2), not gaps.
-    logFailure("run", detail, klass);
     return fail("run", detail, klass);
   }
 
@@ -548,10 +535,8 @@ TestRunResult Pipeline::runOnce(const RegressionTest& test,
       const std::regex sanity = compileRegex(test.sanityPattern);
       if (!std::regex_search(result.stdoutText, sanity)) {
         span.attr("result", "fail");
-        const std::string detail =
-            "pattern '" + test.sanityPattern + "' not found in output";
-        logFailure("sanity", detail, FailureClass::kTransient);
-        return fail("sanity", detail);
+        return fail("sanity",
+                    "pattern '" + test.sanityPattern + "' not found in output");
       }
     }
     result.sanityPassed = true;
@@ -568,21 +553,18 @@ TestRunResult Pipeline::runOnce(const RegressionTest& test,
     if (!std::regex_search(result.stdoutText, match, re) ||
         match.size() < 2) {
       perfSpan.attr("result", "fail");
-      const std::string detail = "FOM '" + pattern.fomName +
-                                 "' not found via /" + pattern.pattern + "/";
-      logFailure("performance", detail, FailureClass::kTransient);
-      return fail("performance", detail);
+      return fail("performance", "FOM '" + pattern.fomName +
+                                     "' not found via /" + pattern.pattern +
+                                     "/");
     }
     double value = 0.0;
     try {
       value = std::stod(match[1].str());
     } catch (const std::exception&) {
       perfSpan.attr("result", "fail");
-      const std::string detail = "FOM '" + pattern.fomName +
-                                 "' captured non-numeric '" +
-                                 match[1].str() + "'";
-      logFailure("performance", detail, FailureClass::kTransient);
-      return fail("performance", detail);
+      return fail("performance", "FOM '" + pattern.fomName +
+                                     "' captured non-numeric '" +
+                                     match[1].str() + "'");
     }
     result.foms[pattern.fomName] = value;
     if (metrics != nullptr) {
@@ -702,23 +684,19 @@ BuildRecord Pipeline::buildViaCache(const BuildPlan& plan,
                                               : "cached");
   }
 
-  if (role == Role::kLeader && attempt == 1) {
-    // The leader of a cold key *knows* the store has no verified record;
-    // record the miss without probing so concurrent followers never see a
-    // half-published entry, then build and publish.
+  // The leader of a cold key *knows* the store has no verified record; it
+  // records the miss without probing so concurrent followers never see a
+  // half-published entry, then builds and publishes.
+  const bool leads = role == Role::kLeader && attempt == 1;
+  if (leads) {
     buildCache_->recordMiss(key, ctx.tracer, ctx.metrics);
-    BuildRecord record = builder_.build(plan);
-    buildCache_->insert(key, record, ctx.tracer);
-    if (ctx.singleFlight != nullptr) ctx.singleFlight->publish(key);
-    return record;
-  }
-
-  if (std::optional<BuildRecord> hit =
-          buildCache_->lookup(key, plan, ctx.tracer, ctx.metrics)) {
+  } else if (std::optional<BuildRecord> hit = buildCache_->lookup(
+                 key, plan, ctx.tracer, ctx.metrics)) {
     return *hit;
   }
   BuildRecord record = builder_.build(plan);
   buildCache_->insert(key, record, ctx.tracer);
+  if (leads && ctx.singleFlight != nullptr) ctx.singleFlight->publish(key);
   return record;
 }
 

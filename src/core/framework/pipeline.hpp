@@ -237,29 +237,29 @@ class Pipeline {
   TestRunResult runOne(const RegressionTest& test, std::string_view target,
                        PerfLog* perflog = nullptr, int repeatIndex = 0);
 
-  /// Runs every test on every matching target; skips non-matching pairs.
-  /// With a `journal`, already-recorded (test, target, repeat) tuples are
-  /// skipped and completed ones appended — the --resume mechanism.  A
-  /// circuit breaker (options.breaker) quarantines pairs/partitions after
-  /// consecutive infrastructure failures; quarantined tuples yield
-  /// results with failure.stage == "quarantine" instead of executing.
-  /// Campaigns execute on options.jobs workers (see CampaignExecutor);
-  /// output bytes are independent of the job count.
+  /// Runs every test on every matching target, repeats [0, numRepeats):
+  /// runWindows with that one default window.
   std::vector<TestRunResult> runAll(std::span<const RegressionTest> tests,
                                     std::span<const std::string> targets,
                                     PerfLog* perflog = nullptr,
                                     RunJournal* journal = nullptr,
                                     CampaignReport* report = nullptr);
 
-  /// runAll restricted to explicit per-pair repeat windows: each
-  /// (test, target) pair runs repeats [begin, end) from `windows`
-  /// (keyed "test@system:partition"); pairs without an entry fall back
-  /// to `defaultWindow` when provided and are skipped entirely
-  /// otherwise.  The adaptive run-length controller (rebench::infer)
-  /// grows sampling round by round through this; every executor
-  /// guarantee (canonical merge order, byte-identical output at any
-  /// --jobs width) holds per call, and timestamps stay monotone across
-  /// calls because the logical clock lives on the pipeline.
+  /// Runs every test on every matching target over per-pair repeat
+  /// windows: each (test, target) pair runs repeats [begin, end) from
+  /// `windows` (keyed "test@system:partition"); pairs without an entry
+  /// fall back to `defaultWindow` when provided and are skipped entirely
+  /// otherwise.  With a `journal`, already-recorded (test, target,
+  /// repeat) tuples are skipped and completed ones appended — the
+  /// --resume mechanism.  A circuit breaker (options.breaker)
+  /// quarantines pairs/partitions after consecutive infrastructure
+  /// failures; quarantined tuples yield results with failure.stage ==
+  /// "quarantine" instead of executing.  Campaigns execute on
+  /// options.jobs workers (see CampaignExecutor); output bytes are
+  /// independent of the job count.  The adaptive run-length controller
+  /// (rebench::infer) grows sampling round by round through this, and
+  /// timestamps stay monotone across calls because the logical clock
+  /// lives on the pipeline.
   std::vector<TestRunResult> runWindows(
       std::span<const RegressionTest> tests,
       std::span<const std::string> targets,

@@ -3,12 +3,11 @@
 #include <sys/stat.h>
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <ctime>
 #include <iomanip>
+#include <set>
 #include <sstream>
-#include <type_traits>
 
 #include "core/framework/perflog.hpp"
 #include "core/framework/pipeline.hpp"
@@ -16,7 +15,9 @@
 #include "core/infer/estimator.hpp"
 #include "core/obs/json.hpp"
 #include "core/obs/metrics.hpp"
+#include "core/store/manifest.hpp"
 #include "core/store/object_store.hpp"
+#include "core/util/ditto.hpp"
 #include "core/util/error.hpp"
 #include "core/util/strings.hpp"
 
@@ -24,43 +25,43 @@ namespace rebench::history {
 
 std::vector<FomAggregate> aggregateFoms(
     std::span<const TestRunResult> results) {
-  struct Accumulator {
+  struct Series {
+    FomAggregate aggregate;
     double sum = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-    int repeats = 0;
     std::vector<double> samples;  // repeat order, for the CI/ESS view
   };
   // Keyed (test, target, fom) so output order is canonical regardless of
   // the (already canonical) result order.
-  std::map<std::string, Accumulator> series;
-  std::map<std::string, FomAggregate> names;
+  std::map<std::string, Series> series;
   for (const TestRunResult& result : results) {
     if (result.quarantined || result.foms.empty()) continue;
     const std::string target = result.system + ":" + result.partition;
     for (const auto& [fom, value] : result.foms) {
-      const std::string key = result.testName + "|" + target + "|" + fom;
-      Accumulator& acc = series[key];
-      if (acc.repeats == 0) {
-        acc.min = value;
-        acc.max = value;
-        names[key] = {result.testName, target, fom, 0.0, 0.0, 0.0, 0};
+      Series& acc = series[result.testName + "|" + target + "|" + fom];
+      FomAggregate& aggregate = acc.aggregate;
+      if (acc.samples.empty()) {
+        aggregate.test = result.testName;
+        aggregate.target = target;
+        aggregate.fom = fom;
+        // A (test, system) pair concretizes to one DAG.
+        if (result.concreteSpec != nullptr) {
+          aggregate.specHash = result.concreteSpec->dagHash();
+        }
+        aggregate.min = value;
+        aggregate.max = value;
       }
       acc.sum += value;
-      acc.min = std::min(acc.min, value);
-      acc.max = std::max(acc.max, value);
+      aggregate.min = std::min(aggregate.min, value);
+      aggregate.max = std::max(aggregate.max, value);
       acc.samples.push_back(value);
-      ++acc.repeats;
     }
   }
   std::vector<FomAggregate> out;
   out.reserve(series.size());
-  for (const auto& [key, acc] : series) {
-    FomAggregate aggregate = names.at(key);
-    aggregate.mean = acc.sum / acc.repeats;
-    aggregate.min = acc.min;
-    aggregate.max = acc.max;
-    aggregate.repeats = acc.repeats;
+  for (auto& [key, acc] : series) {
+    FomAggregate& aggregate = acc.aggregate;
+    aggregate.repeats = static_cast<int>(acc.samples.size());
+    aggregate.mean = acc.sum / aggregate.repeats;
     const infer::SeriesEstimate est = infer::estimateSeries(acc.samples);
     // A single repeat has no defined interval; record 0 = "unknown"
     // rather than an unserializable infinity.
@@ -112,20 +113,18 @@ namespace {
 /// Fields of a kSegmentSchema header and of each of its rows.
 constexpr std::size_t kHeaderFields = 5;
 constexpr std::size_t kRowFields = 13;
-/// Marks a row field equal to the same field of the row above.
-constexpr std::string_view kDitto = "=";
 /// What every segment schema starts with.
 constexpr std::string_view kSchemaPrefix = "rebench.history/";
 
-/// A record's row fields before escaping, in column order.  The numbers
-/// keep rebench.history/1's text, so both encodings parse to one double.
-std::array<std::string, kRowFields> rowFields(const HistoryRecord& record) {
-  return {record.test,
-          record.target,
-          record.fom,
-          record.manifestHash,
-          record.envFingerprint,
-          record.specHash,
+/// A record's row fields, text escaped.  The numbers keep
+/// rebench.history/1's text, so both encodings parse to one double.
+std::vector<std::string> rowFields(const HistoryRecord& record) {
+  return {str::percentEscape(record.test),
+          str::percentEscape(record.target),
+          str::percentEscape(record.fom),
+          str::percentEscape(record.manifestHash),
+          str::percentEscape(record.envFingerprint),
+          str::percentEscape(record.specHash),
           str::fixed(record.mean, 6),
           str::fixed(record.min, 6),
           str::fixed(record.max, 6),
@@ -135,101 +134,46 @@ std::array<std::string, kRowFields> rowFields(const HistoryRecord& record) {
           str::fixed(record.simTimestamp, 6)};
 }
 
-/// Splits `line` on '|' into `fields` (views into `line`).
-void splitFields(std::string_view line, std::vector<std::string_view>& fields) {
-  fields.clear();
-  while (true) {
-    const std::size_t bar = line.find('|');
-    fields.push_back(line.substr(0, bar));
-    if (bar == std::string_view::npos) return;
-    line.remove_prefix(bar + 1);
-  }
-}
-
-/// One row of a kSegmentSchema segment; `above` is the record of the row
-/// before it (null for the first row).  Number fields are never escaped.
-HistoryRecord parseRow(const std::vector<std::string_view>& fields,
-                       const HistoryRecord* above, std::uint64_t seq) {
+/// One row of a kSegmentSchema segment, its dittos resolved.
+HistoryRecord parseRow(std::span<const std::string_view> fields,
+                       std::uint64_t seq) {
   HistoryRecord record;
   record.seq = seq;
-  std::size_t column = 0;
-  // The next field, or nullopt when it repeats the row above.
-  const auto next = [&]() -> std::optional<std::string_view> {
-    const std::string_view field = fields[column++];
-    if (field != kDitto) return field;
-    if (above == nullptr) {
-      throw Error("history segment's first row has a ditto field");
-    }
-    return std::nullopt;
-  };
-  const auto text = [&](std::string HistoryRecord::*member) {
-    const auto field = next();
-    record.*member = field ? str::percentUnescape(*field) : above->*member;
-  };
-  const auto number = [&](auto HistoryRecord::*member, std::string_view name) {
-    const auto field = next();
-    using Number = std::remove_reference_t<decltype(record.*member)>;
-    record.*member = field ? str::parseWhole<Number>(*field, name)
-                           : above->*member;
-  };
-  text(&HistoryRecord::test);
-  text(&HistoryRecord::target);
-  text(&HistoryRecord::fom);
-  text(&HistoryRecord::manifestHash);
-  text(&HistoryRecord::envFingerprint);
-  text(&HistoryRecord::specHash);
-  number(&HistoryRecord::mean, "history mean");
-  number(&HistoryRecord::min, "history min");
-  number(&HistoryRecord::max, "history max");
-  number(&HistoryRecord::ci, "history ci");
-  number(&HistoryRecord::ess, "history ess");
-  number(&HistoryRecord::repeats, "history repeats");
-  number(&HistoryRecord::simTimestamp, "history sim_timestamp");
+  record.test = str::percentUnescape(fields[0]);
+  record.target = str::percentUnescape(fields[1]);
+  record.fom = str::percentUnescape(fields[2]);
+  record.manifestHash = str::percentUnescape(fields[3]);
+  record.envFingerprint = str::percentUnescape(fields[4]);
+  record.specHash = str::percentUnescape(fields[5]);
+  record.mean = str::parseWhole<double>(fields[6], "history mean");
+  record.min = str::parseWhole<double>(fields[7], "history min");
+  record.max = str::parseWhole<double>(fields[8], "history max");
+  record.ci = str::parseWhole<double>(fields[9], "history ci");
+  record.ess = str::parseWhole<double>(fields[10], "history ess");
+  record.repeats = str::parseWhole<int>(fields[11], "history repeats");
+  record.simTimestamp =
+      str::parseWhole<double>(fields[12], "history sim_timestamp");
   return record;
 }
 
 std::vector<HistoryRecord> parseRows(std::string_view bytes,
                                      std::string* prevHash,
                                      std::uint64_t* seq) {
-  if (bytes.empty() || bytes.back() != '\n') {
-    throw Error("history segment does not end in a newline");
-  }
-  std::vector<std::string_view> fields;
-  std::string_view rest = bytes;
-  const auto nextLine = [&] {
-    const std::size_t end = rest.find('\n');
-    splitFields(rest.substr(0, end), fields);
-    rest.remove_prefix(end + 1);
-  };
-  nextLine();
-  if (fields.size() != kHeaderFields) {
-    throw Error("history segment header has " + std::to_string(fields.size()) +
-                " fields (expected " + std::to_string(kHeaderFields) + ")");
-  }
-  std::string prev = str::percentUnescape(fields[1]);
-  const auto headerSeq =
-      str::parseWhole<std::uint64_t>(fields[2], "history segment seq");
-  const auto base =
-      str::parseWhole<std::uint64_t>(fields[3], "history segment base");
-  const auto count =
-      str::parseWhole<std::uint64_t>(fields[4], "history segment records");
-  const auto rows =
-      static_cast<std::uint64_t>(std::count(rest.begin(), rest.end(), '\n'));
-  if (rows != count) {
-    throw Error("history segment holds " + std::to_string(rows) +
-                " rows, its header says " + std::to_string(count));
-  }
+  ditto::Reader reader(bytes, kHeaderFields, "history segment", "row");
+  std::string prev = str::percentUnescape(reader.header()[1]);
+  const auto headerSeq = str::parseWhole<std::uint64_t>(
+      reader.header()[2], "history segment seq");
+  const auto base = str::parseWhole<std::uint64_t>(
+      reader.header()[3], "history segment base");
   std::vector<HistoryRecord> records;
-  records.reserve(rows);
-  while (!rest.empty()) {
-    nextLine();
-    if (fields.size() != kRowFields) {
-      throw Error("history segment row has " + std::to_string(fields.size()) +
+  records.reserve(reader.rows());
+  while (reader.next()) {
+    if (reader.fields().size() != kRowFields) {
+      throw Error("history segment row has " +
+                  std::to_string(reader.fields().size()) +
                   " fields (expected " + std::to_string(kRowFields) + ")");
     }
-    records.push_back(parseRow(fields,
-                               records.empty() ? nullptr : &records.back(),
-                               base + records.size()));
+    records.push_back(parseRow(reader.fields(), base + records.size()));
   }
   if (prevHash != nullptr) *prevHash = std::move(prev);
   if (seq != nullptr) *seq = headerSeq;
@@ -286,25 +230,12 @@ std::vector<HistoryRecord> parseJsonLines(std::string_view bytes,
 std::string serializeSegment(std::span<const HistoryRecord> records,
                              std::string_view prevHash, std::uint64_t seq,
                              std::uint64_t base) {
-  std::string out = std::string(kSegmentSchema) + "|" +
-                    str::percentEscape(prevHash) + "|" + std::to_string(seq) +
-                    "|" + std::to_string(base) + "|" +
-                    std::to_string(records.size()) + "\n";
-  std::array<std::string, kRowFields> above;
-  for (std::size_t row = 0; row < records.size(); ++row) {
-    std::array<std::string, kRowFields> fields = rowFields(records[row]);
-    for (std::size_t i = 0; i < kRowFields; ++i) {
-      if (i != 0) out += '|';
-      if (row != 0 && !fields[i].empty() && fields[i] == above[i]) {
-        out += kDitto;
-      } else {
-        out += str::percentEscape(fields[i]);
-      }
-    }
-    out += '\n';
-    above = std::move(fields);
-  }
-  return out;
+  ditto::Writer writer(std::string(kSegmentSchema) + "|" +
+                           str::percentEscape(prevHash) + "|" +
+                           std::to_string(seq) + "|" + std::to_string(base),
+                       records.size());
+  for (const HistoryRecord& record : records) writer.row(rowFields(record));
+  return writer.take();
 }
 
 std::vector<HistoryRecord> parseSegment(std::string_view bytes,
@@ -521,6 +452,60 @@ std::size_t HistoryIndex::segmentCount() const {
     ++count;
   }
   return count;
+}
+
+std::vector<std::string> lintHistory(store::ObjectStore& store,
+                                     std::span<const HistoryRecord> records) {
+  // What each cited manifest vouches for, read once: "test@target" per
+  // run and "test@target|fom" per foms entry, or why it does not load.
+  struct Cited {
+    std::string error;
+    std::set<std::string> runs;
+    std::set<std::string> foms;
+  };
+  std::map<std::string, Cited> cited;
+  std::vector<std::string> issues;
+  for (const HistoryRecord& record : records) {
+    auto it = cited.find(record.manifestHash);
+    if (it == cited.end()) {
+      Cited manifest;
+      if (record.manifestHash.empty()) {
+        manifest.error = "cites no manifest";
+      } else {
+        try {
+          const store::CampaignManifest loaded =
+              store::CampaignManifest::load(store, record.manifestHash);
+          for (const store::RunManifest& run : loaded.runs) {
+            manifest.runs.insert(run.test + "@" + run.target);
+          }
+          for (const store::FomManifest& fom : loaded.foms) {
+            manifest.foms.insert(fom.test + "@" + fom.target + "|" + fom.fom);
+          }
+        } catch (const Error& e) {
+          manifest.error = e.what();
+        }
+      }
+      it = cited.emplace(record.manifestHash, std::move(manifest)).first;
+    }
+    const Cited& manifest = it->second;
+    const std::string pair = record.test + "@" + record.target;
+    std::string problem = manifest.error;
+    if (problem.empty() && !manifest.runs.contains(pair)) {
+      problem = "manifest " + record.manifestHash + " records no run of " +
+                record.test + " @ " + record.target;
+    }
+    if (problem.empty() && !manifest.foms.empty() &&
+        !manifest.foms.contains(pair + "|" + record.fom)) {
+      problem = "manifest " + record.manifestHash + " records no fom '" +
+                record.fom + "' of " + record.test + " @ " + record.target;
+    }
+    if (!problem.empty()) {
+      issues.push_back("history record seq " + std::to_string(record.seq) +
+                       " (" + record.test + " @ " + record.target +
+                       "): " + problem);
+    }
+  }
+  return issues;
 }
 
 std::map<std::string, std::vector<HistoryRecord>> groupSeries(

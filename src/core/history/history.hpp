@@ -10,10 +10,10 @@
 //   ... (N rows; row i is record seq BASE + i)
 //
 // Fields are percent-escaped as perflog fields are (str::percentEscape),
-// numbers keep the fixed-decimal text of the JSON lines before them, and a
-// non-empty field equal to the same field of the row above is written as
-// a lone "=".  Segments written before rebench.history/2 hold JSON lines
-// ({"kind":"meta","schema":"rebench.history/1",...} then one
+// numbers keep the fixed-decimal text of the JSON lines before them, and
+// rows are ditto-coded (core/util/ditto.hpp: a non-empty field equal to
+// the same field of the row above is a lone "=").  Older segments hold
+// JSON lines ({"kind":"meta","schema":"rebench.history/1",...} then one
 // {"kind":"record",...} per record); they are read, never written, and a
 // chain may hold them below rebench.history/2 segments.
 //
@@ -83,12 +83,14 @@ struct HistoryRecord {
 
 /// Reduces campaign results to per-(test, target, fom) aggregates in
 /// canonical (test, target, fom) order.  Quarantined and failed runs
-/// carry no FOMs and drop out naturally.  Shared by the history appender
-/// and the OpenMetrics FOM samples, so both views agree byte-wise.
+/// carry no FOMs and drop out naturally.  Shared by the manifest, the
+/// service journal's `executed` record, the history appender and the
+/// OpenMetrics FOM samples, so every view agrees byte-wise.
 struct FomAggregate {
   std::string test;
   std::string target;
   std::string fom;
+  std::string specHash;  // concrete spec DAG hash of the series' runs
   double mean = 0.0;
   double min = 0.0;
   double max = 0.0;
@@ -229,6 +231,13 @@ std::string serializeSegment(std::span<const HistoryRecord> records,
 std::vector<HistoryRecord> parseSegment(std::string_view bytes,
                                         std::string* prevHash = nullptr,
                                         std::uint64_t* seq = nullptr);
+
+/// One issue per record of `records` whose cited manifest (a verified
+/// read through `store`) does not load, records no run of its (test,
+/// target), or lists foms (older manifests list none) but not its fom;
+/// each issue names the record's seq.
+std::vector<std::string> lintHistory(store::ObjectStore& store,
+                                     std::span<const HistoryRecord> records);
 
 /// Groups records into per-(test, target, fom) series, preserving append
 /// order inside each series; series are keyed "test|target|fom" and the

@@ -107,8 +107,14 @@ class Parser {
   Value value() {
     skipWhitespace();
     const char c = peek();
-    if (c == '{') return objectValue();
-    if (c == '[') return arrayValue();
+    if (c == '{' || c == '[') {
+      if (++depth_ > kMaxDepth) {
+        fail("nesting deeper than " + std::to_string(kMaxDepth));
+      }
+      Value v = c == '{' ? objectValue() : arrayValue();
+      --depth_;
+      return v;
+    }
     if (c == '"') {
       Value v;
       v.kind = Value::Kind::kString;
@@ -242,6 +248,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // arrays and objects open at pos_
 };
 
 }  // namespace

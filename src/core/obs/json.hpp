@@ -63,8 +63,13 @@ struct Value {
   double numberIn(std::string_view key, double min, double end) const;
 };
 
+/// Deepest nesting of arrays and objects parse() accepts.  No rebench
+/// writer nests deeper than 4; the limit bounds the parser's recursion
+/// on hostile input.
+inline constexpr int kMaxDepth = 64;
+
 /// Parses one JSON document; throws rebench::ParseError on malformed
-/// input or trailing garbage.
+/// input, trailing garbage or nesting deeper than kMaxDepth.
 Value parse(std::string_view text);
 
 /// Escapes `raw` for embedding inside a double-quoted JSON string

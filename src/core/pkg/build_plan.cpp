@@ -2,7 +2,6 @@
 
 #include <set>
 
-#include "core/store/build_cache.hpp"
 #include "core/util/hash.hpp"
 #include "core/util/rng.hpp"
 
@@ -87,23 +86,10 @@ BuildRecord Builder::build(const BuildPlan& plan) {
   }
   record.buildSeconds = total;
   record.binaryId = Hasher{}.update("binary").update(key).hex();
-  {
+  if (!rebuildEveryRun_) {
     std::lock_guard lock(mutex_);
     cache_[key] = record;
   }
-  return record;
-}
-
-BuildRecord Builder::build(const BuildPlan& plan, store::BuildCache* cache,
-                           const std::string& envFingerprint) {
-  if (cache == nullptr) return build(plan);
-  const std::string key = store::BuildCache::cacheKey(
-      plan.rootHash, envFingerprint, plan.planHash());
-  if (std::optional<BuildRecord> hit = cache->lookup(key, plan)) {
-    return *hit;
-  }
-  BuildRecord record = build(plan);
-  cache->insert(key, record);
   return record;
 }
 

@@ -16,10 +16,6 @@
 
 namespace rebench {
 
-namespace store {
-class BuildCache;
-}  // namespace store
-
 /// One package build in dependency order.
 struct BuildStep {
   std::string packageName;
@@ -59,7 +55,8 @@ struct BuildRecord {
 
 /// Executes build plans.  `rebuildEveryRun` mirrors Principle 3; turning it
 /// off enables the paper's implicit counterfactual (stale-binary drift),
-/// which bench/ablation_rebuild quantifies.
+/// which bench/ablation_rebuild quantifies.  Verified reuse, where any
+/// spec/environment/recipe drift forces a rebuild, is store::BuildCache's.
 class Builder {
  public:
   explicit Builder(bool rebuildEveryRun = true)
@@ -67,27 +64,12 @@ class Builder {
 
   BuildRecord build(const BuildPlan& plan);
 
-  /// Store-backed variant: consults `cache` (verified, provenance-keyed
-  /// on spec DAG + environment fingerprint + plan hash) before executing;
-  /// a hit is reused with zero build cost, a miss builds and inserts.
-  /// With a null cache this is plain build().  Unlike rebuildEveryRun =
-  /// false, reuse here is *verified* — any spec/environment/recipe drift
-  /// changes the key and forces a rebuild — so Principle 3's invariant
-  /// survives the optimisation.
-  BuildRecord build(const BuildPlan& plan, store::BuildCache* cache,
-                    const std::string& envFingerprint);
-
-  /// Number of distinct binaries this builder has ever produced.
-  std::size_t cacheSize() const {
-    std::lock_guard lock(mutex_);
-    return cache_.size();
-  }
-
  private:
   bool rebuildEveryRun_;
   // One builder is shared by all concurrent campaign workers.
-  mutable std::mutex mutex_;
-  std::map<std::string, BuildRecord> cache_;  // planHash -> record
+  std::mutex mutex_;
+  /// planHash -> record; filled and read only when !rebuildEveryRun_.
+  std::map<std::string, BuildRecord> cache_;
 };
 
 /// Deterministic simulated cost of building one package (seconds).

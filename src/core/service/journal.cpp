@@ -25,7 +25,7 @@ std::string renderExecuted(const std::string& submission,
       << ",\"sim_seconds\":" << formatExact(record.simSeconds)
       << ",\"aggregates\":[";
   for (std::size_t i = 0; i < record.aggregates.size(); ++i) {
-    const AggregateRecord& agg = record.aggregates[i];
+    const history::FomAggregate& agg = record.aggregates[i];
     if (i > 0) out << ",";
     out << "{\"test\":" << quote(agg.test)
         << ",\"target\":" << quote(agg.target)
@@ -34,7 +34,7 @@ std::string renderExecuted(const std::string& submission,
         << ",\"mean\":" << formatExact(agg.mean)
         << ",\"min\":" << formatExact(agg.min)
         << ",\"max\":" << formatExact(agg.max)
-        << ",\"ci\":" << formatExact(agg.ci)
+        << ",\"ci\":" << formatExact(agg.ciHalfwidth)
         << ",\"ess\":" << formatExact(agg.ess)
         << ",\"repeats\":" << agg.repeats << "}";
   }
@@ -53,7 +53,7 @@ ExecutedRecord parseExecuted(const obs::json::Value& value) {
   record.simSeconds = value.numberOr("sim_seconds", 0.0);
   if (value.contains("aggregates")) {
     for (const obs::json::Value& item : value.at("aggregates").array) {
-      AggregateRecord agg;
+      history::FomAggregate agg;
       agg.test = item.stringOr("test", "");
       agg.target = item.stringOr("target", "");
       agg.fom = item.stringOr("fom", "");
@@ -61,7 +61,7 @@ ExecutedRecord parseExecuted(const obs::json::Value& value) {
       agg.mean = item.numberOr("mean", 0.0);
       agg.min = item.numberOr("min", 0.0);
       agg.max = item.numberOr("max", 0.0);
-      agg.ci = item.numberOr("ci", 0.0);
+      agg.ciHalfwidth = item.numberOr("ci", 0.0);
       agg.ess = item.numberOr("ess", 0.0);
       agg.repeats = item.integerOr("repeats", 0);
       record.aggregates.push_back(std::move(agg));

@@ -37,25 +37,12 @@
 #include <vector>
 
 #include "core/fault/journal.hpp"
+#include "core/history/history.hpp"
 
 namespace rebench::service {
 
 inline constexpr std::string_view kServiceJournalSchema =
     "rebench.service_journal/1";
-
-/// One per-(test, target, fom) aggregate captured at full precision.
-struct AggregateRecord {
-  std::string test;
-  std::string target;
-  std::string fom;
-  std::string specHash;
-  double mean = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-  double ci = 0.0;   // 95% CI half-width of the mean (rebench::infer)
-  double ess = 0.0;  // effective sample size
-  int repeats = 0;
-};
 
 /// Everything an `executed` checkpoint preserves about a campaign.
 struct ExecutedRecord {
@@ -64,7 +51,9 @@ struct ExecutedRecord {
   std::string perflogHash;
   int runs = 0;
   double simSeconds = 0.0;
-  std::vector<AggregateRecord> aggregates;
+  /// Per-(test, target, fom) aggregates at full precision; `autocorr`
+  /// is not journaled and reads back 0.
+  std::vector<history::FomAggregate> aggregates;
   /// First failure, when the campaign did not fully pass ("" = passed).
   std::string failedStage;
   std::string failureClass;

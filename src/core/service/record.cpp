@@ -193,27 +193,7 @@ ExecutedRecord summarizeCampaignOutcome(
       outcome.failureDetail = result.failure.detail;
     }
   }
-  for (const history::FomAggregate& fom : foms) {
-    AggregateRecord agg;
-    agg.test = fom.test;
-    agg.target = fom.target;
-    agg.fom = fom.fom;
-    for (const TestRunResult& result : results) {
-      if (result.testName == fom.test &&
-          result.system + ":" + result.partition == fom.target &&
-          result.concreteSpec != nullptr) {
-        agg.specHash = result.concreteSpec->dagHash();
-        break;
-      }
-    }
-    agg.mean = fom.mean;
-    agg.min = fom.min;
-    agg.max = fom.max;
-    agg.ci = fom.ciHalfwidth;
-    agg.ess = fom.ess;
-    agg.repeats = fom.repeats;
-    outcome.aggregates.push_back(std::move(agg));
-  }
+  outcome.aggregates.assign(foms.begin(), foms.end());
   return outcome;
 }
 
@@ -230,7 +210,7 @@ bool cites(std::span<const history::HistoryRecord> records,
 std::vector<history::HistoryRecord> historyRecordsFor(
     const ExecutedRecord& outcome, const SystemRegistry& systems) {
   std::vector<history::HistoryRecord> records;
-  for (const AggregateRecord& agg : outcome.aggregates) {
+  for (const history::FomAggregate& agg : outcome.aggregates) {
     history::HistoryRecord record;
     record.test = agg.test;
     record.target = agg.target;
@@ -242,7 +222,7 @@ std::vector<history::HistoryRecord> historyRecordsFor(
     record.mean = agg.mean;
     record.min = agg.min;
     record.max = agg.max;
-    record.ci = agg.ci;
+    record.ci = agg.ciHalfwidth;
     record.ess = agg.ess;
     record.repeats = agg.repeats;
     record.simTimestamp = outcome.simSeconds;
@@ -261,7 +241,7 @@ std::vector<history::GateResult> gateTouchedSeries(
   std::vector<history::HistoryRecord> own;
   for (const history::HistoryRecord& record : all) {
     if (std::any_of(outcome.aggregates.begin(), outcome.aggregates.end(),
-                    [&](const AggregateRecord& agg) {
+                    [&](const history::FomAggregate& agg) {
                       return agg.test == record.test &&
                              agg.target == record.target &&
                              agg.fom == record.fom;
@@ -272,9 +252,9 @@ std::vector<history::GateResult> gateTouchedSeries(
   std::vector<history::GateResult> touched =
       history::checkRegression(own, options);
   for (const history::GateResult& gate : touched) {
-    const AggregateRecord& agg = *std::find_if(
+    const history::FomAggregate& agg = *std::find_if(
         outcome.aggregates.begin(), outcome.aggregates.end(),
-        [&](const AggregateRecord& candidate) {
+        [&](const history::FomAggregate& candidate) {
           return gate.series == candidate.test + "|" + candidate.target +
                                     "|" + candidate.fom;
         });

@@ -89,8 +89,8 @@ ManifestWrite writeCampaignManifest(store::ObjectStore& store,
                                     bool pinTrace);
 
 /// Reduces finished campaign results to the journal's executed record:
-/// full-precision aggregates, total simulated seconds and the first
-/// failure (if any).
+/// `foms` (aggregateFoms of `results`) at full precision, total
+/// simulated seconds and the first failure (if any).
 ExecutedRecord summarizeCampaignOutcome(std::span<const TestRunResult> results,
                                         std::span<const history::FomAggregate> foms,
                                         const std::string& manifestHash,

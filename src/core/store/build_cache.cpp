@@ -44,10 +44,6 @@ bool SingleFlight::awaitBuilt(const std::string& key,
   return states_.at(key).built;
 }
 
-BuildCache::BuildCache(ObjectStore& store, obs::Tracer* tracer,
-                       obs::MetricsRegistry* metrics)
-    : store_(store), tracer_(tracer), metrics_(metrics) {}
-
 std::string BuildCache::cacheKey(const std::string& dagHash,
                                  const std::string& envFingerprint,
                                  const std::string& planHash) {
@@ -91,9 +87,20 @@ std::optional<BuildRecord> BuildCache::parseRecord(const std::string& bytes) {
   return record;
 }
 
-std::optional<BuildRecord> BuildCache::lookup(const std::string& key,
-                                              const BuildPlan& plan) {
-  return lookup(key, plan, tracer_, metrics_);
+std::optional<BuildRecord> BuildCache::reusable(
+    const std::optional<std::string>& bytes, const BuildPlan& plan) {
+  std::optional<BuildRecord> record =
+      bytes ? parseRecord(*bytes) : std::nullopt;
+  // Verified reuse: the record must describe exactly the plan we are
+  // about to (not) execute; any inconsistency is drift and means rebuild.
+  if (!record || record->planHash != plan.planHash() ||
+      record->rootHash != plan.rootHash) {
+    return std::nullopt;
+  }
+  record->stepsExecuted = 0;
+  record->stepsReusedFromCache = static_cast<int>(plan.steps.size());
+  record->buildSeconds = 0.0;  // reuse costs no (simulated) build time
+  return record;
 }
 
 std::optional<BuildRecord> BuildCache::lookup(const std::string& key,
@@ -102,62 +109,39 @@ std::optional<BuildRecord> BuildCache::lookup(const std::string& key,
                                               obs::MetricsRegistry* metrics) {
   obs::ScopedSpan span(tracer, "store.lookup");
   span.attr("key", key);
-
-  auto finish = [&](const char* outcome,
-                    std::optional<BuildRecord> record) {
-    span.attr("outcome", outcome);
-    if (metrics != nullptr) {
-      metrics->counter(record ? "store.hit" : "store.miss").inc();
-    }
-    {
-      std::lock_guard lock(statsMutex_);
-      (record ? stats_.hits : stats_.misses) += 1;
-    }
-    return record;
-  };
-
   const std::optional<std::string> hash = store_.ref("build/" + key);
-  if (!hash) return finish("miss", std::nullopt);
+  if (!hash) return noteLookup(span, "miss", std::nullopt, metrics);
   const std::optional<std::string> bytes = store_.get(*hash);
-  if (!bytes) return finish("corrupt", std::nullopt);
-  std::optional<BuildRecord> record = parseRecord(*bytes);
-  // Verified reuse: the record must describe exactly the plan we are
-  // about to (not) execute; any inconsistency is drift and means rebuild.
-  if (!record || record->planHash != plan.planHash() ||
-      record->rootHash != plan.rootHash) {
-    return finish("drift", std::nullopt);
-  }
-  record->stepsExecuted = 0;
-  record->stepsReusedFromCache = static_cast<int>(plan.steps.size());
-  record->buildSeconds = 0.0;  // reuse costs no (simulated) build time
-  return finish("hit", std::move(record));
+  if (!bytes) return noteLookup(span, "corrupt", std::nullopt, metrics);
+  std::optional<BuildRecord> record = reusable(bytes, plan);
+  return noteLookup(span, record ? "hit" : "drift", std::move(record),
+                    metrics);
 }
 
 void BuildCache::recordMiss(const std::string& key, obs::Tracer* tracer,
                             obs::MetricsRegistry* metrics) {
   obs::ScopedSpan span(tracer, "store.lookup");
   span.attr("key", key);
-  span.attr("outcome", "miss");
-  if (metrics != nullptr) metrics->counter("store.miss").inc();
+  noteLookup(span, "miss", std::nullopt, metrics);
+}
+
+std::optional<BuildRecord> BuildCache::noteLookup(
+    obs::ScopedSpan& span, const char* outcome,
+    std::optional<BuildRecord> record, obs::MetricsRegistry* metrics) {
+  span.attr("outcome", outcome);
+  if (metrics != nullptr) {
+    metrics->counter(record ? "store.hit" : "store.miss").inc();
+  }
   std::lock_guard lock(statsMutex_);
-  ++stats_.misses;
+  (record ? stats_.hits : stats_.misses) += 1;
+  return record;
 }
 
 std::optional<BuildRecord> BuildCache::peek(const std::string& key,
                                             const BuildPlan& plan) const {
   const std::optional<std::string> hash = store_.ref("build/" + key);
   if (!hash) return std::nullopt;
-  const std::optional<std::string> bytes = store_.peek(*hash);
-  if (!bytes) return std::nullopt;
-  std::optional<BuildRecord> record = parseRecord(*bytes);
-  if (!record || record->planHash != plan.planHash() ||
-      record->rootHash != plan.rootHash) {
-    return std::nullopt;
-  }
-  record->stepsExecuted = 0;
-  record->stepsReusedFromCache = static_cast<int>(plan.steps.size());
-  record->buildSeconds = 0.0;
-  return record;
+  return reusable(store_.peek(*hash), plan);
 }
 
 void BuildCache::noteSingleFlightDeduped(std::uint64_t n) {
@@ -165,20 +149,15 @@ void BuildCache::noteSingleFlightDeduped(std::uint64_t n) {
   stats_.singleFlightDeduped += n;
 }
 
-void BuildCache::insert(const std::string& key, const BuildRecord& record) {
-  insert(key, record, tracer_);
-}
-
 void BuildCache::insert(const std::string& key, const BuildRecord& record,
                         obs::Tracer* tracer) {
-  const std::string hash = store_.put(serializeRecord(record));
+  const std::string bytes = serializeRecord(record);
+  const std::string hash = store_.put(bytes);
   store_.setRef("build/" + key, hash);
   if (tracer != nullptr) {
-    tracer->event("store.put",
-                  {{"hash", hash},
-                   {"bytes", std::to_string(
-                                 serializeRecord(record).size())},
-                   {"key", key}});
+    tracer->event("store.put", {{"hash", hash},
+                                {"bytes", std::to_string(bytes.size())},
+                                {"key", key}});
   }
 }
 

@@ -32,6 +32,7 @@
 namespace rebench::obs {
 class Tracer;
 class MetricsRegistry;
+class ScopedSpan;
 }  // namespace rebench::obs
 
 namespace rebench::store {
@@ -69,9 +70,8 @@ class SingleFlight {
 
 class BuildCache {
  public:
-  /// `store` must outlive the cache; tracer/metrics are optional hooks.
-  explicit BuildCache(ObjectStore& store, obs::Tracer* tracer = nullptr,
-                      obs::MetricsRegistry* metrics = nullptr);
+  /// `store` must outlive the cache.
+  explicit BuildCache(ObjectStore& store) : store_(store) {}
 
   /// The provenance key gating reuse (see file comment).
   static std::string cacheKey(const std::string& dagHash,
@@ -83,17 +83,13 @@ class BuildCache {
   static std::string environmentFingerprint(const SystemEnvironment& env);
 
   /// Verified lookup: nullopt on no entry, corrupt blob, or a record
-  /// whose provenance does not match `plan`.  The 2-argument form reports
-  /// through the cache's own tracer/metrics; the 4-argument form reports
-  /// through the caller's (per-campaign shards in the parallel executor).
-  std::optional<BuildRecord> lookup(const std::string& key,
-                                    const BuildPlan& plan);
+  /// whose provenance does not match `plan`.  Reports through the
+  /// caller's hooks (both nullable).
   std::optional<BuildRecord> lookup(const std::string& key,
                                     const BuildPlan& plan,
                                     obs::Tracer* tracer,
                                     obs::MetricsRegistry* metrics);
 
-  void insert(const std::string& key, const BuildRecord& record);
   void insert(const std::string& key, const BuildRecord& record,
               obs::Tracer* tracer);
 
@@ -131,9 +127,17 @@ class BuildCache {
   static std::optional<BuildRecord> parseRecord(const std::string& bytes);
 
  private:
+  /// The record `bytes` hold, shaped as a reuse, when it describes
+  /// exactly `plan`; nullopt otherwise (unparseable, or drift).
+  static std::optional<BuildRecord> reusable(
+      const std::optional<std::string>& bytes, const BuildPlan& plan);
+  /// Ends a `store.lookup` span: its outcome, counter and stat.
+  std::optional<BuildRecord> noteLookup(obs::ScopedSpan& span,
+                                        const char* outcome,
+                                        std::optional<BuildRecord> record,
+                                        obs::MetricsRegistry* metrics);
+
   ObjectStore& store_;
-  obs::Tracer* tracer_;
-  obs::MetricsRegistry* metrics_;
   mutable std::mutex statsMutex_;
   Stats stats_;
 };

@@ -21,11 +21,11 @@ inline std::string describe(ServiceJournal::State state, int crashedClaims,
         << formatExact(executed->simSeconds) << " [" << executed->failedStage
         << "] [" << executed->failureClass << "] ["
         << executed->failureDetail << "]";
-    for (const AggregateRecord& a : executed->aggregates) {
+    for (const history::FomAggregate& a : executed->aggregates) {
       out << "\n  [" << a.test << "] [" << a.target << "] [" << a.fom
           << "] [" << a.specHash << "] " << formatExact(a.mean) << " "
           << formatExact(a.min) << " " << formatExact(a.max) << " "
-          << formatExact(a.ci) << " " << formatExact(a.ess) << " "
+          << formatExact(a.ciHalfwidth) << " " << formatExact(a.ess) << " "
           << a.repeats;
     }
   }

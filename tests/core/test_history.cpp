@@ -23,6 +23,7 @@
 #include "core/framework/pipeline.hpp"
 #include "core/history/history.hpp"
 #include "core/obs/json.hpp"
+#include "core/store/manifest.hpp"
 #include "core/store/object_store.hpp"
 #include "core/util/error.hpp"
 #include "core/util/rng.hpp"
@@ -697,6 +698,58 @@ TEST_F(HistoryIndexTest, ExtendAfterAnotherWriterPicksUpItsSegment) {
   EXPECT_EQ(chain.records[3].test, "C");
   EXPECT_EQ(chain.records[3].seq, 3u);
   EXPECT_EQ(recordBytes(chain), recordBytes(daemon.readChain()));
+}
+
+/// A campaign manifest object recording one run and, unless `fom` is
+/// empty (as before manifests recorded foms), one foms entry.
+std::string putManifest(store::ObjectStore& store, const std::string& test,
+                        const std::string& fom) {
+  store::CampaignManifest manifest;
+  manifest.invocation.mode = "run";
+  store::RunManifest run;
+  run.test = test;
+  run.target = "archer2:compute";
+  manifest.runs.push_back(run);
+  if (!fom.empty()) {
+    store::FomManifest entry;
+    entry.test = test;
+    entry.target = run.target;
+    entry.fom = fom;
+    manifest.foms.push_back(entry);
+  }
+  return store.put(manifest.render());
+}
+
+// Each history record must cite a manifest that records its series: a
+// record citing another campaign's manifest, or a manifest whose foms
+// lack its fom, is named by seq; a manifest without foms vouches by run.
+TEST_F(HistoryIndexTest, LintFlagsRecordsTheirManifestDoesNotRecord) {
+  store::ObjectStore store(dir_);
+  const std::string stream = putManifest(store, "StreamTest", "Triad");
+  const std::string hpcg = putManifest(store, "HpcgTest", "");
+  std::vector<HistoryRecord> records{makeRecord("StreamTest", "Triad", 1.0),
+                                     makeRecord("HpcgTest", "Triad", 2.0),
+                                     makeRecord("StreamTest", "Copy", 3.0),
+                                     makeRecord("HpcgTest", "GFLOPs", 4.0),
+                                     makeRecord("StreamTest", "Triad", 5.0)};
+  records[0].manifestHash = stream;
+  records[1].manifestHash = stream;  // another campaign's manifest
+  records[2].manifestHash = stream;  // a fom the manifest did not record
+  records[3].manifestHash = hpcg;    // no foms: the run vouches
+  records[4].manifestHash = "";
+  HistoryIndex index(store);
+  index.appendSegment(records);
+  const std::vector<std::string> issues = lintHistory(store, index.readAll());
+  ASSERT_EQ(issues.size(), 3u);
+  EXPECT_EQ(issues[0], "history record seq 1 (HpcgTest @ archer2:compute): "
+                       "manifest " + stream +
+                       " records no run of HpcgTest @ archer2:compute");
+  EXPECT_EQ(issues[1], "history record seq 2 (StreamTest @ archer2:compute): "
+                       "manifest " + stream +
+                       " records no fom 'Copy' of StreamTest @ "
+                       "archer2:compute");
+  EXPECT_EQ(issues[2], "history record seq 4 (StreamTest @ archer2:compute): "
+                       "cites no manifest");
 }
 
 TEST(HistoryAggregateTest, AggregatesPerTestTargetFomInCanonicalOrder) {

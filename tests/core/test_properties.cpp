@@ -20,6 +20,7 @@
 #include "core/framework/perflog.hpp"
 #include "core/framework/pipeline.hpp"
 #include "core/history/history.hpp"
+#include "core/obs/json.hpp"
 #include "core/obs/metrics.hpp"
 #include "core/obs/trace.hpp"
 #include "core/obs/trace_reader.hpp"
@@ -31,6 +32,7 @@
 #include "core/store/manifest.hpp"
 #include "core/store/object_store.hpp"
 #include "core/sysconfig/system_config.hpp"
+#include "core/util/ditto.hpp"
 #include "core/util/rng.hpp"
 #include "core/util/strings.hpp"
 #include "core/util/version.hpp"
@@ -554,6 +556,102 @@ TEST_P(HistorySegmentProperty, DamagedSegmentsParseOrThrow) {
 INSTANTIATE_TEST_SUITE_P(Seeds, HistorySegmentProperty, ::testing::Range(1, 5));
 
 // ---------------------------------------------------------------------------
+// The ditto codec both stored row formats share: row sets round-trip
+// through Writer and Reader, and a damaged encoding decodes or throws
+// rebench::Error.
+// ---------------------------------------------------------------------------
+
+class DittoCodecProperty : public ::testing::TestWithParam<int> {};
+
+/// Rows of 1-5 escaped fields, each often empty, the field above or the
+/// field two above.
+std::vector<std::vector<std::string>> randomRows(Rng& rng) {
+  std::vector<std::vector<std::string>> rows(rng.below(10));
+  for (std::size_t row = 0; row < rows.size(); ++row) {
+    for (std::uint64_t i = 0, width = 1 + rng.below(5); i < width; ++i) {
+      const std::size_t back = 1 + rng.below(2);
+      const bool above = row >= back && i < rows[row - back].size();
+      switch (rng.below(4)) {
+        case 0: rows[row].emplace_back(); break;
+        case 1:
+          if (above) {
+            rows[row].push_back(rows[row - back][i]);
+            break;
+          }
+          [[fallthrough]];
+        default: rows[row].push_back(str::percentEscape(randomNasty(rng)));
+      }
+    }
+  }
+  return rows;
+}
+
+/// Encodes `rows` under a three-field header.
+std::string encodeRows(const std::vector<std::vector<std::string>>& rows) {
+  ditto::Writer writer("head|er", rows.size());
+  for (const std::vector<std::string>& row : rows) writer.row(row);
+  return writer.take();
+}
+
+/// Decodes `bytes` (a three-field header) back into rows.
+std::vector<std::vector<std::string>> decodeRows(std::string_view bytes) {
+  ditto::Reader reader(bytes, 3, "ditto text", "row");
+  std::vector<std::vector<std::string>> rows;
+  while (reader.next()) {
+    rows.emplace_back(reader.fields().begin(), reader.fields().end());
+  }
+  EXPECT_EQ(rows.size(), reader.rows());
+  return rows;
+}
+
+TEST_P(DittoCodecProperty, RowSetsRoundTrip) {
+  Rng rng(GetParam() * 103);
+  // What the sets held, so the seed is known to have exercised each case.
+  int repeats = 0;
+  int empties = 0;
+  int twoAbove = 0;
+  int widthChanges = 0;
+  for (int i = 0; i < 30; ++i) {
+    const std::vector<std::vector<std::string>> rows = randomRows(rng);
+    for (std::size_t row = 1; row < rows.size(); ++row) {
+      widthChanges += rows[row].size() != rows[row - 1].size();
+      for (std::size_t f = 0; f < rows[row].size(); ++f) {
+        const std::string& field = rows[row][f];
+        empties += field.empty();
+        const bool same = f < rows[row - 1].size() && rows[row - 1][f] == field;
+        repeats += same && !field.empty();
+        twoAbove += !same && row >= 2 && f < rows[row - 2].size() &&
+                    rows[row - 2][f] == field && !field.empty();
+      }
+    }
+    const std::string bytes = encodeRows(rows);
+    EXPECT_EQ(decodeRows(bytes), rows) << bytes;
+    EXPECT_EQ(encodeRows(decodeRows(bytes)), bytes);
+  }
+  EXPECT_GT(repeats, 0);
+  EXPECT_GT(empties, 0);
+  EXPECT_GT(twoAbove, 0);
+  EXPECT_GT(widthChanges, 0);
+}
+
+TEST_P(DittoCodecProperty, DamagedEncodingsDecodeOrThrow) {
+  static constexpr std::string_view kStructural = "|=%\n0129";
+  Rng rng(GetParam() * 107);
+  for (int i = 0; i < 5; ++i) {
+    const std::string bytes = encodeRows(randomRows(rng));
+    for (int trial = 0; trial < 300; ++trial) {
+      try {
+        (void)decodeRows(damage(rng, bytes, kStructural));
+      } catch (const Error&) {
+        // Damage may be rejected; anything but rebench::Error fails.
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DittoCodecProperty, ::testing::Range(1, 5));
+
+// ---------------------------------------------------------------------------
 // Service journal: any sequence of checkpoints, reopens and compactions
 // reads back as the replay rules say, and a damaged journal opens or
 // throws rebench::Error.
@@ -601,12 +699,17 @@ service::ExecutedRecord randomExecuted(Rng& rng) {
   record.runs = static_cast<int>(rng.below(2001)) - 1000;
   record.simSeconds = randomDouble(rng);
   for (std::uint64_t i = rng.below(3); i > 0; --i) {
-    record.aggregates.push_back({randomNasty(rng), randomNasty(rng),
-                                 randomNasty(rng), randomNasty(rng),
-                                 randomDouble(rng), randomDouble(rng),
-                                 randomDouble(rng), randomDouble(rng),
-                                 randomDouble(rng),
-                                 static_cast<int>(rng.below(100))});
+    history::FomAggregate& aggregate = record.aggregates.emplace_back();
+    aggregate.test = randomNasty(rng);
+    aggregate.target = randomNasty(rng);
+    aggregate.fom = randomNasty(rng);
+    aggregate.specHash = randomNasty(rng);
+    aggregate.mean = randomDouble(rng);
+    aggregate.min = randomDouble(rng);
+    aggregate.max = randomDouble(rng);
+    aggregate.ciHalfwidth = randomDouble(rng);
+    aggregate.ess = randomDouble(rng);
+    aggregate.repeats = static_cast<int>(rng.below(100));
   }
   record.failedStage = randomNasty(rng);
   record.failureClass = randomNasty(rng);
@@ -959,6 +1062,82 @@ TEST_P(ManifestProperty, DamagedRenderingsParseOrThrow) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ManifestProperty, ::testing::Range(1, 5));
+
+// ---------------------------------------------------------------------------
+// obs::json: damaged renderings of documents rebench reads parse or throw
+// ParseError, as does nesting far past kMaxDepth.
+// ---------------------------------------------------------------------------
+
+TEST(JsonProperty, DamagedDocumentsParseOrThrow) {
+  static constexpr std::string_view kStructural = "{}[]\":,\\\n-.e09tfn";
+  const std::string queue =
+      (std::filesystem::path(::testing::TempDir()) / "json_property").string();
+  std::filesystem::remove_all(queue);
+  const auto readAll = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream out;
+    out << in.rdbuf();
+    return out.str();
+  };
+  Rng rng(109);
+  store::CampaignInvocation inv;
+  inv.mode = "suite";
+  inv.system = "archer2:compute";
+  inv.tag = "babelstream";
+  inv.settings = {{"model", "omp"}};
+  const std::string submission =
+      readAll(service::enqueueSubmission(queue, inv).path);
+  {
+    service::ServiceJournal journal(queue);
+    service::ExecutedRecord executed;
+    executed.manifestHash = "0123456789abcdef";
+    history::FomAggregate aggregate;
+    aggregate.test = "T";
+    aggregate.fom = "Triad";
+    aggregate.mean = 1.5;
+    aggregate.ciHalfwidth = 0.25;
+    executed.aggregates.push_back(aggregate);
+    journal.recordExecuted("s1", executed);
+  }
+  const std::string lines = readAll(service::ServiceJournal::pathFor(queue));
+  const std::string executedLine =
+      lines.substr(lines.find("{\"kind\":\"executed\""));
+  std::filesystem::remove_all(queue);
+  const std::string manifest = randomManifest(rng).render();
+  for (const std::string& original : {manifest, submission, executedLine}) {
+    ASSERT_NO_THROW((void)obs::json::parse(original)) << original;
+    for (int trial = 0; trial < 300; ++trial) {
+      try {
+        (void)obs::json::parse(damage(rng, original, kStructural));
+      } catch (const ParseError&) {
+        // Damage may be rejected; anything but ParseError fails.
+      }
+    }
+  }
+  const auto nested = [](std::string_view open, std::string_view close,
+                         int depth) {
+    std::string text;
+    for (int i = 0; i < depth; ++i) text += open;
+    for (int i = 0; i < depth; ++i) text += close;
+    return text;
+  };
+  EXPECT_NO_THROW(
+      (void)obs::json::parse(nested("[", "]", obs::json::kMaxDepth)));
+  for (const auto& [open, close] :
+       {std::pair<std::string_view, std::string_view>{"[", "]"},
+        {"{\"a\":", "}"}}) {
+    for (const int depth : {obs::json::kMaxDepth + 1, 100000}) {
+      try {
+        (void)obs::json::parse(nested(open, close, depth));
+        ADD_FAILURE() << depth << " levels of " << open << " parsed";
+      } catch (const ParseError& e) {
+        EXPECT_NE(std::string(e.what()).find("nesting deeper than 64"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Traces: a damaged campaign trace parses or throws rebench::Error, and

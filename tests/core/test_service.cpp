@@ -90,7 +90,7 @@ ExecutedRecord campaignOutcome(int campaign, double triad, double copy) {
   outcome.runs = 2;
   outcome.simSeconds = 10.0 * campaign;
   for (const auto& [fom, mean] : {std::pair{"Triad", triad}, {"Copy", copy}}) {
-    AggregateRecord agg;
+    history::FomAggregate agg;
     agg.test = "SyntheticTest";
     agg.target = "archer2:compute";
     agg.fom = fom;
@@ -98,7 +98,7 @@ ExecutedRecord campaignOutcome(int campaign, double triad, double copy) {
     agg.mean = mean + 1e-7 * campaign;
     agg.min = mean - 1.0;
     agg.max = mean + 1.0;
-    agg.ci = 0.5;
+    agg.ciHalfwidth = 0.5;
     agg.ess = 3.0;
     agg.repeats = 3;
     outcome.aggregates.push_back(agg);
@@ -744,6 +744,26 @@ TEST_F(ServiceFixture, MalformedSubmissionGetsPermanentFailureVerdict) {
   EXPECT_EQ(verdict.verdict, "failed:permanent");
 }
 
+// A submission nested far past json::kMaxDepth is filed as a permanent
+// failure naming the limit, instead of overflowing the parser's stack
+// before any verdict, and the valid submission beside it still runs.
+TEST_F(ServiceFixture, DeeplyNestedSubmissionFailsPermanently) {
+  const Submission valid = enqueueSubmission(queue_, invocation());
+  const std::string deep =
+      std::string(100000, '[') + std::string(100000, ']') + "\n";
+  const std::string id = store::ObjectStore::hashBytes(deep);
+  std::ofstream(queue_ + "/sub-" + id + ".json", std::ios::binary) << deep;
+  const ServeReport report = serve(makeOptions());
+  EXPECT_EQ(report.malformed, 1);
+  EXPECT_EQ(report.executed, 1);
+  const Verdict verdict = Verdict::parse(readFile(verdictPath(queue_, id)));
+  EXPECT_EQ(verdict.verdict, "failed:permanent");
+  EXPECT_NE(verdict.detail.find("nesting deeper than 64"), std::string::npos)
+      << verdict.detail;
+  EXPECT_EQ(Verdict::parse(readFile(verdictPath(queue_, valid.id))).verdict,
+            "ran:clean");
+}
+
 TEST_F(ServiceFixture, DrainSentinelStopsBeforeProcessing) {
   enqueueSubmission(queue_, invocation());
   requestDrain(queue_);
@@ -871,7 +891,7 @@ TEST_F(ServiceFixture, GateOfTouchedSeriesMatchesFullHistoryGate) {
     ExecutedRecord outcome =
         campaignOutcome(i, i == 6 ? 60.0 : 100.0 + i, 50.0 - 0.1 * i);
     ExecutedRecord other = campaignOutcome(100 + i, 30.0 + i, 20.0);
-    for (AggregateRecord& agg : other.aggregates) agg.test = "OtherTest";
+    for (history::FomAggregate& agg : other.aggregates) agg.test = "OtherTest";
     appendCampaignHistory(objects, other, systems_, /*skipIfCited=*/false);
     appendCampaignHistory(objects, outcome, systems_, /*skipIfCited=*/false);
     campaigns.push_back(outcome);

@@ -502,80 +502,99 @@ class BuildCacheTest : public StoreTest {
     return makeBuildPlan(
         *concretizer.concretize(Spec::parse("hpgmg%gcc")).root);
   }
+  /// The reuse path Pipeline::buildViaCache takes outside single-flight:
+  /// a verified lookup, else a build that is inserted, reporting through
+  /// the caller's hooks.
+  BuildRecord buildThrough(BuildCache& cache, const BuildPlan& plan,
+                           const std::string& envFingerprint,
+                           obs::Tracer* tracer = nullptr,
+                           obs::MetricsRegistry* metrics = nullptr) {
+    const std::string key =
+        BuildCache::cacheKey(plan.rootHash, envFingerprint, plan.planHash());
+    if (std::optional<BuildRecord> hit =
+            cache.lookup(key, plan, tracer, metrics)) {
+      return *hit;
+    }
+    const BuildRecord record = Builder().build(plan);
+    cache.insert(key, record, tracer);
+    return record;
+  }
   PackageRepository repo_ = builtinRepository();
 };
 
 TEST_F(BuildCacheTest, MissThenHitReusesEveryStep) {
   ObjectStore store(dir_);
-  BuildCache cache(store, nullptr, nullptr);
+  BuildCache cache(store);
   const BuildPlan plan = planFor("archer2");
   const std::string key = BuildCache::cacheKey(plan.rootHash, "env-fp",
                                                plan.planHash());
-  EXPECT_FALSE(cache.lookup(key, plan).has_value());
+  EXPECT_FALSE(cache.lookup(key, plan, nullptr, nullptr).has_value());
+  EXPECT_FALSE(cache.peek(key, plan).has_value());
 
-  Builder builder(/*rebuildEveryRun=*/true);
-  const BuildRecord record = builder.build(plan, &cache, "env-fp");
+  const BuildRecord record = buildThrough(cache, plan, "env-fp");
   EXPECT_GT(record.stepsExecuted, 0);
 
-  const BuildRecord reused = builder.build(plan, &cache, "env-fp");
+  const BuildRecord reused = buildThrough(cache, plan, "env-fp");
   EXPECT_EQ(reused.stepsExecuted, 0);
   EXPECT_EQ(reused.stepsReusedFromCache,
             static_cast<int>(plan.steps.size()));
   EXPECT_EQ(reused.binaryId, record.binaryId);
+  const std::optional<BuildRecord> peeked = cache.peek(key, plan);
+  ASSERT_TRUE(peeked.has_value());
+  EXPECT_EQ(peeked->binaryId, record.binaryId);
+  EXPECT_EQ(peeked->stepsExecuted, 0);
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.stats().misses, 2u);
 }
 
 TEST_F(BuildCacheTest, EnvironmentDriftForcesRebuild) {
   ObjectStore store(dir_);
-  BuildCache cache(store, nullptr, nullptr);
+  BuildCache cache(store);
   const BuildPlan plan = planFor("archer2");
-  Builder builder(/*rebuildEveryRun=*/true);
-  builder.build(plan, &cache, "env-before");
-  const BuildRecord rebuilt = builder.build(plan, &cache, "env-after");
+  buildThrough(cache, plan, "env-before");
+  const BuildRecord rebuilt = buildThrough(cache, plan, "env-after");
   EXPECT_GT(rebuilt.stepsExecuted, 0);
   EXPECT_EQ(cache.stats().hits, 0u);
 }
 
 TEST_F(BuildCacheTest, RecipeDriftForcesRebuild) {
   ObjectStore store(dir_);
-  BuildCache cache(store, nullptr, nullptr);
+  BuildCache cache(store);
   const BuildPlan archer = planFor("archer2");
   const BuildPlan cosma = planFor("cosma8");
   ASSERT_NE(archer.planHash(), cosma.planHash());
-  Builder builder(/*rebuildEveryRun=*/true);
-  builder.build(archer, &cache, "fp");
-  const BuildRecord rebuilt = builder.build(cosma, &cache, "fp");
+  buildThrough(cache, archer, "fp");
+  const BuildRecord rebuilt = buildThrough(cache, cosma, "fp");
   EXPECT_GT(rebuilt.stepsExecuted, 0);
   EXPECT_EQ(cache.stats().hits, 0u);
 }
 
 // A record whose stored provenance disagrees with the plan (simulated by
-// wiring one key at another plan's record) is drift, not a hit.
+// wiring one key at another plan's record) is drift, not a hit, for the
+// lookup and the executor's silent peek alike.
 TEST_F(BuildCacheTest, MismatchedRecordIsDriftNotHit) {
   ObjectStore store(dir_);
-  BuildCache cache(store, nullptr, nullptr);
+  BuildCache cache(store);
   const BuildPlan archer = planFor("archer2");
   const BuildPlan cosma = planFor("cosma8");
-  Builder builder(/*rebuildEveryRun=*/true);
-  builder.build(archer, &cache, "fp");
+  buildThrough(cache, archer, "fp");
   const std::string cosmaKey =
       BuildCache::cacheKey(cosma.rootHash, "fp", cosma.planHash());
   const std::string archerKey =
       BuildCache::cacheKey(archer.rootHash, "fp", archer.planHash());
   store.setRef("build/" + cosmaKey, *store.ref("build/" + archerKey));
-  EXPECT_FALSE(cache.lookup(cosmaKey, cosma).has_value());
+  EXPECT_FALSE(cache.peek(cosmaKey, cosma).has_value());
+  EXPECT_FALSE(cache.lookup(cosmaKey, cosma, nullptr, nullptr).has_value());
 }
 
 TEST_F(BuildCacheTest, LookupEmitsSpanAndCounters) {
   obs::Tracer tracer;
   obs::MetricsRegistry metrics;
   ObjectStore store(dir_);
-  BuildCache cache(store, &tracer, &metrics);
+  BuildCache cache(store);
   const BuildPlan plan = planFor("archer2");
-  Builder builder(/*rebuildEveryRun=*/true);
-  builder.build(plan, &cache, "fp");
-  builder.build(plan, &cache, "fp");
+  buildThrough(cache, plan, "fp", &tracer, &metrics);
+  buildThrough(cache, plan, "fp", &tracer, &metrics);
   EXPECT_EQ(metrics.counter("store.miss").value(), 1u);
   EXPECT_EQ(metrics.counter("store.hit").value(), 1u);
   const std::string jsonl = tracer.toJsonl(&metrics);

@@ -14,60 +14,40 @@
 // no orphan events, span attribute contracts); exit 1 with one message
 // per violation otherwise.
 // With --store DIR (the trace is then optional) the store's history
-// chain is also checked: every record must cite a campaign manifest
-// object that reads back verified and parses.  A corrupt manifest is
-// deleted by that read, as every verified store read does.  A DIR with
-// no objects/ is a usage error (exit 2), not an empty history.
+// chain is also checked (history::lintHistory): every record must cite a
+// manifest object that reads back verified and records its series.  A
+// corrupt manifest is deleted by that read, as every verified store read
+// does.  A DIR with no objects/ is a usage error (exit 2), not an empty
+// history.
 // ctest runs this over the trace the quickstart example produces.
 #include <filesystem>
 #include <iostream>
-#include <map>
 #include <string>
 
 #include "core/history/history.hpp"
 #include "core/obs/trace_reader.hpp"
-#include "core/store/manifest.hpp"
 #include "core/store/object_store.hpp"
 #include "core/util/error.hpp"
 
 namespace {
 
-/// Walks the store's history chain and reads each cited manifest through
-/// the store.  Returns the number of problems found (printed to stderr).
+/// Walks the store's history chain and checks each record against the
+/// manifest it cites.  Returns the number of problems found (printed to
+/// stderr).
 int lintHistory(const std::string& storeDir) {
   rebench::store::ObjectStore store(storeDir);
   rebench::history::HistoryIndex index(store);
   const auto records = index.readAll();
-  std::map<std::string, std::string> manifestErrors;  // hash -> "" when ok
-  int problems = 0;
-  for (const rebench::history::HistoryRecord& record : records) {
-    const std::string& hash = record.manifestHash;
-    auto checked = manifestErrors.find(hash);
-    if (checked == manifestErrors.end()) {
-      std::string error;
-      if (hash.empty()) {
-        error = "cites no manifest";
-      } else {
-        try {
-          rebench::store::CampaignManifest::load(store, hash);
-        } catch (const rebench::Error& e) {
-          error = e.what();
-        }
-      }
-      checked = manifestErrors.emplace(hash, error).first;
-    }
-    if (!checked->second.empty()) {
-      std::cerr << "trace_lint: history record seq " << record.seq << " ("
-                << record.test << " @ " << record.target
-                << "): " << checked->second << "\n";
-      ++problems;
-    }
+  const std::vector<std::string> issues =
+      rebench::history::lintHistory(store, records);
+  for (const std::string& issue : issues) {
+    std::cerr << "trace_lint: " << issue << "\n";
   }
-  if (problems == 0) {
+  if (issues.empty()) {
     std::cout << "history OK: " << records.size() << " record(s) in "
               << index.segmentCount() << " segment(s)\n";
   }
-  return problems;
+  return static_cast<int>(issues.size());
 }
 
 }  // namespace
