@@ -22,12 +22,23 @@ std::string submissionBody(const store::CampaignInvocation& inv) {
          ",\"invocation\":" + store::renderInvocation(inv) + "}\n";
 }
 
-std::string readFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+/// The file's bytes, or its first `limit + 1` when it is larger: enough
+/// to tell it is over `limit` without reading or holding the rest.
+std::string readAtMost(const std::string& path, std::size_t limit) {
+  std::ifstream in;
+  // Unbuffered, so each read(2) asks for no more than the loop does.
+  in.rdbuf()->pubsetbuf(nullptr, 0);
+  in.open(path, std::ios::binary);
   if (!in) throw Error("cannot read '" + path + "'");
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
+  std::string bytes;
+  char chunk[8192];
+  while (in && bytes.size() <= limit) {
+    in.read(chunk, static_cast<std::streamsize>(
+                       std::min(sizeof chunk, limit + 1 - bytes.size())));
+    bytes.append(chunk, static_cast<std::size_t>(in.gcount()));
+  }
+  if (in.bad()) throw Error("cannot read '" + path + "'");
+  return bytes;
 }
 
 }  // namespace
@@ -68,8 +79,12 @@ Submission readSubmission(const std::string& queueDir, const std::string& id) {
   sub.id = id;
   sub.path = (fs::path(queueDir) / ("sub-" + id + ".json")).string();
   try {
-    const std::string body = readFile(sub.path);
-    if (store::ObjectStore::hashBytes(body) != sub.id) {
+    const std::string body = readAtMost(sub.path, kMaxSubmissionBytes);
+    if (body.size() > kMaxSubmissionBytes) {
+      sub.valid = false;
+      sub.error = "submission is larger than the " +
+                  std::to_string(kMaxSubmissionBytes) + "-byte limit";
+    } else if (store::ObjectStore::hashBytes(body) != sub.id) {
       sub.valid = false;
       sub.error = "content hash does not match filename (tampered?)";
     } else {
@@ -99,8 +114,8 @@ std::vector<Submission> scanQueue(const std::string& queueDir) {
 
 int queueDepth(const std::string& queueDir) {
   // One listing of verdicts/, not a stat per submission: health.json is
-  // refreshed after every verdict, so per-submission stats grow with the
-  // square of a drain.
+  // refreshed after every executed verdict, so per-submission stats grow
+  // with the square of a drain.
   std::set<std::string> answered;
   std::error_code ec;
   for (const auto& entry :

@@ -6,17 +6,22 @@
 // submission body, names the file by the body's content hash and drops
 // it in with tmp + atomic rename — so a submission is always observed
 // whole, duplicate submissions collapse onto one file, and a reader can
-// detect tampering by re-hashing the bytes.  The daemon answers each
-// submission with a verdict file in QUEUE/verdicts/, written durably so
-// a crash after the verdict cannot lose it.
+// detect tampering by re-hashing the bytes.  The daemon reads each
+// submission at its turn, refusing any file over kMaxSubmissionBytes
+// without reading the rest of it, and answers it with a verdict file in
+// QUEUE/verdicts/, written durably so a crash after the verdict cannot
+// lose it.
 //
 //   QUEUE/sub-<hash>.json        {"schema":"rebench.submission/1",
 //                                 "invocation":{...}}
 //   QUEUE/verdicts/<hash>.json   {"schema":"rebench.verdict/1", ...}
 //   QUEUE/drain                  sentinel: finish current, then stop
 //   QUEUE/service-journal.jsonl  write-ahead state (service/journal)
+//   QUEUE/health.json            snapshot: at start, per executed verdict,
+//                                per pass that filed others, at exit
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -27,6 +32,10 @@ namespace rebench::service {
 
 inline constexpr std::string_view kSubmissionSchema = "rebench.submission/1";
 inline constexpr std::string_view kVerdictSchema = "rebench.verdict/1";
+
+/// The largest submission file read: `submit` writes well under 1 KB, so a
+/// bigger file is answered as invalid rather than read and parsed whole.
+inline constexpr std::size_t kMaxSubmissionBytes = std::size_t{1} << 20;
 
 /// One queued submission as scanned from the spool directory.
 struct Submission {
@@ -52,15 +61,17 @@ Submission enqueueSubmission(const std::string& queueDir,
 std::vector<std::string> listSubmissions(const std::string& queueDir);
 
 /// Reads QUEUE/sub-<id>.json, hash-verifies and parses it; a tampered,
-/// malformed or unreadable file yields valid=false with `error` set.
+/// malformed or unreadable file yields valid=false with `error` set, and
+/// so does one over kMaxSubmissionBytes, of which at most one byte past
+/// the limit is read.
 Submission readSubmission(const std::string& queueDir, const std::string& id);
 
 /// listSubmissions + readSubmission for each: every queued submission,
 /// invalid ones included rather than skipped.
 std::vector<Submission> scanQueue(const std::string& queueDir);
 
-/// Listed submissions without a verdict file — the queue depth that
-/// health.json reports — from directory entries alone.
+/// Listed submissions without a verdict file — the queue depth that each
+/// health snapshot reports — from directory entries alone.
 int queueDepth(const std::string& queueDir);
 
 /// The daemon's answer to one submission.

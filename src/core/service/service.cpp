@@ -46,32 +46,44 @@ struct RunContextState {
   /// The history as of the last executed verdict; empty until the first
   /// one, and again after a refresh fails.
   history::Chain& history;
+  /// A cached or direct verdict was filed since the last health snapshot,
+  /// so the pass owes one at its end.
+  bool healthOwed = false;
 };
 
 void writeHealthSnapshot(const ServeOptions& options,
                          const ServeReport& report,
                          const CircuitBreaker& breaker);
 
-/// Mirrors the report counters into the telemetry plane and atomically
-/// refreshes QUEUE/health.json.  Runs at startup and after every filed
-/// verdict, so health.json is live, not just a drain-time artifact.
-void refreshHealth(const RunContextState& ctx) {
+/// Mirrors the report counters into the telemetry plane, in memory only:
+/// runs after every verdict, so /health's counters are never a verdict old.
+void mirrorReport(const RunContextState& ctx) {
+  const ServeReport& report = ctx.report;
+  telemetry::TelemetryPlane& plane = ctx.plane;
+  plane.setStat("processed", report.processed);
+  plane.setStat("cached", report.cached);
+  plane.setStat("executed", report.executed);
+  plane.setStat("clean", report.clean);
+  plane.setStat("regressed", report.regressed);
+  plane.setStat("failed", report.failed);
+  plane.setStat("quarantined", report.quarantined);
+  plane.setStat("degraded", report.degraded);
+  plane.setStat("malformed", report.malformed);
+  plane.setStat("watchdog_fires", report.watchdogFires);
+  plane.setQuarantinedKeys(ctx.breaker.openKeys());
+}
+
+/// Publishes the health snapshot: the queue depth from one listing of the
+/// queue, handed to the plane as well, and an atomic rewrite of
+/// QUEUE/health.json.  Runs at start, after each verdict filed through
+/// the journal, and at the end of a pass that filed a cached or direct
+/// verdict since; those verdicts cost only their own files.
+void publishHealth(RunContextState& ctx) {
   ServeReport snapshot = ctx.report;
   snapshot.queueDepth = queueDepth(ctx.options.queueDir);
   writeHealthSnapshot(ctx.options, snapshot, ctx.breaker);
-  telemetry::TelemetryPlane& plane = ctx.plane;
-  plane.setStat("processed", snapshot.processed);
-  plane.setStat("cached", snapshot.cached);
-  plane.setStat("executed", snapshot.executed);
-  plane.setStat("clean", snapshot.clean);
-  plane.setStat("regressed", snapshot.regressed);
-  plane.setStat("failed", snapshot.failed);
-  plane.setStat("quarantined", snapshot.quarantined);
-  plane.setStat("degraded", snapshot.degraded);
-  plane.setStat("malformed", snapshot.malformed);
-  plane.setStat("watchdog_fires", snapshot.watchdogFires);
-  plane.setQueueDepth(snapshot.queueDepth);
-  plane.setQuarantinedKeys(ctx.breaker.openKeys());
+  ctx.plane.setQueueDepth(snapshot.queueDepth);
+  ctx.healthOwed = false;
 }
 
 /// The crash-after test hook: mark the report crashed and dump the bus
@@ -124,19 +136,32 @@ void noteVerdict(const RunContextState& ctx, const Verdict& verdict) {
     }
     *ctx.options.log << "\n";
   }
-  refreshHealth(ctx);
+  mirrorReport(ctx);
 }
 
 /// Files a verdict that bypasses the journal (malformed submissions,
 /// quarantine refusals, RunCache hits): a restart re-derives the same
-/// bytes from the same inputs, so checkpoints would buy nothing.
-void fileDirectVerdict(const RunContextState& ctx, Verdict verdict) {
+/// bytes from the same inputs, so checkpoints would buy nothing.  Its
+/// health snapshot waits for the end of the pass.
+void fileDirectVerdict(RunContextState& ctx, Verdict verdict) {
   writeVerdict(ctx.options.queueDir, verdict);
   countVerdict(ctx.report, verdict);
   noteVerdict(ctx, verdict);
+  ctx.healthOwed = true;
 }
 
-void processSubmission(const RunContextState& ctx,
+/// Files a verdict the journal holds (an executed campaign's, or one
+/// re-filed from the journal), finishes its entry and publishes the
+/// health snapshot, so a long campaign's progress shows in health.json.
+void fileJournaledVerdict(RunContextState& ctx, const Verdict& verdict) {
+  writeVerdict(ctx.options.queueDir, verdict);
+  ctx.journal.recordDone(verdict.submission);
+  countVerdict(ctx.report, verdict);
+  noteVerdict(ctx, verdict);
+  publishHealth(ctx);
+}
+
+void processSubmission(RunContextState& ctx,
                        const SystemRegistry& systems,
                        const PackageRepository& repo,
                        const TestResolver& resolver, const Submission& sub) {
@@ -204,10 +229,7 @@ void processSubmission(const RunContextState& ctx,
     verdict.manifestHash = record->manifestHash;
     verdict.degraded = record->degraded;
     verdict.detail = record->detail;
-    writeVerdict(ctx.options.queueDir, verdict);
-    ctx.journal.recordDone(sub.id);
-    countVerdict(ctx.report, verdict);
-    noteVerdict(ctx, verdict);
+    fileJournaledVerdict(ctx, verdict);
     return;
   }
 
@@ -389,10 +411,7 @@ void processSubmission(const RunContextState& ctx,
     simulateCrash(ctx);
     return;
   }
-  writeVerdict(ctx.options.queueDir, verdict);
-  ctx.journal.recordDone(sub.id);
-  countVerdict(ctx.report, verdict);
-  noteVerdict(ctx, verdict);
+  fileJournaledVerdict(ctx, verdict);
   ctx.breaker.recordSuccess(sub.id);
 }
 
@@ -420,8 +439,8 @@ void writeHealthSnapshot(const ServeOptions& options,
     out << obs::json::quote(open[i]);
   }
   out << "]}\n";
-  // An observer snapshot that the next verdict rewrites: the rename keeps
-  // it whole, and no record cites it, so it is not fsync'd.
+  // An observer snapshot that the next one rewrites: the rename keeps it
+  // whole, and no record cites it, so it is not fsync'd.
   writeFileAtomic((fs::path(options.queueDir) / "health.json").string(),
                   out.str(), Durability::kBuffered);
 }
@@ -487,28 +506,26 @@ ServeReport Service::run() {
     plane.bus().publish("service", "", "listen",
                         {{"address", server->boundAddress()}});
   }
-  refreshHealth(ctx);
+  mirrorReport(ctx);
+  publishHealth(ctx);
 
   std::set<std::string> processedThisRun;
   bool stop = false;
   while (!stop) {
     bool progressed = false;
-    // Each pass reads only the submissions this run has not answered,
-    // so an idle poll lists the queue but reads none of it.
-    std::vector<Submission> pending;
+    // Each pass lists the queue and reads each submission this run has
+    // not answered at its turn, so an idle poll reads none of it and a
+    // drain request leaves the rest unread.
     for (const std::string& id : listSubmissions(options_.queueDir)) {
-      if (processedThisRun.count(id) == 0) {
-        pending.push_back(readSubmission(options_.queueDir, id));
-      }
-    }
-    for (const Submission& sub : pending) {
+      if (processedThisRun.count(id) != 0) continue;
       if (drainRequested(options_.queueDir) || shutdownRequested()) {
         report.drained = true;
         stop = true;
         break;
       }
-      processSubmission(ctx, systems_, repo_, resolver_, sub);
-      processedThisRun.insert(sub.id);
+      processSubmission(ctx, systems_, repo_, resolver_,
+                        readSubmission(options_.queueDir, id));
+      processedThisRun.insert(id);
       progressed = true;
       if (report.crashed) {
         // Simulated kill -9: no verdict file, no health snapshot, the
@@ -529,6 +546,9 @@ ServeReport Service::run() {
       report.drained = true;
       break;
     }
+    // The pass's snapshot; when the loop ends instead, the exit snapshot
+    // below is it.
+    if (ctx.healthOwed) publishHealth(ctx);
     if (!progressed) {
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
     }

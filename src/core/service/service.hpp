@@ -20,6 +20,10 @@
 //     (claims without progress in the journal) are quarantined
 //   * graceful drain — QUEUE/drain sentinel or SIGTERM/SIGINT finishes
 //     the submission in flight, snapshots health.json and exits
+//   * health — QUEUE/health.json is snapshotted at start, after each
+//     executed verdict, at the end of each pass that filed a cached or
+//     direct verdict, and at exit; the --listen endpoint's counters
+//     follow every verdict
 //   * queue lease — a daemon holds an flock on QUEUE/lock while it runs,
 //     so a second daemon on the same queue refuses to start instead of
 //     executing every submission again
@@ -119,9 +123,10 @@ class Service {
   Service(const SystemRegistry& systems, const PackageRepository& repo,
           ServeOptions options, TestResolver resolver);
 
-  /// Drains the queue (once or until drained/shut down), compacting the
-  /// service journal after each pass that filed a verdict, and snapshots
-  /// QUEUE/health.json, holding an flock on QUEUE/lock throughout; when
+  /// Drains the queue (once or until drained/shut down), reading each
+  /// submission at its turn, compacting the service journal after each
+  /// pass that finished one through it, and snapshots QUEUE/health.json
+  /// (see above), holding an flock on QUEUE/lock throughout; when
   /// another daemon holds it, throws QueueBusyError having written
   /// nothing.  Otherwise throws rebench::Error only on unusable
   /// queue/store directories — per-submission failures become verdicts.

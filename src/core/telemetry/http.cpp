@@ -81,10 +81,14 @@ const char* statusText(int status) {
   }
 }
 
+/// Sends `bytes` with MSG_NOSIGNAL: a peer that reset the connection
+/// fails the send with EPIPE, which ends this connection, instead of
+/// raising SIGPIPE, which would kill the process.
 void writeAll(int fd, const std::string& bytes) {
   std::size_t off = 0;
   while (off < bytes.size()) {
-    const ssize_t n = write(fd, bytes.data() + off, bytes.size() - off);
+    const ssize_t n =
+        send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
     if (n <= 0) return;
     off += static_cast<std::size_t>(n);
   }

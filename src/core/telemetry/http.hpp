@@ -5,7 +5,9 @@
 // listening socket, a blocking poll() loop on a dedicated thread, one
 // request per connection (Connection: close), no dependencies beyond
 // POSIX sockets.  The handler is a plain callback — the server knows
-// nothing about routes; rebench::service wires it to the plane.
+// nothing about routes; rebench::service wires it to the plane.  Replies
+// (and httpGet's request) are sent with MSG_NOSIGNAL, so a client that
+// resets its connection ends that connection, not the daemon.
 //
 // Port 0 asks the kernel for an ephemeral port; the bound address is
 // reported via boundAddress() and written by the daemon to
@@ -87,7 +89,8 @@ class StatusServer {
   std::string boundAddress_;
   int listenFd_ = -1;
   int wakePipe_[2] = {-1, -1};
-  bool running_ = false;
+  /// Cleared by stop() while serveLoop() reads it on the serving thread.
+  std::atomic<bool> running_{false};
 };
 
 /// Minimal blocking HTTP GET ("HOST:PORT", "/path?query"): returns the

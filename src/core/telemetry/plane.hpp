@@ -5,7 +5,8 @@
 //
 //   * the event bus (bounded ring, crash flight recorder),
 //   * a mirror of the daemon's report counters (processed, cached, ...)
-//     published at safe points — the endpoint thread never reads the
+//     published after every verdict, and the queue depth as of the last
+//     health.json snapshot — the endpoint thread never reads the
 //     daemon's live MetricsRegistry, which is mutated without locks,
 //   * the in-flight submission + stage,
 //   * a sequence-numbered verdict log (GET /verdicts?since=seq — the
@@ -61,6 +62,8 @@ class TelemetryPlane {
   /// Mirror of one daemon report counter ("processed", "cached", ...).
   /// Ordered by first set, so /health renders fields in daemon order.
   void setStat(const std::string& key, long value);
+  /// The queue depth of the daemon's last health.json snapshot, which is
+  /// published less often than the counters above are set.
   void setQueueDepth(int depth);
   void setQuarantinedKeys(std::vector<std::string> keys);
   /// Armed watchdogs (stage + submission deadlines configured), for the

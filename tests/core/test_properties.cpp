@@ -17,6 +17,7 @@
 #include "core/spec/spec.hpp"
 #include "core/util/error.hpp"
 #include "core/fault/fault.hpp"
+#include "core/fault/journal.hpp"
 #include "core/framework/perflog.hpp"
 #include "core/framework/pipeline.hpp"
 #include "core/history/history.hpp"
@@ -904,6 +905,77 @@ TEST_P(ServiceJournalProperty, DamagedJournalsOpenOrThrow) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ServiceJournalProperty, ::testing::Range(1, 5));
+
+// ---------------------------------------------------------------------------
+// Run journal: a damaged --resume journal loads or throws rebench::Error,
+// and what loads survives the repair: a reopen after one more record reads
+// back every outcome loaded, and that record.
+// ---------------------------------------------------------------------------
+
+TEST(RunJournalProperty, DamagedJournalsLoadOrThrow) {
+  static constexpr std::string_view kStructural = "{}[]\":,\\\n-.e09";
+  static constexpr std::array<std::string_view, 3> kOutcomes = {
+      "pass", "fail", "quarantined"};
+  struct Tuple {
+    std::string test;
+    std::string target;
+    int repeat = 0;
+  };
+  const std::string dir =
+      (std::filesystem::path(::testing::TempDir()) / "run_journal_property")
+          .string();
+  std::filesystem::remove_all(dir);
+  Rng rng(97);
+  std::vector<Tuple> tuples;
+  {
+    RunJournal journal(dir);
+    for (int i = 0; i < 6; ++i) {
+      const Tuple& tuple = tuples.emplace_back(
+          Tuple{randomNasty(rng), randomNasty(rng), i});
+      journal.record(tuple.test, tuple.target, tuple.repeat,
+                     kOutcomes[rng.below(kOutcomes.size())], randomNasty(rng),
+                     1 + static_cast<int>(rng.below(4)));
+    }
+  }
+  const std::string path = RunJournal::pathFor(dir);
+  std::string original;
+  {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream out;
+    out << in.rdbuf();
+    original = out.str();
+  }
+  for (int trial = 0; trial < 300; ++trial) {
+    std::ofstream(path, std::ios::binary | std::ios::trunc)
+        << damage(rng, original, kStructural);
+    std::optional<RunJournal> journal;
+    try {
+      journal.emplace(dir);
+    } catch (const Error&) {
+      continue;  // damage may be rejected; anything but rebench::Error fails
+    }
+    std::vector<std::optional<std::string>> loaded;
+    for (const Tuple& tuple : tuples) {
+      const std::string* outcome =
+          journal->outcome(tuple.test, tuple.target, tuple.repeat);
+      loaded.push_back(outcome == nullptr ? std::nullopt
+                                          : std::optional(*outcome));
+    }
+    journal->record("after-damage", "t", trial, "pass", "run", 1);
+    journal.reset();
+    const RunJournal reopened(dir);
+    for (std::size_t i = 0; i < tuples.size(); ++i) {
+      const std::string* outcome =
+          reopened.outcome(tuples[i].test, tuples[i].target, tuples[i].repeat);
+      EXPECT_EQ(outcome == nullptr ? std::nullopt : std::optional(*outcome),
+                loaded[i])
+          << "trial " << trial << ", tuple " << i;
+    }
+    const std::string* after = reopened.outcome("after-damage", "t", trial);
+    EXPECT_TRUE(after != nullptr && *after == "pass") << "trial " << trial;
+  }
+  std::filesystem::remove_all(dir);
+}
 
 // ---------------------------------------------------------------------------
 // Submissions: a damaged body filed under its own hash, so the content

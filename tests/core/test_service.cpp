@@ -6,12 +6,14 @@
 #include <sys/stat.h>
 
 #include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/fault/journal.hpp"
@@ -620,8 +622,53 @@ TEST_F(ServiceFixture, SeamCountsPriceEachVerdictKind) {
   // One fsync per cached verdict, its file's; no append, no rewrite.
   EXPECT_EQ(cached.fsyncs, 3u);
   EXPECT_EQ(cached.writes, cached.renames);
+  // The verdict files and two health snapshots, the start's and the
+  // exit's: a cached verdict publishes none of its own.
+  EXPECT_EQ(cached.renames, 3u + 2u);
   EXPECT_EQ(readFile(journal), kEmptyJournal);
   EXPECT_EQ(inodeOf(journal), inode);
+}
+
+// A polling daemon publishes health.json at start, once at the end of a
+// pass that filed cached verdicts, and at exit: none per cached verdict
+// and none on an idle poll.
+TEST_F(ServiceFixture, PollingDaemonSnapshotsHealthOncePerPass) {
+  for (const char* benchmark : {"first", "second", "third"}) {
+    enqueueSubmission(queue_, invocation(benchmark));
+  }
+  EXPECT_EQ(serve(makeOptions()).executed, 3);
+  const std::string health = queue_ + "/health.json";
+  const auto cachedInHealth = [&] {
+    return obs::json::parse(readFile(health)).numberOr("cached", -1);
+  };
+  ASSERT_EQ(cachedInHealth(), 0);
+  ServeOptions polling = makeOptions();
+  polling.once = false;
+  const SeamCounts before = seamCounts();
+  ServeReport report;
+  std::thread daemon([&] { report = serve(polling); });
+  // The first snapshot with cached 3 is the pass's: the start snapshot
+  // says 0, and the --once drain above executed all three.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (cachedInHealth() != 3 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));  // idle polls
+  const SeamCounts idle = seamCostSince(before);
+  requestDrain(queue_);
+  daemon.join();
+  // The start snapshot, three verdict files and the pass's snapshot.
+  EXPECT_EQ(idle.renames, 1u + 3u + 1u);
+  // Then the drain sentinel and the exit snapshot.
+  EXPECT_EQ(seamCostSince(before).renames, idle.renames + 1u + 1u);
+  EXPECT_TRUE(report.drained);
+  EXPECT_EQ(report.cached, 3);
+  const obs::json::Value last = obs::json::parse(readFile(health));
+  EXPECT_EQ(last.numberOr("processed", -1), 3);
+  EXPECT_EQ(last.numberOr("cached", -1), 3);
+  EXPECT_EQ(last.numberOr("queue_depth", -1), 0);
+  EXPECT_TRUE(last.at("drained").boolean);
 }
 
 // A cached verdict carries no checkpoint: a pass cut after deciding it
@@ -759,6 +806,29 @@ TEST_F(ServiceFixture, DeeplyNestedSubmissionFailsPermanently) {
   const Verdict verdict = Verdict::parse(readFile(verdictPath(queue_, id)));
   EXPECT_EQ(verdict.verdict, "failed:permanent");
   EXPECT_NE(verdict.detail.find("nesting deeper than 64"), std::string::npos)
+      << verdict.detail;
+  EXPECT_EQ(Verdict::parse(readFile(verdictPath(queue_, valid.id))).verdict,
+            "ran:clean");
+}
+
+// A submission file over kMaxSubmissionBytes is filed as a permanent
+// failure naming the limit, not parsed, and the valid submission beside
+// it still runs.
+TEST_F(ServiceFixture, OversizeSubmissionFailsPermanently) {
+  const Submission valid = enqueueSubmission(queue_, invocation());
+  const std::string id = "00000000deadbeef";
+  std::ofstream(queue_ + "/sub-" + id + ".json", std::ios::binary)
+      << std::string(kMaxSubmissionBytes + 1, ' ');
+  const Submission big = readSubmission(queue_, id);
+  EXPECT_FALSE(big.valid);
+  const ServeReport report = serve(makeOptions());
+  EXPECT_EQ(report.malformed, 1);
+  EXPECT_EQ(report.executed, 1);
+  const Verdict verdict = Verdict::parse(readFile(verdictPath(queue_, id)));
+  EXPECT_EQ(verdict.verdict, "failed:permanent");
+  EXPECT_EQ(verdict.detail, big.error);
+  EXPECT_NE(verdict.detail.find(std::to_string(kMaxSubmissionBytes)),
+            std::string::npos)
       << verdict.detail;
   EXPECT_EQ(Verdict::parse(readFile(verdictPath(queue_, valid.id))).verdict,
             "ran:clean");

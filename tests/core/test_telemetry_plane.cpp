@@ -2,8 +2,13 @@
 // flight-record dump, the deterministic sim resource probe, the
 // TelemetryPlane's HTTP routing, and a real StatusServer round-trip on
 // an ephemeral port via the in-test httpGet client.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -360,6 +365,37 @@ TEST(StatusServer, EphemeralPortRoundTripViaHttpGet) {
   const std::string trace = server.tracer().toJsonl();
   EXPECT_NE(trace.find("serve.endpoint"), std::string::npos);
   EXPECT_NE(trace.find("/teapot"), std::string::npos);
+}
+
+// A client that resets its connection (SO_LINGER {1, 0}: close sends an
+// RST) ends only that connection: the reply's send fails with EPIPE
+// instead of raising SIGPIPE, which would kill this test binary.
+TEST(StatusServer, SurvivesClientsThatResetTheirConnection) {
+  TelemetryPlane plane;
+  plane.setStat("processed", 3);
+  StatusServer server(
+      [&plane](const HttpRequest& request) { return plane.handle(request); });
+  server.start("127.0.0.1:0");
+  const std::string address = server.boundAddress();
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(
+      std::stoi(address.substr(address.rfind(':') + 1))));
+  ASSERT_EQ(inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  for (int i = 0; i < 20; ++i) {
+    const int fd = socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+              0);
+    const linger reset{1, 0};
+    setsockopt(fd, SOL_SOCKET, SO_LINGER, &reset, sizeof(reset));
+    close(fd);
+  }
+  const obs::json::Value health =
+      obs::json::parse(httpGet(address, "/health"));
+  EXPECT_EQ(health.numberOr("processed", -1), 3.0);
+  server.stop();
 }
 
 }  // namespace
