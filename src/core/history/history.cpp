@@ -1,10 +1,7 @@
 #include "core/history/history.hpp"
 
-#include <sys/stat.h>
-
 #include <algorithm>
 #include <cmath>
-#include <ctime>
 #include <iomanip>
 #include <set>
 #include <sstream>
@@ -263,37 +260,6 @@ ChainTip tipAfter(const std::string& head, std::uint64_t headSeq,
           headRecords.empty() ? 0 : headRecords.back().seq + 1};
 }
 
-std::int64_t nanoseconds(const timespec& time) {
-  return static_cast<std::int64_t>(time.tv_sec) * 1'000'000'000 +
-         time.tv_nsec;
-}
-
-/// CLOCK_REALTIME_COARSE's tick: the clock file timestamps are taken from.
-std::int64_t coarseTickNs() {
-  static const std::int64_t tick = [] {
-    timespec resolution{};
-    ::clock_getres(CLOCK_REALTIME_COARSE, &resolution);
-    return std::max<std::int64_t>(nanoseconds(resolution), 1);
-  }();
-  return tick;
-}
-
-/// Fills `stamp`'s stat fields from `path`; false when the stat fails.
-bool statInto(const std::string& path, SegmentStamp& stamp) {
-  struct stat info {};
-  if (::stat(path.c_str(), &info) != 0) return false;
-  stamp.size = static_cast<std::uint64_t>(info.st_size);
-  stamp.inode = static_cast<std::uint64_t>(info.st_ino);
-  stamp.mtimeNs = nanoseconds(info.st_mtim);
-  stamp.ctimeNs = nanoseconds(info.st_ctim);
-  return true;
-}
-
-bool sameFile(const SegmentStamp& a, const SegmentStamp& b) {
-  return a.size == b.size && a.inode == b.inode && a.mtimeNs == b.mtimeNs &&
-         a.ctimeNs == b.ctimeNs;
-}
-
 }  // namespace
 
 HistoryIndex::HistoryIndex(store::ObjectStore& store) : store_(store) {}
@@ -314,17 +280,29 @@ std::string HistoryIndex::appendSegment(
 
 std::string HistoryIndex::appendSegment(
     const ChainTip& tip, std::span<const HistoryRecord> records) {
+  return publish(tip, records, nullptr);
+}
+
+std::string HistoryIndex::publish(const ChainTip& tip,
+                                  std::span<const HistoryRecord> records,
+                                  std::string* adoptable) {
   if (records.empty()) return "";
   std::vector<HistoryRecord> stamped(records.begin(), records.end());
   std::string hash;
+  bool first = true;
   // When another writer moved the head first, attach after its segment;
   // the segment just put stays in the store, unreferenced.
-  for (ChainTip at = tip;; at = headTip()) {
+  for (ChainTip at = tip;; at = headTip(), first = false) {
     for (std::size_t i = 0; i < stamped.size(); ++i) {
       stamped[i].seq = at.base + i;
     }
-    hash = store_.put(serializeSegment(stamped, at.head, at.seq, at.base));
-    if (store_.compareAndSetRef(kHeadRef, at.head, hash)) break;
+    std::string bytes = serializeSegment(stamped, at.head, at.seq, at.base);
+    bool wrote = false;
+    hash = store_.put(bytes, &wrote);
+    if (store_.compareAndSetRef(kHeadRef, at.head, hash)) {
+      if (adoptable != nullptr && first && wrote) *adoptable = std::move(bytes);
+      break;
+    }
   }
   return hash;
 }
@@ -332,8 +310,21 @@ std::string HistoryIndex::appendSegment(
 std::string HistoryIndex::extend(Chain& chain,
                                  std::span<const HistoryRecord> records) {
   try {
-    const std::string hash = appendSegment(chain.tip, records);
-    if (!hash.empty()) readNewer(chain, hash);
+    std::string bytes;
+    const std::string hash = publish(chain.tip, records, &bytes);
+    if (bytes.empty()) {
+      if (!hash.empty()) readNewer(chain, hash);
+      return hash;
+    }
+    // The segment attaches at the chain's tip and its file holds `bytes`,
+    // which hash to its name: parse them instead of reading them back.
+    // The racy stamp has the next refresh verify the file once.
+    std::uint64_t seq = 0;
+    const std::vector<HistoryRecord> adopted =
+        parseSegment(bytes, nullptr, &seq);
+    chain.records.insert(chain.records.end(), adopted.begin(), adopted.end());
+    chain.segments.push_back({.hash = hash});
+    chain.tip = tipAfter(hash, seq, adopted);
     return hash;
   } catch (...) {
     chain = Chain{};
@@ -342,10 +333,10 @@ std::string HistoryIndex::extend(Chain& chain,
 }
 
 std::vector<HistoryRecord> HistoryIndex::readSegment(
-    const std::string& hash, std::string* prevHash,
-    std::uint64_t* seq) const {
+    const std::string& hash, std::string* prevHash, std::uint64_t* seq,
+    store::ObjectStamp* stamp) const {
   ++segmentReads_;
-  const auto bytes = store_.get(hash);
+  const auto bytes = store_.get(hash, stamp);
   if (!bytes) {
     throw Error("history chain is broken: segment '" + hash +
                 "' is missing from the store");
@@ -353,25 +344,10 @@ std::vector<HistoryRecord> HistoryIndex::readSegment(
   return parseSegment(*bytes, prevHash, seq);
 }
 
-std::vector<HistoryRecord> HistoryIndex::verifySegment(
-    const std::string& hash, SegmentStamp& stamp, std::string* prevHash,
-    std::uint64_t* seq) const {
-  // The clock is read before the stat: a rewrite after it lands in a
-  // later tick, so it moves the ctime of any segment older than a tick.
-  timespec now{};
-  ::clock_gettime(CLOCK_REALTIME_COARSE, &now);
-  stamp.hash = hash;
-  const bool statted = statInto(store_.objectPath(hash), stamp);
-  std::vector<HistoryRecord> records = readSegment(hash, prevHash, seq);
-  stamp.racy =
-      !statted || stamp.ctimeNs > nanoseconds(now) - coarseTickNs();
-  return records;
-}
-
 bool HistoryIndex::readNewer(Chain& chain, const std::string& head) const {
   struct Walked {
     std::vector<HistoryRecord> records;
-    SegmentStamp stamp;
+    store::ObjectStamp stamp;
   };
   std::vector<Walked> newer;  // newest first
   ChainTip tip;
@@ -380,7 +356,7 @@ bool HistoryIndex::readNewer(Chain& chain, const std::string& head) const {
     Walked& segment = newer.emplace_back();
     std::string prev;
     std::uint64_t seq = 0;
-    segment.records = verifySegment(hash, segment.stamp, &prev, &seq);
+    segment.records = readSegment(hash, &prev, &seq, &segment.stamp);
     if (newer.size() == 1) tip = tipAfter(hash, seq, segment.records);
     hash = prev;
   }
@@ -412,13 +388,10 @@ void HistoryIndex::refresh(Chain& chain) const {
     // Segments are content-addressed: a re-read that still hashes to its
     // name holds the records the chain already has.
     for (std::size_t i = 0; i < covered; ++i) {
-      SegmentStamp& stamp = chain.segments[i];
-      SegmentStamp now;
-      if (!stamp.racy && statInto(store_.objectPath(stamp.hash), now) &&
-          sameFile(now, stamp)) {
-        continue;
+      store::ObjectStamp& stamp = chain.segments[i];
+      if (!store_.unchanged(stamp)) {
+        readSegment(stamp.hash, nullptr, nullptr, &stamp);
       }
-      verifySegment(stamp.hash, stamp, nullptr, nullptr);
     }
   } catch (...) {
     chain = Chain{};
@@ -440,18 +413,6 @@ std::vector<HistoryRecord> HistoryIndex::query(std::string_view test,
                                                std::string_view target,
                                                std::string_view fom) const {
   return selectRecords(readAll(), test, target, fom);
-}
-
-std::size_t HistoryIndex::segmentCount() const {
-  std::size_t count = 0;
-  std::string hash = store_.ref(kHeadRef).value_or("");
-  while (!hash.empty()) {
-    std::string prev;
-    readSegment(hash, &prev);
-    hash = prev;
-    ++count;
-  }
-  return count;
 }
 
 std::vector<std::string> lintHistory(store::ObjectStore& store,

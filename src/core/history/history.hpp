@@ -26,7 +26,8 @@
 // are identical at every --jobs width.
 // A long-lived reader (the serve daemon) keeps a Chain and refreshes it,
 // re-reading only the segments that are new, changed on disk or racily
-// clean (HistoryIndex::refresh).
+// clean (HistoryIndex::refresh); a segment it appends itself joins the
+// chain unread and is verified by the next refresh.
 //
 // On top of the index: series grouping, trend rendering (table or JSON,
 // with sparklines, rolling stats and changepoint flags), and the
@@ -44,9 +45,7 @@
 #include <string_view>
 #include <vector>
 
-namespace rebench::store {
-class ObjectStore;
-}  // namespace rebench::store
+#include "core/store/object_store.hpp"
 
 namespace rebench {
 struct PerfLogEntry;
@@ -125,25 +124,14 @@ struct ChainTip {
   std::uint64_t base = 0;
 };
 
-/// The stat fingerprint a segment file was verified under.  Segments are
-/// immutable, so while the fingerprint holds the verified records do too.
-struct SegmentStamp {
-  std::string hash;
-  std::uint64_t size = 0;
-  std::uint64_t inode = 0;
-  std::int64_t mtimeNs = 0;
-  std::int64_t ctimeNs = 0;
-  /// The ctime was not at least one CLOCK_REALTIME_COARSE tick older than
-  /// the clock read before the stat: a rewrite in that same tick could
-  /// leave every field above unchanged, so the next refresh re-reads it.
-  bool racy = true;
-};
-
 /// A verified view of the chain, kept up to date by HistoryIndex::refresh.
+/// Each segment's stamp is the stat its verified read was taken under; a
+/// racy one (a segment extend adopted unread among them) is re-read by
+/// the next refresh.
 struct Chain {
   std::vector<HistoryRecord> records;  // oldest first
   ChainTip tip;
-  std::vector<SegmentStamp> segments;  // oldest first, one per segment
+  std::vector<store::ObjectStamp> segments;  // oldest first, one per segment
 };
 
 /// The chain view over an ObjectStore.  Not thread-safe; callers append
@@ -165,9 +153,15 @@ class HistoryIndex {
   std::string appendSegment(const ChainTip& tip,
                             std::span<const HistoryRecord> records);
 
-  /// appendSegment at `chain`'s tip, then extends `chain` by verified
-  /// reads from the new segment back to the old tip (taking in any
-  /// segment another writer appended).  A throw leaves `chain` empty.
+  /// appendSegment at `chain`'s tip, then extends `chain` with the new
+  /// segment.  When this call wrote the segment's object and its first
+  /// compare-and-swap won, the segment is adopted: the bytes it serialized,
+  /// whose hash names the object, are parsed into the chain with a racy
+  /// stamp, so the next refresh verifies the file once.  Otherwise (the
+  /// object was already present, or another writer moved the head) the
+  /// chain is extended by verified reads from the new segment back to the
+  /// old tip, taking in any segment another writer appended.  A throw
+  /// leaves `chain` empty.
   std::string extend(Chain& chain, std::span<const HistoryRecord> records);
 
   /// Brings `chain` up to date with the store in one pass: verified reads
@@ -186,11 +180,13 @@ class HistoryIndex {
   /// rebench::Error naming the missing or corrupt segment.
   Chain readChain() const;
 
-  /// Verified read of one segment, parsed as parseSegment does; a
-  /// missing or corrupt segment throws rebench::Error.
-  std::vector<HistoryRecord> readSegment(const std::string& hash,
-                                         std::string* prevHash = nullptr,
-                                         std::uint64_t* seq = nullptr) const;
+  /// Verified read of one segment, parsed as parseSegment does, and
+  /// stamped as ObjectStore::get stamps when `stamp` is given; a missing
+  /// or corrupt segment throws rebench::Error.
+  std::vector<HistoryRecord> readSegment(
+      const std::string& hash, std::string* prevHash = nullptr,
+      std::uint64_t* seq = nullptr,
+      store::ObjectStamp* stamp = nullptr) const;
 
   /// Verified segment reads this index has made.
   std::uint64_t segmentReads() const { return segmentReads_; }
@@ -200,16 +196,15 @@ class HistoryIndex {
                                    std::string_view target = {},
                                    std::string_view fom = {}) const;
 
-  std::size_t segmentCount() const;
-
  private:
   /// Where a segment appended now attaches: after the head segment.
   ChainTip headTip() const;
-  /// readSegment, stamped with a stat taken just before the read.
-  std::vector<HistoryRecord> verifySegment(const std::string& hash,
-                                           SegmentStamp& stamp,
-                                           std::string* prevHash,
-                                           std::uint64_t* seq) const;
+  /// appendSegment's publish step.  `adoptable`, when given, receives the
+  /// segment's bytes iff this call wrote its object and the first
+  /// compare-and-swap (at `tip` itself) won; it is left empty otherwise.
+  std::string publish(const ChainTip& tip,
+                      std::span<const HistoryRecord> records,
+                      std::string* adoptable);
   /// Verified reads from `head` back to `chain`'s tip, appended to it.
   /// Returns false when the walk reached the root without meeting the
   /// tip: the chain then holds exactly the walked segments.

@@ -323,8 +323,9 @@ std::vector<history::GateResult> appendAndGateCampaign(
   index.refresh(chain);
   if (!outcome.aggregates.empty() &&
       !cites(chain.records, outcome.manifestHash)) {
-    // The verified read-back gives the gate exactly the bytes a fresh
-    // walk would.
+    // extend adopts the segment it writes, parsed from the bytes whose
+    // hash names it, so the gate sees exactly the records a fresh walk
+    // would; the next refresh verifies the file once.
     index.extend(chain, historyRecordsFor(outcome, systems));
   }
   return gateTouchedSeries(chain.records, outcome, options, tracer, metrics);

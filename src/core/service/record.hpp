@@ -132,7 +132,7 @@ std::vector<history::GateResult> gateCampaign(
 /// results, over the daemon's long-lived `chain`.  A refresh brings the
 /// chain up to date (HistoryIndex::refresh) and feeds the "already
 /// cited" check and the append's tip; the new segment joins the gate's
-/// input through a verified read-back.  Throws rebench::Error when the
+/// input as HistoryIndex::extend adopts it.  Throws rebench::Error when the
 /// history is unreadable, leaving `chain` empty so the next call walks
 /// the whole chain again.
 std::vector<history::GateResult> appendAndGateCampaign(

@@ -111,7 +111,7 @@ std::optional<BuildRecord> BuildCache::lookup(const std::string& key,
   span.attr("key", key);
   const std::optional<std::string> hash = store_.ref("build/" + key);
   if (!hash) return noteLookup(span, "miss", std::nullopt, metrics);
-  const std::optional<std::string> bytes = store_.get(*hash);
+  const std::optional<std::string> bytes = verifiedBytes(*hash, true);
   if (!bytes) return noteLookup(span, "corrupt", std::nullopt, metrics);
   std::optional<BuildRecord> record = reusable(bytes, plan);
   return noteLookup(span, record ? "hit" : "drift", std::move(record),
@@ -141,7 +141,25 @@ std::optional<BuildRecord> BuildCache::peek(const std::string& key,
                                             const BuildPlan& plan) const {
   const std::optional<std::string> hash = store_.ref("build/" + key);
   if (!hash) return std::nullopt;
-  return reusable(store_.peek(*hash), plan);
+  return reusable(verifiedBytes(*hash, false), plan);
+}
+
+std::optional<std::string> BuildCache::verifiedBytes(const std::string& hash,
+                                                     bool repair) const {
+  std::lock_guard lock(verifiedMutex_);
+  const auto it = verified_.find(hash);
+  if (it != verified_.end() && store_.unchanged(it->second.stamp)) {
+    return it->second.bytes;
+  }
+  ObjectStamp stamp;
+  std::optional<std::string> bytes =
+      repair ? store_.get(hash, &stamp) : store_.peek(hash, &stamp);
+  if (!bytes) {
+    if (it != verified_.end()) verified_.erase(it);
+    return std::nullopt;
+  }
+  verified_.insert_or_assign(hash, Verified{std::move(stamp), *bytes});
+  return bytes;
 }
 
 void BuildCache::noteSingleFlightDeduped(std::uint64_t n) {

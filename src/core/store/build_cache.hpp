@@ -10,9 +10,14 @@
 //
 // — so any drift in the spec, the system's modules/compilers, or the
 // recipe changes the key and forces a rebuild.  Reuse is verified: the
-// stored record is re-read through ObjectStore::get (which re-hashes the
+// stored record is read through ObjectStore::get (which re-hashes the
 // blob) and its planHash/binaryId are checked against the requesting
-// plan; anything inconsistent is treated as a miss.
+// plan; anything inconsistent is treated as a miss.  A cache lives for
+// one campaign and keeps the verified bytes of each record object it
+// reads: `peek` and every `lookup` still read the key's ref, but re-read
+// the record only when its file's stat stamp moved or was racy
+// (ObjectStore::unchanged), so a rewritten record is re-read, reported
+// corrupt and deleted.
 //
 // Lookups emit a `store.lookup` span (`key`, `outcome` attrs) and bump
 // the `store.hit`/`store.miss` counters; inserts emit `store.put` events.
@@ -100,9 +105,10 @@ class BuildCache {
   void recordMiss(const std::string& key, obs::Tracer* tracer,
                   obs::MetricsRegistry* metrics);
 
-  /// Silent verified lookup: no spans, no counters, no stats.  Used by
-  /// the executor's pre-pass to classify keys as warm/cold without
-  /// observable side effects.
+  /// Silent verified lookup: no spans, no counters, no stats, and no
+  /// corruption handling.  Used by the executor's pre-pass to classify
+  /// keys as warm/cold without observable side effects; the verified
+  /// bytes it reads are kept for the lookups that follow.
   std::optional<BuildRecord> peek(const std::string& key,
                                   const BuildPlan& plan) const;
 
@@ -131,6 +137,11 @@ class BuildCache {
   /// exactly `plan`; nullopt otherwise (unparseable, or drift).
   static std::optional<BuildRecord> reusable(
       const std::optional<std::string>& bytes, const BuildPlan& plan);
+  /// The verified bytes of record object `hash`: the kept ones while its
+  /// file is unchanged, else a verified read (through get when `repair`,
+  /// which deletes a corrupt file, else peek) that replaces them.
+  std::optional<std::string> verifiedBytes(const std::string& hash,
+                                           bool repair) const;
   /// Ends a `store.lookup` span: its outcome, counter and stat.
   std::optional<BuildRecord> noteLookup(obs::ScopedSpan& span,
                                         const char* outcome,
@@ -140,6 +151,13 @@ class BuildCache {
   ObjectStore& store_;
   mutable std::mutex statsMutex_;
   Stats stats_;
+  struct Verified {
+    ObjectStamp stamp;
+    std::string bytes;
+  };
+  // Held across the read, so concurrent workers share one verified read.
+  mutable std::mutex verifiedMutex_;
+  mutable std::map<std::string, Verified> verified_;  // by object hash
 };
 
 }  // namespace rebench::store

@@ -1,5 +1,9 @@
 #include "core/store/object_store.hpp"
 
+#include <sys/stat.h>
+
+#include <algorithm>
+#include <ctime>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -37,6 +41,37 @@ std::optional<std::string> readBytes(const fs::path& path) {
 void makeRefDir(const std::string& path) {
   std::error_code ec;
   createDirectories(fs::path(path).parent_path(), ec);
+}
+
+std::int64_t nanoseconds(const timespec& time) {
+  return static_cast<std::int64_t>(time.tv_sec) * 1'000'000'000 +
+         time.tv_nsec;
+}
+
+/// CLOCK_REALTIME_COARSE's tick: the clock file timestamps are taken from.
+std::int64_t coarseTickNs() {
+  static const std::int64_t tick = [] {
+    timespec resolution{};
+    ::clock_getres(CLOCK_REALTIME_COARSE, &resolution);
+    return std::max<std::int64_t>(nanoseconds(resolution), 1);
+  }();
+  return tick;
+}
+
+/// Fills `stamp`'s stat fields from `path`; false when the stat fails.
+bool statInto(const std::string& path, ObjectStamp& stamp) {
+  struct stat info {};
+  if (::stat(path.c_str(), &info) != 0) return false;
+  stamp.size = static_cast<std::uint64_t>(info.st_size);
+  stamp.inode = static_cast<std::uint64_t>(info.st_ino);
+  stamp.mtimeNs = nanoseconds(info.st_mtim);
+  stamp.ctimeNs = nanoseconds(info.st_ctim);
+  return true;
+}
+
+bool sameFile(const ObjectStamp& a, const ObjectStamp& b) {
+  return a.size == b.size && a.inode == b.inode && a.mtimeNs == b.mtimeNs &&
+         a.ctimeNs == b.ctimeNs;
 }
 
 }  // namespace
@@ -138,7 +173,7 @@ void ObjectStore::setObservability(obs::MetricsRegistry* metrics) {
   metrics_ = metrics;
 }
 
-std::string ObjectStore::put(std::string_view bytes) {
+std::string ObjectStore::put(std::string_view bytes, bool* wrote) {
   const std::string hash = hashBytes(bytes);
   const bool present = contains(hash);
   {
@@ -146,6 +181,7 @@ std::string ObjectStore::put(std::string_view bytes) {
     ++stats_.puts;
     if (present) ++stats_.dedupedPuts;
   }
+  if (wrote != nullptr) *wrote = !present;
   if (present) return hash;
   // Atomic publication: a concurrent writer of the same content races to
   // an identical file, and the rename makes whichever lands last win
@@ -155,8 +191,9 @@ std::string ObjectStore::put(std::string_view bytes) {
   return hash;
 }
 
-std::optional<std::string> ObjectStore::get(const std::string& hash) {
-  std::optional<std::string> content = peek(hash);
+std::optional<std::string> ObjectStore::get(const std::string& hash,
+                                            ObjectStamp* stamp) {
+  std::optional<std::string> content = peek(hash, stamp);
   // Truncated or tampered blob: drop it so the caller rebuilds rather
   // than trusting bytes that no longer match their address.
   std::error_code ec;
@@ -169,10 +206,37 @@ std::optional<std::string> ObjectStore::get(const std::string& hash) {
   return std::nullopt;
 }
 
-std::optional<std::string> ObjectStore::peek(const std::string& hash) const {
+std::optional<std::string> ObjectStore::peek(const std::string& hash,
+                                             ObjectStamp* stamp) const {
+  // The clock is read before the stat: a rewrite after it lands in a
+  // later tick, so it moves the ctime of any file older than a tick.
+  // The path is built for each call, not held across the read: holding
+  // it raised history_check's peak RSS by ~0.3 MB (bench/e2e, 1000
+  // segments).
+  timespec now{};
+  bool statted = false;
+  if (stamp != nullptr) {
+    ::clock_gettime(CLOCK_REALTIME_COARSE, &now);
+    stamp->hash = hash;
+    statted = statInto(objectPath(hash), *stamp);
+  }
   std::optional<std::string> content = readBytes(objectPath(hash));
+  {
+    std::lock_guard lock(mutex_);
+    ++stats_.reads;
+  }
+  if (stamp != nullptr) {
+    stamp->racy =
+        !statted || stamp->ctimeNs > nanoseconds(now) - coarseTickNs();
+  }
   if (!content || hashBytes(*content) != hash) return std::nullopt;
   return content;
+}
+
+bool ObjectStore::unchanged(const ObjectStamp& stamp) const {
+  ObjectStamp now;
+  return !stamp.racy && statInto(objectPath(stamp.hash), now) &&
+         sameFile(now, stamp);
 }
 
 bool ObjectStore::contains(const std::string& hash) const {

@@ -9,7 +9,9 @@
 // a short write leaves the old file.  Reads are *verified*: `get`
 // re-hashes the blob and deletes a mismatch (a truncated or tampered
 // file), so a corrupt cache degrades to a rebuild instead of a wrong
-// result; that delete is the only write a read makes.  Nothing is
+// result; that delete is the only write a read makes.  A long-lived
+// reader may stamp a verified read with the file's stat (ObjectStamp)
+// and skip re-reading the object while `unchanged` holds.  Nothing is
 // evicted, so disk use is unbounded (DESIGN.md §10).  Two older layouts
 // are converted on first open.  A rebench.store/1 index.jsonl (puts,
 // touches, refs, pins and evictions): its live refs become ref files and
@@ -31,6 +33,20 @@ class MetricsRegistry;
 
 namespace rebench::store {
 
+/// The stat fingerprint an object file was verified under.  Objects are
+/// immutable, so while the fingerprint holds the verified bytes do too.
+struct ObjectStamp {
+  std::string hash;
+  std::uint64_t size = 0;
+  std::uint64_t inode = 0;
+  std::int64_t mtimeNs = 0;
+  std::int64_t ctimeNs = 0;
+  /// The ctime was not at least one CLOCK_REALTIME_COARSE tick older than
+  /// the clock read before the stat: a rewrite in that same tick could
+  /// leave every field above unchanged, so the object must be re-read.
+  bool racy = true;
+};
+
 class ObjectStore {
  public:
   /// Opens (creating when absent) the store at `dir`, converting the
@@ -45,16 +61,26 @@ class ObjectStore {
 
   /// Stores `bytes`, returning their hash.  Idempotent: a blob already
   /// present is not rewritten (the put is counted as deduplicated).
+  /// `wrote`, when given, is set to whether this call published the blob.
   /// Throws rebench::Error when the blob cannot be written in full.
-  std::string put(std::string_view bytes);
+  std::string put(std::string_view bytes, bool* wrote = nullptr);
 
   /// Verified read: returns the bytes iff the blob exists and re-hashes
-  /// to `hash`.  A corrupt blob is deleted and counted.
-  std::optional<std::string> get(const std::string& hash);
+  /// to `hash`.  A corrupt blob is deleted and counted.  `stamp`, when
+  /// given, is filled from a stat taken just before the read.
+  std::optional<std::string> get(const std::string& hash,
+                                 ObjectStamp* stamp = nullptr);
 
-  /// Verified read with no side effects: no stats and no corruption
-  /// handling.  Used by the parallel executor's pre-pass to classify keys.
-  std::optional<std::string> peek(const std::string& hash) const;
+  /// Verified read without corruption handling (a mismatch is left in
+  /// place), stamped as get stamps.  Used by the parallel executor's
+  /// pre-pass to classify keys.
+  std::optional<std::string> peek(const std::string& hash,
+                                  ObjectStamp* stamp = nullptr) const;
+
+  /// Whether the object file is still the one `stamp` was verified
+  /// under: the stamp is not racy and a stat matches its size, inode,
+  /// mtime and ctime.  Only then may its verified bytes be reused unread.
+  bool unchanged(const ObjectStamp& stamp) const;
 
   /// Whether a blob is stored under `hash`: one stat, no verification.
   bool contains(const std::string& hash) const;
@@ -81,6 +107,7 @@ class ObjectStore {
   struct Stats {
     std::uint64_t puts = 0;         // total put() calls
     std::uint64_t dedupedPuts = 0;  // puts that found the blob present
+    std::uint64_t reads = 0;        // verified reads (get() and peek())
     std::uint64_t corrupt = 0;      // verification failures on get()
   };
   Stats stats() const {
@@ -108,7 +135,7 @@ class ObjectStore {
   // the filesystem, whose renames make each publication atomic.
   mutable std::mutex mutex_;
   obs::MetricsRegistry* metrics_ = nullptr;
-  Stats stats_;
+  mutable Stats stats_;
 };
 
 }  // namespace rebench::store

@@ -6,9 +6,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <sstream>
+#include <vector>
 
 #include "core/util/error.hpp"
 #include "core/util/strings.hpp"
@@ -50,20 +53,34 @@ sockaddr_in resolveIpv4(const ParsedAddress& address) {
   return addr;
 }
 
-/// Reads until the end of the request headers (CRLFCRLF) or EOF; the
-/// endpoint only serves GET, so bodies are ignored.
-std::string readRequestHead(int fd) {
-  std::string data;
+using SteadyClock = std::chrono::steady_clock;
+
+/// How long a connection may take to send its request head; a slow
+/// client is then answered with what arrived.
+constexpr std::chrono::milliseconds kHeadTimeout{5000};
+/// Request heads stop growing here; the endpoint serves only GET, so
+/// bodies are ignored.
+constexpr std::size_t kMaxHeadBytes = 64 * 1024;
+/// Connections that may wait for their request head: the listen backlog.
+/// Past it, the oldest waiting connection is closed.
+constexpr std::size_t kMaxWaiting = 16;
+
+/// A connection whose request head is still arriving.
+struct Waiting {
+  int fd = -1;
+  std::string head;
+  SteadyClock::time_point deadline;
+};
+
+/// Reads what `connection` has sent; true once its head is complete: the
+/// end of the headers (CRLFCRLF), the size limit, or EOF.
+bool readMore(Waiting& connection) {
   char buffer[2048];
-  while (data.find("\r\n\r\n") == std::string::npos &&
-         data.size() < 64 * 1024) {
-    pollfd pfd{fd, POLLIN, 0};
-    if (poll(&pfd, 1, 5000) <= 0) break;  // slow client: give up
-    const ssize_t n = read(fd, buffer, sizeof(buffer));
-    if (n <= 0) break;
-    data.append(buffer, static_cast<std::size_t>(n));
-  }
-  return data;
+  const ssize_t n = read(connection.fd, buffer, sizeof(buffer));
+  if (n <= 0) return true;
+  connection.head.append(buffer, static_cast<std::size_t>(n));
+  return connection.head.find("\r\n\r\n") != std::string::npos ||
+         connection.head.size() >= kMaxHeadBytes;
 }
 
 const char* statusText(int status) {
@@ -116,7 +133,7 @@ void StatusServer::start(const std::string& listen) {
   setsockopt(listenFd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
   if (bind(listenFd_, reinterpret_cast<const sockaddr*>(&addr),
            sizeof(addr)) != 0 ||
-      ::listen(listenFd_, 16) != 0) {
+      ::listen(listenFd_, static_cast<int>(kMaxWaiting)) != 0) {
     close(listenFd_);
     listenFd_ = -1;
     throw Error("cannot bind endpoint to '" + listen + "': " +
@@ -154,21 +171,55 @@ void StatusServer::stop() {
 }
 
 void StatusServer::serveLoop() {
+  // One poll() waits on the listening socket and on every connection
+  // whose head is incomplete, so a client that sends nothing delays no
+  // one.  Accepted in order, the oldest connection has the next deadline.
+  std::vector<Waiting> waiting;
+  std::vector<pollfd> fds;
   while (running_) {
-    pollfd fds[2] = {{listenFd_, POLLIN, 0}, {wakePipe_[0], POLLIN, 0}};
-    const int ready = poll(fds, 2, 500);
-    if (ready <= 0) continue;
+    fds = {{listenFd_, POLLIN, 0}, {wakePipe_[0], POLLIN, 0}};
+    auto timeout = std::chrono::milliseconds(500);
+    if (!waiting.empty()) {
+      timeout = std::clamp(
+          std::chrono::ceil<std::chrono::milliseconds>(
+              waiting.front().deadline - SteadyClock::now()),
+          std::chrono::milliseconds(0), timeout);
+    }
+    for (const Waiting& connection : waiting) {
+      fds.push_back({connection.fd, POLLIN, 0});
+    }
+    if (poll(fds.data(), fds.size(), static_cast<int>(timeout.count())) < 0) {
+      continue;
+    }
     if (fds[1].revents != 0) continue;  // wake for shutdown
+    const SteadyClock::time_point now = SteadyClock::now();
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < waiting.size(); ++i) {
+      Waiting& connection = waiting[i];
+      const bool complete =
+          (fds[i + 2].revents != 0 && readMore(connection)) ||
+          now >= connection.deadline;
+      if (complete) {
+        answer(connection.fd, connection.head);
+        close(connection.fd);
+      } else {
+        waiting[kept++] = std::move(connection);
+      }
+    }
+    waiting.resize(kept);
     if ((fds[0].revents & POLLIN) == 0) continue;
     const int fd = accept(listenFd_, nullptr, nullptr);
     if (fd < 0) continue;
-    handleConnection(fd);
-    close(fd);
+    if (waiting.size() == kMaxWaiting) {
+      close(waiting.front().fd);
+      waiting.erase(waiting.begin());
+    }
+    waiting.push_back({fd, "", now + kHeadTimeout});
   }
+  for (const Waiting& connection : waiting) close(connection.fd);
 }
 
-void StatusServer::handleConnection(int fd) {
-  const std::string head = readRequestHead(fd);
+void StatusServer::answer(int fd, const std::string& head) {
   HttpRequest request;
   HttpResponse response;
   const std::size_t lineEnd = head.find("\r\n");

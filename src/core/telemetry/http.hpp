@@ -4,7 +4,11 @@
 // the smallest HTTP server that can honestly claim the name: one
 // listening socket, a blocking poll() loop on a dedicated thread, one
 // request per connection (Connection: close), no dependencies beyond
-// POSIX sockets.  The handler is a plain callback — the server knows
+// POSIX sockets.  The loop polls every connection whose request head is
+// still arriving and answers each as soon as its head is complete, so a
+// client that connects and sends nothing delays no one.  Each waits at
+// most 5 s, and at most 16 wait (the listen backlog): past that, the
+// oldest is closed.  The handler is a plain callback — the server knows
 // nothing about routes; rebench::service wires it to the plane.  Replies
 // (and httpGet's request) are sent with MSG_NOSIGNAL, so a client that
 // resets its connection ends that connection, not the daemon.
@@ -80,7 +84,9 @@ class StatusServer {
 
  private:
   void serveLoop();
-  void handleConnection(int fd);
+  /// Parses the request `head` read from `fd`, runs the handler and
+  /// writes the reply.
+  void answer(int fd, const std::string& head);
 
   Handler handler_;
   obs::Tracer tracer_;

@@ -29,6 +29,7 @@
 #include "core/util/rng.hpp"
 #include "core/util/strings.hpp"
 #include "dir_snapshot.hpp"
+#include "object_stamp.hpp"
 
 namespace rebench::history {
 namespace {
@@ -217,7 +218,7 @@ TEST_F(HistoryIndexTest, AppendAssignsMonotoneSequenceAcrossSegments) {
   const std::string h2 = index.appendSegment(second);
   EXPECT_NE(h1, "");
   EXPECT_NE(h2, h1);
-  EXPECT_EQ(index.segmentCount(), 2u);
+  EXPECT_EQ(index.readChain().segments.size(), 2u);
 
   const auto all = index.readAll();
   ASSERT_EQ(all.size(), 3u);
@@ -389,7 +390,7 @@ TEST_F(HistoryIndexTest, ReadingPinnedSegmentsWritesNothing) {
   EXPECT_EQ(chain.records.size(), 8u);
   index.refresh(chain);
   EXPECT_EQ(index.query("A").size(), 8u);
-  EXPECT_EQ(index.segmentCount(), 8u);
+  EXPECT_EQ(index.readChain().segments.size(), 8u);
   EXPECT_EQ(snapshotDir(dir_), before);
 }
 
@@ -430,53 +431,6 @@ TEST_F(HistoryIndexTest, ConcurrentAppendsFromTwoHandlesKeepEverySegment) {
 
 // ------------------------------------------------- long-lived chains
 
-std::int64_t nanoseconds(const timespec& time) {
-  return static_cast<std::int64_t>(time.tv_sec) * 1'000'000'000 +
-         time.tv_nsec;
-}
-
-/// Sleeps until CLOCK_REALTIME_COARSE is a full tick past `path`'s ctime:
-/// a verification from then on trusts the file's stamp (not racy).
-void waitUntilTrustable(const std::string& path) {
-  timespec tick{};
-  ::clock_getres(CLOCK_REALTIME_COARSE, &tick);
-  struct stat info {};
-  ASSERT_EQ(::stat(path.c_str(), &info), 0) << path;
-  while (true) {
-    timespec now{};
-    ::clock_gettime(CLOCK_REALTIME_COARSE, &now);
-    if (nanoseconds(now) - nanoseconds(tick) >= nanoseconds(info.st_ctim)) {
-      return;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-}
-
-/// Whether `path`'s ctime is still within a tick of CLOCK_REALTIME_COARSE:
-/// a verification that read the clock earlier must have found it racy.
-bool withinATick(const std::string& path) {
-  timespec tick{};
-  ::clock_getres(CLOCK_REALTIME_COARSE, &tick);
-  struct stat info {};
-  timespec now{};
-  ::clock_gettime(CLOCK_REALTIME_COARSE, &now);
-  return ::stat(path.c_str(), &info) == 0 &&
-         nanoseconds(info.st_ctim) + nanoseconds(tick) > nanoseconds(now);
-}
-
-/// Overwrites one byte of `path` in place: same size, same inode.
-void rewriteInPlace(const std::string& path) {
-  std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
-  ASSERT_TRUE(file.is_open()) << path;
-  file.seekg(0, std::ios::end);
-  const std::streamoff middle = file.tellg() / 2;
-  file.seekg(middle);
-  char byte = 0;
-  file.get(byte);
-  file.seekp(middle);
-  file.put(byte == 'x' ? 'y' : 'x');
-}
-
 /// `count` one-record segments appended through `index`.
 void appendSegments(HistoryIndex& index, int count) {
   for (int i = 0; i < count; ++i) {
@@ -511,7 +465,9 @@ TEST_F(HistoryIndexTest, RefreshCatchesInPlaceRewriteOfTrustedSegment) {
   index.refresh(chain);
   waitUntilTrustable(store.objectPath(chain.segments.back().hash));
   index.refresh(chain);  // re-reads the racy stamps: now all trusted
-  for (const SegmentStamp& stamp : chain.segments) EXPECT_FALSE(stamp.racy);
+  for (const store::ObjectStamp& stamp : chain.segments) {
+    EXPECT_FALSE(stamp.racy);
+  }
   const std::uint64_t reads = index.segmentReads();
   index.refresh(chain);
   EXPECT_EQ(index.segmentReads(), reads);  // trusted: stat only
@@ -567,7 +523,7 @@ TEST_F(HistoryIndexTest, RacyStampIsReReadEvenWhenStatMatches) {
   appendSegments(index, 2);
   Chain chain;
   index.refresh(chain);
-  SegmentStamp& stamp = chain.segments[0];
+  store::ObjectStamp& stamp = chain.segments[0];
   const std::string path = store.objectPath(stamp.hash);
   const auto restamp = [&](bool racy) {
     struct stat info {};
@@ -658,22 +614,77 @@ TEST_F(HistoryIndexTest, RefreshReadsConstantSegmentsPerAppend) {
   EXPECT_EQ(fresh.segmentReads(), 200u);
 }
 
-// extend() appends at the chain's tip and reads back only the new
-// segment; the chain then equals a fresh walk.
-TEST_F(HistoryIndexTest, ExtendReadsBackOnlyTheNewSegment) {
+// extend() appends at the chain's tip and adopts the segment it wrote
+// without reading it; the next refresh verifies it from disk exactly
+// once, and the chain equals a fresh walk throughout.
+TEST_F(HistoryIndexTest, ExtendAdoptsTheSegmentItWrote) {
   store::ObjectStore store(dir_);
   HistoryIndex index(store);
   appendSegments(index, 2);
   Chain chain;
   index.refresh(chain);
-  const std::uint64_t reads = index.segmentReads();
+  waitUntilTrustable(store.objectPath(chain.segments.back().hash));
+  index.refresh(chain);  // now every stamp is trusted
+  std::uint64_t reads = index.segmentReads();
   const std::string hash =
       index.extend(chain, {{makeRecord("B", "Copy", 5.0)}});
-  EXPECT_EQ(index.segmentReads(), reads + 1);
+  EXPECT_EQ(index.segmentReads(), reads);
   EXPECT_EQ(chain.tip.head, hash);
   EXPECT_EQ(store.ref(kHeadRef), hash);
-  EXPECT_EQ(recordBytes(chain), recordBytes(index.readChain()));
+  ASSERT_EQ(chain.segments.size(), 3u);
+  EXPECT_EQ(chain.segments.back().hash, hash);
+  EXPECT_TRUE(chain.segments.back().racy);
+  const Chain fresh = HistoryIndex(store).readChain();
+  EXPECT_EQ(recordBytes(chain), recordBytes(fresh));
+  EXPECT_EQ(chain.tip.seq, fresh.tip.seq);
+  EXPECT_EQ(chain.tip.base, fresh.tip.base);
+  reads = index.segmentReads();
+  index.refresh(chain);
+  EXPECT_EQ(index.segmentReads(), reads + 1);
+  EXPECT_EQ(recordBytes(chain), recordBytes(fresh));
   EXPECT_EQ(index.extend(chain, {}), "");
+}
+
+// An adopted segment is trusted only until the next refresh, which
+// verifies its file: a rewrite in between breaks the chain there.
+TEST_F(HistoryIndexTest, RefreshCatchesRewriteOfAnAdoptedSegment) {
+  store::ObjectStore store(dir_);
+  HistoryIndex index(store);
+  appendSegments(index, 2);
+  Chain chain = index.readChain();
+  const std::string hash =
+      index.extend(chain, {{makeRecord("B", "Copy", 5.0)}});
+  rewriteInPlace(store.objectPath(hash));
+  try {
+    index.refresh(chain);
+    FAIL() << "expected broken-chain error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(hash), std::string::npos);
+  }
+  EXPECT_TRUE(chain.records.empty());
+  EXPECT_TRUE(chain.segments.empty());
+}
+
+// A file already under the new segment's name was not written by this
+// extend, so its bytes are read back, not adopted: a corrupt one throws
+// and leaves the chain empty.
+TEST_F(HistoryIndexTest, ExtendOverAPresentObjectReadsItBack) {
+  store::ObjectStore store(dir_);
+  HistoryIndex index(store);
+  appendSegments(index, 2);
+  Chain chain = index.readChain();
+  HistoryRecord next = makeRecord("B", "Copy", 5.0);
+  next.seq = chain.tip.base;
+  const std::string hash = store::ObjectStore::hashBytes(
+      serializeSegment({{next}}, chain.tip.head, chain.tip.seq,
+                       chain.tip.base));
+  std::ofstream(store.objectPath(hash), std::ios::binary) << "not a segment";
+  const std::uint64_t reads = index.segmentReads();
+  EXPECT_THROW(index.extend(chain, {{next}}), Error);
+  EXPECT_EQ(index.segmentReads(), reads + 1);
+  EXPECT_TRUE(chain.records.empty());
+  EXPECT_TRUE(chain.segments.empty());
+  EXPECT_FALSE(store.contains(hash));
 }
 
 // A daemon's chain extended after another writer moved the head picks

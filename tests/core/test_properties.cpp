@@ -1022,6 +1022,49 @@ TEST_P(SubmissionProperty, DamagedBodiesReadValidOrNameTheirError) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SubmissionProperty, ::testing::Range(1, 5));
 
 // ---------------------------------------------------------------------------
+// Ref files: a damaged refs/... file reads as unset or as the hash of an
+// object present in the store, and a compare-and-swap from unset lands
+// exactly when it reads unset.  Neither throws.
+// ---------------------------------------------------------------------------
+
+// The journal property's fixture, for its private store directory.
+class RefFileProperty : public ServiceJournalProperty {};
+
+TEST_P(RefFileProperty, DamagedRefsReadUnsetOrAPresentObject) {
+  static constexpr std::string_view kStructural = "0123456789abcdef\n";
+  Rng rng(GetParam() * 97);
+  store::ObjectStore store(queue_);
+  std::vector<std::string> objects;
+  for (int i = 0; i < 4; ++i) {
+    objects.push_back(store.put("object " + std::to_string(i)));
+  }
+  const std::array<std::string, 3> names = {
+      std::string(history::kHeadRef), "build/" + objects[3],
+      std::string(store::kLatestManifestRef)};
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::string& name = names[rng.below(names.size())];
+    store.setRef(name, objects[rng.below(objects.size())]);
+    const std::string path = queue_ + "/refs/" + name;
+    const std::string bytes = damage(rng, *store.ref(name) + "\n",
+                                     kStructural);
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+    std::optional<std::string> read;
+    ASSERT_NO_THROW(read = store.ref(name)) << bytes;
+    if (read) {
+      EXPECT_TRUE(store::ObjectStore::isHash(*read)) << bytes;
+      EXPECT_TRUE(store.contains(*read)) << bytes;
+    }
+    const std::string& next = objects[rng.below(objects.size())];
+    bool swapped = false;
+    ASSERT_NO_THROW(swapped = store.compareAndSetRef(name, "", next)) << bytes;
+    EXPECT_EQ(swapped, !read.has_value()) << bytes;
+    EXPECT_EQ(store.ref(name), swapped ? next : read) << bytes;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RefFileProperty, ::testing::Range(1, 5));
+
+// ---------------------------------------------------------------------------
 // Campaign manifests: random manifests round-trip rebench.manifest/2 field
 // by field with render a fixed point, and damaged /1 and /2 renderings
 // parse or throw rebench::Error.

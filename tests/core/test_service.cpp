@@ -1035,7 +1035,7 @@ TEST_F(ServiceFixture, HistoryTailMatchesAppendThenGate) {
   }
   EXPECT_GE(regressions, 3);  // the Triad drop (twice) and the Copy drop
   // The repeated campaign was cited already, so it appended nothing.
-  EXPECT_EQ(history::HistoryIndex(oneWalk).segmentCount(), 6u);
+  EXPECT_EQ(history::HistoryIndex(oneWalk).readChain().segments.size(), 6u);
 }
 
 // health.json's queue depth comes from directory listings: it counts a

@@ -5,6 +5,7 @@
 // provenance-keyed build cache's hit/drift behaviour.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -24,6 +25,7 @@
 #include "core/util/error.hpp"
 #include "dir_snapshot.hpp"
 #include "file_size_limit.hpp"
+#include "object_stamp.hpp"
 
 namespace rebench::store {
 namespace {
@@ -601,6 +603,85 @@ TEST_F(BuildCacheTest, LookupEmitsSpanAndCounters) {
   EXPECT_NE(jsonl.find("store.lookup"), std::string::npos);
   EXPECT_NE(jsonl.find("\"outcome\":\"hit\""), std::string::npos);
   EXPECT_NE(jsonl.find("store.put"), std::string::npos);
+}
+
+// A campaign's cache keeps each verified record: the executor's peek and
+// the lookups after it read the key's ref every time, but the record
+// object only once while its file's stamp holds.
+TEST_F(BuildCacheTest, PeekAndLookupsOfATrustedKeyReadTheRecordOnce) {
+  ObjectStore store(dir_);
+  const BuildPlan plan = planFor("archer2");
+  const std::string key = BuildCache::cacheKey(plan.rootHash, "fp",
+                                               plan.planHash());
+  {
+    BuildCache writer(store);
+    buildThrough(writer, plan, "fp");
+  }
+  waitUntilTrustable(store.objectPath(*store.ref("build/" + key)));
+  BuildCache cache(store);
+  const std::uint64_t reads = store.stats().reads;
+  ASSERT_TRUE(cache.peek(key, plan).has_value());
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(cache.lookup(key, plan, nullptr, nullptr).has_value());
+  }
+  EXPECT_EQ(store.stats().reads, reads + 1);
+  EXPECT_EQ(cache.stats().hits, 3u);
+}
+
+// A record rewritten in place after it was verified (same size and
+// inode) moves its stamp: the next lookup re-reads it, reports it
+// corrupt and deletes it, as a first read would.
+TEST_F(BuildCacheTest, LookupRereadsARecordRewrittenAfterItWasVerified) {
+  obs::Tracer tracer;
+  ObjectStore store(dir_);
+  BuildCache cache(store);
+  const BuildPlan plan = planFor("archer2");
+  const std::string key = BuildCache::cacheKey(plan.rootHash, "fp",
+                                               plan.planHash());
+  buildThrough(cache, plan, "fp");
+  const std::string path = store.objectPath(*store.ref("build/" + key));
+  waitUntilTrustable(path);
+  ASSERT_TRUE(cache.lookup(key, plan, nullptr, nullptr).has_value());
+  rewriteInPlace(path);
+  const std::uint64_t reads = store.stats().reads;
+  EXPECT_FALSE(cache.lookup(key, plan, &tracer, nullptr).has_value());
+  EXPECT_EQ(store.stats().reads, reads + 1);
+  EXPECT_EQ(store.stats().corrupt, 1u);
+  EXPECT_FALSE(fs::exists(path));
+  EXPECT_NE(tracer.toJsonl(nullptr).find("\"outcome\":\"corrupt\""),
+            std::string::npos);
+}
+
+// The --jobs workers of one campaign share its cache: concurrent peeks
+// and lookups of one trusted key make one verified read between them.
+TEST_F(BuildCacheTest, ConcurrentLookupsShareOneVerifiedRead) {
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 16;
+  ObjectStore store(dir_);
+  const BuildPlan plan = planFor("archer2");
+  const std::string key = BuildCache::cacheKey(plan.rootHash, "fp",
+                                               plan.planHash());
+  {
+    BuildCache writer(store);
+    buildThrough(writer, plan, "fp");
+  }
+  waitUntilTrustable(store.objectPath(*store.ref("build/" + key)));
+  BuildCache cache(store);
+  const std::uint64_t reads = store.stats().reads;
+  std::atomic<int> found{0};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&] {
+      for (int round = 0; round < kRounds; ++round) {
+        found += cache.peek(key, plan).has_value() ? 1 : 0;
+        found += cache.lookup(key, plan, nullptr, nullptr).has_value() ? 1 : 0;
+      }
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+  EXPECT_EQ(found.load(), 2 * kThreads * kRounds);
+  EXPECT_EQ(store.stats().reads, reads + 1);
+  EXPECT_EQ(cache.stats().hits, static_cast<std::uint64_t>(kThreads * kRounds));
 }
 
 TEST_F(BuildCacheTest, RecordRoundtrip) {

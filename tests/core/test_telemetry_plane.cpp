@@ -5,9 +5,11 @@
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -367,6 +369,23 @@ TEST(StatusServer, EphemeralPortRoundTripViaHttpGet) {
   EXPECT_NE(trace.find("/teapot"), std::string::npos);
 }
 
+/// A client socket connected to the server at "127.0.0.1:PORT" that has
+/// sent nothing; -1 when the connect fails.
+int connectSilently(const std::string& address) {
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(
+      std::stoi(address.substr(address.rfind(':') + 1))));
+  if (inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr) != 1) return -1;
+  const int fd = socket(AF_INET, SOCK_STREAM, 0);
+  if (fd >= 0 && connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                         sizeof(addr)) != 0) {
+    close(fd);
+    return -1;
+  }
+  return fd;
+}
+
 // A client that resets its connection (SO_LINGER {1, 0}: close sends an
 // RST) ends only that connection: the reply's send fails with EPIPE
 // instead of raising SIGPIPE, which would kill this test binary.
@@ -377,17 +396,9 @@ TEST(StatusServer, SurvivesClientsThatResetTheirConnection) {
       [&plane](const HttpRequest& request) { return plane.handle(request); });
   server.start("127.0.0.1:0");
   const std::string address = server.boundAddress();
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(
-      std::stoi(address.substr(address.rfind(':') + 1))));
-  ASSERT_EQ(inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
   for (int i = 0; i < 20; ++i) {
-    const int fd = socket(AF_INET, SOCK_STREAM, 0);
+    const int fd = connectSilently(address);
     ASSERT_GE(fd, 0);
-    ASSERT_EQ(connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                      sizeof(addr)),
-              0);
     const linger reset{1, 0};
     setsockopt(fd, SOL_SOCKET, SO_LINGER, &reset, sizeof(reset));
     close(fd);
@@ -395,6 +406,46 @@ TEST(StatusServer, SurvivesClientsThatResetTheirConnection) {
   const obs::json::Value health =
       obs::json::parse(httpGet(address, "/health"));
   EXPECT_EQ(health.numberOr("processed", -1), 3.0);
+  server.stop();
+}
+
+// The serving thread polls every connection whose request head is still
+// arriving, so one client that connects and sends nothing does not hold
+// up another client's request.
+TEST(StatusServer, SilentClientDoesNotStallOthers) {
+  TelemetryPlane plane;
+  plane.setStat("processed", 5);
+  StatusServer server(
+      [&plane](const HttpRequest& request) { return plane.handle(request); });
+  server.start("127.0.0.1:0");
+  const int silent = connectSilently(server.boundAddress());
+  ASSERT_GE(silent, 0);
+  const auto start = std::chrono::steady_clock::now();
+  const obs::json::Value health =
+      obs::json::parse(httpGet(server.boundAddress(), "/health"));
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+  EXPECT_EQ(health.numberOr("processed", -1), 5.0);
+  close(silent);
+  server.stop();
+}
+
+// At most 16 connections wait for their request head (the listen
+// backlog); a 17th closes the oldest, whose client then reads EOF.
+TEST(StatusServer, ClosesTheOldestOfMoreThan16WaitingConnections) {
+  StatusServer server([](const HttpRequest&) { return HttpResponse{}; });
+  server.start("127.0.0.1:0");
+  std::vector<int> silent;
+  for (int i = 0; i < 17; ++i) {
+    silent.push_back(connectSilently(server.boundAddress()));
+    ASSERT_GE(silent.back(), 0);
+  }
+  pollfd oldest{silent.front(), POLLIN, 0};
+  ASSERT_EQ(poll(&oldest, 1, 2000), 1) << "the oldest was not closed";
+  char byte = 0;
+  EXPECT_EQ(read(silent.front(), &byte, 1), 0);
+  pollfd newest{silent.back(), POLLIN, 0};
+  EXPECT_EQ(poll(&newest, 1, 0), 0) << "the newest must still wait";
+  for (const int fd : silent) close(fd);
   server.stop();
 }
 

@@ -36,16 +36,16 @@ namespace {
 /// stderr).
 int lintHistory(const std::string& storeDir) {
   rebench::store::ObjectStore store(storeDir);
-  rebench::history::HistoryIndex index(store);
-  const auto records = index.readAll();
+  const rebench::history::Chain chain =
+      rebench::history::HistoryIndex(store).readChain();
   const std::vector<std::string> issues =
-      rebench::history::lintHistory(store, records);
+      rebench::history::lintHistory(store, chain.records);
   for (const std::string& issue : issues) {
     std::cerr << "trace_lint: " << issue << "\n";
   }
   if (issues.empty()) {
-    std::cout << "history OK: " << records.size() << " record(s) in "
-              << index.segmentCount() << " segment(s)\n";
+    std::cout << "history OK: " << chain.records.size() << " record(s) in "
+              << chain.segments.size() << " segment(s)\n";
   }
   return static_cast<int>(issues.size());
 }
