@@ -17,7 +17,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <initializer_list>
 #include <iostream>
 #include <map>
@@ -102,15 +101,6 @@ int listPackages() {
   return 0;
 }
 
-/// Reads a whole file into a string; throws Error when unreadable.
-std::string slurp(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw Error("cannot read file '" + path + "'");
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
 int showSpec(const Args& args) {
   const SystemRegistry systems = builtinSystems();
   const PackageRepository repo = builtinRepository();
@@ -118,7 +108,7 @@ int showSpec(const Args& args) {
   // environment (see `rebench env` for the format) without recompiling.
   SystemEnvironment environment;
   if (auto envFile = args.text("env-file")) {
-    environment = parseEnvironmentConfig(slurp(*envFile));
+    environment = parseEnvironmentConfig(readNamedFile(*envFile));
   } else {
     environment = systems.resolve(args.text("system").value_or("local"))
                       .first->environment;
@@ -214,11 +204,11 @@ int audit(const Args& args) {
   if (!path) throw UsageError("--perflog required");
   HygieneOptions options;
   options.requireReferences = args.flag("strict");
-  auto findings = auditPerflogFile(*path, options);
+  const PerfLog::LenientParse parsed = PerfLog::readFileLenient(*path);
+  auto findings = auditPerflogFile(*path, parsed, options);
   if (auto manifestPath = args.text("manifest")) {
     const store::CampaignManifest manifest =
         store::CampaignManifest::read(*manifestPath);
-    const PerfLog::LenientParse parsed = PerfLog::readFileLenient(*path);
     const auto stale = auditAgainstManifest(parsed.entries, manifest);
     findings.insert(findings.end(), stale.begin(), stale.end());
   }
@@ -1098,11 +1088,9 @@ int serveCommand(const Args& args) {
 /// QUEUE/endpoint.addr, written by a daemon with --listen ("" when no
 /// live endpoint is advertised).
 std::string readEndpointAddress(const std::string& queueDir) {
-  std::ifstream in(std::filesystem::path(queueDir) / "endpoint.addr");
-  if (!in) return "";
-  std::string addr;
-  std::getline(in, addr);
-  return std::string(str::trim(addr));
+  const std::string addr =
+      readFileIfPresent(queueDir + "/endpoint.addr").value_or("");
+  return std::string(str::trim(addr.substr(0, addr.find('\n'))));
 }
 
 /// Prints the scalar fields of a health object (live /health or the
@@ -1165,11 +1153,10 @@ void printFlightRecordSummary(const std::string& queueDir) {
     }
   }
   if (newest.empty()) return;
-  std::ifstream in(newest);
-  std::string line;
   std::string meta;
   std::string last;
-  while (std::getline(in, line)) {
+  for (const std::string& line :
+       str::split(readFileIfPresent(newest).value_or(""), '\n')) {
     if (str::trim(line).empty()) continue;
     if (meta.empty()) {
       meta = line;
@@ -1269,13 +1256,10 @@ int statusCommand(const Args& args) {
   if (!printed) {
     const std::string healthPath =
         (std::filesystem::path(*queueDir) / "health.json").string();
-    std::ifstream in(healthPath);
-    if (in) {
-      std::ostringstream text;
-      text << in.rdbuf();
+    if (const auto text = readFileIfPresent(healthPath)) {
       std::cout << "status: snapshot from " << healthPath
                 << " (no live endpoint)\n";
-      printHealthFields(obs::json::parse(str::trim(text.str())));
+      printHealthFields(obs::json::parse(str::trim(*text)));
       printed = true;
     }
   }

@@ -1,9 +1,8 @@
 #include "core/fault/fault.hpp"
 
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
+#include "core/fault/journal.hpp"
 #include "core/util/error.hpp"
 #include "core/util/rng.hpp"
 #include "core/util/strings.hpp"
@@ -68,11 +67,8 @@ FaultConfig loadFaultConfig(const std::string& arg) {
   if (!std::filesystem::is_regular_file(arg, ec)) {
     return FaultConfig::parse(arg);
   }
-  std::ifstream in(arg);
-  if (!in) throw Error("cannot read fault config file '" + arg + "'");
   std::string joined;
-  std::string line;
-  while (std::getline(in, line)) {
+  for (std::string line : str::split(readNamedFile(arg), '\n')) {
     const std::size_t hash = line.find('#');
     if (hash != std::string::npos) line.erase(hash);
     if (str::trim(line).empty()) continue;
@@ -80,16 +76,6 @@ FaultConfig loadFaultConfig(const std::string& arg) {
     joined += str::trim(line);
   }
   return FaultConfig::parse(joined);
-}
-
-std::string_view jobFaultKindName(JobFaultDecision::Kind kind) {
-  switch (kind) {
-    case JobFaultDecision::Kind::kNone: return "none";
-    case JobFaultDecision::Kind::kNodeFailure: return "node_failure";
-    case JobFaultDecision::Kind::kPreemption: return "preemption";
-    case JobFaultDecision::Kind::kCrash: return "job_crash";
-  }
-  return "?";
 }
 
 double FaultInjector::draw(std::string_view site,

@@ -58,8 +58,6 @@ struct JobFaultDecision {
   double atFraction = 0.5;
 };
 
-std::string_view jobFaultKindName(JobFaultDecision::Kind kind);
-
 class FaultInjector {
  public:
   explicit FaultInjector(FaultConfig config) : config_(config) {}

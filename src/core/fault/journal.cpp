@@ -2,13 +2,15 @@
 
 #include <fcntl.h>
 #include <sys/file.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
+#include <system_error>
 
 #include "core/util/error.hpp"
 #include "core/util/strings.hpp"
@@ -24,9 +26,36 @@ std::atomic<std::uint64_t> g_bytes{0};
 std::atomic<std::uint64_t> g_fsyncs{0};
 std::atomic<std::uint64_t> g_renames{0};
 std::atomic<std::uint64_t> g_directories{0};
+std::atomic<std::uint64_t> g_reads{0};
+std::atomic<std::uint64_t> g_readBytes{0};
 
 void count(std::atomic<std::uint64_t>& counter, std::uint64_t n = 1) {
   counter.fetch_add(n, std::memory_order_relaxed);
+}
+
+[[noreturn]] void failRead(const std::string& path, int error) {
+  throw Error("cannot read '" + path +
+              "': " + std::generic_category().message(error));
+}
+
+/// A descriptor read-only on `path`; -1 when the file is absent.
+int openForRead(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0 && errno != ENOENT) failRead(path, errno);
+  return fd;
+}
+
+/// One read(2) of at most `n` bytes, retried on EINTR; 0 at the end.
+std::size_t readSome(int fd, const std::string& path, char* out,
+                     std::size_t n) {
+  ssize_t got = 0;
+  do {
+    got = ::read(fd, out, n);
+    count(g_reads);
+  } while (got < 0 && errno == EINTR);
+  if (got < 0) failRead(path, errno);
+  count(g_readBytes, static_cast<std::uint64_t>(got));
+  return static_cast<std::size_t>(got);
 }
 
 /// Writes all of `bytes` to `fd`, retrying short writes and EINTR, then
@@ -52,7 +81,62 @@ SeamCounts seamCounts() {
           g_bytes.load(std::memory_order_relaxed),
           g_fsyncs.load(std::memory_order_relaxed),
           g_renames.load(std::memory_order_relaxed),
-          g_directories.load(std::memory_order_relaxed)};
+          g_directories.load(std::memory_order_relaxed),
+          g_reads.load(std::memory_order_relaxed),
+          g_readBytes.load(std::memory_order_relaxed)};
+}
+
+std::optional<std::string> readFileIfPresent(const std::string& path,
+                                             std::size_t limit,
+                                             struct ::stat* info) {
+  const int fd = openForRead(path);
+  if (fd < 0) return std::nullopt;
+  struct Closer {
+    int fd;
+    ~Closer() { ::close(fd); }
+  } closer{fd};
+  struct ::stat local {};
+  if (info == nullptr) info = &local;
+  if (::fstat(fd, info) != 0) failRead(path, errno);
+  // Room for the file and a byte more, so the read that finds its end
+  // needs no larger buffer: a file that fits takes two read(2) calls.
+  std::string bytes(std::min<std::size_t>(limit, info->st_size + 1), '\0');
+  std::size_t got = 0;
+  for (std::size_t n = 1; n > 0 && got < limit; got += n) {
+    if (got == bytes.size()) bytes.resize(std::min(limit, 2 * got));
+    n = readSome(fd, path, bytes.data() + got, bytes.size() - got);
+  }
+  bytes.resize(got);
+  return bytes;
+}
+
+std::string readNamedFile(const std::string& path, std::size_t limit) {
+  std::optional<std::string> bytes = readFileIfPresent(path, limit);
+  if (!bytes) failRead(path, ENOENT);
+  return std::move(*bytes);
+}
+
+FileLines::FileLines(const std::string& path)
+    : path_(path), fd_(openForRead(path)) {
+  if (fd_ < 0) failRead(path, ENOENT);
+}
+
+FileLines::~FileLines() { ::close(fd_); }
+
+bool FileLines::next(std::string& line) {
+  line.clear();
+  while (true) {
+    const std::size_t end = block_.find('\n', pos_);
+    line.append(block_, pos_, end - pos_);
+    if (end != std::string::npos) {
+      pos_ = end + 1;
+      return true;
+    }
+    pos_ = 0;
+    block_.resize(64 * 1024);
+    block_.resize(readSome(fd_, path_, block_.data(), block_.size()));
+    if (block_.empty()) return !line.empty();
+  }
 }
 
 void renameFile(const fs::path& from, const fs::path& to,
@@ -149,17 +233,13 @@ JsonlLog::JsonlLog(std::string path, std::string_view schema,
     throw Error("cannot create the directory of '" + path_ +
                 "': " + ec.message());
   }
-  if (!fs::exists(path_)) {
+  const std::optional<std::string> bytes = readFileIfPresent(path_);
+  if (!bytes) {
     append(meta_);
     return;
   }
-  std::ifstream in(path_, std::ios::binary);
-  if (!in) throw Error("cannot read '" + path_ + "'");
-  std::string line;
   std::string records;  // what a repair keeps: the replayed lines
-  bool unterminated = false;
-  while (std::getline(in, line)) {
-    unterminated = in.eof();
+  for (const std::string& line : str::split(*bytes, '\n')) {
     if (str::trim(line).empty()) continue;
     obs::json::Value record;
     try {
@@ -183,7 +263,9 @@ JsonlLog::JsonlLog(std::string path, std::string_view schema,
   }
   // An append after a torn tail would glue onto the fragment and be lost
   // on the next replay.
-  if (corruptLines_ > 0 || unterminated) rewrite(records);
+  if (corruptLines_ > 0 || (!bytes->empty() && bytes->back() != '\n')) {
+    rewrite(records);
+  }
 }
 
 void JsonlLog::append(std::string_view line) const {

@@ -9,11 +9,12 @@
 // readers see the old file or the complete new one.  appendToFile is the
 // one way bytes are appended (JsonlLog and the perflog): whole or not at
 // all.  renameFile and createDirectories move files and make
-// directories.  FileLock is the one inter-process lock.
+// directories.  FileLock is the one inter-process lock.  Every file is
+// read through readFileIfPresent, readNamedFile or FileLines.
 //
-// These functions are the write seam: seamCounts() counts, process-wide,
-// the writes, bytes, fsyncs, renames and directory creations they make,
-// so a test or a benchmark can price a step in calls.
+// These functions are the I/O seam: seamCounts() counts, process-wide,
+// the reads, writes, bytes, fsyncs, renames and directory creations they
+// make, so a test or a benchmark can price a step in calls.
 //
 // Run journal: a suite run appends one record per completed (test,
 // target, repeat) tuple to DIR/journal.jsonl; --resume DIR executes only
@@ -33,11 +34,14 @@
 #include <filesystem>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <system_error>
 
 #include "core/obs/json.hpp"
+
+struct stat;
 
 namespace rebench {
 
@@ -48,7 +52,7 @@ inline constexpr std::string_view kJournalSchema = "rebench.journal/1";
 /// Store, manifest and flight-record writes are published without it.
 enum class Durability { kBuffered, kFsync };
 
-/// What the write seam has done in this process, across all threads.
+/// What the seam has done in this process, across all threads.
 /// Each count only grows; subtract two snapshots to price a step.
 struct SeamCounts {
   std::uint64_t writes = 0;       // write(2) calls
@@ -56,9 +60,44 @@ struct SeamCounts {
   std::uint64_t fsyncs = 0;       // fsync(2) calls
   std::uint64_t renames = 0;      // renames, publications' included
   std::uint64_t directories = 0;  // createDirectories calls that made one
+  std::uint64_t reads = 0;        // read(2) calls, end-of-file ones too
+  std::uint64_t readBytes = 0;    // bytes those calls returned
 };
 
 SeamCounts seamCounts();
+
+/// The bytes of the file at `path`, at most its first `limit`; nullopt
+/// when it is absent (ENOENT).  Any other failure to open or read it
+/// (EISDIR, EMFILE, a read that fails mid-file) throws rebench::Error
+/// naming `path` and the errno text.  `info`, when given, gets an
+/// fstat(2) of the descriptor the bytes were read from.
+std::optional<std::string> readFileIfPresent(
+    const std::string& path, std::size_t limit = std::string::npos,
+    struct ::stat* info = nullptr);
+
+/// readFileIfPresent of a file that must exist, such as one the user
+/// named: absence throws too.
+std::string readNamedFile(const std::string& path,
+                          std::size_t limit = std::string::npos);
+
+/// A file that must exist, read as readNamedFile reads it but a line at
+/// a time from 64 KiB blocks, so its reader holds a block, not the file.
+class FileLines {
+ public:
+  explicit FileLines(const std::string& path);
+  FileLines(const FileLines&) = delete;
+  FileLines& operator=(const FileLines&) = delete;
+  ~FileLines();
+
+  /// The next line without its '\n'; false after the last.
+  bool next(std::string& line);
+
+ private:
+  std::string path_;
+  int fd_;
+  std::string block_;
+  std::size_t pos_ = 0;
+};
 
 /// std::filesystem::rename through the seam.
 void renameFile(const std::filesystem::path& from,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 
 #include "core/fault/journal.hpp"
 #include "core/util/ditto.hpp"
@@ -37,11 +36,9 @@ constexpr std::string_view kObjectPrefix = "rebench.perflog/";
 
 /// The non-blank lines of the perflog file at `path`.
 std::vector<std::string> readLines(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw Error("cannot read perflog file '" + path + "'");
+  FileLines in(path);
   std::vector<std::string> lines;
-  std::string line;
-  while (std::getline(in, line)) {
+  for (std::string line; in.next(line);) {
     if (!str::trim(line).empty()) lines.push_back(line);
   }
   return lines;

@@ -28,22 +28,6 @@ double TelemetrySeries::meanPowerWatts() const {
   return sum / static_cast<double>(samples.size());
 }
 
-double TelemetrySeries::maxNetworkMBs() const {
-  double best = 0.0;
-  for (const TelemetrySample& s : samples) {
-    best = std::max(best, s.networkMBs);
-  }
-  return best;
-}
-
-double TelemetrySeries::maxFilesystemMBs() const {
-  double best = 0.0;
-  for (const TelemetrySample& s : samples) {
-    best = std::max(best, s.filesystemMBs);
-  }
-  return best;
-}
-
 TelemetrySeries sampleTelemetry(const MachineModel& machine,
                                 const WorkloadProfile& profile,
                                 double durationSeconds,

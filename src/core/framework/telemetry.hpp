@@ -39,8 +39,6 @@ struct TelemetrySeries {
   /// Trapezoidal integral of power over the series, joules.
   double energyJoules() const;
   double meanPowerWatts() const;
-  double maxNetworkMBs() const;
-  double maxFilesystemMBs() const;
 };
 
 /// Character of the job being sampled, used to shape the series.

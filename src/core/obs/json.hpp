@@ -28,8 +28,6 @@ struct Value {
   std::vector<Value> array;
   std::map<std::string, Value> object;
 
-  bool isNull() const { return kind == Kind::kNull; }
-  bool isBool() const { return kind == Kind::kBool; }
   bool isNumber() const { return kind == Kind::kNumber; }
   bool isString() const { return kind == Kind::kString; }
   bool isArray() const { return kind == Kind::kArray; }

@@ -1,10 +1,10 @@
 #include "core/obs/trace_reader.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <set>
 #include <sstream>
 
+#include "core/fault/journal.hpp"
 #include "core/obs/json.hpp"
 #include "core/util/error.hpp"
 #include "core/util/strings.hpp"
@@ -96,11 +96,7 @@ TraceFile parseTraceJsonl(const std::string& text) {
 }
 
 TraceFile readTraceFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw Error("cannot read trace file '" + path + "'");
-  std::ostringstream text;
-  text << in.rdbuf();
-  return parseTraceJsonl(text.str());
+  return parseTraceJsonl(readNamedFile(path));
 }
 
 std::vector<std::string> lintTrace(const TraceFile& trace) {

@@ -37,21 +37,14 @@ class Arena {
     return {reinterpret_cast<T*>(p), count};
   }
 
-  /// Bytes handed out since construction / the last reset.
-  std::size_t allocatedBytes() const { return allocated_; }
-  /// Bytes owned by the arena's blocks (capacity, not usage).
-  std::size_t reservedBytes() const { return reserved_; }
-
   /// Releases every allocation but keeps the largest block for reuse.
   void reset() {
     if (blocks_.size() > 1) {
       Block keep = std::move(blocks_.back());
       blocks_.clear();
-      reserved_ = keep.size;
       blocks_.push_back(std::move(keep));
     }
     cursor_ = 0;
-    allocated_ = 0;
   }
 
  private:
@@ -65,7 +58,6 @@ class Arena {
     Block& block = blocks_.back();
     std::size_t aligned = (cursor_ + align - 1) & ~(align - 1);
     cursor_ = aligned + bytes;
-    allocated_ += bytes;
     return block.data.get() + aligned;
   }
 
@@ -80,15 +72,12 @@ class Arena {
     while (size < atLeast) size *= 2;
     nextBlockBytes_ = size * 2;
     blocks_.push_back({std::make_unique<std::byte[]>(size), size});
-    reserved_ += size;
     cursor_ = 0;
   }
 
   std::vector<Block> blocks_;
   std::size_t cursor_ = 0;
   std::size_t nextBlockBytes_;
-  std::size_t allocated_ = 0;
-  std::size_t reserved_ = 0;
 };
 
 }  // namespace rebench::columnar

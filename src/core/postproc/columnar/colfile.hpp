@@ -45,9 +45,9 @@ inline constexpr std::string_view kColFrameSchema = "rebench.colframe/1";
 std::string writeColFrame(store::ObjectStore& store, const Table& table);
 
 /// Verified load; nullopt when the footer or any column blob is missing,
-/// corrupt, or inconsistent with the footer metadata.  Zone maps from the
-/// footer are attached to the loaded columns, so predicates skip chunks
-/// without a rebuild pass.
+/// corrupt, or inconsistent with the footer metadata; throws as get does
+/// when one cannot be read.  Zone maps from the footer are attached to
+/// the loaded columns, so predicates skip chunks without a rebuild pass.
 std::optional<Table> readColFrame(store::ObjectStore& store,
                                   const std::string& footerHash);
 

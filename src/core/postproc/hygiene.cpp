@@ -129,9 +129,9 @@ std::vector<HygieneFinding> auditPerflog(
   return findings;
 }
 
-std::vector<HygieneFinding> auditPerflogFile(const std::string& path,
-                                             const HygieneOptions& options) {
-  const PerfLog::LenientParse parsed = PerfLog::readFileLenient(path);
+std::vector<HygieneFinding> auditPerflogFile(
+    const std::string& path, const PerfLog::LenientParse& parsed,
+    const HygieneOptions& options) {
   std::vector<HygieneFinding> findings = auditPerflog(parsed.entries, options);
   if (parsed.corruptLines > 0) {
     findings.push_back(

@@ -62,11 +62,12 @@ std::vector<HygieneFinding> auditPerflog(
     std::span<const PerfLogEntry> entries,
     const HygieneOptions& options = {});
 
-/// Reads `path` leniently (PerfLog::readFileLenient) and audits what
-/// parsed; corrupt lines become a kCorruptLines finding instead of a
-/// fatal parse error, so a crash-truncated perflog is still auditable.
+/// Audits what PerfLog::readFileLenient parsed of `path`; corrupt lines
+/// become a kCorruptLines finding instead of a fatal parse error, so a
+/// crash-truncated perflog is still auditable.
 std::vector<HygieneFinding> auditPerflogFile(
-    const std::string& path, const HygieneOptions& options = {});
+    const std::string& path, const PerfLog::LenientParse& parsed,
+    const HygieneOptions& options = {});
 
 /// Cross-checks perflog entries against a campaign manifest's recorded
 /// provenance: a non-error entry whose binary id or spec hash does not

@@ -1,11 +1,11 @@
 #include "core/postproc/perflog_reader.hpp"
 
-#include <fstream>
-#include <iterator>
+#include <deque>
 #include <map>
 #include <queue>
 #include <utility>
 
+#include "core/fault/journal.hpp"
 #include "core/postproc/columnar/colfile.hpp"
 #include "core/postproc/columnar/merge.hpp"
 #include "core/util/error.hpp"
@@ -155,13 +155,12 @@ DataFrame perflogToDataFrame(std::span<const PerfLogEntry> entries) {
 DataFrame assimilatePerflogs(std::span<const std::string> paths) {
   columnar::TableAppender appender;
   for (const std::string& path : paths) {
-    std::ifstream in(path);
-    if (!in) throw Error("cannot read perflog file '" + path + "'");
+    FileLines in(path);
     std::vector<PerfLogEntry> batch;
     batch.reserve(columnar::kChunkRows);
     bool emitted = false;
     std::string line;
-    while (std::getline(in, line)) {
+    while (in.next(line)) {
       if (str::trim(line).empty()) continue;
       batch.push_back(PerfLogEntry::parse(line));
       if (batch.size() == columnar::kChunkRows) {
@@ -259,20 +258,20 @@ DataFrame analysisFrameFromTable(const columnar::Table& table) {
 
 FrameCacheResult loadOrConvertPerflog(store::ObjectStore& store,
                                       const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw Error("cannot read perflog file '" + path + "'");
-  const std::string bytes{std::istreambuf_iterator<char>(in),
-                          std::istreambuf_iterator<char>()};
+  const std::string bytes = readNamedFile(path);
   const std::string refName =
       "colframe/" + store::ObjectStore::hashBytes(bytes);
 
   FrameCacheResult out;
   if (const std::optional<std::string> footer = store.ref(refName)) {
-    if (std::optional<columnar::Table> cached =
-            columnar::readColFrame(store, *footer)) {
-      out.table = std::move(*cached);
-      out.cacheHit = true;
-      return out;
+    try {
+      if (std::optional<columnar::Table> cached =
+              columnar::readColFrame(store, *footer)) {
+        out.table = std::move(*cached);
+        out.cacheHit = true;
+        return out;
+      }
+    } catch (const Error&) {  // unreadable: it stays; re-parse
     }
   }
 
@@ -315,7 +314,8 @@ bool keyBefore(const TsKey& a, std::size_t inputA, const TsKey& b,
 }
 
 struct MergeInput {
-  std::ifstream in;
+  explicit MergeInput(const std::string& path) : in(path) {}
+  FileLines in;
   std::vector<PerfLogEntry> buffer;
   std::size_t pos = 0;
   TsKey frontKey;
@@ -326,7 +326,7 @@ std::size_t refill(MergeInput& input, std::size_t chunkRows) {
   input.buffer.clear();
   input.pos = 0;
   std::string line;
-  while (input.buffer.size() < chunkRows && std::getline(input.in, line)) {
+  while (input.buffer.size() < chunkRows && input.in.next(line)) {
     if (str::trim(line).empty()) continue;
     input.buffer.push_back(PerfLogEntry::parse(line));
   }
@@ -341,14 +341,10 @@ columnar::Table mergePerflogsByTime(std::span<const std::string> paths,
   MergeStats local;
   local.inputs = paths.size();
 
-  std::vector<MergeInput> inputs(paths.size());
+  std::deque<MergeInput> inputs;  // FileLines stay where they open
   std::size_t buffered = 0;
   for (std::size_t i = 0; i < paths.size(); ++i) {
-    inputs[i].in.open(paths[i]);
-    if (!inputs[i].in) {
-      throw Error("cannot read perflog file '" + paths[i] + "'");
-    }
-    buffered += refill(inputs[i], chunkRows);
+    buffered += refill(inputs.emplace_back(paths[i]), chunkRows);
     if (!inputs[i].buffer.empty()) {
       inputs[i].frontKey = tsKey(inputs[i].buffer.front().timestamp);
     }

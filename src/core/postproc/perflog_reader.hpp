@@ -58,8 +58,9 @@ struct FrameCacheResult {
 
 /// Content-hash-keyed colframe cache: hashes the perflog file's bytes,
 /// looks up ref `colframe/<hash>` in the store and verifies the cached
-/// frame; on miss (or corruption, which reads as a miss) parses the file,
-/// writes the columnar form back and installs the ref.
+/// frame; on miss (or a corrupt or unreadable frame object, which reads
+/// as a miss) parses the file, writes the columnar form back and installs
+/// the ref.
 FrameCacheResult loadOrConvertPerflog(store::ObjectStore& store,
                                       const std::string& path);
 

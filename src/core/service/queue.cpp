@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <set>
 #include <sstream>
 
@@ -20,25 +19,6 @@ namespace {
 std::string submissionBody(const store::CampaignInvocation& inv) {
   return "{\"schema\":" + obs::json::quote(kSubmissionSchema) +
          ",\"invocation\":" + store::renderInvocation(inv) + "}\n";
-}
-
-/// The file's bytes, or its first `limit + 1` when it is larger: enough
-/// to tell it is over `limit` without reading or holding the rest.
-std::string readAtMost(const std::string& path, std::size_t limit) {
-  std::ifstream in;
-  // Unbuffered, so each read(2) asks for no more than the loop does.
-  in.rdbuf()->pubsetbuf(nullptr, 0);
-  in.open(path, std::ios::binary);
-  if (!in) throw Error("cannot read '" + path + "'");
-  std::string bytes;
-  char chunk[8192];
-  while (in && bytes.size() <= limit) {
-    in.read(chunk, static_cast<std::streamsize>(
-                       std::min(sizeof chunk, limit + 1 - bytes.size())));
-    bytes.append(chunk, static_cast<std::size_t>(in.gcount()));
-  }
-  if (in.bad()) throw Error("cannot read '" + path + "'");
-  return bytes;
 }
 
 }  // namespace
@@ -79,7 +59,7 @@ Submission readSubmission(const std::string& queueDir, const std::string& id) {
   sub.id = id;
   sub.path = (fs::path(queueDir) / ("sub-" + id + ".json")).string();
   try {
-    const std::string body = readAtMost(sub.path, kMaxSubmissionBytes);
+    const std::string body = readNamedFile(sub.path, kMaxSubmissionBytes + 1);
     if (body.size() > kMaxSubmissionBytes) {
       sub.valid = false;
       sub.error = "submission is larger than the " +

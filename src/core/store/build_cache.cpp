@@ -152,8 +152,11 @@ std::optional<std::string> BuildCache::verifiedBytes(const std::string& hash,
     return it->second.bytes;
   }
   ObjectStamp stamp;
-  std::optional<std::string> bytes =
-      repair ? store_.get(hash, &stamp) : store_.peek(hash, &stamp);
+  std::optional<std::string> bytes;
+  try {
+    bytes = repair ? store_.get(hash, &stamp) : store_.peek(hash, &stamp);
+  } catch (const Error&) {  // unreadable: it stays, and the build reruns
+  }
   if (!bytes) {
     if (it != verified_.end()) verified_.erase(it);
     return std::nullopt;

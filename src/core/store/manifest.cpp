@@ -1,9 +1,9 @@
 #include "core/store/manifest.hpp"
 
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 
+#include "core/fault/journal.hpp"
 #include "core/obs/json.hpp"
 #include "core/store/object_store.hpp"
 #include "core/util/error.hpp"
@@ -270,20 +270,17 @@ std::string hashNamedBy(const std::string& filename) {
 }
 
 CampaignManifest CampaignManifest::read(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw Error("cannot read manifest '" + path + "'");
-  std::ostringstream text;
-  text << in.rdbuf();
+  const std::string text = readNamedFile(path);
   const std::string named =
       hashNamedBy(std::filesystem::path(path).filename().string());
   if (!named.empty()) {
-    const std::string actual = ObjectStore::hashBytes(text.str());
+    const std::string actual = ObjectStore::hashBytes(text);
     if (actual != named) {
       throw Error("manifest '" + path + "' hashes to " + actual +
                   ", not to " + named + " as its name says");
     }
   }
-  return parse(text.str());
+  return parse(text);
 }
 
 CampaignManifest CampaignManifest::load(ObjectStore& store,

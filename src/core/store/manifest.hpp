@@ -31,7 +31,8 @@ struct Value;
 
 namespace rebench::store {
 
-/// The schema render() writes: /1 with omit-equal `runs` and `foms`.
+/// The schema render() writes: /2, whose `runs` and `foms` entries omit
+/// each key whose text equals the entry before's.
 inline constexpr std::string_view kManifestSchema = "rebench.manifest/2";
 /// The schema before omit-equal entries; parse() still reads it.
 inline constexpr std::string_view kManifestSchemaV1 = "rebench.manifest/1";

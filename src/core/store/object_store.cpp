@@ -5,11 +5,9 @@
 #include <algorithm>
 #include <ctime>
 #include <filesystem>
-#include <fstream>
 #include <iterator>
 #include <map>
 #include <optional>
-#include <sstream>
 #include <vector>
 
 #include "core/fault/journal.hpp"
@@ -26,15 +24,6 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr std::size_t kHashLength = 16;
-
-/// The bytes of the file at `path`, or nullopt when it cannot be read.
-std::optional<std::string> readBytes(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream bytes;
-  bytes << in.rdbuf();
-  if (!in) return std::nullopt;
-  return bytes.str();
-}
 
 /// Creates the directory of the ref file at `path`; a failure surfaces
 /// as the publish's own error.
@@ -58,15 +47,11 @@ std::int64_t coarseTickNs() {
   return tick;
 }
 
-/// Fills `stamp`'s stat fields from `path`; false when the stat fails.
-bool statInto(const std::string& path, ObjectStamp& stamp) {
-  struct stat info {};
-  if (::stat(path.c_str(), &info) != 0) return false;
-  stamp.size = static_cast<std::uint64_t>(info.st_size);
-  stamp.inode = static_cast<std::uint64_t>(info.st_ino);
-  stamp.mtimeNs = nanoseconds(info.st_mtim);
-  stamp.ctimeNs = nanoseconds(info.st_ctim);
-  return true;
+/// The stamp of the object `hash` whose file `info` describes.
+ObjectStamp stampOf(const std::string& hash, const struct stat& info) {
+  return {hash, static_cast<std::uint64_t>(info.st_size),
+          static_cast<std::uint64_t>(info.st_ino), nanoseconds(info.st_mtim),
+          nanoseconds(info.st_ctim)};
 }
 
 bool sameFile(const ObjectStamp& a, const ObjectStamp& b) {
@@ -144,7 +129,7 @@ void ObjectStore::convertManifests() {
   std::optional<std::string> latest;
   for (const fs::path& file : files) {
     const std::string name = file.filename().string();
-    const std::optional<std::string> bytes = readBytes(file);
+    const std::optional<std::string> bytes = readFileIfPresent(file);
     if (!bytes) continue;
     if (name == "latest.json") {
       latest = hashBytes(*bytes);
@@ -194,8 +179,8 @@ std::string ObjectStore::put(std::string_view bytes, bool* wrote) {
 std::optional<std::string> ObjectStore::get(const std::string& hash,
                                             ObjectStamp* stamp) {
   std::optional<std::string> content = peek(hash, stamp);
-  // Truncated or tampered blob: drop it so the caller rebuilds rather
-  // than trusting bytes that no longer match their address.
+  // Truncated or tampered blob: its bytes were read and do not match
+  // their address, so drop it and the caller rebuilds.
   std::error_code ec;
   if (content || !isHash(hash) || !fs::remove(objectPath(hash), ec)) {
     return content;
@@ -208,35 +193,34 @@ std::optional<std::string> ObjectStore::get(const std::string& hash,
 
 std::optional<std::string> ObjectStore::peek(const std::string& hash,
                                              ObjectStamp* stamp) const {
-  // The clock is read before the stat: a rewrite after it lands in a
-  // later tick, so it moves the ctime of any file older than a tick.
-  // The path is built for each call, not held across the read: holding
-  // it raised history_check's peak RSS by ~0.3 MB (bench/e2e, 1000
-  // segments).
+  // The clock is read before the fstat of the descriptor read: a
+  // rewrite after it lands in a later tick, so it moves the ctime of any
+  // file older than a tick.  The path is built for each call, not held
+  // across the read: holding it raised history_check's peak RSS by ~0.3
+  // MB (bench/e2e, 1000 segments).
   timespec now{};
-  bool statted = false;
-  if (stamp != nullptr) {
-    ::clock_gettime(CLOCK_REALTIME_COARSE, &now);
-    stamp->hash = hash;
-    statted = statInto(objectPath(hash), *stamp);
-  }
-  std::optional<std::string> content = readBytes(objectPath(hash));
+  struct stat info {};
+  if (stamp != nullptr) ::clock_gettime(CLOCK_REALTIME_COARSE, &now);
+  std::optional<std::string> content =
+      readFileIfPresent(objectPath(hash), std::string::npos, &info);
   {
     std::lock_guard lock(mutex_);
     ++stats_.reads;
   }
   if (stamp != nullptr) {
+    *stamp = stampOf(hash, info);
     stamp->racy =
-        !statted || stamp->ctimeNs > nanoseconds(now) - coarseTickNs();
+        !content || stamp->ctimeNs > nanoseconds(now) - coarseTickNs();
   }
   if (!content || hashBytes(*content) != hash) return std::nullopt;
   return content;
 }
 
 bool ObjectStore::unchanged(const ObjectStamp& stamp) const {
-  ObjectStamp now;
-  return !stamp.racy && statInto(objectPath(stamp.hash), now) &&
-         sameFile(now, stamp);
+  struct stat info {};
+  return !stamp.racy &&
+         ::stat(objectPath(stamp.hash).c_str(), &info) == 0 &&
+         sameFile(stampOf(stamp.hash, info), stamp);
 }
 
 bool ObjectStore::contains(const std::string& hash) const {
@@ -268,17 +252,15 @@ void ObjectStore::setRef(std::string_view name, const std::string& hash) {
 }
 
 std::optional<std::string> ObjectStore::ref(std::string_view name) const {
-  std::ifstream in(refPath(name), std::ios::binary);
-  std::string hash(kHashLength + 2, '\0');
-  in.read(hash.data(), static_cast<std::streamsize>(hash.size()));
+  std::optional<std::string> hash =
+      readFileIfPresent(refPath(name), kHashLength + 2);
   // Exactly one hash and a '\n'; anything else is a foreign file.
-  if (in.gcount() != static_cast<std::streamsize>(kHashLength + 1) ||
-      hash[kHashLength] != '\n') {
+  if (!hash || hash->size() != kHashLength + 1 || hash->back() != '\n') {
     return std::nullopt;
   }
-  hash.resize(kHashLength);
+  hash->pop_back();
   // A ref whose target was deleted reads as unset.
-  if (!isHash(hash) || !contains(hash)) return std::nullopt;
+  if (!isHash(*hash) || !contains(*hash)) return std::nullopt;
   return hash;
 }
 

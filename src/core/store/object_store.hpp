@@ -9,7 +9,8 @@
 // a short write leaves the old file.  Reads are *verified*: `get`
 // re-hashes the blob and deletes a mismatch (a truncated or tampered
 // file), so a corrupt cache degrades to a rebuild instead of a wrong
-// result; that delete is the only write a read makes.  A long-lived
+// result; that delete is the only write a read makes.  A blob or ref
+// that cannot be read throws and stays (DESIGN.md §10).  A long-lived
 // reader may stamp a verified read with the file's stat (ObjectStamp)
 // and skip re-reading the object while `unchanged` holds.  Nothing is
 // evicted, so disk use is unbounded (DESIGN.md §10).  Two older layouts
@@ -66,14 +67,15 @@ class ObjectStore {
   std::string put(std::string_view bytes, bool* wrote = nullptr);
 
   /// Verified read: returns the bytes iff the blob exists and re-hashes
-  /// to `hash`.  A corrupt blob is deleted and counted.  `stamp`, when
-  /// given, is filled from a stat taken just before the read.
+  /// to `hash`.  A corrupt blob is deleted and counted; one that cannot
+  /// be read throws rebench::Error and stays.  `stamp`, when given, is
+  /// filled from an fstat of the descriptor the bytes were read from.
   std::optional<std::string> get(const std::string& hash,
                                  ObjectStamp* stamp = nullptr);
 
   /// Verified read without corruption handling (a mismatch is left in
-  /// place), stamped as get stamps.  Used by the parallel executor's
-  /// pre-pass to classify keys.
+  /// place), throwing and stamped as get is.  Used by the parallel
+  /// executor's pre-pass to classify keys.
   std::optional<std::string> peek(const std::string& hash,
                                   ObjectStamp* stamp = nullptr) const;
 
@@ -93,7 +95,7 @@ class ObjectStore {
   /// history head).  setRef publishes DIR/refs/<name> atomically,
   /// creating its directory on first use.  ref() reads the file: an
   /// absent or malformed file, or one naming a missing object, reads as
-  /// unset.
+  /// unset; one that exists but cannot be read throws rebench::Error.
   void setRef(std::string_view name, const std::string& hash);
   std::optional<std::string> ref(std::string_view name) const;
 

@@ -64,21 +64,19 @@ RunCache::Lookup RunCache::lookup(const std::string& key) {
   const std::optional<std::string> hash = store_.ref(refName(key));
   if (!hash) {
     result.outcome = Outcome::kMiss;
-  } else if (std::optional<std::string> bytes = store_.get(*hash); !bytes) {
-    // The ref's blob existed but failed verified read: the store already
-    // disposed of it.
-    result.outcome = Outcome::kCorrupt;
   } else {
-    RunRecord record;
-    bool parsed = true;
+    // A record that fails verification was deleted by the store; one
+    // that cannot be read stays in place.  Either is corrupt here.
+    std::optional<RunRecord> record;
     try {
-      record = RunRecord::parse(*bytes);
+      if (const std::optional<std::string> bytes = store_.get(*hash)) {
+        record = RunRecord::parse(*bytes);
+      }
     } catch (const Error&) {
-      parsed = false;
     }
-    if (!parsed || record.key != key) {
+    if (!record || record->key != key) {
       result.outcome = Outcome::kCorrupt;
-    } else if (!store_.contains(record.manifestHash)) {
+    } else if (!store_.contains(record->manifestHash)) {
       // The record survived but its evidence did not; re-execute.  A
       // stat, not a verified read: readers that consume the manifest
       // verify it, and delete it when corrupt, which makes this stale.

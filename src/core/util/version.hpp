@@ -67,8 +67,6 @@ class VersionConstraint {
   static VersionConstraint any() { return {}; }
 
   bool isAny() const { return !low_ && !high_ && !exact_; }
-  bool isExact() const { return exact_.has_value(); }
-  const std::optional<Version>& exactVersion() const { return exact_; }
 
   bool satisfiedBy(const Version& v) const;
 

@@ -19,9 +19,6 @@ struct Geometry {
   std::size_t localPoints() const {
     return static_cast<std::size_t>(nx) * ny * nzLocal;
   }
-  std::size_t globalPoints() const {
-    return static_cast<std::size_t>(nx) * ny * nzGlobal;
-  }
   std::size_t planePoints() const {
     return static_cast<std::size_t>(nx) * ny;
   }

@@ -96,14 +96,6 @@ class Comm {
     std::memcpy(out.data(), bytes.data(), bytes.size());
   }
 
-  /// Simultaneous exchange with a partner rank (deadlock-free pairwise).
-  template <typename T>
-  void sendrecv(int partner, int tag, std::span<const T> sendBuf,
-                std::span<T> recvBuf) {
-    send(partner, tag, sendBuf);
-    recv(partner, tag, recvBuf);
-  }
-
   // ---- nonblocking receives (MPI_Irecv/MPI_Waitall shape) ---------------
   //
   // Sends are already asynchronous (they deposit into the destination

@@ -443,6 +443,78 @@ TEST(FileLock, TryFailsWhileAnotherHolderHasTheLock) {
   std::filesystem::remove(path);
 }
 
+// The read half of the seam: an absent file reads as absent, and any
+// other failure throws naming the file and the errno text.
+TEST(ReadSeam, AbsentReadsAsAbsentAndADirectoryIsAnError) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "read_seam_errors";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir / "sub");
+  const std::string missing = (dir / "missing").string();
+  const std::string sub = (dir / "sub").string();
+  EXPECT_FALSE(readFileIfPresent(missing).has_value());
+  const auto expectError = [](const auto& read, const std::string& path,
+                              const std::string& reason) {
+    try {
+      read();
+      ADD_FAILURE() << "read of " << path << " did not throw";
+    } catch (const Error& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "cannot read '" + path + "': " + reason);
+    }
+  };
+  expectError([&] { readNamedFile(missing); }, missing,
+              "No such file or directory");
+  expectError([&] { FileLines{missing}; }, missing,
+              "No such file or directory");
+  expectError([&] { readFileIfPresent(sub); }, sub, "Is a directory");
+  expectError(
+      [&] {
+        std::string line;
+        FileLines(sub).next(line);
+      },
+      sub, "Is a directory");
+  std::filesystem::remove_all(dir);
+}
+
+// A file that fits its buffer costs two read(2) calls, the second finding
+// its end; a limit stops the read there.
+TEST(ReadSeam, ReadsWholeOrUpToALimitAndCountsEachCall) {
+  const std::string path =
+      (std::filesystem::path(::testing::TempDir()) / "read_seam_counts")
+          .string();
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << "abcdef";
+  SeamCounts before = seamCounts();
+  EXPECT_EQ(readNamedFile(path), "abcdef");
+  EXPECT_EQ(seamCounts().reads - before.reads, 2u);
+  EXPECT_EQ(seamCounts().readBytes - before.readBytes, 6u);
+  before = seamCounts();
+  EXPECT_EQ(readFileIfPresent(path, 4), "abcd");
+  EXPECT_EQ(seamCounts().reads - before.reads, 1u);
+  EXPECT_EQ(seamCounts().readBytes - before.readBytes, 4u);
+  std::ofstream(path, std::ios::binary | std::ios::trunc);
+  EXPECT_EQ(readNamedFile(path), "");
+  std::filesystem::remove(path);
+}
+
+// FileLines splits as std::getline does, across its 64 KiB blocks too.
+TEST(ReadSeam, FileLinesSplitsAsGetlineDoes) {
+  const std::string path =
+      (std::filesystem::path(::testing::TempDir()) / "read_seam_lines")
+          .string();
+  const std::string longLine(100'000, 'x');
+  const std::string text = "a\n\nb\r\n" + longLine + "\n" + longLine + "\nlast";
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
+  std::vector<std::string> expected;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) expected.push_back(line);
+  std::vector<std::string> lines;
+  FileLines file(path);
+  for (std::string line; file.next(line);) lines.push_back(line);
+  EXPECT_EQ(lines, expected);
+  std::filesystem::remove(path);
+}
+
 // Concurrent publishers of one path (two `run --store` writing
 // refs/manifests/latest) each write their own temp file: every call
 // returns, one writer's bytes win whole, and no temp file is left.

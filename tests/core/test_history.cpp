@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cmath>
 #include <ctime>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -30,6 +31,7 @@
 #include "core/util/strings.hpp"
 #include "dir_snapshot.hpp"
 #include "object_stamp.hpp"
+#include "open_file_limit.hpp"
 
 namespace rebench::history {
 namespace {
@@ -511,6 +513,34 @@ TEST_F(HistoryIndexTest, RefreshCatchesDeletedSegment) {
     EXPECT_NE(std::string(e.what()).find(missing), std::string::npos);
   }
   EXPECT_TRUE(chain.records.empty());
+}
+
+// A segment that exists but cannot be read (every open fails with
+// EMFILE) is an error naming it, not a corrupt object: nothing is deleted,
+// and the whole chain reads once opens succeed again.
+TEST_F(HistoryIndexTest, SegmentThatCannotBeReadIsAnErrorAndStays) {
+  store::ObjectStore store(dir_);
+  HistoryIndex index(store);
+  appendSegments(index, 3);
+  const std::string head = store.ref(kHeadRef).value();
+  std::exception_ptr get;
+  std::exception_ptr walk;
+  {
+    const OpenFileLimit limit;
+    get = thrownBy([&] { store.get(head); });
+    walk = thrownBy([&] { index.readAll(); });
+  }
+  ASSERT_TRUE(get && walk) << "an unreadable segment read as absent";
+  try {
+    std::rethrow_exception(get);
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(head), std::string::npos);
+  }
+  EXPECT_THROW(std::rethrow_exception(walk), Error);
+  EXPECT_TRUE(fs::exists(store.objectPath(head)));
+  EXPECT_EQ(store.stats().corrupt, 0u);
+  EXPECT_TRUE(store.get(head).has_value());
+  EXPECT_EQ(index.readAll().size(), 3u);
 }
 
 // A rewrite in the tick a segment was verified in may leave its whole

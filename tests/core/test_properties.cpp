@@ -1,6 +1,11 @@
 // Property-based test sweeps: randomised inputs driven through invariants,
 // parameterised over seeds (TEST_P) so each seed is an independent case.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <array>
@@ -33,6 +38,8 @@
 #include "core/store/manifest.hpp"
 #include "core/store/object_store.hpp"
 #include "core/sysconfig/system_config.hpp"
+#include "core/telemetry/http.hpp"
+#include "core/telemetry/plane.hpp"
 #include "core/util/ditto.hpp"
 #include "core/util/rng.hpp"
 #include "core/util/strings.hpp"
@@ -1323,6 +1330,102 @@ TEST_P(TraceReaderProperty, DamagedTracesParseOrThrow) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TraceReaderProperty, ::testing::Range(1, 5));
+
+// ---------------------------------------------------------------------------
+// Status endpoint: every damaged request head gets one whole HTTP reply.
+// ---------------------------------------------------------------------------
+
+class StatusServerProperty : public ::testing::TestWithParam<int> {};
+
+/// Sends `request` over a new loopback connection to `address`
+/// ("127.0.0.1:PORT"), shuts down the write side, and returns all the
+/// server sends back before it closes.
+std::string sendOverLoopback(const std::string& address,
+                             std::string_view request) {
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(
+      std::stoi(address.substr(address.rfind(':') + 1))));
+  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  const int fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (fd < 0 || connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                        sizeof(addr)) != 0) {
+    ADD_FAILURE() << "cannot connect to " << address;
+    if (fd >= 0) close(fd);
+    return "";
+  }
+  for (std::size_t sent = 0; sent < request.size();) {
+    const ssize_t n = send(fd, request.data() + sent, request.size() - sent,
+                           MSG_NOSIGNAL);
+    if (n <= 0) break;
+    sent += static_cast<std::size_t>(n);
+  }
+  shutdown(fd, SHUT_WR);
+  std::string reply;
+  char buffer[4096];
+  pollfd ready{fd, POLLIN, 0};
+  // The server answers within its 5 s head timeout at the latest.
+  while (poll(&ready, 1, 10'000) == 1) {
+    const ssize_t n = read(fd, buffer, sizeof(buffer));
+    if (n <= 0) break;
+    reply.append(buffer, static_cast<std::size_t>(n));
+  }
+  close(fd);
+  return reply;
+}
+
+/// The status of `reply` when it is one complete HTTP/1.1 response: a
+/// status line, headers holding a Content-Length, and exactly that many
+/// body bytes.  0 otherwise.
+int completeResponseStatus(const std::string& reply) {
+  const std::size_t headEnd = reply.find("\r\n\r\n");
+  const std::size_t length = reply.find("\r\nContent-Length: ");
+  if (!reply.starts_with("HTTP/1.1 ") || headEnd == std::string::npos ||
+      length == std::string::npos || length > headEnd) {
+    return 0;
+  }
+  try {
+    const std::size_t from = length + 18;
+    const auto bodyBytes = str::parseWhole<std::size_t>(
+        std::string_view(reply).substr(from, reply.find("\r\n", from) - from),
+        "Content-Length");
+    if (reply.size() != headEnd + 4 + bodyBytes) return 0;
+    return str::parseWhole<int>(std::string_view(reply).substr(9, 3),
+                                "status");
+  } catch (const ParseError&) {
+    return 0;
+  }
+}
+
+TEST_P(StatusServerProperty, DamagedRequestHeadsGetAnAnswer) {
+  static constexpr std::string_view kStructural = " \r\n?=&/:%GETHP1.";
+  telemetry::TelemetryPlane plane;
+  plane.noteVerdict("0123456789abcdef", "ran:clean", false, "");
+  telemetry::StatusServer server(
+      [&plane](const telemetry::HttpRequest& request) {
+        return plane.handle(request);
+      });
+  server.start("127.0.0.1:0");
+  Rng rng(GetParam() * 71);
+  for (const std::string_view request :
+       {"GET /verdicts?since=3 HTTP/1.1\r\nHost: h\r\n\r\n",
+        "GET /submissions/0123456789abcdef HTTP/1.1\r\nHost: h\r\n\r\n"}) {
+    for (int trial = 0; trial < 300; ++trial) {
+      const std::string damaged = damage(rng, request, kStructural);
+      const std::string reply =
+          sendOverLoopback(server.boundAddress(), damaged);
+      const int status = completeResponseStatus(reply);
+      EXPECT_TRUE(status == 200 || status == 400 || status == 404 ||
+                  status == 405)
+          << ::testing::PrintToString(damaged) << " got "
+          << ::testing::PrintToString(reply);
+    }
+  }
+  EXPECT_NO_THROW(telemetry::httpGet(server.boundAddress(), "/health"));
+  server.stop();
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, StatusServerProperty, ::testing::Range(1, 5));
 
 // ---------------------------------------------------------------------------
 // Spec grammar: parse/print round-trips on randomly generated specs.

@@ -585,9 +585,10 @@ TEST_F(ServiceFixture, CrashResumeConvergesAtEveryCheckpoint) {
 /// What the write seam did since `before`.
 SeamCounts seamCostSince(const SeamCounts& before) {
   const SeamCounts now = seamCounts();
-  return {now.writes - before.writes, now.bytes - before.bytes,
-          now.fsyncs - before.fsyncs, now.renames - before.renames,
-          now.directories - before.directories};
+  return {now.writes - before.writes,     now.bytes - before.bytes,
+          now.fsyncs - before.fsyncs,     now.renames - before.renames,
+          now.directories - before.directories,
+          now.reads - before.reads,       now.readBytes - before.readBytes};
 }
 
 ino_t inodeOf(const std::string& path) {
@@ -608,6 +609,10 @@ TEST_F(ServiceFixture, SeamCountsPriceEachVerdictKind) {
   // file and the pass's compaction.
   EXPECT_EQ(executed.writes - executed.renames, 4u);
   EXPECT_EQ(executed.fsyncs, 4u + 1u + 1u);
+  // Its reads are left unpinned: whether the history segment it adopts
+  // and the build record it verifies are read again depends on their
+  // stamps being racy, that is on whether the clock has ticked since
+  // they were written.
 
   for (const char* benchmark : {"second", "third"}) {
     enqueueSubmission(queue_, invocation(benchmark));
@@ -616,6 +621,19 @@ TEST_F(ServiceFixture, SeamCountsPriceEachVerdictKind) {
   const std::string journal = ServiceJournal::pathFor(queue_);
   ASSERT_EQ(readFile(journal), kEmptyJournal);
   const ino_t inode = inodeOf(journal);
+  // What the cached pass reads, each file once: the journal's replay,
+  // then per submission its body, its runcache/ ref and the record that
+  // ref names.  The manifest a record cites is checked with a stat.
+  std::vector<std::string> read{journal};
+  for (const Submission& sub : scanQueue(queue_)) read.push_back(sub.path);
+  for (const auto& ref : fs::directory_iterator(store_ + "/refs/runcache")) {
+    read.push_back(ref.path().string());
+    read.push_back(store_ + "/objects/" +
+                   std::string(str::trim(readFile(ref.path()))));
+  }
+  ASSERT_EQ(read.size(), 1u + 3u * 3u);
+  std::uint64_t readBytes = 0;
+  for (const std::string& path : read) readBytes += fs::file_size(path);
   before = seamCounts();
   EXPECT_EQ(serve(makeOptions()).cached, 3);
   const SeamCounts cached = seamCostSince(before);
@@ -625,6 +643,9 @@ TEST_F(ServiceFixture, SeamCountsPriceEachVerdictKind) {
   // The verdict files and two health snapshots, the start's and the
   // exit's: a cached verdict publishes none of its own.
   EXPECT_EQ(cached.renames, 3u + 2u);
+  // Two read(2) calls per file: its bytes, then its end.
+  EXPECT_EQ(cached.reads, 2u * read.size());
+  EXPECT_EQ(cached.readBytes, readBytes);
   EXPECT_EQ(readFile(journal), kEmptyJournal);
   EXPECT_EQ(inodeOf(journal), inode);
 }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -26,6 +27,7 @@
 #include "dir_snapshot.hpp"
 #include "file_size_limit.hpp"
 #include "object_stamp.hpp"
+#include "open_file_limit.hpp"
 
 namespace rebench::store {
 namespace {
@@ -294,6 +296,68 @@ TEST_F(StoreTest, CorruptBlobEmitsCounter) {
   EXPECT_EQ(metrics.counter("store.corrupt").value(), 1u);
 }
 
+// The store deletes and counts only bytes it read and found corrupt.  An
+// object that exists but cannot be read (here every open fails with
+// EMFILE) throws and stays, and reads whole once opens succeed again.
+TEST_F(StoreTest, ObjectThatCannotBeReadThrowsAndStays) {
+  ObjectStore store(dir_);
+  const std::string hash = store.put("intact bytes");
+  std::exception_ptr get;
+  std::exception_ptr peek;
+  {
+    const OpenFileLimit limit;
+    get = thrownBy([&] { store.get(hash); });
+    peek = thrownBy([&] { store.peek(hash); });
+  }
+  ASSERT_TRUE(get && peek) << "an unreadable object read as absent";
+  EXPECT_THROW(std::rethrow_exception(get), Error);
+  EXPECT_THROW(std::rethrow_exception(peek), Error);
+  EXPECT_TRUE(fs::exists(store.objectPath(hash)));
+  EXPECT_EQ(store.stats().corrupt, 0u);
+  EXPECT_EQ(store.get(hash), "intact bytes");
+}
+
+// A ref file that exists but cannot be read is an error, never unset: a
+// history head read as unset would let the next compare-and-swap publish
+// a segment with an empty prev and orphan the chain.
+TEST_F(StoreTest, RefThatCannotBeReadThrowsInsteadOfReadingUnset) {
+  ObjectStore store(dir_);
+  const std::string hash = store.put("head segment");
+  store.setRef("history/head", hash);
+  std::exception_ptr failure;
+  {
+    const OpenFileLimit limit;
+    failure = thrownBy([&] { store.ref("history/head"); });
+  }
+  ASSERT_TRUE(failure) << "an unreadable ref read as unset";
+  EXPECT_THROW(std::rethrow_exception(failure), Error);
+  EXPECT_EQ(store.ref("history/head"), hash);
+  // A directory where the ref file belongs fails its read with EISDIR.
+  fs::create_directories(fs::path(dir_) / "refs" / "manifests" / "latest");
+  EXPECT_THROW(store.ref("manifests/latest"), Error);
+}
+
+// A run-cache record that exists but cannot be read (a directory where
+// its object belongs) is corrupt to the lookup, so serve re-executes, and
+// it stays where it is.
+TEST_F(StoreTest, RunCacheRecordThatCannotBeReadIsCorruptAndStays) {
+  ObjectStore store(dir_);
+  RunCache cache(store);
+  RunRecord record;
+  record.key = "key";
+  record.verdict = "ran:clean";
+  record.manifestHash = store.put("manifest");
+  cache.insert(record);
+  const std::string object =
+      store.objectPath(*store.ref(RunCache::refName("key")));
+  fs::remove(object);
+  fs::create_directory(object);
+  EXPECT_EQ(cache.lookup("key").outcome, RunCache::Outcome::kCorrupt);
+  EXPECT_TRUE(fs::is_directory(object));
+  EXPECT_EQ(store.stats().corrupt, 0u);
+  EXPECT_EQ(cache.stats().corrupt, 1u);
+}
+
 // Conversion replays the old index through JsonlLog, so an index naming
 // another schema is refused rather than guessed at.
 TEST_F(StoreTest, IndexSchemaMismatchThrows) {
@@ -547,6 +611,24 @@ TEST_F(BuildCacheTest, MissThenHitReusesEveryStep) {
   EXPECT_EQ(peeked->stepsExecuted, 0);
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.stats().misses, 2u);
+}
+
+// A build record that exists but cannot be read is rebuilt, as a corrupt
+// one is, and stays where it is.
+TEST_F(BuildCacheTest, RecordThatCannotBeReadIsRebuiltAndStays) {
+  ObjectStore store(dir_);
+  BuildCache cache(store);
+  const BuildPlan plan = planFor("archer2");
+  const std::string key =
+      BuildCache::cacheKey(plan.rootHash, "env-fp", plan.planHash());
+  buildThrough(cache, plan, "env-fp");
+  const std::string object = store.objectPath(*store.ref("build/" + key));
+  fs::remove(object);
+  fs::create_directory(object);
+  EXPECT_FALSE(BuildCache(store).peek(key, plan).has_value());
+  EXPECT_GT(buildThrough(cache, plan, "env-fp").stepsExecuted, 0);
+  EXPECT_TRUE(fs::is_directory(object));
+  EXPECT_EQ(store.stats().corrupt, 0u);
 }
 
 TEST_F(BuildCacheTest, EnvironmentDriftForcesRebuild) {
