@@ -13,7 +13,8 @@
 // lose it.
 //
 //   QUEUE/sub-<hash>.json        {"schema":"rebench.submission/1",
-//                                 "invocation":{...}}
+//                                 "invocation":{...}}  (unset keys
+//                                 omitted: store::renderInvocation)
 //   QUEUE/verdicts/<hash>.json   {"schema":"rebench.verdict/1", ...}
 //   QUEUE/drain                  sentinel: finish current, then stop
 //   QUEUE/service-journal.jsonl  write-ahead state (service/journal)

@@ -338,7 +338,7 @@ std::string runKeyFor(const store::CampaignInvocation& inv,
   const auto [system, partition] = systems.resolve(inv.system);
   Hasher hasher;
   hasher.update("rebench.runkey/1");
-  hasher.update(store::renderInvocation(inv));
+  hasher.update(store::renderFullInvocation(inv));
   hasher.update(
       store::BuildCache::environmentFingerprint(system->environment));
   // The system/partition configuration facets that shape results: a

@@ -141,10 +141,11 @@ std::vector<history::GateResult> appendAndGateCampaign(
     const history::GateOptions& options, obs::Tracer* tracer = nullptr,
     obs::MetricsRegistry* metrics = nullptr);
 
-/// The run-memoization key: hash(invocation bytes + environment
-/// fingerprint + system/partition configuration + concretized spec DAG
-/// hashes).  Everything that could change recorded bytes is in here;
-/// anything not in here (e.g. --jobs) is byte-invariant by construction.
+/// The run-memoization key: hash(invocation bytes, every key rendered
+/// by store::renderFullInvocation + environment fingerprint +
+/// system/partition configuration + concretized spec DAG hashes).
+/// Everything that could change recorded bytes is in here; anything not
+/// in here (e.g. --jobs) is byte-invariant by construction.
 std::string runKeyFor(const store::CampaignInvocation& inv,
                       const SystemRegistry& systems,
                       const PackageRepository& repo,

@@ -268,10 +268,12 @@ void processSubmission(RunContextState& ctx,
       return;
     }
     if (lookup.outcome == store::RunCache::Outcome::kCorrupt) {
-      // Degraded mode: the memo failed verification.  Re-execute (the
-      // store already disposed of the bad record) and say so.
+      // Degraded mode: the memo failed verification (the store already
+      // disposed of the bad record) or could not be read.  Re-execute,
+      // say so, and memoize nothing over the entry in place.
       degraded = true;
-      degradedDetail = "run-cache record failed verification; re-executed";
+      degradedDetail =
+          "run-cache entry unreadable or failed verification; re-executed";
     }
     if (ctx.options.metrics != nullptr) {
       ctx.options.metrics->counter("serve.cache_miss").inc();

@@ -13,39 +13,74 @@
 namespace rebench::store {
 
 namespace {
+
 using obs::json::quote;
+
+/// One JSON object rendered as (key, JSON text) pairs in schema order.
+using Fields = std::vector<std::pair<std::string_view, std::string>>;
+
+/// Renders `fields` as one JSON object.  With `before`, every key after
+/// the first `keep` whose text equals that key's text in `before` is
+/// omitted.
+void renderObject(std::ostream& out, const Fields& fields,
+                  const Fields* before = nullptr, std::size_t keep = 0) {
+  out << "{";
+  const char* separator = "";
+  for (std::size_t k = 0; k < fields.size(); ++k) {
+    if (before != nullptr && k >= keep &&
+        fields[k].second == (*before)[k].second) {
+      continue;
+    }
+    out << separator << '"' << fields[k].first << "\":" << fields[k].second;
+    separator = ",";
+  }
+  out << "}";
+}
+
+Fields invocationFields(const CampaignInvocation& inv) {
+  std::string settings = "[";
+  for (const auto& [key, value] : inv.settings) {
+    if (settings.size() > 1) settings += ",";
+    settings += "[" + quote(key) + "," + quote(value) + "]";
+  }
+  return {{"mode", quote(inv.mode)},
+          {"system", quote(inv.system)},
+          {"account", quote(inv.account)},
+          {"repeats", std::to_string(inv.repeats)},
+          {"benchmark", quote(inv.benchmark)},
+          {"ntimes", std::to_string(inv.ntimes)},
+          {"settings", settings + "]"},
+          {"tag", quote(inv.tag)},
+          {"n", quote(inv.namePattern)},
+          {"x", quote(inv.excludePattern)},
+          {"faults", quote(inv.faults)},
+          {"retries", std::to_string(inv.retries)},
+          {"backoffBase", str::fixed(inv.backoffBase, 6)},
+          {"backoffMultiplier", str::fixed(inv.backoffMultiplier, 6)},
+          {"backoffMax", str::fixed(inv.backoffMax, 6)},
+          {"quarantineAfter", std::to_string(inv.quarantineAfter)},
+          {"stageTimeout", str::fixed(inv.stageTimeout, 6)},
+          {"lanes", std::to_string(inv.lanes)},
+          {"ciHalfwidth", str::fixed(inv.ciHalfwidth, 6)},
+          {"minRepeats", std::to_string(inv.minRepeats)},
+          {"maxRepeats", std::to_string(inv.maxRepeats)},
+          {"withStore", inv.withStore ? "true" : "false"},
+          {"cache", inv.cache ? "true" : "false"},
+          {"probe", quote(inv.probe)}};
+}
+
 }  // namespace
 
 std::string renderInvocation(const CampaignInvocation& inv) {
+  static const Fields kUnset = invocationFields(CampaignInvocation{});
   std::ostringstream out;
-  out << "{\"mode\":" << quote(inv.mode)
-      << ",\"system\":" << quote(inv.system)
-      << ",\"account\":" << quote(inv.account)
-      << ",\"repeats\":" << inv.repeats
-      << ",\"benchmark\":" << quote(inv.benchmark)
-      << ",\"ntimes\":" << inv.ntimes << ",\"settings\":[";
-  for (std::size_t i = 0; i < inv.settings.size(); ++i) {
-    if (i > 0) out << ",";
-    out << "[" << quote(inv.settings[i].first) << ","
-        << quote(inv.settings[i].second) << "]";
-  }
-  out << "],\"tag\":" << quote(inv.tag)
-      << ",\"n\":" << quote(inv.namePattern)
-      << ",\"x\":" << quote(inv.excludePattern)
-      << ",\"faults\":" << quote(inv.faults)
-      << ",\"retries\":" << inv.retries
-      << ",\"backoffBase\":" << str::fixed(inv.backoffBase, 6)
-      << ",\"backoffMultiplier\":" << str::fixed(inv.backoffMultiplier, 6)
-      << ",\"backoffMax\":" << str::fixed(inv.backoffMax, 6)
-      << ",\"quarantineAfter\":" << inv.quarantineAfter
-      << ",\"stageTimeout\":" << str::fixed(inv.stageTimeout, 6)
-      << ",\"lanes\":" << inv.lanes
-      << ",\"ciHalfwidth\":" << str::fixed(inv.ciHalfwidth, 6)
-      << ",\"minRepeats\":" << inv.minRepeats
-      << ",\"maxRepeats\":" << inv.maxRepeats
-      << ",\"withStore\":" << (inv.withStore ? "true" : "false")
-      << ",\"cache\":" << (inv.cache ? "true" : "false")
-      << ",\"probe\":" << quote(inv.probe) << "}";
+  renderObject(out, invocationFields(inv), &kUnset, 2);  // mode, system
+  return out.str();
+}
+
+std::string renderFullInvocation(const CampaignInvocation& inv) {
+  std::ostringstream out;
+  renderObject(out, invocationFields(inv));
   return out.str();
 }
 
@@ -86,9 +121,6 @@ CampaignInvocation parseInvocation(const obs::json::Value& value) {
 }
 
 namespace {
-
-/// One runs/foms entry rendered as (key, JSON text) pairs in schema order.
-using Fields = std::vector<std::pair<std::string_view, std::string>>;
 
 Fields runFields(const RunManifest& run) {
   std::string steps = "[";
@@ -138,14 +170,8 @@ void renderOmitEqual(std::ostream& out, const std::vector<Entry>& entries,
   out << "[";
   for (std::size_t i = 0; i < entries.size(); ++i) {
     Fields now = fields(entries[i]);
-    out << (i > 0 ? ",{" : "{");
-    const char* separator = "";
-    for (std::size_t k = 0; k < now.size(); ++k) {
-      if (now[k].second == before[k].second) continue;
-      out << separator << '"' << now[k].first << "\":" << now[k].second;
-      separator = ",";
-    }
-    out << "}";
+    if (i > 0) out << ",";
+    renderObject(out, now, &before);
     before = std::move(now);
   }
   out << "]";

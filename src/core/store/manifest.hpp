@@ -106,12 +106,18 @@ struct CampaignInvocation {
   bool operator==(const CampaignInvocation&) const = default;
 };
 
-/// Deterministic JSON rendering of an invocation (stable key order).
-/// Public because the serve queue protocol embeds invocations in
-/// submission files and run-memoization keys hash these exact bytes.
+/// Deterministic JSON rendering of an invocation (stable key order), as
+/// submission bodies and manifests record it: `mode` and `system`, then
+/// only the keys whose text differs from CampaignInvocation{}'s.
 std::string renderInvocation(const CampaignInvocation& inv);
 
-/// Parses an invocation object rendered by renderInvocation.
+/// The same keys with none omitted: the bytes run-memoization keys hash
+/// (and what submissions and manifests recorded before unset keys were
+/// omitted), so keys computed before that change still match.
+std::string renderFullInvocation(const CampaignInvocation& inv);
+
+/// Parses an invocation object rendered by either function above: an
+/// absent key takes CampaignInvocation{}'s value, `system` "local".
 CampaignInvocation parseInvocation(const obs::json::Value& value);
 
 /// Provenance of one executed (test, target, repeat) pipeline run.

@@ -61,30 +61,32 @@ RunCache::Lookup RunCache::lookup(const std::string& key) {
   obs::ScopedSpan span(tracer_, "store.runcache");
   span.attr("key", key);
 
-  const std::optional<std::string> hash = store_.ref(refName(key));
-  if (!hash) {
-    result.outcome = Outcome::kMiss;
-  } else {
-    // A record that fails verification was deleted by the store; one
-    // that cannot be read stays in place.  Either is corrupt here.
-    std::optional<RunRecord> record;
-    try {
+  // A record that fails verification was deleted by the store; a ref or
+  // record that cannot be read stays in place.  Each is corrupt here.
+  bool unset = false;
+  std::optional<RunRecord> record;
+  try {
+    const std::optional<std::string> hash = store_.ref(refName(key));
+    unset = !hash;
+    if (hash) {
       if (const std::optional<std::string> bytes = store_.get(*hash)) {
         record = RunRecord::parse(*bytes);
       }
-    } catch (const Error&) {
     }
-    if (!record || record->key != key) {
-      result.outcome = Outcome::kCorrupt;
-    } else if (!store_.contains(record->manifestHash)) {
-      // The record survived but its evidence did not; re-execute.  A
-      // stat, not a verified read: readers that consume the manifest
-      // verify it, and delete it when corrupt, which makes this stale.
-      result.outcome = Outcome::kStale;
-    } else {
-      result.outcome = Outcome::kHit;
-      result.record = std::move(record);
-    }
+  } catch (const Error&) {
+  }
+  if (unset) {
+    result.outcome = Outcome::kMiss;
+  } else if (!record || record->key != key) {
+    result.outcome = Outcome::kCorrupt;
+  } else if (!store_.contains(record->manifestHash)) {
+    // The record survived but its evidence did not; re-execute.  A
+    // stat, not a verified read: readers that consume the manifest
+    // verify it, and delete it when corrupt, which makes this stale.
+    result.outcome = Outcome::kStale;
+  } else {
+    result.outcome = Outcome::kHit;
+    result.record = std::move(record);
   }
 
   switch (result.outcome) {

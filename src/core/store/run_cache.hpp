@@ -12,8 +12,9 @@
 //
 // Lookups are *verified* like every other store read: a record blob that
 // fails hash verification is reported kCorrupt (the store already
-// deleted it), and a record whose cited manifest object is gone is
-// kStale — both degrade to a re-execution, never a wrong verdict.  The
+// deleted it), as is a ref or record that cannot be read (left in
+// place), and a record whose cited manifest object is gone is kStale —
+// each degrades to a re-execution, never a wrong verdict.  The
 // manifest check is a stat, not a verified read, so a hit reads only
 // the record: the readers that consume a manifest (replay, trace_lint)
 // verify it and delete it when corrupt, after which its records read
@@ -73,8 +74,9 @@ class RunCache {
     bool hit() const { return outcome == Outcome::kHit; }
   };
 
-  /// Verified lookup of `key`.  kCorrupt when the record blob failed
-  /// verification; kStale when the record parses but its cited manifest
+  /// Verified lookup of `key`; never throws a store read's error.
+  /// kCorrupt when the record blob failed verification or the ref or
+  /// record could not be read; kStale when the record parses but its cited manifest
   /// object is gone (treated as a miss by callers, but distinguishable
   /// for degraded-mode accounting).
   Lookup lookup(const std::string& key);

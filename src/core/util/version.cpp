@@ -1,6 +1,7 @@
 #include "core/util/version.hpp"
 
 #include <cctype>
+#include <limits>
 
 #include "core/util/error.hpp"
 
@@ -14,7 +15,12 @@ Version Version::parse(std::string_view text) {
     if (!std::isdigit(static_cast<unsigned char>(text[i]))) break;
     std::int64_t value = 0;
     while (i < text.size() && std::isdigit(static_cast<unsigned char>(text[i]))) {
-      value = value * 10 + (text[i] - '0');
+      const int digit = text[i] - '0';
+      if (value > (std::numeric_limits<std::int64_t>::max() - digit) / 10) {
+        throw ParseError("version component out of range: '" +
+                         std::string(text) + "'");
+      }
+      value = value * 10 + digit;
       ++i;
     }
     v.parts_.push_back(value);

@@ -22,7 +22,8 @@ class Version {
  public:
   Version() = default;
 
-  /// Parses "maj[.min[.patch...]][suffix]".  Throws ParseError on garbage.
+  /// Parses "maj[.min[.patch...]][suffix]".  Throws ParseError on garbage
+  /// and on a component that does not fit in std::int64_t.
   static Version parse(std::string_view text);
 
   /// Numeric components in order of significance.

@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -35,6 +36,7 @@
 #include "core/sched/scheduler.hpp"
 #include "core/service/journal.hpp"
 #include "core/service/queue.hpp"
+#include "core/service/record.hpp"
 #include "core/store/manifest.hpp"
 #include "core/store/object_store.hpp"
 #include "core/sysconfig/system_config.hpp"
@@ -1186,6 +1188,162 @@ TEST_P(ManifestProperty, DamagedRenderingsParseOrThrow) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ManifestProperty, ::testing::Range(1, 5));
 
 // ---------------------------------------------------------------------------
+// Campaign invocations: renderInvocation omits every key (mode and system
+// aside) whose text equals CampaignInvocation{}'s, parseInvocation reads
+// the omitted keys back as those defaults, the full rendering the run key
+// hashes keeps the bytes rebench wrote before, and damaged renderings of
+// either parse or throw rebench::Error.
+// ---------------------------------------------------------------------------
+
+class InvocationProperty : public ::testing::TestWithParam<int> {};
+
+/// The invocation `submit --benchmark babelstream --system noctua2 -S
+/// model=omp --ntimes 10` queues, rendered in full: the submission body
+/// rebench wrote before renderInvocation omitted unset keys.
+constexpr std::string_view kFullRunInvocation =
+    "{\"mode\":\"run\",\"system\":\"noctua2\",\"account\":\"ec999\","
+    "\"repeats\":1,\"benchmark\":\"babelstream\",\"ntimes\":10,"
+    "\"settings\":[[\"model\",\"omp\"]],\"tag\":\"\",\"n\":\"\",\"x\":\"\","
+    "\"faults\":\"\",\"retries\":-1,\"backoffBase\":-1.000000,"
+    "\"backoffMultiplier\":-1.000000,\"backoffMax\":-1.000000,"
+    "\"quarantineAfter\":-1,\"stageTimeout\":-1.000000,\"lanes\":-1,"
+    "\"ciHalfwidth\":-1.000000,\"minRepeats\":-1,\"maxRepeats\":-1,"
+    "\"withStore\":true,\"cache\":true,\"probe\":\"\"}";
+
+/// A suite submission with every option set, rendered in full as above.
+constexpr std::string_view kFullSuiteInvocation =
+    "{\"mode\":\"suite\",\"system\":\"archer2\",\"account\":\"ab12\","
+    "\"repeats\":3,\"benchmark\":\"\",\"ntimes\":-1,\"settings\":[],"
+    "\"tag\":\"babelstream\",\"n\":\"omp\",\"x\":\"cuda\","
+    "\"faults\":\"seed=3,crash=0.2\",\"retries\":2,\"backoffBase\":0.500000,"
+    "\"backoffMultiplier\":3.000000,\"backoffMax\":30.000000,"
+    "\"quarantineAfter\":2,\"stageTimeout\":120.000000,\"lanes\":4,"
+    "\"ciHalfwidth\":0.020000,\"minRepeats\":3,\"maxRepeats\":9,"
+    "\"withStore\":true,\"cache\":false,\"probe\":\"sim\"}";
+
+store::CampaignInvocation parseInvocationText(std::string_view text) {
+  return store::parseInvocation(obs::json::parse(text));
+}
+
+std::vector<double*> invocationNumbers(store::CampaignInvocation& inv) {
+  return {&inv.backoffBase, &inv.backoffMultiplier, &inv.backoffMax,
+          &inv.stageTimeout, &inv.ciHalfwidth};
+}
+
+/// Each field its default or a random value; numbers hold 6 decimals
+/// exactly, so the invocation reads back equal to itself.
+store::CampaignInvocation randomInvocation(Rng& rng) {
+  const auto set = [&] { return rng.below(2) == 0; };
+  const auto integer = [&] { return static_cast<int>(rng.below(2001)) - 1000; };
+  store::CampaignInvocation inv;
+  for (std::string* text :
+       {&inv.mode, &inv.system, &inv.account, &inv.benchmark, &inv.tag,
+        &inv.namePattern, &inv.excludePattern, &inv.faults, &inv.probe}) {
+    if (set()) *text = randomNasty(rng);
+  }
+  for (int* number :
+       {&inv.repeats, &inv.ntimes, &inv.retries, &inv.quarantineAfter,
+        &inv.lanes, &inv.minRepeats, &inv.maxRepeats}) {
+    if (set()) *number = integer();
+  }
+  for (double* number : invocationNumbers(inv)) {
+    if (set()) *number = randomNumber(rng, *number, 6);
+  }
+  for (std::uint64_t n = set() ? 1 + rng.below(3) : 0; n > 0; --n) {
+    inv.settings.emplace_back(randomNasty(rng), randomNasty(rng));
+  }
+  if (set()) inv.withStore = !inv.withStore;
+  if (set()) inv.cache = !inv.cache;
+  return inv;
+}
+
+/// `inv` with some numbers at their default moved to a value whose text
+/// (6 decimals) still equals the default's, so it still reads back as
+/// `inv` and must render as `inv` does.
+store::CampaignInvocation nudged(Rng& rng, store::CampaignInvocation inv) {
+  for (double* number : invocationNumbers(inv)) {
+    if (*number == -1.0 && rng.below(2) == 0) {
+      *number = rng.below(2) == 0 ? -1.0000001 : -0.9999996;
+    }
+  }
+  return inv;
+}
+
+TEST_P(InvocationProperty, RoundTripsFieldByField) {
+  Rng rng(GetParam() * 107);
+  for (int i = 0; i < 200; ++i) {
+    const store::CampaignInvocation inv = randomInvocation(rng);
+    const store::CampaignInvocation written = nudged(rng, inv);
+    const std::string text = store::renderInvocation(written);
+    EXPECT_EQ(store::renderInvocation(inv), text);
+    const store::CampaignInvocation parsed = parseInvocationText(text);
+    EXPECT_TRUE(parsed == inv) << text;
+    EXPECT_EQ(store::renderInvocation(parsed), text);
+    EXPECT_EQ(store::renderFullInvocation(parsed),
+              store::renderFullInvocation(written));
+    EXPECT_TRUE(parseInvocationText(store::renderFullInvocation(written)) ==
+                inv)
+        << text;
+  }
+
+  // Mode and system are always written; nothing else is when unset.
+  EXPECT_EQ(store::renderInvocation({}), "{\"mode\":\"\",\"system\":\"\"}");
+  // The full rendering is the bytes written before unset keys were
+  // omitted, and both renderings of a recorded invocation read back the
+  // same: older submissions and /1 manifests parse unchanged.
+  const store::CampaignManifest v1 =
+      store::CampaignManifest::parse(std::string(store::kVersion1Manifest));
+  const std::string_view v1Text = store::kVersion1Manifest;
+  const std::size_t begin = v1Text.find("{\"mode\"");
+  const std::string v1Invocation(
+      v1Text.substr(begin, v1Text.find('}', begin) + 1 - begin));
+  for (const std::string_view full :
+       {kFullRunInvocation, kFullSuiteInvocation,
+        std::string_view(v1Invocation)}) {
+    const store::CampaignInvocation inv = parseInvocationText(full);
+    EXPECT_EQ(store::renderFullInvocation(inv), full);
+    EXPECT_TRUE(parseInvocationText(store::renderInvocation(inv)) == inv)
+        << full;
+  }
+  EXPECT_TRUE(parseInvocationText(v1Invocation) == v1.invocation);
+  const store::CampaignInvocation run = parseInvocationText(kFullRunInvocation);
+  EXPECT_EQ(store::renderInvocation(run),
+            "{\"mode\":\"run\",\"system\":\"noctua2\","
+            "\"benchmark\":\"babelstream\",\"ntimes\":10,"
+            "\"settings\":[[\"model\",\"omp\"]],\"withStore\":true}");
+
+  // The run key hashes the full rendering, so it is the value computed
+  // before unset keys were omitted, and a store's RunCache records keep
+  // hitting.
+  RegressionTest test;
+  test.spackSpec = "babelstream model=omp";
+  EXPECT_EQ(service::runKeyFor(run, builtinSystems(), builtinRepository(),
+                               std::vector<RegressionTest>{test}),
+            "c5b223b43d425cd4");
+}
+
+TEST_P(InvocationProperty, DamagedRenderingsParseOrThrow) {
+  static constexpr std::string_view kStructural = "{}[]\":,\\\n-.e09tfn";
+  Rng rng(GetParam() * 109);
+  store::CampaignInvocation inv = randomInvocation(rng);
+  inv.settings = {{"model", "omp"}, {"n", "1"}};
+  const std::string brief = store::renderInvocation(inv);
+  const std::string full = store::renderFullInvocation(inv);
+  for (const std::string_view original : {brief, full}) {
+    ASSERT_NO_THROW((void)parseInvocationText(original));
+    for (int trial = 0; trial < 300; ++trial) {
+      try {
+        (void)parseInvocationText(damage(rng, original, kStructural));
+      } catch (const Error&) {
+        // Damage may be rejected; anything but rebench::Error fails.
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, InvocationProperty, ::testing::Range(1, 5));
+
+// ---------------------------------------------------------------------------
 // obs::json: damaged renderings of documents rebench reads parse or throw
 // ParseError, as does nesting far past kMaxDepth.
 // ---------------------------------------------------------------------------
@@ -1487,6 +1645,36 @@ TEST_P(SpecRoundTripProperty, EverySpecSatisfiesItself) {
     const Spec spec = randomSpec(rng);
     EXPECT_TRUE(spec.satisfies(Spec::parse(spec.name()))) << spec.toString();
   }
+}
+
+// Damaged spec strings, and versions whose components do not fit in
+// std::int64_t, parse or throw rebench::Error (an overflowing component
+// used to wrap, so `@4.18446744073709551616` read as `@4.0`).
+TEST_P(SpecRoundTripProperty, DamagedSpecsParseOrThrow) {
+  static constexpr std::string_view kStructural = "@%^+~=: .,09";
+  Rng rng(GetParam() * 71);
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::string text =
+        damage(rng, randomSpec(rng).toString(), kStructural);
+    try {
+      (void)Spec::parse(text);
+    } catch (const Error&) {
+      // Damage may be rejected; anything but rebench::Error fails.
+    }
+  }
+  std::string digits = "9223372036854775807";  // INT64_MAX parses
+  EXPECT_EQ(Version::parse(digits).parts().back(),
+            std::numeric_limits<std::int64_t>::max());
+  for (int extra = 0; extra < 8; ++extra) {
+    digits += std::to_string(rng.below(10));
+    for (const std::string& text :
+         {"babelstream@" + digits, "babelstream@4." + digits,
+          "babelstream@1.2." + digits + "rc1", "hpgmg@" + digits + ":"}) {
+      EXPECT_THROW((void)Spec::parse(text), ParseError) << text;
+    }
+  }
+  EXPECT_THROW((void)Version::parse("9223372036854775808"), ParseError);
+  EXPECT_THROW((void)Version::parse("18446744073709551620"), ParseError);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SpecRoundTripProperty,

@@ -265,6 +265,39 @@ TEST_F(ServiceFixture, RunCacheDistinguishesMissHitAndStale) {
   EXPECT_EQ(cache.stats().stale, 1u);
 }
 
+// A RunCache ref that cannot be read (a directory where the ref file
+// belongs) is a corrupt entry, not a daemon error: its submission
+// re-executes into a degraded verdict that memoizes nothing, and the
+// submission beside it is answered too, on every drain.
+TEST_F(ServiceFixture, UnreadableRunCacheRefIsADegradedVerdict) {
+  const Submission broken = enqueueSubmission(queue_, invocation("a"));
+  ASSERT_EQ(serve(makeOptions()).executed, 1);
+  const std::string ref =
+      store_ + "/refs/" +
+      store::RunCache::refName(
+          Verdict::parse(readFile(verdictPath(queue_, broken.id))).key);
+  ASSERT_TRUE(fs::remove(ref));
+  fs::create_directory(ref);
+  const Submission other = enqueueSubmission(queue_, invocation("b"));
+  for (int drain = 0; drain < 2; ++drain) {
+    fs::remove_all(queue_ + "/verdicts");
+    ServeReport report;
+    ASSERT_NO_THROW(report = serve(makeOptions()));
+    EXPECT_EQ(report.executed, drain == 0 ? 2 : 1);
+    EXPECT_EQ(report.cached, drain == 0 ? 0 : 1);
+    EXPECT_EQ(report.degraded, 1);
+    const Verdict verdict =
+        Verdict::parse(readFile(verdictPath(queue_, broken.id)));
+    EXPECT_EQ(verdict.verdict, "ran:clean");
+    EXPECT_TRUE(verdict.degraded);
+    EXPECT_NE(verdict.detail.find("run-cache entry unreadable"),
+              std::string::npos);
+    EXPECT_FALSE(
+        Verdict::parse(readFile(verdictPath(queue_, other.id))).degraded);
+    EXPECT_TRUE(fs::is_directory(ref));
+  }
+}
+
 // -------------------------------------------------------------- journal
 
 TEST_F(ServiceFixture, ServiceJournalReplaysStateAcrossReopen) {
